@@ -29,6 +29,11 @@ PLATEAU_RUN = 3
 
 _DIVERGENCE_CAP = 1e12
 
+# Rows of per-step gossip draws generated at once. Consecutive
+# rng.random((rows, n)) calls yield the same doubles as one call, so the
+# block size bounds memory without changing any trajectory.
+GOSSIP_DRAW_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class ModelDescriptor:
@@ -99,6 +104,11 @@ def _as_profile(x0, n: int) -> np.ndarray:
     return x0
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise ParameterError(f"steps must be >= 0, got {steps}")
+
+
 def is_schur_stable(net: InfluenceNetwork) -> StabilityReport:
     """Decide Schur stability of Lambda W by the walk criterion.
 
@@ -142,6 +152,7 @@ def simulate_fj(net: InfluenceNetwork, x0, steps: int) -> OpinionTrajectory:
     Works for any susceptibility vector; with lambda = 1 everywhere this
     is pure averaging. Returns the full trajectory including x(0).
     """
+    _check_steps(steps)
     x0 = _as_profile(x0, net.n)
     coupling = np.diag(net.lam) @ net.w
     anchor = (1.0 - net.lam)[:, None] * x0
@@ -192,6 +203,7 @@ def simulate_belief_system(
     recursion bounded. A violated contract is flagged, and divergence past
     1e12 aborts with a numerical error.
     """
+    _check_steps(steps)
     c_matrix = np.atleast_2d(np.asarray(c_matrix, dtype=float))
     x0 = _as_profile(x0, net.n)
     if c_matrix.shape != (x0.shape[1], x0.shape[1]):
@@ -264,17 +276,22 @@ def simulate_reflected_appraisal(
 
 
 def _neighbor_menus(net: InfluenceNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Padded neighbor table and per-agent counts, self-loops excluded."""
+    """Padded neighbor table and per-agent counts, self-loops excluded.
+
+    Row i lists agent i's neighbors in ascending order, padded with 0.
+    """
     support = np.abs(net.w) > STRUCTURAL_ZERO
     np.fill_diagonal(support, False)
     counts = support.sum(axis=1)
     if (counts == 0).any():
         lonely = np.flatnonzero(counts == 0).tolist()
         raise StructuralError(f"agents {lonely} have no neighbors to poll")
+    rows, cols = np.nonzero(support)
+    # nonzero scans row-major, so each row's entries are contiguous and
+    # ascending; subtracting the row's first offset gives the slot.
+    slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
     table = np.zeros((net.n, int(counts.max())), dtype=int)
-    for i in range(net.n):
-        nbrs = np.flatnonzero(support[i])
-        table[i, : nbrs.size] = nbrs
+    table[rows, slots] = cols
     return table, counts
 
 
@@ -292,7 +309,15 @@ def simulate_gossip_fj(
     (self excluded) and moves to
     lambda_i ((1 - w_i,theta) x_i + w_i,theta x_theta) + (1 - lambda_i) x_i(0).
     Updates within a step read the previous state.
+
+    Random-stream layout: a Philox(seed) stream yields first steps x n
+    uniform activation keys (row k for step k; the activation_size
+    smallest keys of a row pick its active agents), then steps x n
+    uniform poll draws (entry [k, i] picks agent i's neighbor at step k).
+    Seeded trajectories depend on this layout only, not on how the draws
+    are blocked in memory.
     """
+    _check_steps(steps)
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.shape[0] != net.n:
         raise StructuralError("x0 length does not match the network")
@@ -300,26 +325,33 @@ def simulate_gossip_fj(
         raise ParameterError(f"activation_size must lie in [1, {net.n}]")
     table, counts = _neighbor_menus(net)
     rng = philox_stream(seed)
-    # Pre-drawn randomness keeps the run reproducible and the loop tight:
-    # argpartition of iid keys yields a uniform fixed-size subset.
-    keys = rng.random((steps, net.n))
-    picks = rng.random((steps, net.n))
+    # Every per-step quantity is drawn and gathered before the loop, in
+    # blocks of GOSSIP_DRAW_BLOCK rows so that only (steps, a) arrays are
+    # kept; argpartition of iid keys yields a uniform fixed-size subset.
+    active = np.empty((steps, activation_size), dtype=np.intp)
+    polled = np.empty((steps, activation_size), dtype=np.intp)
+    for lo in range(0, steps, GOSSIP_DRAW_BLOCK):
+        block = active[lo : lo + GOSSIP_DRAW_BLOCK]
+        block[:] = np.argpartition(
+            rng.random((len(block), net.n)), activation_size - 1, axis=1
+        )[:, :activation_size]
+    for lo in range(0, steps, GOSSIP_DRAW_BLOCK):
+        block = active[lo : lo + GOSSIP_DRAW_BLOCK]
+        picks = np.take_along_axis(rng.random((len(block), net.n)), block, axis=1)
+        polled[lo : lo + GOSSIP_DRAW_BLOCK] = table[
+            block, (picks * counts[block]).astype(int)
+        ]
+    weight = net.w[active, polled]
+    keep = 1.0 - weight
+    lam_active = net.lam[active]
+    anchor = (1.0 - lam_active) * x0[active]
 
-    x = x0.copy()
     states = np.empty((steps + 1, net.n))
-    states[0] = x
-    lam = net.lam
-    for k in range(steps):
-        active = np.argpartition(keys[k], activation_size - 1)[:activation_size]
-        polled = table[active, (picks[k, active] * counts[active]).astype(int)]
-        weight = net.w[active, polled]
-        x_next = x.copy()
-        x_next[active] = (
-            lam[active] * ((1.0 - weight) * x[active] + weight * x[polled])
-            + (1.0 - lam[active]) * x0[active]
-        )
-        x = x_next
-        states[k + 1] = x
+    states[0] = x0
+    rows = zip(states, states[1:], active, polled, lam_active, keep, weight, anchor)
+    for x, x_next, a, p, lam_a, keep_a, weight_a, anchor_a in rows:
+        x_next[:] = x
+        x_next[a] = lam_a * (keep_a * x[a] + weight_a * x[p]) + anchor_a
     descriptor = ModelDescriptor(
         kind="gossip",
         params={"activation_size": activation_size, "beta": activation_size / net.n},
@@ -364,7 +396,8 @@ def cesaro_average(traj: OpinionTrajectory) -> np.ndarray:
     """Running time-averages (1/(k+1)) sum_{l<=k} x(l), same shape as states."""
     cumulative = np.cumsum(traj.states, axis=0)
     steps = np.arange(1, traj.states.shape[0] + 1, dtype=float)
-    return cumulative / steps[:, None, None]
+    cumulative /= steps[:, None, None]
+    return cumulative
 
 
 def _noise_factor(q: np.ndarray, n: int) -> np.ndarray:
@@ -393,6 +426,7 @@ def simulate_multiplex_fj(
     with eta ~ N(0, q_noise), using independent spawned noise streams.
     u and q_noise may be shared across layers or given per layer.
     """
+    _check_steps(steps)
     n, n_layers = mx.n, mx.n_layers
     u_layers = _per_layer_vectors(u, n, n_layers)
     q_layers = _per_layer_matrices(q_noise, n, n_layers)
@@ -411,9 +445,13 @@ def simulate_multiplex_fj(
         anchor = (1.0 - lam) * u_layers[s]
         states = np.empty((steps + 1, n))
         states[0] = u_layers[s]
-        shocks = rng.standard_normal((steps, n))
-        for k in range(steps):
-            states[k + 1] = coupling @ states[k] + anchor + factor @ shocks[k]
+        # One GEMM for all steps; row k equals factor @ shock(k) up to the
+        # summation order inside BLAS (exactly when factor is diagonal).
+        noise = rng.standard_normal((steps, n)) @ factor.T
+        for x, x_next, eta in zip(states, states[1:], noise):
+            np.matmul(coupling, x, out=x_next)
+            x_next += anchor
+            x_next += eta
         descriptor = ModelDescriptor(
             kind="multiplex_noisy", params={"layer": s, "steps": steps}, seed=seed
         )

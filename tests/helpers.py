@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 
 import opinionkit as ok
+from opinionkit.numkit import STRUCTURAL_ZERO
 
 
 def row_stochastic(rng, n, density=0.4, self_loops=True):
@@ -129,3 +130,63 @@ def unique_sparse_preimage(phi, z, s, tol=1e-9):
         if not any(np.max(np.abs(cand - m)) <= tol for m in matches):
             matches.append(cand)
     return len(matches) == 1 and np.max(np.abs(matches[0] - z)) <= tol
+
+
+def reference_neighbor_menus(net):
+    """Padded neighbor table and counts, built one agent at a time."""
+    support = np.abs(net.w) > STRUCTURAL_ZERO
+    np.fill_diagonal(support, False)
+    counts = support.sum(axis=1)
+    table = np.zeros((net.n, int(counts.max())), dtype=int)
+    for i in range(net.n):
+        nbrs = np.flatnonzero(support[i])
+        table[i, : nbrs.size] = nbrs
+    return table, counts
+
+
+def reference_gossip_fj(net, x0, steps, activation_size, seed):
+    """Gossip states (steps + 1, n) from a per-step loop over one draw of
+    all activation keys followed by one draw of all poll values."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    table, counts = reference_neighbor_menus(net)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    keys = rng.random((steps, net.n))
+    picks = rng.random((steps, net.n))
+
+    x = x0.copy()
+    states = np.empty((steps + 1, net.n))
+    states[0] = x
+    lam = net.lam
+    for k in range(steps):
+        active = np.argpartition(keys[k], activation_size - 1)[:activation_size]
+        polled = table[active, (picks[k, active] * counts[active]).astype(int)]
+        weight = net.w[active, polled]
+        x_next = x.copy()
+        x_next[active] = (
+            lam[active] * ((1.0 - weight) * x[active] + weight * x[polled])
+            + (1.0 - lam[active]) * x0[active]
+        )
+        x = x_next
+        states[k + 1] = x
+    return states
+
+
+def reference_multiplex_fj(mx, u, q_noise, steps, seed):
+    """Noisy per-layer states (steps + 1, n) from a per-step loop that
+    applies the noise factor to each step's shock vector separately."""
+    u = np.asarray(u, dtype=float)
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(q_noise, dtype=float))
+    factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    out = []
+    for s, layer in enumerate(mx.layers):
+        seq = np.random.SeedSequence(seed, spawn_key=(3, s))
+        rng = np.random.Generator(np.random.Philox(seq))
+        coupling = np.diag(layer.lam) @ layer.w
+        anchor = (1.0 - layer.lam) * u
+        states = np.empty((steps + 1, mx.n))
+        states[0] = u
+        shocks = rng.standard_normal((steps, mx.n))
+        for k in range(steps):
+            states[k + 1] = coupling @ states[k] + anchor + factor @ shocks[k]
+        out.append(states)
+    return out

@@ -6,7 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import opinionkit as ok
-from helpers import row_stochastic, stable_network
+from helpers import (
+    reference_gossip_fj,
+    reference_multiplex_fj,
+    reference_neighbor_menus,
+    row_stochastic,
+    stable_network,
+)
+from opinionkit.dynamics import GOSSIP_DRAW_BLOCK, _neighbor_menus
 
 
 def _pair_network(lam=(0.5, 0.5)):
@@ -215,6 +222,61 @@ def test_gossip_validates_activation_size():
         ok.simulate_gossip_fj(net, np.zeros(2), steps=5, activation_size=3, seed=0)
 
 
+def _gossip_network(n, model, self_loop_mass, net_seed):
+    """Watts-Strogatz or Barabasi-Albert network (WS needs n >= 3) with a
+    self-loop of the given mass mixed into every other row."""
+    if model == "watts_strogatz" and n >= 3:
+        cfg = ok.GeneratorConfig(
+            model="watts_strogatz", n=n, k=2 * ((n - 1) // 2), beta_rw=0.3,
+            lambda_range=(0.0, 1.0),
+        )
+    else:
+        cfg = ok.GeneratorConfig(
+            model="barabasi_albert", n=n, m0=1 + n // 4, lambda_range=(0.0, 1.0)
+        )
+    net = ok.generate_network(cfg, seed=net_seed)
+    loops = np.zeros(n)
+    loops[::2] = self_loop_mass
+    w = (1.0 - loops)[:, None] * net.w + np.diag(loops)
+    return ok.InfluenceNetwork(w=w, lam=net.lam)
+
+
+@given(
+    n=st.integers(2, 12),
+    model=st.sampled_from(["watts_strogatz", "barabasi_albert"]),
+    self_loop_mass=st.sampled_from([0.0, 0.4]),
+    net_seed=st.integers(0, 2**16),
+    steps=st.sampled_from(
+        [0, 1, GOSSIP_DRAW_BLOCK - 1, GOSSIP_DRAW_BLOCK, GOSSIP_DRAW_BLOCK + 1]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_gossip_matches_the_per_step_reference_bitwise(
+    n, model, self_loop_mass, net_seed, steps, seed, data
+):
+    net = _gossip_network(n, model, self_loop_mass, net_seed)
+    activation_size = data.draw(st.integers(1, n), label="activation_size")
+    x0 = np.random.default_rng(net_seed).uniform(-1.0, 1.0, n)
+    traj = ok.simulate_gossip_fj(net, x0, steps, activation_size, seed=seed)
+    expected = reference_gossip_fj(net, x0, steps, activation_size, seed)
+    assert np.array_equal(traj.states[:, :, 0], expected)
+
+
+@given(n=st.integers(2, 12), density=st.floats(0.1, 1.0), seed=st.integers(0, 2**16))
+def test_neighbor_menus_match_the_per_agent_loop(n, density, seed):
+    rng = np.random.default_rng(seed)
+    net = ok.InfluenceNetwork(w=row_stochastic(rng, n, density), lam=np.full(n, 0.5))
+    ref_table, ref_counts = reference_neighbor_menus(net)
+    if (ref_counts == 0).any():
+        with pytest.raises(ok.StructuralError):
+            _neighbor_menus(net)
+        return
+    table, counts = _neighbor_menus(net)
+    assert np.array_equal(table, ref_table) and table.dtype == ref_table.dtype
+    assert np.array_equal(counts, ref_counts)
+
+
 def test_cesaro_average_of_a_constant_trajectory_is_constant():
     net = _pair_network(lam=(0.0, 0.0))
     x0 = np.array([0.3, 0.9])
@@ -229,7 +291,7 @@ def test_cesaro_average_matches_cumulative_means():
     traj = ok.simulate_fj(net, rng.uniform(-1, 1, 4), steps=20)
     avg = ok.cesaro_average(traj)
     direct = np.cumsum(traj.states, axis=0) / np.arange(1, 22)[:, None, None]
-    assert np.allclose(avg, direct, atol=1e-14)
+    assert np.array_equal(avg, direct)
 
 
 def test_cross_correlation_recursion_matches_direct_evaluation():
@@ -276,6 +338,67 @@ def test_multiplex_simulation_noise_is_seeded():
     for ta, tb, tc in zip(a, b, c):
         assert np.array_equal(ta.states, tb.states)
         assert not np.array_equal(ta.states, tc.states)
+
+
+def _multiplex(n=12, seed=8):
+    cfg = ok.MultiplexConfig(
+        model_tag="independent",
+        base=ok.GeneratorConfig(
+            model="watts_strogatz", n=n, k=4, beta_rw=0.2, lambda_range=(0.2, 0.8)
+        ),
+        n_layers=3,
+    )
+    return ok.build_multiplex(cfg, seed=seed)
+
+
+def test_multiplex_matches_the_per_step_reference_within_rounding():
+    mx = _multiplex()
+    rng = np.random.default_rng(21)
+    u = rng.uniform(-1, 1, mx.n)
+    root = rng.normal(size=(mx.n, mx.n))
+    q = 0.02 * root @ root.T / mx.n
+    trajs = ok.simulate_multiplex_fj(mx, u, q, steps=2000, seed=4)
+    for traj, expected in zip(trajs, reference_multiplex_fj(mx, u, q, 2000, 4)):
+        assert np.max(np.abs(traj.states[:, :, 0] - expected)) <= 1e-12
+
+
+def test_multiplex_with_diagonal_noise_matches_the_reference_bitwise():
+    mx = _multiplex()
+    q = np.diag(np.linspace(0.01, 0.05, mx.n))
+    u = np.linspace(-1, 1, mx.n)
+    trajs = ok.simulate_multiplex_fj(mx, u, q, steps=2000, seed=4)
+    for traj, expected in zip(trajs, reference_multiplex_fj(mx, u, q, 2000, 4)):
+        assert np.array_equal(traj.states[:, :, 0], expected)
+
+
+_PAIR_X0 = np.array([1.0, 0.0])
+_SIMULATORS = {
+    "fj": lambda steps: ok.simulate_fj(_pair_network(), _PAIR_X0, steps),
+    "belief_system": lambda steps: ok.simulate_belief_system(
+        _pair_network(), np.eye(1), _PAIR_X0, steps
+    ),
+    "gossip": lambda steps: ok.simulate_gossip_fj(
+        _pair_network(), _PAIR_X0, steps, activation_size=1, seed=0
+    ),
+    "multiplex": lambda steps: ok.simulate_multiplex_fj(
+        ok.MultiplexNetwork(layers=(_pair_network(),), model_tag="independent"),
+        _PAIR_X0, 0.01 * np.eye(2), steps, seed=0,
+    )[0],
+}
+
+
+@pytest.mark.parametrize("simulator", sorted(_SIMULATORS))
+def test_simulators_with_zero_steps_return_only_the_initial_state(simulator):
+    states = _SIMULATORS[simulator](0).states
+    assert states.shape == (1, 2, 1)
+    assert np.array_equal(states[0, :, 0], _PAIR_X0)
+
+
+@pytest.mark.parametrize("steps", [-1, -2])
+@pytest.mark.parametrize("simulator", sorted(_SIMULATORS))
+def test_simulators_reject_negative_step_counts(simulator, steps):
+    with pytest.raises(ok.ParameterError):
+        _SIMULATORS[simulator](steps)
 
 
 def test_trajectory_file_round_trip(tmp_path):
