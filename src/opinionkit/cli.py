@@ -12,6 +12,7 @@ stability, 4 capacity.
 """
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -323,27 +324,16 @@ def _stage_identify(record, where, stage_seed, objects, out, emit, artifacts):
         if "beta" not in record or "x0_from" not in record:
             raise ConfigError(f"{where}: yule_walker needs beta and x0_from")
         source = _ref(objects, record["x0_from"], OpinionTrajectory, where)
-        x0 = source.states[0, :, stream.issue]
-        beta = record["beta"]
-        moments = estimate_cross_correlations(
+        report = _yule_walker(
             stream,
+            net,
+            source.states[0, :, stream.issue],
+            record["beta"],
             max_lag=record.get("max_lag", 5),
             n_sigma=record.get("n_sigma", 5),
-        )
-        b_bar = beta * (1.0 - net.lam) * x0
-        gamma_hat, info = estimate_gamma(
-            moments, b_bar, mode=record.get("mode", "dense"), eta=record.get("eta", 0.0)
-        )
-        report = recover_topology_and_w(
-            gamma_hat, net.lam, beta, threshold=record.get("threshold")
-        )
-        report = EstimationReport(
-            w_hat=report.w_hat,
-            lambda_hat=report.lambda_hat,
-            gamma_hat=report.gamma_hat,
-            support=report.support,
-            metrics=report.metrics,
-            solver_log={**report.solver_log, **info},
+            mode=record.get("mode", "dense"),
+            eta=record.get("eta", 0.0),
+            threshold=record.get("threshold"),
         )
     else:
         raise ConfigError(f"{where}: unknown identify method {method!r}")
@@ -352,6 +342,17 @@ def _stage_identify(record, where, stage_seed, objects, out, emit, artifacts):
         rel = f"{record['name']}.json"
         save_report(report, out / rel)
         artifacts.append(rel)
+
+
+def _yule_walker(stream, net, x0, beta, max_lag, n_sigma, mode, eta, threshold):
+    """Lag moments, Gamma-hat and the recovered weights of one observed
+    gossip stream; the report's solver_log also carries estimate_gamma's
+    diagnostics."""
+    moments = estimate_cross_correlations(stream, max_lag=max_lag, n_sigma=n_sigma)
+    b_bar = beta * (1.0 - net.lam) * x0
+    gamma_hat, info = estimate_gamma(moments, b_bar, mode=mode, eta=eta)
+    report = recover_topology_and_w(gamma_hat, net.lam, beta, threshold=threshold)
+    return dataclasses.replace(report, solver_log={**report.solver_log, **info})
 
 
 def _stage_centrality(record, where, stage_seed, objects, out, emit, artifacts):
@@ -381,13 +382,7 @@ def _stage_evaluate(record, where, stage_seed, objects, out, emit, artifacts):
     report = _ref(objects, record["estimate"], EstimationReport, where)
     truth = _ref(objects, record["truth"], InfluenceNetwork, where)
     metrics = evaluate_estimate(truth.w, report, tol=record.get("tol", 1e-8))
-    doc = {
-        "f1": metrics.f1,
-        "frobenius_error": metrics.frobenius_error,
-        "max_abs_error": metrics.max_abs_error,
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-    }
+    doc = dataclasses.asdict(metrics)
     objects[record["name"]] = doc
     if emit["reports"]:
         rel = f"{record['name']}.json"
@@ -835,13 +830,11 @@ def identify(method, trajectory, profiles, stream_path, network_path, eps, beta,
                 "(anchor profile)"
             )
         stream = load_stream(stream_path)
-        net = load_network(network_path)
         _, states = load_trajectory(trajectory)
-        x0 = states[0, :, stream.issue]
-        moments = estimate_cross_correlations(stream, max_lag=max_lag, n_sigma=n_sigma)
-        b_bar = beta * (1.0 - net.lam) * x0
-        gamma_hat, _ = estimate_gamma(moments, b_bar, mode=mode, eta=eta)
-        report = recover_topology_and_w(gamma_hat, net.lam, beta, threshold=threshold)
+        report = _yule_walker(
+            stream, load_network(network_path), states[0, :, stream.issue], beta,
+            max_lag, n_sigma, mode, eta, threshold,
+        )
     save_report(report, out)
     click.echo(f"wrote {out}: {len(report.support)} recovered edges")
 
@@ -855,16 +848,9 @@ def identify(method, trajectory, profiles, stream_path, network_path, eps, beta,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def evaluate(truth, estimate, tol, out):
     """Score an estimation report against a ground-truth network."""
-    net = load_network(truth)
-    report = load_report(estimate)
-    metrics = evaluate_estimate(net.w, report, tol=tol)
-    doc = {
-        "f1": metrics.f1,
-        "frobenius_error": metrics.frobenius_error,
-        "max_abs_error": metrics.max_abs_error,
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-    }
+    doc = dataclasses.asdict(
+        evaluate_estimate(load_network(truth).w, load_report(estimate), tol=tol)
+    )
     if out is None:
         click.echo(json.dumps(doc, indent=2, sort_keys=True))
     else:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from math import log, pi as _PI
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import multigammaln
 
 from .errors import (
@@ -32,6 +31,7 @@ from .numkit import (
     L1Problem,
     PINV_RCOND,
     STRUCTURAL_ZERO,
+    minimal_band,
     pseudoinverse,
     solve_l1,
     spectral_radius,
@@ -46,13 +46,6 @@ N_SIGMA = 5
 SUPPORT_FRACTION = 0.05
 
 DEFAULT_SUPPORT_TOL = 1e-6
-
-# Absolute slack on the stage-1 off-diagonal optimum when the finite-horizon
-# estimator re-imposes it as a bound in its stage-2 (least self-weight)
-# solve. It only keeps the stage-1 vertex feasible against rounding in the
-# reported optimum; the stage-2 row may carry at most this much more
-# off-diagonal mass than the least possible.
-LEXICOGRAPHIC_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,18 +147,15 @@ def identify_finite_horizon(
 ) -> EstimationReport:
     """Fit x(k+1) ~ A x(k) + B x(0) from a finite trajectory.
 
-    Each row is decided lexicographically by two linear programs under
-    the same constraints: a per-sample deviation band of half-width eps,
-    the stochastic closure sum_j a_ij = 1 - b_i, and 0 <= a, 0 <= b <= 1.
-    Stage 1 minimizes the off-diagonal l1 mass of the row; a_ii and b_i
-    are free of cost. A row whose x_i never moves fits every split
-    a_ii + b_i = 1 equally well, so stage 2 bounds the off-diagonal mass
-    by the stage-1 optimum and minimizes a_ii: among the rows of least
-    off-diagonal mass the estimate takes the smallest self-weight, which
-    reads a fully stubborn agent as anchored (b_i = 1). Stage 2 runs only
-    when stage 1 leaves a_ii above STRUCTURAL_ZERO with b_i below its
-    upper bound. Passing lam pins b_i = 1 - lambda_i, which leaves no
-    tie. The recovered pair is lambda_i = 1 - b_i and
+    Each row is one l1 program: a per-sample deviation band of
+    half-width eps, the stochastic closure sum_j a_ij = 1 - b_i, and
+    0 <= a, 0 <= b <= 1. It minimizes the off-diagonal l1 mass of the
+    row; a_ii and b_i are free of cost. A row whose x_i never moves fits
+    every split a_ii + b_i = 1 equally well, so the kernel's
+    lexicographic tie-break takes, among the rows of least off-diagonal
+    mass, the one of least a_ii, which reads a fully stubborn agent as
+    anchored (b_i = 1). Passing lam pins b_i = 1 - lambda_i, which leaves
+    no tie. The recovered pair is lambda_i = 1 - b_i and
     w_ij = a_ij / lambda_i (a fully stubborn row falls back to the
     self-loop convention).
     """
@@ -181,65 +171,38 @@ def identify_finite_horizon(
 
     a_hat = np.zeros((n, n))
     b_hat = np.zeros(n)
-    statuses = []
+    results = []
     for i in range(n):
-        # Variables [a_i (n), b_i]; all nonnegative by bounds. Stage 1
-        # prices only the off-diagonal couplings; the a_ii / b_i tie of a
-        # constant row is left to the stage-2 solve below.
-        cost = np.ones(n + 1)
-        cost[i] = 0.0
-        cost[n] = 0.0
+        # Variables [a_i (n), b_i], nonnegative, b_i <= 1. Only the
+        # off-diagonal couplings are priced; the a_ii / b_i tie of a
+        # constant row goes to the least a_ii.
+        weights = np.ones(n + 1)
+        weights[i] = weights[n] = 0.0
         # Anchor coefficients repeat x_i(0) across steps, issue-minor.
         anchor = np.tile(x0[i], states.shape[0] - 1)
-        phi = np.vstack([data, anchor[None, :]])
-        closure = np.ones((1, n + 1))
-        rhs = target[i]
-        if lam is not None:
-            b_bounds = (1.0 - float(lam[i]),) * 2
+        lo, hi = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
+        tie = None
+        if lam is None:
+            hi[n] = 1.0
+            tie = np.zeros(n + 1)
+            tie[i] = 1.0
         else:
-            b_bounds = (0.0, 1.0)
-        bounds = [(0.0, None)] * n + [b_bounds]
-        if eps == 0.0:
-            a_ub, b_ub = np.zeros((0, n + 1)), np.zeros(0)
-            a_eq = np.vstack([phi.T, closure])
-            b_eq = np.concatenate([rhs, [1.0]])
-        else:
-            a_ub = np.vstack([phi.T, -phi.T])
-            b_ub = np.concatenate([rhs + eps, -(rhs - eps)])
-            a_eq, b_eq = closure, [1.0]
-        res = linprog(
-            cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-            bounds=bounds, method="highs",
+            lo[n] = hi[n] = 1.0 - float(lam[i])
+        problem = L1Problem(
+            phi=np.vstack([data, anchor[None, :]]).T, psi=target[i], sum_to=1.0,
+            nonneg=True, weights=weights, lo=lo, hi=hi, band=eps, tie_weights=tie,
         )
-        if res.status == 2:
-            needed = _minimal_band(phi.T, rhs, closure, bounds)
+        result = solve_l1(problem)
+        if result.status == "infeasible":
             raise InfeasibleError(
                 f"row {i}: no (a, b) fits within eps={eps:.3g}; "
-                f"smallest feasible band is {needed:.6g}"
+                f"smallest feasible band is {minimal_band(problem):.6g}"
             )
-        if res.status != 0:
-            raise NumericalError(f"row {i}: solver status {res.status}: {res.message}")
-        x = res.x
-        if x[i] > STRUCTURAL_ZERO and x[n] < b_bounds[1] - STRUCTURAL_ZERO:
-            self_cost = np.zeros(n + 1)
-            self_cost[i] = 1.0
-            res = linprog(
-                self_cost,
-                A_ub=np.vstack([a_ub, cost]),
-                b_ub=np.concatenate([b_ub, [res.fun + LEXICOGRAPHIC_SLACK]]),
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=bounds,
-                method="highs",
-            )
-            if res.status != 0:
-                raise NumericalError(
-                    f"row {i}: self-weight solve status {res.status}: {res.message}"
-                )
-            x = res.x
-        a_hat[i] = x[:n]
-        b_hat[i] = x[n]
-        statuses.append("optimal")
+        if not result.ok:
+            raise NumericalError(f"row {i}: l1 solve ended with {result.status}")
+        a_hat[i] = result.x[:n]
+        b_hat[i] = result.x[n]
+        results.append(result)
 
     lambda_hat = 1.0 - b_hat
     w_hat = np.zeros((n, n))
@@ -254,31 +217,23 @@ def identify_finite_horizon(
         gamma_hat=None,
         support=_support_of(w_hat, support_threshold),
         metrics={"eps": eps, "n_transitions": states.shape[0] - 1, "n_issues": m},
-        solver_log={"rows": tuple(statuses), "coupling_matrix": a_hat},
+        solver_log={**_lp_log(results), "coupling_matrix": a_hat},
     )
 
 
-def _minimal_band(phi_t, rhs, closure, bounds) -> float:
-    """Smallest deviation band for which the row program is feasible."""
-    n_var = phi_t.shape[1]
-    cost = np.zeros(n_var + 1)
-    cost[-1] = 1.0
-    ones_col = np.ones((phi_t.shape[0], 1))
-    a_ub = np.vstack(
-        [np.hstack([phi_t, -ones_col]), np.hstack([-phi_t, -ones_col])]
-    )
-    b_ub = np.concatenate([rhs, -rhs])
-    a_eq = np.hstack([closure, [[0.0]]])
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=list(bounds) + [(0.0, None)],
-        method="highs",
-    )
-    return float(res.fun) if res.status == 0 else float("inf")
+def _lp_log(results) -> dict:
+    """The solver_log entries of every LP-backed estimator: per-row (or
+    per-column) objectives, total LP iterations, and the rows decided by
+    the lexicographic tie-break."""
+    return {
+        "objectives": tuple(result.objective for result in results),
+        "iterations": sum(result.solver_log["iterations"] for result in results),
+        "lexicographic_rows": tuple(
+            row
+            for row, result in enumerate(results)
+            if result.solver_log["tie_break"] == "lexicographic"
+        ),
+    }
 
 
 def check_lambda_identifiability(lam) -> None:
@@ -329,7 +284,7 @@ def identify_infinite_horizon(
     phi = x_inf.T
     psi = (x_inf - (1.0 - lam)[:, None] * x0) / lam[:, None]
     w_hat = np.zeros((n, n))
-    objectives, residuals = [], []
+    results = []
     for j in range(n):
         result = solve_l1(L1Problem(phi=phi, psi=psi[j], sum_to=1.0, nonneg=nonneg))
         if result.status == "infeasible":
@@ -337,15 +292,14 @@ def identify_infinite_horizon(
         if not result.ok:
             raise NumericalError(f"row {j}: l1 solve ended with {result.status}")
         w_hat[j] = result.x
-        objectives.append(result.objective)
-        residuals.append(result.residual)
+        results.append(result)
     return EstimationReport(
         w_hat=w_hat,
         lambda_hat=lam,
         gamma_hat=None,
         support=_support_of(w_hat, support_threshold),
-        metrics={"max_residual": float(np.max(residuals))},
-        solver_log={"objectives": tuple(objectives), "nonneg": nonneg},
+        metrics={"max_residual": max(result.residual for result in results)},
+        solver_log={**_lp_log(results), "nonneg": nonneg},
     )
 
 
@@ -379,7 +333,7 @@ def identify_unknown_lambda(
 
     w_hat = np.zeros((n, n))
     mu = np.ones(n)
-    at_rest = []
+    at_rest, results = [], []
     movement = np.abs(x0 - x_inf).max(axis=1)
     for j in range(n):
         phi = np.hstack([x_inf.T, (x0[j] - x_inf[j])[:, None]])
@@ -406,6 +360,7 @@ def identify_unknown_lambda(
             raise NumericalError(f"row {j}: l1 solve ended with {result.status}")
         w_hat[j] = result.x[:n]
         mu[j] = result.x[n]
+        results.append(result)
         if movement[j] <= STRUCTURAL_ZERO:
             at_rest.append(j)
     if at_rest:
@@ -420,7 +375,7 @@ def identify_unknown_lambda(
         gamma_hat=None,
         support=_support_of(w_hat, support_threshold),
         metrics={"canonical": "zero-diagonal"},
-        solver_log={"rows_at_rest": tuple(at_rest), "nonneg": nonneg},
+        solver_log={**_lp_log(results), "rows_at_rest": tuple(at_rest), "nonneg": nonneg},
     )
 
 
@@ -541,7 +496,8 @@ def estimate_gamma(
     dense inverts Sigma_minus through the pseudoinverse (rank deficiency
     falls back to the minimum-norm solution with a warning); sparse
     minimizes the off-diagonal l1 mass of Gamma' column by column subject
-    to a max-norm band of width eta around the identity.
+    to a max-norm band of width eta around the identity, and its info adds
+    the per-column LP log shared by every LP-backed estimator.
     """
     if mode not in ("dense", "sparse"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -563,35 +519,25 @@ def estimate_gamma(
         return gamma_t.T, info
 
     gamma_t = np.empty((n, n))
+    results = []
     for col in range(n):
         weights = np.ones(n)
         weights[col] = 0.0
-        if eta == 0.0:
-            result = solve_l1(
-                L1Problem(phi=moments.sigma_minus, psi=target[:, col], weights=weights)
+        result = solve_l1(
+            L1Problem(
+                phi=moments.sigma_minus, psi=target[:, col], weights=weights, band=eta
             )
-            if result.status == "infeasible":
-                raise InfeasibleError(
-                    f"column {col}: lag identities are inconsistent at eta = 0; "
-                    "widen the band"
-                )
-            if not result.ok:
-                raise NumericalError(f"column {col}: solver ended with {result.status}")
-            gamma_t[:, col] = result.x
-            continue
-        cost = np.concatenate([weights, weights])
-        block = np.hstack([moments.sigma_minus, -moments.sigma_minus])
-        a_ub = np.vstack([block, -block])
-        b_ub = np.concatenate([target[:, col] + eta, eta - target[:, col]])
-        res = linprog(
-            cost, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, None)] * (2 * n), method="highs"
         )
-        if res.status == 2:
-            raise InfeasibleError(f"column {col}: band eta={eta:.3g} is infeasible")
-        if res.status != 0:
-            raise NumericalError(f"column {col}: solver status {res.status}")
-        gamma_t[:, col] = res.x[:n] - res.x[n:]
-    return gamma_t.T, info
+        if result.status == "infeasible":
+            raise InfeasibleError(
+                f"column {col}: lag identities are inconsistent within "
+                f"eta={eta:.3g}; widen the band"
+            )
+        if not result.ok:
+            raise NumericalError(f"column {col}: solver ended with {result.status}")
+        gamma_t[:, col] = result.x
+        results.append(result)
+    return gamma_t.T, {**info, **_lp_log(results)}
 
 
 def recover_topology_and_w(

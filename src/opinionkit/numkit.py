@@ -3,9 +3,14 @@ spark / nullspace-property diagnostics, and spectral radius.
 
 The l1 programs are solved exactly as linear programs (split-variable
 formulation) with scipy's HiGHS backend, which is deterministic for fixed
-inputs. Combinatorial diagnostics (spark, nullspace property) are exhaustive
-and therefore capped at small dimensions; they exist to certify test
-instances, not to scale.
+inputs; this module is the only one that builds or solves a linear
+program. A program is the equality form phi x = psi or the band form
+|phi x - psi| <= band, with optional box bounds. Ties among minimizers
+are broken lexicographically by a second solve when the problem names a
+tie cost, and by HiGHS's vertex choice otherwise. Combinatorial
+diagnostics (spark, nullspace property) are exhaustive and therefore
+capped at small dimensions; they exist to certify test instances, not to
+scale.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +26,13 @@ STRUCTURAL_ZERO = 1e-12
 
 # Relative singular-value cutoff for pseudoinverse and rank decisions.
 PINV_RCOND = 1e-10
+
+# Absolute slack on the stage-1 optimum when the lexicographic tie-break
+# re-imposes it as a bound in its stage-2 solve. It only keeps the stage-1
+# vertex feasible against rounding in the reported optimum; the stage-2
+# solution may carry at most this much more weighted mass than the least
+# possible.
+LEXICOGRAPHIC_SLACK = 1e-9
 
 _LINPROG_STATUS = {
     0: "optimal",
@@ -40,10 +52,11 @@ def philox_stream(seed: int | None, *spawn_key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class L1Problem:
-    """Weighted l1 minimization over an affine set.
+    """Weighted l1 minimization over an affine set or a band around it.
 
     minimize    sum_i weights_i * |x_i|
-    subject to  phi @ x == psi
+    subject to  |phi @ x - psi| <= band   (entrywise; band = 0 means
+                                           phi @ x == psi)
                 sum(x) == sum_to        (when sum_to is not None)
                 x >= 0                  (when nonneg)
                 lo_i <= x_i <= hi_i     (optional per-coordinate bounds;
@@ -51,6 +64,8 @@ class L1Problem:
 
     weights defaults to all ones; a zero weight exempts that coordinate
     from the objective (used for diagonal/auxiliary coordinates).
+    tie_weights, when given, chooses among the minimizers the one of
+    least sum_i tie_weights_i * |x_i| (see solve_l1).
     """
 
     phi: np.ndarray
@@ -60,6 +75,8 @@ class L1Problem:
     weights: np.ndarray | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
+    band: float = 0.0
+    tie_weights: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -75,68 +92,128 @@ class SolveResult:
         return self.status == "optimal"
 
 
-def solve_l1(problem: L1Problem) -> SolveResult:
-    """Solve an L1Problem to global optimality.
-
-    Returns a SolveResult whose status is "optimal" on success; infeasible
-    or pathological programs are reported through status, never silently.
-    Ties between optimal vertices are broken by the deterministic HiGHS
-    vertex choice, recorded in solver_log.
-    """
+def _columns(problem: L1Problem):
+    """Validate a problem and lay out its LP columns: x = u - v with
+    u, v >= 0 (u alone when nonneg), so |x_i| = u_i + v_i at any optimum
+    where weights_i > 0. Box bounds become u in [max(lo, 0), max(hi, 0)]
+    and v in [max(-hi, 0), max(-lo, 0)]. Returns phi, psi, weights, lift
+    (coefficient rows over x to rows over the columns; sign +1 prices
+    u and v alike), the column bounds, and the sum_to rows."""
     phi = np.atleast_2d(np.asarray(problem.phi, dtype=float))
     psi = np.asarray(problem.psi, dtype=float).ravel()
     m, n = phi.shape
     if psi.shape[0] != m:
         raise ParameterError(f"phi has {m} rows but psi has {psi.shape[0]} entries")
+    if not problem.band >= 0.0:
+        raise ParameterError(f"band must be >= 0, got {problem.band}")
     weights = (
         np.ones(n) if problem.weights is None else np.asarray(problem.weights, float)
     )
-    if weights.shape[0] != n or (weights < 0).any():
-        raise ParameterError("weights must be a nonnegative length-n vector")
+    for name, vector in (("weights", weights), ("tie_weights", problem.tie_weights)):
+        if vector is not None and (np.shape(vector) != (n,) or np.any(np.less(vector, 0))):
+            raise ParameterError(f"{name} must be a nonnegative length-n vector")
+    lo = np.full(n, np.nan) if problem.lo is None else np.asarray(problem.lo, float)
+    hi = np.full(n, np.nan) if problem.hi is None else np.asarray(problem.hi, float)
+    lo, hi = np.where(np.isnan(lo), -np.inf, lo), np.where(np.isnan(hi), np.inf, hi)
+    uv_bounds = np.maximum(np.column_stack([lo, hi, -hi, -lo]), 0.0)
 
-    # x = u - v with u, v >= 0; |x_i| <= u_i + v_i with equality at optimum
-    # for every positively weighted coordinate.
-    c = np.concatenate([weights, weights])
-    a_eq = [np.hstack([phi, -phi])]
-    b_eq = [psi]
-    if problem.sum_to is not None:
-        row = np.concatenate([np.ones(n), -np.ones(n)])
-        a_eq.append(row[None, :])
-        b_eq.append(np.array([float(problem.sum_to)]))
-    a_eq = np.vstack(a_eq)
-    b_eq = np.concatenate(b_eq)
+    def lift(rows, sign=-1.0):
+        return rows if problem.nonneg else np.hstack([rows, sign * rows])
 
-    a_ub_rows, b_ub_vals = [], []
-    for bound, sign in ((problem.hi, 1.0), (problem.lo, -1.0)):
-        if bound is None:
-            continue
-        bound = np.asarray(bound, dtype=float)
-        for i in range(n):
-            if np.isnan(bound[i]):
-                continue
-            row = np.zeros(2 * n)
-            row[i], row[n + i] = sign, -sign
-            a_ub_rows.append(row)
-            b_ub_vals.append(sign * bound[i])
-    a_ub = np.vstack(a_ub_rows) if a_ub_rows else None
-    b_ub = np.asarray(b_ub_vals) if a_ub_rows else None
+    bounds = uv_bounds[:, :2]
+    if not problem.nonneg:
+        bounds = np.vstack([bounds, uv_bounds[:, 2:]])
+    sums = [] if problem.sum_to is None else [float(problem.sum_to)]
+    return phi, psi, weights, lift, bounds, lift(np.ones((len(sums), n))), np.array(sums)
 
-    v_cap = (0.0, 0.0) if problem.nonneg else (0.0, None)
-    bounds = [(0.0, None)] * n + [v_cap] * n
+
+def _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds):
+    """The package's one linear-program solve; returns the scipy result and
+    its status name."""
     res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
+        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
     )
-    status = _LINPROG_STATUS.get(res.status, "numerical")
-    x = np.zeros(n) if res.x is None else res.x[:n] - res.x[n:]
+    return res, _LINPROG_STATUS.get(res.status, "numerical")
+
+
+def solve_l1(problem: L1Problem) -> SolveResult:
+    """Solve an L1Problem to global optimality.
+
+    Returns a SolveResult whose status is "optimal" on success; infeasible
+    or pathological programs are reported through status, never silently.
+    The band form enters as the rows [phi; -phi] x <= [psi + band;
+    -(psi - band)], the equality form as phi x = psi.
+
+    Ties between optimal vertices: without tie_weights, HiGHS's
+    deterministic vertex choice decides ("solver-vertex" in solver_log).
+    With tie_weights, when the stage-1 optimum carries tie mass above
+    STRUCTURAL_ZERO, a stage-2 solve keeps every constraint, bounds the
+    weighted mass by the stage-1 optimum plus LEXICOGRAPHIC_SLACK and
+    minimizes the tie mass ("lexicographic"); the stage-1 point is
+    feasible for it, so a stage-2 failure is reported as "numerical".
+    solver_log["iterations"] counts both stages.
+    """
+    phi, psi, weights, lift, bounds, closure, sums = _columns(problem)
+    cost = lift(weights, 1.0)
+    block = lift(phi)
+    if problem.band == 0.0:
+        a_ub, b_ub = np.zeros((0, cost.shape[0])), np.zeros(0)
+        a_eq, b_eq = np.vstack([block, closure]), np.concatenate([psi, sums])
+    else:
+        a_ub = np.vstack([block, -block])
+        b_ub = np.concatenate([psi + problem.band, -(psi - problem.band)])
+        a_eq, b_eq = closure, sums
+    res, status = _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds)
+    iterations = int(res.nit)
+    tie_break = "solver-vertex"
+    if problem.tie_weights is not None and status == "optimal":
+        tie_cost = lift(np.asarray(problem.tie_weights, float), 1.0)
+        if tie_cost @ res.x > STRUCTURAL_ZERO:
+            res, status = _highs(
+                tie_cost,
+                np.vstack([a_ub, cost]),
+                np.concatenate([b_ub, [res.fun + LEXICOGRAPHIC_SLACK]]),
+                a_eq,
+                b_eq,
+                bounds,
+            )
+            iterations += int(res.nit)
+            tie_break = "lexicographic"
+            status = "optimal" if status == "optimal" else "numerical"
+
+    n = phi.shape[1]
+    if res.x is None:
+        x = np.zeros(n)
+    else:
+        x = res.x if problem.nonneg else res.x[:n] - res.x[n:]
     objective = float(np.sum(weights * np.abs(x)))
     residual = float(np.max(np.abs(phi @ x - psi))) if res.x is not None else np.inf
     log = {
         "method": "highs",
-        "tie_break": "solver-vertex",
-        "iterations": int(getattr(res, "nit", -1)),
+        "tie_break": tie_break,
+        "iterations": iterations,
         "message": str(res.message),
     }
     return SolveResult(x=x, objective=objective, residual=residual, status=status, solver_log=log)
+
+
+def minimal_band(problem: L1Problem) -> float:
+    """Smallest band for which the problem's constraints are feasible
+    (inf when none is); the problem's own band and weights are ignored."""
+    phi, psi, _, lift, bounds, closure, sums = _columns(problem)
+    block = lift(phi)
+    ones = np.ones((block.shape[0], 1))
+    cost = np.zeros(block.shape[1] + 1)
+    cost[-1] = 1.0
+    res, status = _highs(
+        cost,
+        np.vstack([np.hstack([block, -ones]), np.hstack([-block, -ones])]),
+        np.concatenate([psi, -psi]),
+        np.hstack([closure, np.zeros((closure.shape[0], 1))]),
+        sums,
+        np.vstack([bounds, [0.0, np.inf]]),
+    )
+    return float(res.fun) if status == "optimal" else float("inf")
 
 
 def pseudoinverse(matrix: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
@@ -177,36 +254,22 @@ class RecoveryDiagnostics:
 
 
 def _nsp_violated_on(phi: np.ndarray, support: tuple[int, ...]) -> bool:
-    """True iff ker(phi) contains eta != 0 with ||eta_Sc||_1 <= ||eta_S||_1."""
+    """True iff ker(phi) contains eta != 0 with ||eta_Sc||_1 <= ||eta_S||_1.
+
+    For each sign pattern s on the support, the least ||eta_Sc||_1 over
+    kernel elements normalized by s'eta_S = 1 decides the pattern.
+    """
     m, n = phi.shape
-    comp = [j for j in range(n) if j not in support]
-    s = len(support)
-    # Variables: eta (n), then t_j >= |eta_j| for j in the complement.
-    n_var = n + len(comp)
-    for signs in product((1.0, -1.0), repeat=s):
-        c = np.zeros(n_var)
-        c[n:] = 1.0
-        a_eq = np.zeros((m + 1, n_var))
-        a_eq[:m, :n] = phi
-        for idx, j in enumerate(support):
-            a_eq[m, j] = signs[idx]
-        b_eq = np.zeros(m + 1)
-        b_eq[m] = 1.0
-        a_ub = np.zeros((2 * len(comp), n_var))
-        for r, j in enumerate(comp):
-            a_ub[2 * r, j], a_ub[2 * r, n + r] = 1.0, -1.0
-            a_ub[2 * r + 1, j], a_ub[2 * r + 1, n + r] = -1.0, -1.0
-        bounds = [(None, None)] * n + [(0.0, None)] * len(comp)
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=np.zeros(2 * len(comp)),
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
-        if res.status == 0 and res.fun <= 1.0 + 1e-9:
+    cols = list(support)
+    weights = np.ones(n)
+    weights[cols] = 0.0
+    psi = np.zeros(m + 1)
+    psi[m] = 1.0
+    for signs in product((1.0, -1.0), repeat=len(cols)):
+        sign_row = np.zeros((1, n))
+        sign_row[0, cols] = signs
+        result = solve_l1(L1Problem(phi=np.vstack([phi, sign_row]), psi=psi, weights=weights))
+        if result.ok and result.objective <= 1.0 + 1e-9:
             return True
     return False
 

@@ -8,6 +8,7 @@ the library against implementations that share no code with it.
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 import opinionkit as ok
 from opinionkit.numkit import STRUCTURAL_ZERO
@@ -190,3 +191,159 @@ def reference_multiplex_fj(mx, u, q_noise, steps, seed):
             states[k + 1] = coupling @ states[k] + anchor + factor @ shocks[k]
         out.append(states)
     return out
+
+
+def reference_solve_l1(problem):
+    """Weighted l1 solve with box bounds as dense inequality rows and a
+    nonneg program as split variables whose negative part is fixed at 0;
+    returns x, or None when HiGHS does not report an optimum."""
+    phi = np.atleast_2d(np.asarray(problem.phi, dtype=float))
+    psi = np.asarray(problem.psi, dtype=float).ravel()
+    m, n = phi.shape
+    weights = (
+        np.ones(n) if problem.weights is None else np.asarray(problem.weights, float)
+    )
+    c = np.concatenate([weights, weights])
+    a_eq = [np.hstack([phi, -phi])]
+    b_eq = [psi]
+    if problem.sum_to is not None:
+        row = np.concatenate([np.ones(n), -np.ones(n)])
+        a_eq.append(row[None, :])
+        b_eq.append(np.array([float(problem.sum_to)]))
+    a_eq = np.vstack(a_eq)
+    b_eq = np.concatenate(b_eq)
+
+    a_ub_rows, b_ub_vals = [], []
+    for bound, sign in ((problem.hi, 1.0), (problem.lo, -1.0)):
+        if bound is None:
+            continue
+        bound = np.asarray(bound, dtype=float)
+        for i in range(n):
+            if np.isnan(bound[i]):
+                continue
+            row = np.zeros(2 * n)
+            row[i], row[n + i] = sign, -sign
+            a_ub_rows.append(row)
+            b_ub_vals.append(sign * bound[i])
+    a_ub = np.vstack(a_ub_rows) if a_ub_rows else None
+    b_ub = np.asarray(b_ub_vals) if a_ub_rows else None
+
+    v_cap = (0.0, 0.0) if problem.nonneg else (0.0, None)
+    bounds = [(0.0, None)] * n + [v_cap] * n
+    res = linprog(
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
+    )
+    return None if res.status != 0 else res.x[:n] - res.x[n:]
+
+
+def reference_infinite_horizon(x0, x_inf, lam, nonneg):
+    """Row-by-row equilibrium inversion through reference_solve_l1."""
+    lam = np.asarray(lam, dtype=float)
+    psi = (x_inf - (1.0 - lam)[:, None] * x0) / lam[:, None]
+    return np.array([
+        reference_solve_l1(ok.L1Problem(phi=x_inf.T, psi=row, sum_to=1.0, nonneg=nonneg))
+        for row in psi
+    ])
+
+
+def reference_unknown_lambda(x0, x_inf, nonneg):
+    """Row-by-row augmented inversion through reference_solve_l1;
+    returns (w_hat, mu) with mu = 1 / lambda_hat."""
+    n = x0.shape[0]
+    w_hat, mu = np.zeros((n, n)), np.ones(n)
+    for j in range(n):
+        phi = np.hstack([x_inf.T, (x0[j] - x_inf[j])[:, None]])
+        closure = np.zeros(n + 1)
+        closure[:n] = 1.0
+        phi = np.vstack([phi, closure])
+        psi = np.concatenate([x0[j], [1.0]])
+        weights = np.ones(n + 1)
+        weights[n] = 0.0
+        lo = np.full(n + 1, np.nan)
+        hi = np.full(n + 1, np.nan)
+        lo[j] = hi[j] = 0.0
+        lo[n] = 1.0
+        x = reference_solve_l1(
+            ok.L1Problem(phi=phi, psi=psi, nonneg=nonneg, weights=weights, lo=lo, hi=hi)
+        )
+        w_hat[j], mu[j] = x[:n], x[n]
+    return w_hat, mu
+
+
+def reference_finite_horizon(states, eps, lam):
+    """Couplings a_hat (n, n) and anchors b_hat (n,) from per-row
+    programs built directly for linprog: stage 1 minimizes the
+    off-diagonal mass; when it leaves a_ii > 0 with b_i below its upper
+    bound, stage 2 bounds that mass by the stage-1 optimum plus 1e-9 and
+    minimizes a_ii."""
+    n = states.shape[1]
+    x0 = states[0]
+    data = np.concatenate(list(states[:-1]), axis=1)
+    target = np.concatenate(list(states[1:]), axis=1)
+    a_hat = np.zeros((n, n))
+    b_hat = np.zeros(n)
+    for i in range(n):
+        cost = np.ones(n + 1)
+        cost[i] = 0.0
+        cost[n] = 0.0
+        anchor = np.tile(x0[i], states.shape[0] - 1)
+        phi = np.vstack([data, anchor[None, :]])
+        closure = np.ones((1, n + 1))
+        rhs = target[i]
+        if lam is not None:
+            b_bounds = (1.0 - float(lam[i]),) * 2
+        else:
+            b_bounds = (0.0, 1.0)
+        bounds = [(0.0, None)] * n + [b_bounds]
+        if eps == 0.0:
+            a_ub, b_ub = np.zeros((0, n + 1)), np.zeros(0)
+            a_eq = np.vstack([phi.T, closure])
+            b_eq = np.concatenate([rhs, [1.0]])
+        else:
+            a_ub = np.vstack([phi.T, -phi.T])
+            b_ub = np.concatenate([rhs + eps, -(rhs - eps)])
+            a_eq, b_eq = closure, [1.0]
+        res = linprog(
+            cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+            bounds=bounds, method="highs",
+        )
+        assert res.status == 0
+        x = res.x
+        if x[i] > STRUCTURAL_ZERO and x[n] < b_bounds[1] - STRUCTURAL_ZERO:
+            self_cost = np.zeros(n + 1)
+            self_cost[i] = 1.0
+            res = linprog(
+                self_cost,
+                A_ub=np.vstack([a_ub, cost]),
+                b_ub=np.concatenate([b_ub, [res.fun + 1e-9]]),
+                A_eq=a_eq,
+                b_eq=b_eq,
+                bounds=bounds,
+                method="highs",
+            )
+            assert res.status == 0
+            x = res.x
+        a_hat[i] = x[:n]
+        b_hat[i] = x[n]
+    return a_hat, b_hat
+
+
+def reference_sparse_gamma(moments, b_bar, eta):
+    """Gamma-hat from per-column band programs built directly for
+    linprog (eta > 0)."""
+    n = moments.sigma_minus.shape[0]
+    target = moments.sigma_plus - np.outer(moments.x_hat, b_bar)
+    gamma_t = np.empty((n, n))
+    for col in range(n):
+        weights = np.ones(n)
+        weights[col] = 0.0
+        cost = np.concatenate([weights, weights])
+        block = np.hstack([moments.sigma_minus, -moments.sigma_minus])
+        a_ub = np.vstack([block, -block])
+        b_ub = np.concatenate([target[:, col] + eta, eta - target[:, col]])
+        res = linprog(
+            cost, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, None)] * (2 * n), method="highs"
+        )
+        assert res.status == 0
+        gamma_t[:, col] = res.x[:n] - res.x[n:]
+    return gamma_t.T

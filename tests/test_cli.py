@@ -196,6 +196,45 @@ def test_gossip_stream_identification_through_the_cli(tmp_path):
     assert np.allclose(report.w_hat.sum(axis=1), 1.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("mode, eta", [("dense", "0.0"), ("sparse", "0.00001")])
+def test_yule_walker_subcommand_writes_the_pipeline_stage_report(tmp_path, mode, eta):
+    net_path, traj_path, stream_path = (
+        tmp_path / "net.json", tmp_path / "traj.csv", tmp_path / "stream.csv"
+    )
+    main([
+        "generate", "--model", "watts_strogatz", "--n", "6", "--k", "2",
+        "--beta-rw", "0.0", "--lambda-range", "0.85", "0.85", "--seed", "5",
+        "--out", str(net_path),
+    ])
+    main([
+        "simulate", str(net_path), "--kind", "gossip", "--steps", "20000",
+        "--activation-size", "6", "--seed", "2", "--out", str(traj_path),
+    ])
+    main(["observe", str(traj_path), "--kind", "full", "--out", str(stream_path)])
+    report_path = tmp_path / "yw.json"
+    assert main([
+        "identify", "--method", "yule_walker", "--stream", str(stream_path),
+        "--network", str(net_path), "--trajectory", str(traj_path),
+        "--beta", "1.0", "--threshold", "0.05", "--mode", mode, "--eta", eta,
+        "--out", str(report_path),
+    ]) == 0
+    config = {
+        "seed": 0,
+        "output_dir": str(tmp_path / "run"),
+        "stages": [
+            {"stage": "load", "name": "net", "path": str(net_path), "format": "network"},
+            {"stage": "load", "name": "traj", "path": str(traj_path), "format": "trajectory"},
+            {"stage": "load", "name": "obs", "path": str(stream_path), "format": "stream"},
+            {"stage": "identify", "name": "yw", "method": "yule_walker", "stream": "obs",
+             "network": "net", "beta": 1.0, "x0_from": "traj", "threshold": 0.05,
+             "mode": mode, "eta": float(eta)},
+        ],
+    }
+    ok.run_pipeline(config)
+    assert report_path.read_bytes() == (tmp_path / "run" / "yw.json").read_bytes()
+    assert {"mode", "condition", "rank"} <= set(ok.load_report(report_path).solver_log)
+
+
 def test_report_command_merges_json_and_csv_sources(tmp_path, capsys):
     (tmp_path / "fit.json").write_text(json.dumps({"f1": 0.5, "note": "x"}))
     (tmp_path / "rank.csv").write_text("agent,value\n0,0.25\n1,0.75\n")

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from scipy.stats import invwishart
 
 import opinionkit as ok
-from helpers import sparse_row_network, stable_network
+from helpers import (
+    reference_finite_horizon,
+    reference_infinite_horizon,
+    reference_sparse_gamma,
+    reference_unknown_lambda,
+    sparse_row_network,
+    stable_network,
+)
 
 
 def _ws_network(seed=9, n=8, lam_range=(0.3, 0.8)):
@@ -102,6 +109,35 @@ def test_finite_horizon_tie_break_keeps_genuine_self_loops():
     assert np.array_equal(report.w_hat[2], [0.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_finite_horizon_matches_the_direct_linprog_oracle(eps, pinned):
+    # agent 2 of the first network is fully stubborn
+    w = np.array([[0.3, 0.5, 0.2], [0.2, 0.4, 0.4], [0.5, 0.0, 0.5]])
+    nets = [ok.InfluenceNetwork(w=w, lam=np.array([0.7, 0.5, 0.0])), _ws_network(seed=3)]
+    rng = np.random.default_rng(3)
+    reports = []
+    for net in nets:
+        traj = ok.simulate_fj(net, rng.uniform(-1, 1, (net.n, 6)), steps=8)
+        lam = net.lam if pinned else None
+        report = ok.identify_finite_horizon(traj, eps=eps, lam=lam)
+        a_hat, b_hat = reference_finite_horizon(traj.states, eps, lam)
+        assert np.array_equal(report.solver_log["coupling_matrix"], a_hat)
+        assert np.array_equal(report.lambda_hat, 1.0 - b_hat)
+        reports.append(report)
+    # the stubborn row goes to the tie-break only while lambda is free
+    assert (2 in reports[0].solver_log["lexicographic_rows"]) is not pinned
+
+
+def test_finite_horizon_names_the_smallest_feasible_band():
+    # one agent starting at 1 must stay at a x + b x(0) = 1, 0.5 away
+    traj = ok.OpinionTrajectory(
+        states=np.array([[[1.0]], [[0.5]]]), model=ok.ModelDescriptor(kind="fj", params={})
+    )
+    with pytest.raises(ok.InfeasibleError, match="smallest feasible band is 0.5$"):
+        ok.identify_finite_horizon(traj, eps=0.1)
+
+
 def test_finite_horizon_needs_at_least_two_frames():
     traj = ok.OpinionTrajectory(
         states=np.zeros((1, 8, 2)), model=ok.ModelDescriptor(kind="fj", params={})
@@ -174,6 +210,17 @@ def test_infinite_horizon_nonneg_flag_constrains_the_cone():
     assert np.max(np.abs(report.w_hat - net.w)) < 1e-8
 
 
+@pytest.mark.parametrize("nonneg, tol", [(False, 0.0), (True, 1e-12)])
+def test_infinite_horizon_matches_the_row_box_oracle(nonneg, tol):
+    net = _ws_network(seed=2)
+    rng = np.random.default_rng(13)
+    x0 = rng.uniform(-1, 1, (8, 8))
+    x_inf, _ = ok.fj_equilibrium(net, x0)
+    report = ok.identify_infinite_horizon(x0, x_inf, net.lam, nonneg=nonneg)
+    expected = reference_infinite_horizon(x0, x_inf, net.lam, nonneg)
+    assert np.max(np.abs(report.w_hat - expected)) <= tol
+
+
 # ---- unknown susceptibilities ----------------------------------------------
 
 
@@ -201,6 +248,20 @@ def test_unknown_lambda_matches_any_equivalent_representation():
     report = ok.identify_unknown_lambda(x0, x_inf)
     assert np.max(np.abs(report.w_hat - net.w)) < 1e-7
     assert np.max(np.abs(report.lambda_hat - net.lam)) < 1e-7
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_unknown_lambda_matches_the_row_box_oracle(nonneg):
+    # the oracle states the box bounds as inequality rows, the kernel as
+    # variable bounds; the programs differ in shape, not in optimum
+    net = _ws_network(seed=31)
+    rng = np.random.default_rng(15)
+    x0 = rng.uniform(-1, 1, (8, 8))
+    x_inf, _ = ok.fj_equilibrium(net, x0)
+    report = ok.identify_unknown_lambda(x0, x_inf, nonneg=nonneg)
+    w_hat, mu = reference_unknown_lambda(x0, x_inf, nonneg)
+    assert np.max(np.abs(report.w_hat - w_hat)) < 1e-12
+    assert np.max(np.abs(report.lambda_hat - 1.0 / mu)) < 1e-12
 
 
 def test_unknown_lambda_rejects_equilibrium_only_consensus():
@@ -397,6 +458,67 @@ def test_estimate_gamma_sparse_band_tolerates_perturbations():
     # a generous band trades accuracy for sparsity and prunes weak entries
     gamma_loose, _ = ok.estimate_gamma(bumped, b_bar, mode="sparse", eta=1e-2)
     assert np.count_nonzero(gamma_loose) < np.count_nonzero(gamma_bar)
+
+
+@pytest.mark.parametrize("eta", [1e-4, 1e-2])
+def test_estimate_gamma_sparse_band_matches_the_direct_linprog_oracle(eta):
+    net = _ws_network(seed=7, n=10)
+    x0 = np.random.default_rng(1).uniform(-1, 1, 10)
+    moments, _, b_bar = _exact_moments(net, beta=0.5, x0=x0)
+    bumped = ok.MomentEstimates(
+        x_hat=moments.x_hat,
+        sigma=moments.sigma,
+        sigma_minus=moments.sigma_minus,
+        sigma_plus=moments.sigma_plus + 1e-6,
+        n_sigma=moments.n_sigma,
+        horizon=moments.horizon,
+    )
+    gamma_hat, _ = ok.estimate_gamma(bumped, b_bar, mode="sparse", eta=eta)
+    assert np.array_equal(gamma_hat, reference_sparse_gamma(bumped, b_bar, eta))
+
+
+def test_estimate_gamma_rejects_a_negative_band():
+    net = _ws_network(seed=7, n=10)
+    x0 = np.random.default_rng(1).uniform(-1, 1, 10)
+    moments, _, b_bar = _exact_moments(net, beta=0.5, x0=x0)
+    with pytest.raises(ok.ParameterError):
+        ok.estimate_gamma(moments, b_bar, mode="sparse", eta=-1e-3)
+
+
+def test_estimate_gamma_flags_an_infeasible_band_on_rank_deficient_moments():
+    # equal rows of sigma_minus cannot reach a target column (0, 1) closer
+    # than 0.5 in max-norm
+    sigma_minus = np.ones((2, 2))
+    moments = ok.MomentEstimates(
+        x_hat=np.zeros(2),
+        sigma=np.zeros((2, 2, 2)),
+        sigma_minus=sigma_minus,
+        sigma_plus=np.array([[0.0, 0.0], [1.0, 0.0]]),
+        n_sigma=1,
+        horizon=0,
+    )
+    with pytest.raises(ok.InfeasibleError, match="column 0"):
+        ok.estimate_gamma(moments, np.zeros(2), mode="sparse", eta=0.1)
+
+
+def test_lp_estimators_share_one_solver_log_schema():
+    lp_keys = {"objectives", "iterations", "lexicographic_rows"}
+    net = _ws_network()
+    rng = np.random.default_rng(6)
+    x0 = rng.uniform(-1, 1, (8, 8))
+    x_inf, _ = ok.fj_equilibrium(net, x0)
+    traj = ok.simulate_fj(net, x0, steps=6)
+    moments, _, b_bar = _exact_moments(_ws_network(seed=7, n=10), 0.5, np.ones(10))
+    logs = [
+        ok.identify_infinite_horizon(x0, x_inf, net.lam).solver_log,
+        ok.identify_unknown_lambda(x0, x_inf).solver_log,
+        ok.identify_finite_horizon(traj).solver_log,
+        ok.estimate_gamma(moments, b_bar, mode="sparse", eta=1e-3)[1],
+    ]
+    for log, rows in zip(logs, (8, 8, 8, 10)):
+        assert lp_keys <= set(log)
+        assert len(log["objectives"]) == rows
+        assert isinstance(log["iterations"], int) and log["iterations"] > 0
 
 
 def test_estimate_gamma_rejects_unknown_mode():

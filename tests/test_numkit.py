@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import opinionkit as ok
-from opinionkit.numkit import PINV_RCOND, L1Problem
+from opinionkit.numkit import PINV_RCOND, L1Problem, minimal_band
 
 
 def test_philox_stream_is_reproducible():
@@ -56,17 +56,64 @@ def test_solve_l1_nonneg_excludes_signed_solutions():
     assert not cone.ok
 
 
-def test_solve_l1_box_bounds_pin_variables():
-    # one equation, two unknowns; x1 is pinned to 0.7 by lo == hi and NaN
-    # leaves x0 free, so x0 must close the remaining gap exactly
-    phi = np.array([[1.0, 1.0]])
-    psi = np.array([1.0])
-    lo = np.array([np.nan, 0.7])
-    hi = np.array([np.nan, 0.7])
-    res = ok.solve_l1(L1Problem(phi=phi, psi=psi, lo=lo, hi=hi))
+@pytest.mark.parametrize(
+    "weights, lo, hi, psi, expected",
+    [
+        # x1 pinned to 0.7 by lo == hi; NaN leaves x0 free to close the gap
+        (None, [np.nan, 0.7], [np.nan, 0.7], 1.0, [0.3, 0.7]),
+        # a free x1 in [-0.5, 0.25] takes as much of psi as its box allows,
+        # on either side of zero
+        ([1.0, 0.0], [np.nan, -0.5], [np.nan, 0.25], 1.0, [0.75, 0.25]),
+        ([1.0, 0.0], [np.nan, -0.5], [np.nan, 0.25], -1.0, [-0.5, -0.5]),
+    ],
+    ids=["pinned", "mixed-sign-upper", "mixed-sign-lower"],
+)
+def test_solve_l1_box_bounds_pin_variables(weights, lo, hi, psi, expected):
+    res = ok.solve_l1(
+        L1Problem(
+            phi=np.array([[1.0, 1.0]]), psi=np.array([psi]), weights=weights,
+            lo=np.array(lo), hi=np.array(hi),
+        )
+    )
     assert res.ok
-    assert abs(res.x[1] - 0.7) < 1e-9
-    assert abs(res.x[0] - 0.3) < 1e-9
+    assert np.allclose(res.x, expected, atol=1e-9)
+
+
+def test_solve_l1_band_admits_a_sparser_solution():
+    # with x2 at half price, equality needs x = (0, 0.1, 1); a band of 0.05
+    # lets x2 = 1.05 explain both rows alone
+    phi = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    psi = np.array([1.0, 1.1])
+    weights = np.array([1.0, 1.0, 0.5])
+    exact = ok.solve_l1(L1Problem(phi=phi, psi=psi, weights=weights))
+    banded = ok.solve_l1(L1Problem(phi=phi, psi=psi, weights=weights, band=0.05))
+    assert exact.ok and banded.ok
+    assert np.allclose(exact.x, [0.0, 0.1, 1.0], atol=1e-9)
+    assert np.allclose(banded.x, [0.0, 0.0, 1.05], atol=1e-9)
+    assert banded.residual <= 0.05 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "tie_weights, expected", [([2.0, 1.0], [0.0, 1.0]), ([1.0, 2.0], [1.0, 0.0])]
+)
+def test_solve_l1_tie_weights_decide_between_optima(tie_weights, expected):
+    # every point of the segment x0 + x1 = 1, x >= 0 has l1 mass 1; the
+    # tie cost is positive everywhere on it, so the second solve always runs
+    res = ok.solve_l1(
+        L1Problem(
+            phi=np.array([[1.0, 1.0]]), psi=np.array([1.0]), nonneg=True,
+            tie_weights=np.array(tie_weights),
+        )
+    )
+    assert res.ok
+    assert np.allclose(res.x, expected, atol=1e-9)
+    assert res.solver_log["tie_break"] == "lexicographic"
+
+
+def test_minimal_band_hand_instance():
+    # one unknown must sit within the band of both 0 and 1
+    problem = L1Problem(phi=np.array([[1.0], [1.0]]), psi=np.array([0.0, 1.0]))
+    assert minimal_band(problem) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_solve_l1_zero_weight_frees_a_coordinate():
