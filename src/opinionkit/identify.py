@@ -154,8 +154,8 @@ def identify_finite_horizon(
     every split a_ii + b_i = 1 equally well, so the kernel's
     lexicographic tie-break takes, among the rows of least off-diagonal
     mass, the one of least a_ii, which reads a fully stubborn agent as
-    anchored (b_i = 1). Passing lam pins b_i = 1 - lambda_i, which leaves
-    no tie. The recovered pair is lambda_i = 1 - b_i and
+    anchored (b_i = 1). Passing lam (entries in [0, 1]) pins
+    b_i = 1 - lambda_i, which leaves no tie. The recovered pair is lambda_i = 1 - b_i and
     w_ij = a_ij / lambda_i (a fully stubborn row falls back to the
     self-loop convention).
     """
@@ -165,6 +165,10 @@ def identify_finite_horizon(
     if states.shape[0] < 2:
         raise StructuralError("need at least one transition")
     n, m = states.shape[1], states.shape[2]
+    if lam is not None:
+        lam = np.asarray(lam, dtype=float).ravel()
+        if lam.shape != (n,) or not np.all((lam >= 0.0) & (lam <= 1.0)):
+            raise ParameterError("lam must be a length-n vector in [0, 1]")
     x0 = states[0]
     data = np.concatenate(list(states[:-1]), axis=1)        # (n, (K)*m)
     target = np.concatenate(list(states[1:]), axis=1)       # (n, (K)*m)
@@ -344,15 +348,11 @@ def identify_unknown_lambda(
         psi = np.concatenate([x0[j], [1.0]])
         weights = np.ones(n + 1)
         weights[n] = 0.0
-        lo = np.full(n + 1, np.nan)
-        hi = np.full(n + 1, np.nan)
+        lo, hi = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
         lo[j] = hi[j] = 0.0
         lo[n] = 1.0
         result = solve_l1(
-            L1Problem(
-                phi=phi, psi=psi, sum_to=None, nonneg=nonneg, weights=weights,
-                lo=lo, hi=hi,
-            )
+            L1Problem(phi=phi, psi=psi, nonneg=nonneg, weights=weights, lo=lo, hi=hi)
         )
         if result.status == "infeasible":
             raise InfeasibleError(f"row {j}: augmented identities are inconsistent")

@@ -96,7 +96,9 @@ def _columns(problem: L1Problem):
     """Validate a problem and lay out its LP columns: x = u - v with
     u, v >= 0 (u alone when nonneg), so |x_i| = u_i + v_i at any optimum
     where weights_i > 0. Box bounds become u in [max(lo, 0), max(hi, 0)]
-    and v in [max(-hi, 0), max(-lo, 0)]. Returns phi, psi, weights, lift
+    and v in [max(-hi, 0), max(-lo, 0)]; a nonneg program has u in
+    [max(lo, 0), hi], so a negative upper bound leaves it infeasible
+    rather than pinning x_i at 0. Returns phi, psi, weights, lift
     (coefficient rows over x to rows over the columns; sign +1 prices
     u and v alike), the column bounds, and the sum_to rows."""
     phi = np.atleast_2d(np.asarray(problem.phi, dtype=float))
@@ -115,14 +117,15 @@ def _columns(problem: L1Problem):
     lo = np.full(n, np.nan) if problem.lo is None else np.asarray(problem.lo, float)
     hi = np.full(n, np.nan) if problem.hi is None else np.asarray(problem.hi, float)
     lo, hi = np.where(np.isnan(lo), -np.inf, lo), np.where(np.isnan(hi), np.inf, hi)
-    uv_bounds = np.maximum(np.column_stack([lo, hi, -hi, -lo]), 0.0)
+    if problem.nonneg:
+        bounds = np.column_stack([np.maximum(lo, 0.0), hi])
+    else:
+        uv_bounds = np.maximum(np.column_stack([lo, hi, -hi, -lo]), 0.0)
+        bounds = np.vstack([uv_bounds[:, :2], uv_bounds[:, 2:]])
 
     def lift(rows, sign=-1.0):
         return rows if problem.nonneg else np.hstack([rows, sign * rows])
 
-    bounds = uv_bounds[:, :2]
-    if not problem.nonneg:
-        bounds = np.vstack([bounds, uv_bounds[:, 2:]])
     sums = [] if problem.sum_to is None else [float(problem.sum_to)]
     return phi, psi, weights, lift, bounds, lift(np.ones((len(sums), n))), np.array(sums)
 

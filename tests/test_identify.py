@@ -138,6 +138,17 @@ def test_finite_horizon_names_the_smallest_feasible_band():
         ok.identify_finite_horizon(traj, eps=0.1)
 
 
+@pytest.mark.parametrize("lam", [[0.5, 1.5], [-0.5, 0.5], [0.5]])
+def test_finite_horizon_rejects_a_pinned_lambda_outside_the_model(lam):
+    # b_i = 1 - lambda_i must stay in [0, 1]; lambda_i > 1 once pinned a
+    # negative anchor weight
+    traj = ok.OpinionTrajectory(
+        states=np.ones((3, 2, 1)), model=ok.ModelDescriptor(kind="fj", params={})
+    )
+    with pytest.raises(ok.ParameterError, match="lam"):
+        ok.identify_finite_horizon(traj, lam=np.array(lam))
+
+
 def test_finite_horizon_needs_at_least_two_frames():
     traj = ok.OpinionTrajectory(
         states=np.zeros((1, 8, 2)), model=ok.ModelDescriptor(kind="fj", params={})

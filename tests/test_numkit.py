@@ -76,7 +76,19 @@ def test_solve_l1_box_bounds_pin_variables(weights, lo, hi, psi, expected):
         )
     )
     assert res.ok
-    assert np.allclose(res.x, expected, atol=1e-9)
+    assert np.allclose(res.x, expected, rtol=0.0, atol=1e-9)
+
+
+def test_solve_l1_nonneg_negative_upper_bound_is_infeasible():
+    # x0 <= -1 has solutions only off the nonnegative cone
+    problem = dict(
+        phi=np.array([[1.0, 1.0]]), psi=np.array([0.0]),
+        hi=np.array([-1.0, np.nan]),
+    )
+    signed = ok.solve_l1(L1Problem(**problem))
+    assert signed.ok
+    assert signed.x[0] <= -1.0 + 1e-9
+    assert not ok.solve_l1(L1Problem(**problem, nonneg=True)).ok
 
 
 def test_solve_l1_band_admits_a_sparser_solution():
@@ -88,8 +100,8 @@ def test_solve_l1_band_admits_a_sparser_solution():
     exact = ok.solve_l1(L1Problem(phi=phi, psi=psi, weights=weights))
     banded = ok.solve_l1(L1Problem(phi=phi, psi=psi, weights=weights, band=0.05))
     assert exact.ok and banded.ok
-    assert np.allclose(exact.x, [0.0, 0.1, 1.0], atol=1e-9)
-    assert np.allclose(banded.x, [0.0, 0.0, 1.05], atol=1e-9)
+    assert np.allclose(exact.x, [0.0, 0.1, 1.0], rtol=0.0, atol=1e-9)
+    assert np.allclose(banded.x, [0.0, 0.0, 1.05], rtol=0.0, atol=1e-9)
     assert banded.residual <= 0.05 + 1e-12
 
 
@@ -106,8 +118,26 @@ def test_solve_l1_tie_weights_decide_between_optima(tie_weights, expected):
         )
     )
     assert res.ok
-    assert np.allclose(res.x, expected, atol=1e-9)
+    assert np.allclose(res.x, expected, rtol=0.0, atol=1e-9)
     assert res.solver_log["tie_break"] == "lexicographic"
+
+
+def test_solve_l1_iterations_count_both_stages():
+    # columns 4 and 5 are equal and free of cost, so the optimum may put
+    # the unit on either; a tie cost on column 4 moves it to column 5 in
+    # a second solve whose pivots add to the first's
+    phi = np.random.default_rng(0).normal(size=(3, 6))
+    phi[:, 5] = phi[:, 4]
+    weights = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+    problem = dict(
+        phi=phi, psi=phi @ [0.5, 0, 0, 0, 1, 0], nonneg=True, weights=weights
+    )
+    plain = ok.solve_l1(L1Problem(**problem))
+    tied = ok.solve_l1(L1Problem(**problem, tie_weights=np.eye(6)[4]))
+    assert plain.ok and tied.ok
+    assert tied.solver_log["tie_break"] == "lexicographic"
+    assert np.allclose(tied.x, [0.5, 0, 0, 0, 0, 1], rtol=0.0, atol=1e-9)
+    assert tied.solver_log["iterations"] > plain.solver_log["iterations"]
 
 
 def test_minimal_band_hand_instance():
