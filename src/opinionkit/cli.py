@@ -143,8 +143,8 @@ def _load_config(path) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # pipeline stages
@@ -166,14 +166,15 @@ def _ref(objects: dict, name, expected, where: str):
 
 
 def _resolve_x0(spec, n: int, issues: int, stage_seed: int) -> np.ndarray:
-    if spec == "spread":
-        if issues != 1:
-            raise ConfigError("x0 'spread' is single-issue; use 'random' or a matrix")
-        return np.linspace(0.0, 1.0, n)
-    if spec == "random":
-        from .numkit import philox_stream
+    if isinstance(spec, str):
+        if spec == "spread":
+            if issues != 1:
+                raise ConfigError("x0 'spread' is single-issue; use 'random' or a matrix")
+            return np.linspace(0.0, 1.0, n)
+        if spec == "random":
+            from .numkit import philox_stream
 
-        return philox_stream(stage_seed, 101).random((n, issues))
+            return philox_stream(stage_seed, 101).random((n, issues))
     x0 = np.asarray(spec, dtype=float)
     if x0.ndim == 1 and x0.shape[0] == n:
         return x0
@@ -182,7 +183,49 @@ def _resolve_x0(spec, n: int, issues: int, stage_seed: int) -> np.ndarray:
     raise ConfigError(f"x0 must be 'spread', 'random', or {n} rows of values")
 
 
-def _stage_generate(record, where, stage_seed, objects, out, emit, artifacts):
+def _parse_floats(text: str, error: str):
+    """A float, or an array of floats when the text holds commas; raises
+    ConfigError(error) on anything else."""
+    try:
+        values = [float(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(error) from exc
+    return np.array(values) if "," in text else values[0]
+
+
+def _read_trajectory(path) -> OpinionTrajectory:
+    _, states = load_trajectory(path)
+    return OpinionTrajectory(
+        states=states, model=ModelDescriptor(kind="loaded", params={"path": str(path)})
+    )
+
+
+def _simulate(net, kind, x0, steps, activation_size, seed):
+    if kind == "fj":
+        return simulate_fj(net, x0, steps)
+    if kind == "gossip":
+        return simulate_gossip_fj(net, x0, steps, activation_size, seed=seed)
+    raise ConfigError(f"unknown dynamics kind {kind!r}")
+
+
+def _identify_equilibrium(method, x0, x_inf, lam, nonneg):
+    if method == "infinite_horizon":
+        return identify_infinite_horizon(x0, x_inf, lam, nonneg=nonneg)
+    return identify_unknown_lambda(x0, x_inf, nonneg=nonneg)
+
+
+def _yule_walker(stream, net, source, beta, max_lag, n_sigma, mode, eta, threshold):
+    """Lag moments, Gamma-hat and the recovered weights of one observed
+    gossip stream, anchored at frame 0 of the source trajectory; the
+    report's solver_log also carries estimate_gamma's diagnostics."""
+    moments = estimate_cross_correlations(stream, max_lag=max_lag, n_sigma=n_sigma)
+    b_bar = beta * (1.0 - net.lam) * source.states[0, :, stream.issue]
+    gamma_hat, info = estimate_gamma(moments, b_bar, mode=mode, eta=eta)
+    report = recover_topology_and_w(gamma_hat, net.lam, beta, threshold=threshold)
+    return dataclasses.replace(report, solver_log={**report.solver_log, **info})
+
+
+def _stage_generate(record, where, stage_seed, objects):
     _check_keys(
         record,
         {"stage", "name", "model", "n"},
@@ -199,33 +242,25 @@ def _stage_generate(record, where, stage_seed, objects, out, emit, artifacts):
         m0=record.get("m0"),
         lambda_range=lambda_range,
     )
-    net = generate_network(config, seed=stage_seed)
-    objects[record["name"]] = net
-    rel = f"{record['name']}.json"
-    save_network(net, out / rel)
-    artifacts.append(rel)
+    return generate_network(config, seed=stage_seed)
 
 
-def _stage_load(record, where, stage_seed, objects, out, emit, artifacts):
+def _stage_load(record, where, stage_seed, objects):
     _check_keys(record, {"stage", "name", "path", "format"}, set(), where)
     path = Path(record["path"])
     if not path.is_file():
         raise ConfigError(f"{where}: input file {path} does not exist")
     kind = record["format"]
     if kind == "network":
-        objects[record["name"]] = load_network(path)
-    elif kind == "trajectory":
-        _, states = load_trajectory(path)
-        objects[record["name"]] = OpinionTrajectory(
-            states=states, model=ModelDescriptor(kind="loaded", params={"path": str(path)})
-        )
-    elif kind == "stream":
-        objects[record["name"]] = load_stream(path)
-    else:
-        raise ConfigError(f"{where}: unknown format {kind!r}")
+        return load_network(path)
+    if kind == "trajectory":
+        return _read_trajectory(path)
+    if kind == "stream":
+        return load_stream(path)
+    raise ConfigError(f"{where}: unknown format {kind!r}")
 
 
-def _stage_simulate(record, where, stage_seed, objects, out, emit, artifacts):
+def _stage_simulate(record, where, stage_seed, objects):
     _check_keys(
         record,
         {"stage", "name", "network", "kind", "steps"},
@@ -236,25 +271,19 @@ def _stage_simulate(record, where, stage_seed, objects, out, emit, artifacts):
     x0 = _resolve_x0(
         record.get("x0", "spread"), net.n, record.get("issues", 1), stage_seed
     )
-    kind = record["kind"]
-    if kind == "fj":
-        traj = simulate_fj(net, x0, record["steps"])
-    elif kind == "gossip":
-        if "activation_size" not in record:
-            raise ConfigError(f"{where}: gossip needs activation_size")
-        traj = simulate_gossip_fj(
-            net, x0, record["steps"], record["activation_size"], seed=stage_seed
-        )
-    else:
-        raise ConfigError(f"{where}: unknown dynamics kind {kind!r}")
-    objects[record["name"]] = traj
-    if emit["trajectories"]:
-        rel = f"{record['name']}.csv"
-        save_trajectory(traj, out / rel, stride=record.get("stride", 1))
-        artifacts.append(rel)
+    if record["kind"] == "gossip" and "activation_size" not in record:
+        raise ConfigError(f"{where}: gossip needs activation_size")
+    return _simulate(
+        net,
+        record["kind"],
+        x0,
+        record["steps"],
+        record.get("activation_size"),
+        stage_seed,
+    )
 
 
-def _stage_observe(record, where, stage_seed, objects, out, emit, artifacts):
+def _stage_observe(record, where, stage_seed, objects):
     _check_keys(
         record, {"stage", "name", "trajectory", "kind"}, {"rho", "issue"}, where
     )
@@ -263,18 +292,12 @@ def _stage_observe(record, where, stage_seed, objects, out, emit, artifacts):
     if isinstance(rho, list):
         rho = np.asarray(rho, dtype=float)
     model = SamplingModel(kind=record["kind"], rho=rho)
-    stream = sample_observations(
+    return sample_observations(
         traj, model, seed=stage_seed, issue=record.get("issue", 0)
     )
-    objects[record["name"]] = stream
-    if emit["trajectories"]:
-        rel = f"{record['name']}.csv"
-        save_stream(stream, out / rel)
-        artifacts.append(rel)
-        artifacts.append(rel + ".meta.json")
 
 
-def _stage_identify(record, where, stage_seed, objects, out, emit, artifacts):
+def _stage_identify(record, where, stage_seed, objects):
     _check_keys(
         record,
         {"stage", "name", "method"},
@@ -302,32 +325,27 @@ def _stage_identify(record, where, stage_seed, objects, out, emit, artifacts):
         lam = None
         if "network" in record:
             lam = _ref(objects, record["network"], InfluenceNetwork, where).lam
-        report = identify_finite_horizon(traj, eps=record.get("eps", 0.0), lam=lam)
-    elif method in ("infinite_horizon", "unknown_lambda"):
+        return identify_finite_horizon(traj, eps=record.get("eps", 0.0), lam=lam)
+    if method in ("infinite_horizon", "unknown_lambda"):
         net = _ref(objects, record.get("network"), InfluenceNetwork, where)
         if method == "infinite_horizon":
             check_lambda_identifiability(net.lam)
         issues = record.get("issues", net.n)
         x0 = _resolve_x0(record.get("x0", "random"), net.n, issues, stage_seed)
         x_inf, _ = fj_equilibrium(net, x0)
-        if method == "infinite_horizon":
-            report = identify_infinite_horizon(
-                x0, x_inf, net.lam, nonneg=record.get("nonneg", False)
-            )
-        else:
-            report = identify_unknown_lambda(
-                x0, x_inf, nonneg=record.get("nonneg", False)
-            )
-    elif method == "yule_walker":
+        return _identify_equilibrium(
+            method, x0, x_inf, net.lam, record.get("nonneg", False)
+        )
+    if method == "yule_walker":
         stream = _ref(objects, record.get("stream"), ObservationStream, where)
         net = _ref(objects, record.get("network"), InfluenceNetwork, where)
         if "beta" not in record or "x0_from" not in record:
             raise ConfigError(f"{where}: yule_walker needs beta and x0_from")
         source = _ref(objects, record["x0_from"], OpinionTrajectory, where)
-        report = _yule_walker(
+        return _yule_walker(
             stream,
             net,
-            source.states[0, :, stream.issue],
+            source,
             record["beta"],
             max_lag=record.get("max_lag", 5),
             n_sigma=record.get("n_sigma", 5),
@@ -335,27 +353,10 @@ def _stage_identify(record, where, stage_seed, objects, out, emit, artifacts):
             eta=record.get("eta", 0.0),
             threshold=record.get("threshold"),
         )
-    else:
-        raise ConfigError(f"{where}: unknown identify method {method!r}")
-    objects[record["name"]] = report
-    if emit["reports"]:
-        rel = f"{record['name']}.json"
-        save_report(report, out / rel)
-        artifacts.append(rel)
+    raise ConfigError(f"{where}: unknown identify method {method!r}")
 
 
-def _yule_walker(stream, net, x0, beta, max_lag, n_sigma, mode, eta, threshold):
-    """Lag moments, Gamma-hat and the recovered weights of one observed
-    gossip stream; the report's solver_log also carries estimate_gamma's
-    diagnostics."""
-    moments = estimate_cross_correlations(stream, max_lag=max_lag, n_sigma=n_sigma)
-    b_bar = beta * (1.0 - net.lam) * x0
-    gamma_hat, info = estimate_gamma(moments, b_bar, mode=mode, eta=eta)
-    report = recover_topology_and_w(gamma_hat, net.lam, beta, threshold=threshold)
-    return dataclasses.replace(report, solver_log={**report.solver_log, **info})
-
-
-def _stage_centrality(record, where, stage_seed, objects, out, emit, artifacts):
+def _stage_centrality(record, where, stage_seed, objects):
     _check_keys(
         record,
         {"stage", "name", "network", "measure"},
@@ -363,34 +364,24 @@ def _stage_centrality(record, where, stage_seed, objects, out, emit, artifacts):
         where,
     )
     net = _ref(objects, record["network"], InfluenceNetwork, where)
-    values = _centrality_values(
+    return _centrality_values(
         net,
         record["measure"],
         weighted=record.get("weighted", False),
         alpha=record.get("alpha"),
         damping=record.get("damping", 0.15),
     )
-    objects[record["name"]] = values
-    if emit["reports"]:
-        rel = f"{record['name']}.csv"
-        _write_centrality_csv(values, out / rel)
-        artifacts.append(rel)
 
 
-def _stage_evaluate(record, where, stage_seed, objects, out, emit, artifacts):
+def _stage_evaluate(record, where, stage_seed, objects):
     _check_keys(record, {"stage", "name", "estimate", "truth"}, {"tol"}, where)
     report = _ref(objects, record["estimate"], EstimationReport, where)
     truth = _ref(objects, record["truth"], InfluenceNetwork, where)
     metrics = evaluate_estimate(truth.w, report, tol=record.get("tol", 1e-8))
-    doc = dataclasses.asdict(metrics)
-    objects[record["name"]] = doc
-    if emit["reports"]:
-        rel = f"{record['name']}.json"
-        _write_json(doc, out / rel)
-        artifacts.append(rel)
+    return dataclasses.asdict(metrics)
 
 
-def _stage_report(record, where, stage_seed, objects, out, emit, artifacts):
+def _stage_report(record, where, stage_seed, objects):
     _check_keys(record, {"stage", "name", "inputs"}, set(), where)
     inputs = record["inputs"]
     if not isinstance(inputs, list) or not inputs:
@@ -399,15 +390,7 @@ def _stage_report(record, where, stage_seed, objects, out, emit, artifacts):
     for name in inputs:
         value = _ref(objects, name, object, where)
         rows.extend(_plot_rows(name, value, where))
-    rows.sort(key=lambda row: (row[2], str(row[0])))
-    if emit["plot_data"]:
-        rel = f"{record['name']}.csv"
-        with open(out / rel, "w") as handle:
-            handle.write("x,y,series\n")
-            for x, y, series in rows:
-                handle.write(f"{x},{format(float(y), '.17g')},{series}\n")
-        artifacts.append(rel)
-    objects[record["name"]] = rows
+    return rows
 
 
 def _plot_rows(name: str, value, where: str) -> list:
@@ -423,6 +406,19 @@ def _plot_rows(name: str, value, where: str) -> list:
     )
 
 
+def _agent_value_text(values) -> str:
+    return "agent,value\n" + "".join(
+        f"{agent},{format(float(value), '.17g')}\n" for agent, value in enumerate(values.values)
+    )
+
+
+def _plot_text(rows) -> str:
+    rows = sorted(rows, key=lambda row: (row[2], str(row[0])))
+    return "x,y,series\n" + "".join(
+        f"{x},{format(float(y), '.17g')},{series}\n" for x, y, series in rows
+    )
+
+
 _STAGES = {
     "generate": _stage_generate,
     "load": _stage_load,
@@ -432,6 +428,31 @@ _STAGES = {
     "centrality": _stage_centrality,
     "evaluate": _stage_evaluate,
     "report": _stage_report,
+}
+
+# What each stage kind writes: the emit flag that gates it (None: always),
+# the suffixes of the files named after the stage, and the writer, called
+# with the stage value, the path of the first file and the stage record.
+_ARTIFACTS = {
+    "generate": (None, (".json",), lambda net, path, rec: save_network(net, path)),
+    "simulate": (
+        "trajectories",
+        (".csv",),
+        lambda traj, path, rec: save_trajectory(traj, path, stride=rec.get("stride", 1)),
+    ),
+    "observe": (
+        "trajectories",
+        (".csv", ".csv.meta.json"),
+        lambda stream, path, rec: save_stream(stream, path),
+    ),
+    "identify": ("reports", (".json",), lambda report, path, rec: save_report(report, path)),
+    "centrality": (
+        "reports",
+        (".csv",),
+        lambda values, path, rec: path.write_text(_agent_value_text(values)),
+    ),
+    "evaluate": ("reports", (".json",), lambda doc, path, rec: path.write_text(_json_text(doc))),
+    "report": ("plot_data", (".csv",), lambda rows, path, rec: path.write_text(_plot_text(rows))),
 }
 
 _EMIT_DEFAULTS = {"reports": True, "trajectories": True, "plot_data": True}
@@ -485,9 +506,12 @@ def run_pipeline(config: dict, output_dir=None) -> dict:
         seen.add(name)
         where = f"stage {name!r} ({kind})"
         try:
-            _STAGES[kind](
-                record, where, _stage_seed(seed, index), objects, out, emit, artifacts
-            )
+            value = _STAGES[kind](record, where, _stage_seed(seed, index), objects)
+            objects[name] = value
+            flag, suffixes, write = _ARTIFACTS.get(kind, (None, (), None))
+            if write is not None and (flag is None or emit[flag]):
+                write(value, out / f"{name}{suffixes[0]}", record)
+                artifacts.extend(name + suffix for suffix in suffixes)
         except OpinionKitError as exc:
             if str(exc).startswith(where):
                 raise
@@ -499,7 +523,7 @@ def run_pipeline(config: dict, output_dir=None) -> dict:
         "seed": seed,
         "versions": _version_table(),
     }
-    _write_json(manifest, out / "manifest.json")
+    (out / "manifest.json").write_text(_json_text(manifest))
     return manifest
 
 
@@ -619,7 +643,7 @@ def run_sweep(config: dict, output_dir=None, jobs: int = 1) -> dict:
         "seed": config["seed"],
         "versions": _version_table(),
     }
-    _write_json(manifest, out / "manifest.json")
+    (out / "manifest.json").write_text(_json_text(manifest))
     return manifest
 
 
@@ -644,14 +668,16 @@ def _centrality_values(net, measure, weighted=False, alpha=None, damping=0.15):
     raise ConfigError(f"unknown centrality measure {measure!r}")
 
 
-def _write_centrality_csv(values, path) -> None:
-    with open(path, "w") as handle:
-        handle.write("agent,value\n")
-        for agent, value in enumerate(values.values):
-            handle.write(f"{agent},{format(float(value), '.17g')}\n")
-
-
 # command definitions
+
+
+def _print_or_write(text: str, out, summary: str) -> None:
+    """Print a table or document, or write it to out and say so."""
+    if out is None:
+        click.echo(text, nl=False)
+    else:
+        Path(out).write_text(text)
+        click.echo(f"wrote {out}: {summary}")
 
 
 def _print_versions(ctx, param, value):
@@ -707,13 +733,7 @@ def centrality(network, measure, weighted, alpha, damping, out):
     """Rank the agents of a network by one centrality measure."""
     net = load_network(network)
     values = _centrality_values(net, measure, weighted=weighted, alpha=alpha, damping=damping)
-    if out is None:
-        click.echo("agent,value")
-        for agent, value in enumerate(values.values):
-            click.echo(f"{agent},{format(float(value), '.17g')}")
-    else:
-        _write_centrality_csv(values, out)
-        click.echo(f"wrote {out}: {measure} for {net.n} agents")
+    _print_or_write(_agent_value_text(values), out, f"{measure} for {net.n} agents")
 
 
 @cli.command()
@@ -728,27 +748,14 @@ def centrality(network, measure, weighted, alpha, damping, out):
 def simulate(network, kind, steps, x0, activation_size, seed, stride, out):
     """Run opinion dynamics on a stored network; write the trajectory CSV."""
     net = load_network(network)
-    profile = _parse_vector(x0, net.n, "x0")
-    if kind == "fj":
-        traj = simulate_fj(net, profile, steps)
-    else:
-        if activation_size is None:
-            raise ConfigError("gossip needs --activation-size")
-        traj = simulate_gossip_fj(net, profile, steps, activation_size, seed=seed)
+    if x0 != "spread":
+        x0 = np.atleast_1d(_parse_floats(x0, "x0 must be 'spread' or comma-separated floats"))
+    profile = _resolve_x0(x0, net.n, 1, seed)
+    if kind == "gossip" and activation_size is None:
+        raise ConfigError("gossip needs --activation-size")
+    traj = _simulate(net, kind, profile, steps, activation_size, seed)
     save_trajectory(traj, out, stride=stride)
     click.echo(f"wrote {out}: {traj.horizon + 1} frames, n={traj.n}")
-
-
-def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
-    if text == "spread":
-        return np.linspace(0.0, 1.0, n)
-    try:
-        values = np.array([float(item) for item in text.split(",")])
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be 'spread' or comma-separated floats") from exc
-    if values.shape[0] != n:
-        raise ConfigError(f"{what} has {values.shape[0]} entries for {n} agents")
-    return values
 
 
 @cli.command()
@@ -760,22 +767,13 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def observe(trajectory, kind, rho, issue, seed, out):
     """Push a stored trajectory through an observation law; write the stream."""
-    _, states = load_trajectory(trajectory)
-    traj = OpinionTrajectory(
-        states=states, model=ModelDescriptor(kind="loaded", params={"path": trajectory})
-    )
-    model = SamplingModel(kind=kind, rho=_parse_rho(rho))
+    traj = _read_trajectory(trajectory)
+    if rho is not None:
+        rho = _parse_floats(rho, "rho must be a float or comma-separated floats")
+    model = SamplingModel(kind=kind, rho=rho)
     stream = sample_observations(traj, model, seed=seed, issue=issue)
     save_stream(stream, out)
     click.echo(f"wrote {out}: {int(stream.mask.sum())} observations")
-
-
-def _parse_rho(text):
-    if text is None:
-        return None
-    if "," in text:
-        return np.array([float(item) for item in text.split(",")])
-    return float(text)
 
 
 @cli.command()
@@ -802,37 +800,33 @@ def identify(method, trajectory, profiles, stream_path, network_path, eps, beta,
     if method == "finite_horizon":
         if trajectory is None:
             raise ConfigError("finite_horizon needs --trajectory")
-        _, states = load_trajectory(trajectory)
-        traj = OpinionTrajectory(states=states, model=ModelDescriptor(kind="loaded"))
+        traj = _read_trajectory(trajectory)
         lam = load_network(network_path).lam if network_path else None
         report = identify_finite_horizon(traj, eps=eps, lam=lam)
     elif method in ("infinite_horizon", "unknown_lambda"):
         if profiles is None:
             raise ConfigError(f"{method} needs --profiles")
-        _, states = load_trajectory(profiles)
+        states = _read_trajectory(profiles).states
         if states.shape[0] != 2:
             raise ConfigError(
                 f"--profiles must hold exactly 2 frames (initial, equilibrium); "
                 f"got {states.shape[0]}"
             )
-        x0, x_inf = states[0], states[1]
+        lam = None
         if method == "infinite_horizon":
             if network_path is None:
                 raise ConfigError("infinite_horizon needs --network for lambda")
             lam = load_network(network_path).lam
-            report = identify_infinite_horizon(x0, x_inf, lam, nonneg=nonneg)
-        else:
-            report = identify_unknown_lambda(x0, x_inf, nonneg=nonneg)
+        report = _identify_equilibrium(method, states[0], states[1], lam, nonneg)
     else:
         if stream_path is None or network_path is None or beta is None or trajectory is None:
             raise ConfigError(
                 "yule_walker needs --stream, --network, --beta, and --trajectory "
                 "(anchor profile)"
             )
-        stream = load_stream(stream_path)
-        _, states = load_trajectory(trajectory)
+        stream, source = load_stream(stream_path), _read_trajectory(trajectory)
         report = _yule_walker(
-            stream, load_network(network_path), states[0, :, stream.issue], beta,
+            stream, load_network(network_path), source, beta,
             max_lag, n_sigma, mode, eta, threshold,
         )
     save_report(report, out)
@@ -851,11 +845,7 @@ def evaluate(truth, estimate, tol, out):
     doc = dataclasses.asdict(
         evaluate_estimate(load_network(truth).w, load_report(estimate), tol=tol)
     )
-    if out is None:
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        _write_json(doc, Path(out))
-        click.echo(f"wrote {out}: f1={doc['f1']:.4f}")
+    _print_or_write(_json_text(doc), out, f"f1={doc['f1']:.4f}")
 
 
 @cli.command(name="run")
@@ -908,16 +898,7 @@ def report(inputs, out):
                 for line in handle:
                     agent, value = line.strip().split(",")
                     rows.append((agent, float(value), series))
-    rows.sort(key=lambda row: (row[2], str(row[0])))
-    lines = ["x,y,series"] + [
-        f"{x},{format(y, '.17g')},{series}" for x, y, series in rows
-    ]
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
-        click.echo(f"wrote {out}: {len(rows)} rows")
+    _print_or_write(_plot_text(rows), out, f"{len(rows)} rows")
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,7 @@ from .errors import (
     StructuralError,
     TransformError,
 )
-from .dynamics import OpinionTrajectory
+from .dynamics import OpinionTrajectory, _per_layer_vectors
 from .netgraph import InfluenceNetwork
 from .numkit import (
     L1Problem,
@@ -497,10 +497,13 @@ def estimate_gamma(
     falls back to the minimum-norm solution with a warning); sparse
     minimizes the off-diagonal l1 mass of Gamma' column by column subject
     to a max-norm band of width eta around the identity, and its info adds
-    the per-column LP log shared by every LP-backed estimator.
+    the per-column LP log shared by every LP-backed estimator. Both modes
+    reject eta < 0; only sparse uses eta.
     """
     if mode not in ("dense", "sparse"):
         raise ParameterError(f"unknown mode {mode!r}")
+    if eta < 0.0:
+        raise ParameterError(f"eta must be >= 0, got {eta:.3g}")
     b_bar = np.asarray(b_bar, dtype=float).ravel()
     n = moments.sigma_minus.shape[0]
     target = moments.sigma_plus - np.outer(moments.x_hat, b_bar)
@@ -779,7 +782,7 @@ def identify_multiplex(
     n = streams[0].n
     n_layers = len(streams)
     lambdas = [np.asarray(lam, dtype=float).ravel() for lam in lambdas]
-    u_vectors = _layer_anchors(u, n, n_layers)
+    u_vectors = _per_layer_vectors(u, n, n_layers)
     if len(lambdas) != n_layers:
         raise StructuralError("one lambda vector per layer is required")
     if any(np.any(lam <= 0.0) for lam in lambdas):
@@ -863,17 +866,6 @@ def identify_multiplex(
         reports=tuple(reports),
         joint_support=tuple(sorted(joint)) if joint is not None else None,
     )
-
-
-def _layer_anchors(u, n: int, n_layers: int) -> list[np.ndarray]:
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        if u.shape[0] != n:
-            raise StructuralError("anchor length does not match the agent count")
-        return [u] * n_layers
-    if u.ndim == 2 and u.shape == (n_layers, n):
-        return list(u)
-    raise StructuralError(f"u must be ({n},) or ({n_layers}, {n})")
 
 
 def _jsonable(value):

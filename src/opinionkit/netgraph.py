@@ -414,14 +414,22 @@ def _network_from_doc(doc: dict) -> InfluenceNetwork:
         raise ConfigError(f"network file missing keys: {sorted(missing)}")
     n = int(doc["n"])
     w = np.zeros((n, n))
+    seen = set()
     for entry in doc["edges"]:
         i, j, weight = int(entry[0]), int(entry[1]), float(entry[2])
         if not (0 <= i < n and 0 <= j < n):
             raise ConfigError(f"edge ({i}, {j}) outside agent range 0..{n - 1}")
+        if (i, j) in seen:
+            raise ConfigError(f"edge ({i}, {j}) is listed twice")
+        seen.add((i, j))
         w[i, j] = weight
-    return InfluenceNetwork(
+    net = InfluenceNetwork(
         w=w, lam=np.asarray(doc["lambda"], dtype=float), directed=bool(doc["directed"])
     )
+    report = validate_network(net)
+    if not report.ok:
+        raise ConfigError(f"invalid network: {'; '.join(report.problems)}")
+    return net
 
 
 def save_network(net: InfluenceNetwork, path) -> None:

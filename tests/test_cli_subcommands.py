@@ -1,0 +1,261 @@
+"""The per-step subcommands against the library.
+
+Each file a subcommand writes must equal, byte for byte, what the library
+writes for the same arguments, and each flag check keeps its exit code and
+message.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+import opinionkit as ok
+from opinionkit.cli import main
+
+N = 6
+X0_TEXT = "0.1,0.9,0.3,0.5,0.7,0.2"
+X0 = np.array([0.1, 0.9, 0.3, 0.5, 0.7, 0.2])
+
+
+def _loaded(path):
+    _, states = ok.load_trajectory(path)
+    return ok.OpinionTrajectory(states=states, model=ok.ModelDescriptor(kind="loaded"))
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A network, a multi-issue trajectory, two-frame equilibrium profiles,
+    a three-frame profile file, a gossip stream and an estimation report."""
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {
+        name.split(".")[0]: root / name
+        for name in ("net.json", "traj.csv", "profiles.csv", "three.csv",
+                     "gossip.csv", "stream.csv", "est.json")
+    }
+    net = ok.generate_network(
+        ok.GeneratorConfig(model="watts_strogatz", n=N, k=2, beta_rw=0.0,
+                           lambda_range=(0.4, 0.8)),
+        seed=5,
+    )
+    ok.save_network(net, paths["net"])
+    x0 = np.random.default_rng(0).random((N, N))
+    ok.save_trajectory(ok.simulate_fj(net, x0, 8), paths["traj"])
+    x_inf, _ = ok.fj_equilibrium(net, x0)
+    model = ok.ModelDescriptor(kind="profiles")
+    ok.save_trajectory(
+        ok.OpinionTrajectory(states=np.stack([x0, x_inf]), model=model),
+        paths["profiles"],
+    )
+    ok.save_trajectory(
+        ok.OpinionTrajectory(states=np.stack([x0, x_inf, x_inf]), model=model),
+        paths["three"],
+    )
+    gossip = ok.simulate_gossip_fj(net, X0, 2000, N, seed=2)
+    ok.save_trajectory(gossip, paths["gossip"])
+    ok.save_stream(
+        ok.sample_observations(gossip, ok.SamplingModel(kind="full"), seed=0),
+        paths["stream"],
+    )
+    ok.save_report(ok.identify_finite_horizon(_loaded(paths["traj"])), paths["est"])
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _same_file(command, out, expected, capsys):
+    """Run a file-writing subcommand and compare its output with the
+    library's file."""
+    assert main(command + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("args, config", [
+    (["--model", "erdos_renyi", "--n", "9", "--p", "0.4"],
+     dict(model="erdos_renyi", n=9, p=0.4)),
+    (["--model", "watts_strogatz", "--n", "8", "--k", "4", "--beta-rw", "0.3"],
+     dict(model="watts_strogatz", n=8, k=4, beta_rw=0.3)),
+    (["--model", "barabasi_albert", "--n", "10", "--m0", "2"],
+     dict(model="barabasi_albert", n=10, m0=2)),
+], ids=["erdos_renyi", "watts_strogatz", "barabasi_albert"])
+def test_generate_writes_the_library_network(tmp_path, capsys, args, config):
+    expected = tmp_path / "expected.json"
+    ok.save_network(
+        ok.generate_network(ok.GeneratorConfig(**config, lambda_range=(0.2, 0.9)), seed=3),
+        expected,
+    )
+    _same_file(
+        ["generate", *args, "--lambda-range", "0.2", "0.9", "--seed", "3"],
+        tmp_path / "net.json", expected, capsys,
+    )
+
+
+@pytest.mark.parametrize("args, simulate, stride", [
+    (["--kind", "fj", "--steps", "9"],
+     lambda net: ok.simulate_fj(net, np.linspace(0.0, 1.0, N), 9), 1),
+    (["--kind", "fj", "--steps", "9", "--x0", X0_TEXT, "--seed", "4", "--stride", "2"],
+     lambda net: ok.simulate_fj(net, X0, 9), 2),
+    (["--kind", "gossip", "--steps", "50", "--activation-size", "2", "--x0", X0_TEXT,
+      "--seed", "4", "--stride", "3"],
+     lambda net: ok.simulate_gossip_fj(net, X0, 50, 2, seed=4), 3),
+], ids=["fj-spread", "fj-x0-stride", "gossip-x0-stride"])
+def test_simulate_writes_the_library_trajectory(tmp_path, capsys, files, args, simulate, stride):
+    expected = tmp_path / "expected.csv"
+    ok.save_trajectory(simulate(ok.load_network(files["net"])), expected, stride=stride)
+    _same_file(["simulate", files["net"], *args], tmp_path / "traj.csv", expected, capsys)
+
+
+@pytest.mark.parametrize("args, model", [
+    (["--kind", "full"], ok.SamplingModel(kind="full")),
+    (["--kind", "intermittent", "--rho", "0.6"],
+     ok.SamplingModel(kind="intermittent", rho=0.6)),
+    (["--kind", "independent", "--rho", "0.2,0.4,0.6,0.8,1.0,0.5"],
+     ok.SamplingModel(kind="independent", rho=np.array([0.2, 0.4, 0.6, 0.8, 1.0, 0.5]))),
+], ids=["full", "scalar-rho", "per-agent-rho"])
+def test_observe_writes_the_library_stream(tmp_path, capsys, files, args, model):
+    expected = tmp_path / "expected.csv"
+    stream = ok.sample_observations(_loaded(files["traj"]), model, seed=3, issue=1)
+    ok.save_stream(stream, expected)
+    out = tmp_path / "stream.csv"
+    _same_file(
+        ["observe", files["traj"], *args, "--seed", "3", "--issue", "1"], out, expected, capsys
+    )
+    assert (tmp_path / "stream.csv.meta.json").read_bytes() == (
+        tmp_path / "expected.csv.meta.json"
+    ).read_bytes()
+
+
+def _profiles(files):
+    _, states = ok.load_trajectory(files["profiles"])
+    return states[0], states[1]
+
+
+@pytest.mark.parametrize("args, estimate", [
+    (["--method", "finite_horizon", "--trajectory", "{traj}"],
+     lambda f: ok.identify_finite_horizon(_loaded(f["traj"]))),
+    (["--method", "finite_horizon", "--trajectory", "{traj}", "--network", "{net}",
+      "--eps", "0.001"],
+     lambda f: ok.identify_finite_horizon(
+         _loaded(f["traj"]), eps=0.001, lam=ok.load_network(f["net"]).lam)),
+    (["--method", "infinite_horizon", "--profiles", "{profiles}", "--network", "{net}"],
+     lambda f: ok.identify_infinite_horizon(*_profiles(f), ok.load_network(f["net"]).lam)),
+    (["--method", "infinite_horizon", "--profiles", "{profiles}", "--network", "{net}",
+      "--nonneg"],
+     lambda f: ok.identify_infinite_horizon(
+         *_profiles(f), ok.load_network(f["net"]).lam, nonneg=True)),
+    (["--method", "unknown_lambda", "--profiles", "{profiles}"],
+     lambda f: ok.identify_unknown_lambda(*_profiles(f))),
+], ids=["finite_horizon", "finite_horizon-lam-eps", "infinite_horizon",
+        "infinite_horizon-nonneg", "unknown_lambda"])
+def test_identify_writes_the_library_report(tmp_path, capsys, files, args, estimate):
+    expected = tmp_path / "expected.json"
+    ok.save_report(estimate(files), expected)
+    command = ["identify"] + [arg.format(**files) for arg in args]
+    _same_file(command, tmp_path / "est.json", expected, capsys)
+
+
+def _metrics_text(files, tol):
+    metrics = ok.evaluate_estimate(
+        ok.load_network(files["net"]).w, ok.load_report(files["est"]), tol=tol
+    )
+    return json.dumps(dataclasses.asdict(metrics), indent=2, sort_keys=True) + "\n"
+
+
+def test_evaluate_to_a_file_and_to_stdout(tmp_path, capsys, files):
+    command = ["evaluate", "--truth", files["net"], "--estimate", files["est"],
+               "--tol", "1e-6"]
+    expected = _metrics_text(files, 1e-6)
+    assert main(command) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "metrics.json"
+    assert main(command + ["--out", str(out)]) == 0
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("args, measure", [
+    (["--measure", "pagerank", "--damping", "0.2"],
+     lambda net: ok.pagerank(net.w, m=0.2, row_stochastic=True)),
+    (["--measure", "friedkin", "--alpha", "0.5"],
+     lambda net: ok.friedkin_centrality(net, alpha=0.5)),
+    (["--measure", "betweenness", "--weighted"],
+     lambda net: ok.betweenness_centrality(net, weighted=True)),
+    (["--measure", "in_degree"],
+     lambda net: ok.degree_centrality(net, direction="in")),
+], ids=["pagerank", "friedkin", "betweenness", "in_degree"])
+def test_centrality_to_a_file_and_to_stdout(tmp_path, capsys, files, args, measure):
+    values = measure(ok.load_network(files["net"])).values
+    expected = "agent,value\n" + "".join(
+        f"{agent},{format(float(value), '.17g')}\n" for agent, value in enumerate(values)
+    )
+    command = ["centrality", files["net"], *args]
+    assert main(command) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "rank.csv"
+    assert main(command + ["--out", str(out)]) == 0
+    assert out.read_text() == expected
+
+
+def test_report_sorts_rows_by_series_then_x(tmp_path, capsys):
+    (tmp_path / "b.json").write_text(json.dumps({"recall": 1, "f1": 0.5}))
+    (tmp_path / "a.csv").write_text("agent,value\n1,0.75\n0,0.25\n")
+    command = ["report", str(tmp_path / "b.json"), str(tmp_path / "a.csv")]
+    expected = "x,y,series\n0,0.25,a\n1,0.75,a\nf1,0.5,b\nrecall,1,b\n"
+    assert main(command) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "plot.csv"
+    assert main(command + ["--out", str(out)]) == 0
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "{net}", "--kind", "gossip", "--steps", "5", "--out", "{out}"],
+     "gossip needs --activation-size"),
+    (["simulate", "{net}", "--steps", "5", "--x0", "a,b", "--out", "{out}"],
+     "x0 must be 'spread' or comma-separated floats"),
+    (["identify", "--method", "finite_horizon", "--out", "{out}"],
+     "finite_horizon needs --trajectory"),
+    (["identify", "--method", "unknown_lambda", "--out", "{out}"],
+     "unknown_lambda needs --profiles"),
+    (["identify", "--method", "infinite_horizon", "--profiles", "{three}", "--out", "{out}"],
+     "--profiles must hold exactly 2 frames (initial, equilibrium); got 3"),
+    (["identify", "--method", "infinite_horizon", "--profiles", "{profiles}",
+      "--out", "{out}"],
+     "infinite_horizon needs --network for lambda"),
+    (["identify", "--method", "yule_walker", "--stream", "{stream}", "--out", "{out}"],
+     "yule_walker needs --stream, --network, --beta, and --trajectory (anchor profile)"),
+])
+def test_flag_checks_exit_one_with_their_message(tmp_path, capsys, files, args, message):
+    command = [arg.format(out=tmp_path / "out", **files) for arg in args]
+    assert main(command) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_an_x0_of_the_wrong_length(tmp_path, capsys, files):
+    out = tmp_path / "traj.csv"
+    assert main([
+        "simulate", files["net"], "--steps", "5", "--x0", "0.1,0.2,0.3", "--out", str(out)
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: x0 ") and str(N) in err
+    assert not out.exists()
+
+
+def test_observe_rejects_a_rho_that_is_not_a_number(tmp_path, capsys, files):
+    out = tmp_path / "stream.csv"
+    assert main([
+        "observe", files["traj"], "--kind", "intermittent", "--rho", "abc", "--out", str(out)
+    ]) == 1
+    assert capsys.readouterr().err.startswith("error: rho ")
+    assert not out.exists()
+
+
+def test_yule_walker_rejects_a_negative_eta(tmp_path, capsys, files):
+    out = tmp_path / "yw.json"
+    assert main([
+        "identify", "--method", "yule_walker", "--stream", files["stream"],
+        "--network", files["net"], "--trajectory", files["gossip"],
+        "--beta", "1.0", "--eta", "-5", "--out", str(out),
+    ]) == 1
+    assert "eta" in capsys.readouterr().err
+    assert not out.exists()

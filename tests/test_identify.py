@@ -492,8 +492,9 @@ def test_estimate_gamma_rejects_a_negative_band():
     net = _ws_network(seed=7, n=10)
     x0 = np.random.default_rng(1).uniform(-1, 1, 10)
     moments, _, b_bar = _exact_moments(net, beta=0.5, x0=x0)
-    with pytest.raises(ok.ParameterError):
-        ok.estimate_gamma(moments, b_bar, mode="sparse", eta=-1e-3)
+    for mode in ("dense", "sparse"):
+        with pytest.raises(ok.ParameterError, match="eta"):
+            ok.estimate_gamma(moments, b_bar, mode=mode, eta=-1e-3)
 
 
 def test_estimate_gamma_flags_an_infeasible_band_on_rank_deficient_moments():

@@ -205,6 +205,34 @@ def test_load_network_rejects_bad_rows(tmp_path):
         ok.load_network(path)
 
 
+def _network_file(tmp_path, edges):
+    path = tmp_path / "net.json"
+    doc = {"n": 2, "directed": True, "lambda": [0.5, 0.5], "edges": edges}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_load_network_rejects_a_duplicated_edge(tmp_path):
+    # the later entry used to overwrite the earlier one without complaint
+    path = _network_file(tmp_path, [[0, 1, 0.3], [0, 1, 0.7], [1, 0, 1.0]])
+    with pytest.raises(ok.ConfigError, match=r"edge \(0, 1\) is listed twice"):
+        ok.load_network(path)
+
+
+def test_network_loaders_list_the_validation_problems(tmp_path):
+    path = _network_file(tmp_path, [[0, 1, 0.7], [1, 0, -2.0]])
+    with pytest.raises(ok.ConfigError) as caught:
+        ok.load_network(path)
+    assert "row 0 sums to 0.7" in str(caught.value)
+    assert "w[1,0]=-2 outside [0, 1]" in str(caught.value)
+    multiplex = tmp_path / "mx.json"
+    multiplex.write_text(json.dumps({
+        "model_tag": "independent", "base": None, "layers": [json.loads(path.read_text())]
+    }))
+    with pytest.raises(ok.ConfigError, match="row 0 sums to 0.7"):
+        ok.load_multiplex(multiplex)
+
+
 @pytest.mark.parametrize("tag", ["independent", "common_support", "common_component"])
 def test_build_multiplex_layer_count_and_tag(tag):
     cfg = ok.MultiplexConfig(
