@@ -11,6 +11,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from . import dynamics
 from .errors import NumericalError, ParameterError, StabilityError
@@ -245,7 +247,9 @@ def friedkin_centrality(net: InfluenceNetwork, alpha: float | None = None) -> Ce
 
     With alpha given, susceptibilities are overridden by Lambda = alpha I,
     giving c = (1 - alpha) (I - alpha W')^{-1} 1 / n. Requires Schur
-    stability of Lambda W.
+    stability of Lambda W. (I - Lambda W)' is solved against the ones
+    vector by one sparse LU factorisation, and the result must lie on the
+    simplex (sum 1 within 1e-9, no entry below -1e-12).
     """
     if alpha is not None:
         if not 0.0 <= alpha <= 1.0:
@@ -259,8 +263,11 @@ def friedkin_centrality(net: InfluenceNetwork, alpha: float | None = None) -> Ce
             f"influence centrality undefined: agents {report.unanchored} cannot "
             "reach any agent with lambda < 1"
         )
-    system = np.eye(net.n) - np.diag(net.lam) @ net.w
-    values = (1.0 - net.lam) * np.linalg.solve(system.T, np.ones(net.n)) / net.n
+    system = sparse.identity(net.n, format="csc") - sparse.csc_array(
+        dynamics._coupling(net)
+    )
+    solved = splu(system).solve(np.ones(net.n), trans="T")
+    values = (1.0 - net.lam) * solved / net.n
     total_err = abs(values.sum() - 1.0)
     if total_err > 1e-9 or values.min() < -1e-12:
         raise NumericalError(

@@ -175,12 +175,14 @@ def _resolve_x0(spec, n: int, issues: int, stage_seed: int) -> np.ndarray:
             from .numkit import philox_stream
 
             return philox_stream(stage_seed, 101).random((n, issues))
-    x0 = np.asarray(spec, dtype=float)
-    if x0.ndim == 1 and x0.shape[0] == n:
+    message = f"x0 must be 'spread', 'random', or {n} rows of values"
+    try:
+        x0 = np.asarray(spec, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(message) from exc
+    if x0.ndim in (1, 2) and x0.shape[0] == n:
         return x0
-    if x0.ndim == 2 and x0.shape[0] == n:
-        return x0
-    raise ConfigError(f"x0 must be 'spread', 'random', or {n} rows of values")
+    raise ConfigError(message)
 
 
 def _parse_floats(text: str, error: str):
@@ -895,9 +897,15 @@ def report(inputs, out):
                 header = handle.readline().strip()
                 if header != "agent,value":
                     raise ConfigError(f"{path} is not an agent,value table")
-                for line in handle:
-                    agent, value = line.strip().split(",")
-                    rows.append((agent, float(value), series))
+                for lineno, line in enumerate(handle, start=2):
+                    try:
+                        agent, value = line.strip().split(",")
+                        rows.append((agent, float(value), series))
+                    except ValueError:
+                        raise ConfigError(
+                            f"{path}, line {lineno}: malformed agent,value row "
+                            f"{line.strip()!r}"
+                        ) from None
     _print_or_write(_plot_text(rows), out, f"{len(rows)} rows")
 
 

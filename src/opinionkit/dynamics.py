@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     ConfigError,
@@ -20,7 +21,7 @@ from .errors import (
     StructuralError,
 )
 from .netgraph import InfluenceNetwork, MultiplexNetwork
-from .numkit import STRUCTURAL_ZERO, philox_stream, spectral_radius
+from .numkit import DENSE_MAX_N, STRUCTURAL_ZERO, philox_stream, spectral_radius
 
 # Plateau detector: this many consecutive steps with ||dX||_inf below
 # PLATEAU_TOL mark the trajectory as converged.
@@ -78,7 +79,10 @@ class StabilityReport:
 
     schur_stable holds iff every agent either has lambda < 1 or can reach
     one that does by a walk along influence edges; the numerically
-    computed spectral radius must agree and is cross-checked.
+    computed spectral radius must agree and is cross-checked. The radius
+    comes from numkit.spectral_radius: a dense eigen-solve up to
+    DENSE_MAX_N agents, beyond that a certified ARPACK value on the CSR
+    coupling (or the dense fallback).
     """
 
     schur_stable: bool
@@ -109,6 +113,19 @@ def _check_steps(steps: int) -> None:
         raise ParameterError(f"steps must be >= 0, got {steps}")
 
 
+def _coupling(net: InfluenceNetwork):
+    """Lambda W, dense up to DENSE_MAX_N agents and CSR beyond.
+
+    Scaling the rows of W gives the entries of np.diag(lambda) @ W bit for
+    bit. Generated networks keep about k nonzeros per row, so beyond the
+    cutoff a CSR product or factorisation does O(nnz) work; below it a
+    dense product costs less than the per-call overhead of a sparse one,
+    and small systems stay bit-identical to dense arithmetic.
+    """
+    coupling = net.lam[:, None] * net.w
+    return coupling if net.n <= DENSE_MAX_N else sparse.csr_array(coupling)
+
+
 def is_schur_stable(net: InfluenceNetwork) -> StabilityReport:
     """Decide Schur stability of Lambda W by the walk criterion.
 
@@ -117,9 +134,9 @@ def is_schur_stable(net: InfluenceNetwork) -> StabilityReport:
     independently and the two routes must agree (the graph criterion is
     authoritative for ties at radius 1).
     """
-    lam, w = net.lam, net.w
+    lam = net.lam
     reaches = lam < 1.0
-    support = np.abs(w) > STRUCTURAL_ZERO
+    support = sparse.csr_array(np.abs(net.w) > STRUCTURAL_ZERO)
     # Propagate reachability backwards along influence edges until stable.
     changed = True
     while changed:
@@ -129,7 +146,7 @@ def is_schur_stable(net: InfluenceNetwork) -> StabilityReport:
     unanchored = tuple(np.flatnonzero(~reaches).tolist())
     stable = not unanchored
 
-    radius = spectral_radius(np.diag(lam) @ w)
+    radius = spectral_radius(_coupling(net))
     if stable and radius >= 1.0 + 1e-9:
         raise NumericalError(
             f"graph criterion says stable but spectral radius is {radius:.12g}"
@@ -154,7 +171,7 @@ def simulate_fj(net: InfluenceNetwork, x0, steps: int) -> OpinionTrajectory:
     """
     _check_steps(steps)
     x0 = _as_profile(x0, net.n)
-    coupling = np.diag(net.lam) @ net.w
+    coupling = _coupling(net)
     anchor = (1.0 - net.lam)[:, None] * x0
     states = np.empty((steps + 1, net.n, x0.shape[1]))
     states[0] = x0
@@ -181,7 +198,7 @@ def fj_equilibrium(net: InfluenceNetwork, x0) -> tuple[np.ndarray, np.ndarray]:
             "any agent with lambda < 1"
         )
     x0 = np.asarray(x0, dtype=float)
-    system = np.eye(net.n) - np.diag(net.lam) @ net.w
+    system = np.eye(net.n) - net.lam[:, None] * net.w
     condition = np.linalg.cond(system)
     if condition > 1e12:
         raise NumericalError(f"I - Lambda W has condition number {condition:.3g}")
@@ -215,7 +232,7 @@ def simulate_belief_system(
             "issue-coupling matrix is not row-contractive; dynamics may diverge",
             stacklevel=2,
         )
-    coupling = np.diag(net.lam) @ net.w
+    coupling = _coupling(net)
     anchor = (1.0 - net.lam)[:, None] * x0
     states = np.empty((steps + 1, net.n, x0.shape[1]))
     states[0] = x0
@@ -530,11 +547,16 @@ def load_trajectory(path) -> tuple[np.ndarray, np.ndarray]:
         header = fh.readline().strip()
         if header != "k,agent,issue,value":
             raise ConfigError(f"unexpected trajectory header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            k, agent, issue, value = line.split(",")
-            entries[(int(k), int(agent), int(issue))] = float(value)
+            try:
+                k, agent, issue, value = line.split(",")
+                entries[(int(k), int(agent), int(issue))] = float(value)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}, line {lineno}: malformed trajectory row {line.strip()!r}"
+                ) from None
     if not entries:
         raise ConfigError("trajectory file holds no samples")
     ks = sorted({key[0] for key in entries})

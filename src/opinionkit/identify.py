@@ -34,7 +34,6 @@ from .numkit import (
     minimal_band,
     pseudoinverse,
     solve_l1,
-    spectral_radius,
 )
 from .observe import ObservationStream, observation_moments
 

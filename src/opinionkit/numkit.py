@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse.linalg import ArpackError, eigs
 
-from .errors import CapacityError, NumericalError, ParameterError
+from .errors import CapacityError, ParameterError
 
 # Entries smaller than this are structural zeros throughout the package.
 STRUCTURAL_ZERO = 1e-12
@@ -33,6 +35,11 @@ PINV_RCOND = 1e-10
 # solution may carry at most this much more weighted mass than the least
 # possible.
 LEXICOGRAPHIC_SLACK = 1e-9
+
+# Square matrices up to this order are handled densely: spectral_radius's
+# eigen-solve and the Lambda W products of the simulators. Larger ones go
+# sparse (CSR products, ARPACK under a Collatz-Wielandt certificate).
+DENSE_MAX_N = 200
 
 _LINPROG_STATUS = {
     0: "optimal",
@@ -325,30 +332,52 @@ def check_recovery_conditions(
     )
 
 
-def spectral_radius(matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Spectral radius of a square matrix.
+def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 300) -> float:
+    """Spectral radius of a square dense array or scipy.sparse matrix.
 
-    Dense eigen-solve for n <= 200; beyond that, power iteration on the
-    shifted absolute companion |M| + I (exact for nonnegative matrices, an
-    upper bound otherwise).
+    Dense eigen-solve when n <= DENSE_MAX_N or when the matrix has a
+    negative entry. Otherwise ARPACK finds the eigenvalue of largest
+    modulus on the CSR form, from a fixed start vector of ones so that
+    reruns are bit-identical, within max_iter Arnoldi restarts (generated
+    Watts-Strogatz and Barabasi-Albert couplings need 20 or fewer). Its
+    modulus is returned only when a Collatz-Wielandt certificate closes:
+    with v = |eigenvector| > 0, the ratios (M v)_i / v_i bracket the
+    Perron root of a nonnegative M, and the modulus together with every
+    ratio must lie within a bracket [lo, hi] with hi - lo <= tol * hi.
+    So tol is the relative width of the certified bracket, not a stop on
+    the change of an estimate. An ARPACK failure or an open certificate
+    (reducible or nilpotent inputs, such as a hierarchy below a stubborn
+    root) falls back to the dense eigen-solve.
     """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if not sparse.issparse(matrix):
+        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     n = matrix.shape[0]
-    if matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ParameterError("spectral radius requires a square matrix")
-    if n <= 200:
-        return float(np.max(np.abs(np.linalg.eigvals(matrix))))
+    if n > DENSE_MAX_N:
+        csr = sparse.csr_array(matrix, dtype=float)
+        if not (csr.data < 0.0).any():
+            radius = _certified_radius(csr, tol, max_iter)
+            if radius is not None:
+                return radius
+    dense = matrix.toarray() if sparse.issparse(matrix) else matrix
+    return float(np.max(np.abs(np.linalg.eigvals(dense))))
 
-    companion = np.abs(matrix) + np.eye(n)
-    x = np.full(n, 1.0 / n)
-    lam_prev = np.inf
-    for iteration in range(max_iter):
-        y = companion @ x
-        lam = float(np.max(y / x))
-        x = y / np.sum(y)
-        if abs(lam - lam_prev) < tol:
-            return lam - 1.0
-        lam_prev = lam
-    raise NumericalError(
-        f"power iteration did not converge within {max_iter} iterations"
-    )
+
+def _certified_radius(csr, tol: float, max_iter: int) -> float | None:
+    """ARPACK's largest modulus of a nonnegative CSR matrix when the
+    Collatz-Wielandt bracket closes around it (see spectral_radius);
+    None when ARPACK fails or the bracket stays open."""
+    try:
+        values, vectors = eigs(
+            csr, k=1, which="LM", v0=np.ones(csr.shape[0]), tol=0, maxiter=max_iter
+        )
+    except ArpackError:
+        return None
+    modulus = float(np.abs(values[0]))
+    v = np.abs(vectors[:, 0])
+    if not v.min() > 0.0:
+        return None
+    ratios = (csr @ v) / v
+    lo, hi = min(ratios.min(), modulus), max(ratios.max(), modulus)
+    return modulus if hi - lo <= tol * hi else None

@@ -193,6 +193,38 @@ def reference_multiplex_fj(mx, u, q_noise, steps, seed):
     return out
 
 
+def reference_simulate_fj(net, x0, steps):
+    """Anchored-averaging states (steps + 1, n, m) from the dense loop
+    x(k+1) = np.diag(lam) @ W @ x(k) + (I - Lambda) x(0)."""
+    x0 = np.asarray(x0, dtype=float).reshape(net.n, -1)
+    coupling = np.diag(net.lam) @ net.w
+    anchor = (1.0 - net.lam)[:, None] * x0
+    states = [x0]
+    for _ in range(steps):
+        states.append(coupling @ states[-1] + anchor)
+    return np.stack(states)
+
+
+def reference_friedkin(net):
+    """Friedkin influence centrality (I - Lambda) (I - Lambda W)'^{-1} 1 / n
+    by a dense solve."""
+    system = np.eye(net.n) - np.diag(net.lam) @ net.w
+    return (1.0 - net.lam) * np.linalg.solve(system.T, np.ones(net.n)) / net.n
+
+
+def reference_stability(net):
+    """(schur_stable, spectral radius, open set, unanchored) from the walk
+    criterion on the dense support and dense eigenvalues of Lambda W."""
+    reaches = net.lam < 1.0
+    support = np.abs(net.w) > STRUCTURAL_ZERO
+    for _ in range(net.n):
+        reaches = reaches | (support @ reaches)
+    unanchored = tuple(np.flatnonzero(~reaches).tolist())
+    radius = float(np.max(np.abs(np.linalg.eigvals(np.diag(net.lam) @ net.w))))
+    open_set = tuple(np.flatnonzero(net.lam < 1.0).tolist())
+    return not unanchored, radius, open_set, unanchored
+
+
 def reference_solve_l1(problem):
     """Weighted l1 solve with box bounds as dense inequality rows and a
     nonneg program as split variables whose negative part is fixed at 0;

@@ -8,7 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import opinionkit as ok
-from helpers import brute_force_centrality, row_stochastic, stable_network
+from helpers import (
+    brute_force_centrality,
+    reference_friedkin,
+    row_stochastic,
+    stable_network,
+)
 
 
 def _line_network(n=4):
@@ -160,6 +165,18 @@ def test_friedkin_centrality_is_the_column_mean_of_the_control_matrix():
     _, v = ok.fj_equilibrium(net, x0)
     values = ok.friedkin_centrality(net).values
     assert np.allclose(values, v.mean(axis=0), atol=1e-10)
+
+
+@pytest.mark.parametrize("n, alpha", [(200, None), (250, None), (250, 0.6)])
+def test_friedkin_centrality_matches_the_dense_reference(n, alpha):
+    config = ok.GeneratorConfig(
+        model="watts_strogatz", n=n, k=6, beta_rw=0.2, lambda_range=(0.3, 0.8)
+    )
+    net = ok.generate_network(config, seed=4)
+    values = ok.friedkin_centrality(net, alpha=alpha).values
+    if alpha is not None:
+        net = ok.InfluenceNetwork(w=net.w, lam=np.full(n, alpha))
+    assert np.max(np.abs(values - reference_friedkin(net))) <= 1e-12
 
 
 def test_friedkin_centrality_favors_the_stubborn_agent():

@@ -77,6 +77,15 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert "typo" in capsys.readouterr().err
 
 
+def test_an_unknown_x0_string_exits_one(tmp_path, capsys):
+    config = _basic_pipeline(tmp_path)
+    config["stages"][1]["x0"] = "foo"
+    path = tmp_path / "bad_x0.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == 1
+    assert "x0 must be 'spread', 'random', or 8 rows of values" in capsys.readouterr().err
+
+
 def test_identifiability_error_exits_two(tmp_path, capsys):
     config = _basic_pipeline(tmp_path)
     config["stages"][0]["lambda_range"] = [1.0, 1.0]

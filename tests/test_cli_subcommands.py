@@ -207,6 +207,15 @@ def test_report_sorts_rows_by_series_then_x(tmp_path, capsys):
     assert out.read_text() == expected
 
 
+def test_report_names_the_file_of_a_malformed_row(tmp_path, capsys):
+    path = tmp_path / "a.csv"
+    path.write_text("agent,value\n0,1,2\n")
+    assert main(["report", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}, line 2: malformed agent,value row '0,1,2'\n"
+    )
+
+
 @pytest.mark.parametrize("args, message", [
     (["simulate", "{net}", "--kind", "gossip", "--steps", "5", "--out", "{out}"],
      "gossip needs --activation-size"),

@@ -10,10 +10,20 @@ from helpers import (
     reference_gossip_fj,
     reference_multiplex_fj,
     reference_neighbor_menus,
+    reference_simulate_fj,
+    reference_stability,
     row_stochastic,
     stable_network,
 )
 from opinionkit.dynamics import GOSSIP_DRAW_BLOCK, _neighbor_menus
+from opinionkit.numkit import DENSE_MAX_N
+
+
+def _ws_network(n, seed):
+    config = ok.GeneratorConfig(
+        model="watts_strogatz", n=n, k=6, beta_rw=0.2, lambda_range=(0.3, 0.8)
+    )
+    return ok.generate_network(config, seed=seed)
 
 
 def _pair_network(lam=(0.5, 0.5)):
@@ -120,6 +130,49 @@ def test_schur_walk_criterion_agrees_with_the_spectrum(seed):
     report = ok.is_schur_stable(net)
     spectral = ok.spectral_radius(np.diag(net.lam) @ net.w)
     assert report.schur_stable == (spectral < 1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("n", [DENSE_MAX_N, 250])
+def test_simulate_fj_matches_the_dense_reference_across_the_cutoff(n):
+    # Up to the cutoff the step is the dense product, bit for bit; beyond
+    # it the CSR product sums each row in another order.
+    net = _ws_network(n, seed=3)
+    x0 = np.random.default_rng(3).uniform(-1, 1, (n, 3))
+    states = ok.simulate_fj(net, x0, steps=80).states
+    expected = reference_simulate_fj(net, x0, 80)
+    if n <= DENSE_MAX_N:
+        assert np.array_equal(states, expected)
+    else:
+        assert np.max(np.abs(states - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("closed_loop", [False, True])
+def test_schur_report_matches_the_dense_reference_beyond_the_cutoff(closed_loop):
+    net = _ws_network(250, seed=5)
+    if closed_loop:
+        # agents 0..9 form a fully susceptible cycle that reaches nobody else
+        w, lam = net.w.copy(), net.lam.copy()
+        w[:10] = 0.0
+        w[np.arange(10), (np.arange(10) + 1) % 10] = 1.0
+        lam[:10] = 1.0
+        net = ok.InfluenceNetwork(w=w, lam=lam)
+    report = ok.is_schur_stable(net)
+    stable, radius, open_set, unanchored = reference_stability(net)
+    assert report.schur_stable == stable == (not closed_loop)
+    assert report.open_set == open_set
+    assert report.unanchored == unanchored
+    assert abs(report.spectral_radius - radius) <= 1e-10 * radius
+
+
+def test_fj_equilibrium_is_the_dense_solve_bit_for_bit():
+    rng = np.random.default_rng(9)
+    net = stable_network(rng, 30)
+    x0 = rng.uniform(-1, 1, 30)
+    x_inf, control = ok.fj_equilibrium(net, x0)
+    system = np.eye(30) - np.diag(net.lam) @ net.w
+    expected = np.linalg.solve(system, np.diag(1.0 - net.lam))
+    assert np.array_equal(control, expected)
+    assert np.array_equal(x_inf, expected @ x0)
 
 
 def test_belief_system_with_identity_coupling_is_plain_fj():
@@ -427,4 +480,11 @@ def test_load_trajectory_rejects_a_foreign_header(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("time,node,dim,x\n0,0,0,1.0\n")
     with pytest.raises(ok.ConfigError):
+        ok.load_trajectory(path)
+
+
+def test_load_trajectory_names_the_file_of_a_non_numeric_value(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("k,agent,issue,value\n0,0,0,abc\n")
+    with pytest.raises(ok.ConfigError, match="traj.csv, line 2: malformed"):
         ok.load_trajectory(path)

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import opinionkit as ok
-from opinionkit.numkit import PINV_RCOND, L1Problem, minimal_band
+from opinionkit.numkit import DENSE_MAX_N, PINV_RCOND, L1Problem, minimal_band
 
 
 def test_philox_stream_is_reproducible():
@@ -249,3 +250,70 @@ def test_spectral_radius_of_permutation_matrix():
     # periodic structure: plain power iteration would not converge here
     p = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert abs(ok.spectral_radius(p) - 1.0) < 1e-10
+
+
+def _ws_coupling(n, seed):
+    config = ok.GeneratorConfig(
+        model="watts_strogatz", n=n, k=6, beta_rw=0.2, lambda_range=(0.3, 0.8)
+    )
+    net = ok.generate_network(config, seed=seed)
+    return net.lam[:, None] * net.w
+
+
+def _stubborn_hierarchy(n, rng, max_parents):
+    """Lambda W of a hierarchy: agent 0 is fully stubborn and every other
+    agent listens to up to max_parents earlier agents, so the matrix is
+    strictly lower triangular (reducible, nilpotent, radius 0)."""
+    coupling = np.zeros((n, n))
+    for i in range(1, n):
+        parents = rng.choice(i, size=min(i, int(rng.integers(1, max_parents + 1))),
+                             replace=False)
+        weights = rng.uniform(0.2, 1.0, parents.size)
+        coupling[i, parents] = rng.uniform(0.3, 1.0) * weights / weights.sum()
+    return coupling
+
+
+def _spectrum_case(family, n, seed):
+    rng = np.random.default_rng(seed)
+    if family == "watts_strogatz":
+        return _ws_coupling(n, seed)
+    if family == "stubborn_hierarchy":
+        return _stubborn_hierarchy(n, rng, max_parents=3)
+    if family == "cycle":
+        return rng.uniform(0.1, 1.0) * np.roll(np.eye(n), 1, axis=1)
+    if family == "zero":
+        return np.zeros((n, n))
+    return rng.normal(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.03)
+
+
+@settings(max_examples=30)
+@given(
+    family=st.sampled_from(
+        ["watts_strogatz", "stubborn_hierarchy", "cycle", "zero", "signed"]
+    ),
+    n=st.sampled_from([DENSE_MAX_N, DENSE_MAX_N + 1, 250]),
+    seed=st.integers(0, 10_000),
+    as_csr=st.booleans(),
+)
+def test_spectral_radius_agrees_with_dense_eigenvalues_across_the_cutoff(
+    family, n, seed, as_csr
+):
+    matrix = _spectrum_case(family, n, seed)
+    expected = float(np.max(np.abs(np.linalg.eigvals(matrix))))
+    got = ok.spectral_radius(sparse.csr_array(matrix) if as_csr else matrix)
+    assert abs(got - expected) <= 1e-10 * expected + 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectral_radius_of_a_stubborn_tree_is_zero(seed):
+    # One parent per agent: ARPACK alone converges to a nonzero modulus
+    # here; its eigenvector has zeros, so the certificate stays open.
+    matrix = _stubborn_hierarchy(250, np.random.default_rng(seed), max_parents=1)
+    assert abs(ok.spectral_radius(matrix)) <= 1e-12
+
+
+def test_spectral_radius_reruns_are_bit_identical():
+    coupling = sparse.csr_array(_ws_coupling(1000, seed=11))
+    first, second = ok.spectral_radius(coupling), ok.spectral_radius(coupling)
+    assert np.float64(first).tobytes() == np.float64(second).tobytes()
+    assert 0.3 < first < 0.8
