@@ -1,0 +1,133 @@
+"""The one module that reads and writes opinionkit's file formats.
+
+A table is comma-separated text: a header line naming the columns, then
+one line per row of nonnegative integer labels and, last, a float value
+printed with 17 significant digits, so a read of a written table gives
+back the same doubles bit for bit. Empty lines are skipped. Every other
+document is a JSON object. Readers raise ConfigError naming the file.
+"""
+
+import json
+import warnings
+from itertools import islice
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ConfigError
+
+
+def is_int(value) -> bool:
+    """Whether a decoded JSON value is an integer (true and false are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether a decoded JSON value is an integer or a float."""
+    return isinstance(value, float) or is_int(value)
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object stored at path; what names the document in errors."""
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} {path} is missing") from None
+    except ValueError as exc:  # invalid JSON or undecodable bytes
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} does not hold a JSON object")
+    return doc
+
+
+def write_json(path, doc: dict) -> None:
+    Path(path).write_text(json_text(doc))
+
+
+def json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def table_text(header: str, values, keys=None, mask=None):
+    """Yield a table's header line, then the rows of one leading-axis slice
+    of values at a time: "keys[s],idx...,value" for values[s][idx] in
+    row-major order (keys defaults to 0, 1, ...), only where mask is true
+    when one is given. Every slice reuses one set of label prefixes."""
+    values = np.asarray(values, dtype=float)
+    prefixes = np.array(
+        ["".join(f"{i}," for i in idx) for idx in np.ndindex(values.shape[1:])], dtype=object
+    )
+    yield header + "\n"
+    for s, block in enumerate(values):
+        lead = f"{s if keys is None else keys[s]},"
+        keep = slice(None) if mask is None else np.ravel(mask[s])
+        rows = zip(prefixes[keep].tolist(), np.ravel(block)[keep].tolist())
+        yield "".join([lead + label + format(v, ".17g") + "\n" for label, v in rows])
+
+
+def write_table(path, header: str, values, keys=None, mask=None) -> None:
+    """Write a table to path (see table_text)."""
+    with open(path, "w") as handle:
+        handle.writelines(table_text(header, values, keys=keys, mask=mask))
+
+
+def read_table(path, header: str, what: str):
+    """(labels, values) of the table at path: one int64 array per label
+    column and the float64 values, in file order. Raises ConfigError for a
+    missing file, another header, and (naming the line) a malformed row, a
+    negative label or a row repeating an earlier row's labels."""
+    names = header.split(",")
+    dtype = [(name, np.int64) for name in names[:-1]] + [(names[-1], np.float64)]
+    try:
+        with open(path) as handle:
+            found = handle.readline().strip()
+            if found != header:
+                raise ConfigError(
+                    f"{path}: unexpected {what} header {found!r}, expected {header!r}"
+                )
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(handle, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file {path} is missing") from None
+    except ValueError:
+        lineno, line = _first_bad_line(path, dtype)
+        raise ConfigError(f"{path}, line {lineno}: malformed {what} row {line!r}") from None
+    labels = tuple(table[name] for name in names[:-1])
+    order = np.lexsort(labels[::-1])  # stable: equal rows keep file order
+    repeated = np.ones(max(order.size - 1, 0), dtype=bool)
+    for column in labels:
+        ranked = column[order]
+        repeated &= ranked[1:] == ranked[:-1]
+    for problem, rows in (
+        ("negative label in", np.flatnonzero(np.any([c < 0 for c in labels], axis=0))),
+        ("repeated", order[1:][repeated]),
+    ):
+        if rows.size:
+            row = int(rows.min())
+            cell = ", ".join(f"{name}={c[row]}" for name, c in zip(names, labels))
+            lineno = next(islice(_data_lines(path), row, None))[0]
+            raise ConfigError(f"{path}, line {lineno}: {problem} {what} row ({cell})")
+    return labels, table[names[-1]]
+
+
+def _data_lines(path):
+    """(line number, text) of every nonempty line after the header."""
+    with open(path, errors="replace") as handle:
+        handle.readline()
+        for lineno, line in enumerate(handle, start=2):
+            if line.rstrip("\r\n"):
+                yield lineno, line
+
+
+def _first_bad_line(path, dtype):
+    """(line number, text) of the first line of path that loadtxt rejects,
+    rescanned one line at a time after loadtxt rejected the table."""
+    for lineno, line in _data_lines(path):
+        try:
+            np.loadtxt([line], delimiter=",", comments=None, dtype=dtype)
+        except ValueError:
+            return lineno, line.strip()
+    with open(path, errors="replace") as handle:
+        return 1, handle.readline().strip()  # only the header can be undecodable

@@ -27,6 +27,16 @@ import platform
 import scipy
 
 from ._version import __version__
+from ._files import (
+    is_int,
+    is_number,
+    json_text,
+    read_json,
+    read_table,
+    table_text,
+    write_json,
+    write_table,
+)
 from .errors import ConfigError, OpinionKitError
 from .centrality import (
     betweenness_centrality,
@@ -133,18 +143,6 @@ def _check_keys(record: dict, required: set, optional: set, where: str) -> None:
 
 def _stage_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1, np.uint64)[0])
-
-
-def _load_config(path) -> dict:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # pipeline stages
@@ -408,12 +406,6 @@ def _plot_rows(name: str, value, where: str) -> list:
     )
 
 
-def _agent_value_text(values) -> str:
-    return "agent,value\n" + "".join(
-        f"{agent},{format(float(value), '.17g')}\n" for agent, value in enumerate(values.values)
-    )
-
-
 def _plot_text(rows) -> str:
     rows = sorted(rows, key=lambda row: (row[2], str(row[0])))
     return "x,y,series\n" + "".join(
@@ -451,9 +443,9 @@ _ARTIFACTS = {
     "centrality": (
         "reports",
         (".csv",),
-        lambda values, path, rec: path.write_text(_agent_value_text(values)),
+        lambda values, path, rec: write_table(path, "agent,value", values.values),
     ),
-    "evaluate": ("reports", (".json",), lambda doc, path, rec: path.write_text(_json_text(doc))),
+    "evaluate": ("reports", (".json",), lambda doc, path, rec: write_json(path, doc)),
     "report": ("plot_data", (".csv",), lambda rows, path, rec: path.write_text(_plot_text(rows))),
 }
 
@@ -470,7 +462,7 @@ def run_pipeline(config: dict, output_dir=None) -> dict:
         raise ConfigError("config must be a JSON object")
     _check_keys(config, {"seed", "stages"}, {"output_dir", "emit"}, "config")
     seed = config["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     stages = config["stages"]
     if not isinstance(stages, list) or not stages:
@@ -525,7 +517,7 @@ def run_pipeline(config: dict, output_dir=None) -> dict:
         "seed": seed,
         "versions": _version_table(),
     }
-    (out / "manifest.json").write_text(_json_text(manifest))
+    write_json(out / "manifest.json", manifest)
     return manifest
 
 
@@ -557,7 +549,7 @@ def _sweep_point(payload):
         if isinstance(record, dict) and record.get("stage") == "evaluate":
             artifact = Path(point_dir) / f"{record['name']}.json"
             if artifact.is_file():
-                metrics[record["name"]] = json.loads(artifact.read_text())
+                metrics[record["name"]] = read_json(artifact, "metrics")
     return index, metrics
 
 
@@ -645,7 +637,7 @@ def run_sweep(config: dict, output_dir=None, jobs: int = 1) -> dict:
         "seed": config["seed"],
         "versions": _version_table(),
     }
-    (out / "manifest.json").write_text(_json_text(manifest))
+    write_json(out / "manifest.json", manifest)
     return manifest
 
 
@@ -735,7 +727,8 @@ def centrality(network, measure, weighted, alpha, damping, out):
     """Rank the agents of a network by one centrality measure."""
     net = load_network(network)
     values = _centrality_values(net, measure, weighted=weighted, alpha=alpha, damping=damping)
-    _print_or_write(_agent_value_text(values), out, f"{measure} for {net.n} agents")
+    text = "".join(table_text("agent,value", values.values))
+    _print_or_write(text, out, f"{measure} for {net.n} agents")
 
 
 @cli.command()
@@ -847,7 +840,7 @@ def evaluate(truth, estimate, tol, out):
     doc = dataclasses.asdict(
         evaluate_estimate(load_network(truth).w, load_report(estimate), tol=tol)
     )
-    _print_or_write(_json_text(doc), out, f"f1={doc['f1']:.4f}")
+    _print_or_write(json_text(doc), out, f"f1={doc['f1']:.4f}")
 
 
 @cli.command(name="run")
@@ -856,7 +849,7 @@ def evaluate(truth, estimate, tol, out):
               help="Output directory (default: config output_dir or $OPINIONKIT_OUT).")
 def run_command(config, out):
     """Execute a pipeline config; write artifacts plus manifest.json."""
-    document = _load_config(config)
+    document = read_json(config, "config")
     manifest = run_pipeline(document, output_dir=out)
     target = out or document.get("output_dir")
     click.echo(f"wrote {len(manifest['artifacts'])} artifacts to {target}")
@@ -869,7 +862,7 @@ def run_command(config, out):
 @click.option("--jobs", type=int, default=1, show_default=True)
 def sweep(config, out, jobs):
     """Run a parameter grid of pipelines; aggregate metrics into sweep.csv."""
-    document = _load_config(config)
+    document = read_json(config, "config")
     manifest = run_sweep(document, output_dir=out, jobs=jobs)
     target = out or document.get("output_dir")
     click.echo(f"swept {manifest['points']} points into {target}")
@@ -885,27 +878,13 @@ def report(inputs, out):
     for path in inputs:
         series = Path(path).stem
         if path.endswith(".json"):
-            doc = json.loads(Path(path).read_text())
-            if not isinstance(doc, dict):
-                raise ConfigError(f"{path} does not hold a metrics object")
-            for key in sorted(doc):
-                value = doc[key]
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    rows.append((key, float(value), series))
+            doc = read_json(path, "metrics")
+            rows.extend(
+                (key, float(doc[key]), series) for key in sorted(doc) if is_number(doc[key])
+            )
         else:
-            with open(path) as handle:
-                header = handle.readline().strip()
-                if header != "agent,value":
-                    raise ConfigError(f"{path} is not an agent,value table")
-                for lineno, line in enumerate(handle, start=2):
-                    try:
-                        agent, value = line.strip().split(",")
-                        rows.append((agent, float(value), series))
-                    except ValueError:
-                        raise ConfigError(
-                            f"{path}, line {lineno}: malformed agent,value row "
-                            f"{line.strip()!r}"
-                        ) from None
+            (agents,), values = read_table(path, "agent,value", "agent,value")
+            rows.extend(zip(agents.tolist(), values.tolist(), [series] * len(values)))
     _print_or_write(_plot_text(rows), out, f"{len(rows)} rows")
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from ._files import read_table, write_table
 from .errors import (
     ConfigError,
     NumericalError,
@@ -524,52 +525,36 @@ def cross_correlation_recursion(
 
 # ---- file format ----------------------------------------------------------
 #
-# Trajectories are stored as delimited text with header k,agent,issue,value;
-# a thinning stride keeps every stride-th step (step 0 always included).
+# Trajectories are tables (see _files) with header k,agent,issue,value; a
+# thinning stride keeps every stride-th step (step 0 always included).
 
 
 def save_trajectory(traj: OpinionTrajectory, path, stride: int = 1) -> None:
     if stride < 1:
         raise ParameterError("stride must be >= 1")
-    with open(path, "w") as fh:
-        fh.write("k,agent,issue,value\n")
-        for k in range(0, traj.states.shape[0], stride):
-            for agent in range(traj.n):
-                for issue in range(traj.n_issues):
-                    value = format(traj.states[k, agent, issue], ".17g")
-                    fh.write(f"{k},{agent},{issue},{value}\n")
+    steps = range(0, traj.states.shape[0], stride)
+    write_table(path, "k,agent,issue,value", traj.states[::stride], keys=steps)
 
 
 def load_trajectory(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a trajectory file; returns (step indices, states array)."""
-    entries = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "k,agent,issue,value":
-            raise ConfigError(f"unexpected trajectory header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                k, agent, issue, value = line.split(",")
-                entries[(int(k), int(agent), int(issue))] = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}, line {lineno}: malformed trajectory row {line.strip()!r}"
-                ) from None
-    if not entries:
-        raise ConfigError("trajectory file holds no samples")
-    ks = sorted({key[0] for key in entries})
-    n = max(key[1] for key in entries) + 1
-    m = max(key[2] for key in entries) + 1
-    states = np.empty((len(ks), n, m))
-    for row, k in enumerate(ks):
-        for agent in range(n):
-            for issue in range(m):
-                try:
-                    states[row, agent, issue] = entries[(k, agent, issue)]
-                except KeyError:
-                    raise ConfigError(
-                        f"trajectory file is missing (k={k}, agent={agent}, issue={issue})"
-                    ) from None
-    return np.asarray(ks, dtype=int), states
+    (ks, agents, issues), values = read_table(path, "k,agent,issue,value", "trajectory")
+    if values.size == 0:
+        raise ConfigError(f"trajectory file {path} holds no samples")
+    steps, frames = np.unique(ks, return_inverse=True)
+    shape = (steps.size, int(agents.max()) + 1, int(issues.max()) + 1)
+    # read_table rejects repeated rows, so the table is complete exactly
+    # when it has one row per cell
+    if values.size != shape[0] * shape[1] * shape[2]:
+        # name the first missing cell in row-major order (error path only)
+        present = set(zip(frames.tolist(), agents.tolist(), issues.tolist()))
+        cells = (
+            (f, a, i) for f in range(shape[0]) for a in range(shape[1]) for i in range(shape[2])
+        )
+        frame, agent, issue = next(cell for cell in cells if cell not in present)
+        raise ConfigError(
+            f"trajectory file {path} is missing (k={steps[frame]}, agent={agent}, issue={issue})"
+        )
+    states = np.empty(shape)
+    states[frames, agents, issues] = values
+    return steps, states

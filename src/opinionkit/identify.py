@@ -15,6 +15,7 @@ from math import log, pi as _PI
 import numpy as np
 from scipy.special import multigammaln
 
+from ._files import read_json, write_json
 from .errors import (
     ConfigError,
     EstimationError,
@@ -883,8 +884,6 @@ def _jsonable(value):
 
 def save_report(report: EstimationReport, path) -> None:
     """Serialize an estimation report to a JSON document."""
-    import json
-
     doc = {
         "w_hat": report.w_hat.tolist(),
         "lambda_hat": None if report.lambda_hat is None else report.lambda_hat.tolist(),
@@ -893,20 +892,15 @@ def save_report(report: EstimationReport, path) -> None:
         "metrics": _jsonable(report.metrics),
         "solver_log": _jsonable(report.solver_log),
     }
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, doc)
 
 
 def load_report(path) -> EstimationReport:
-    import json
-
-    with open(path) as handle:
-        doc = json.load(handle)
+    doc = read_json(path, "report")
     expected = {"w_hat", "lambda_hat", "gamma_hat", "support", "metrics", "solver_log"}
     if set(doc) != expected:
         raise ConfigError(
-            f"report document has keys {sorted(doc)}, expected {sorted(expected)}"
+            f"report {path} has keys {sorted(doc)}, expected {sorted(expected)}"
         )
     return EstimationReport(
         w_hat=np.asarray(doc["w_hat"], dtype=float),

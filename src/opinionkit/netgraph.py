@@ -8,13 +8,13 @@ susceptibility lambda_i in [0, 1] (lambda_i = 1 recovers pure averaging,
 lambda_i = 0 a fully stubborn agent).
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
 
+from ._files import is_int, is_number, read_json
 from .errors import ConfigError, EstimationError, ParameterError, StructuralError
 from .numkit import STRUCTURAL_ZERO, philox_stream
 
@@ -381,7 +381,8 @@ def build_multiplex(config: MultiplexConfig, seed: int | None = None) -> Multipl
 # Networks are stored as a single JSON object:
 #   {"n": 3, "directed": true, "lambda": [...], "edges": [[i, j, w], ...]}
 # with 0-based indices, edges sorted by (i, j), and weights printed with 17
-# significant digits so that load(save(net)) is bit-exact.
+# significant digits so that load(save(net)) is bit-exact. Files are read
+# through _files.read_json, and every field is checked where it is read.
 
 _NETWORK_KEYS = {"n", "directed", "lambda", "edges"}
 _MULTIPLEX_KEYS = {"model_tag", "base", "layers"}
@@ -405,27 +406,38 @@ def _network_doc(net: InfluenceNetwork) -> str:
     )
 
 
-def _network_from_doc(doc: dict) -> InfluenceNetwork:
+def _network_from_doc(doc) -> InfluenceNetwork:
+    if not isinstance(doc, dict):
+        raise ConfigError("a network document must be a JSON object")
     unknown = set(doc) - _NETWORK_KEYS
     if unknown:
         raise ConfigError(f"unknown network file keys: {sorted(unknown)}")
     missing = _NETWORK_KEYS - set(doc)
     if missing:
         raise ConfigError(f"network file missing keys: {sorted(missing)}")
-    n = int(doc["n"])
+    n, lam, edges = doc["n"], doc["lambda"], doc["edges"]
+    if not is_int(n) or n < 0:
+        raise ConfigError(f"network n must be a nonnegative integer, got {n!r}")
+    if not isinstance(doc["directed"], bool):
+        raise ConfigError(f"network directed must be true or false, got {doc['directed']!r}")
+    if not isinstance(lam, list) or not all(map(is_number, lam)):
+        raise ConfigError("network lambda must be a list of numbers")
+    if not isinstance(edges, list):
+        raise ConfigError("network edges must be a list")
     w = np.zeros((n, n))
     seen = set()
-    for entry in doc["edges"]:
-        i, j, weight = int(entry[0]), int(entry[1]), float(entry[2])
+    for entry in edges:
+        if not (isinstance(entry, list) and len(entry) == 3 and is_number(entry[2])
+                and is_int(entry[0]) and is_int(entry[1])):
+            raise ConfigError(f"network edge {entry!r} is not [int, int, number]")
+        i, j, weight = entry
         if not (0 <= i < n and 0 <= j < n):
             raise ConfigError(f"edge ({i}, {j}) outside agent range 0..{n - 1}")
         if (i, j) in seen:
             raise ConfigError(f"edge ({i}, {j}) is listed twice")
         seen.add((i, j))
         w[i, j] = weight
-    net = InfluenceNetwork(
-        w=w, lam=np.asarray(doc["lambda"], dtype=float), directed=bool(doc["directed"])
-    )
+    net = InfluenceNetwork(w=w, lam=np.asarray(lam, dtype=float), directed=doc["directed"])
     report = validate_network(net)
     if not report.ok:
         raise ConfigError(f"invalid network: {'; '.join(report.problems)}")
@@ -438,8 +450,7 @@ def save_network(net: InfluenceNetwork, path) -> None:
 
 
 def load_network(path) -> InfluenceNetwork:
-    with open(path) as fh:
-        return _network_from_doc(json.load(fh))
+    return _network_from_doc(read_json(path, "network"))
 
 
 def save_multiplex(mx: MultiplexNetwork, path) -> None:
@@ -453,11 +464,13 @@ def save_multiplex(mx: MultiplexNetwork, path) -> None:
 
 
 def load_multiplex(path) -> MultiplexNetwork:
-    with open(path) as fh:
-        doc = json.load(fh)
-    unknown = set(doc) - _MULTIPLEX_KEYS
-    if unknown:
-        raise ConfigError(f"unknown multiplex file keys: {sorted(unknown)}")
-    base = _network_from_doc(doc["base"]) if doc.get("base") is not None else None
+    doc = read_json(path, "multiplex")
+    if set(doc) != _MULTIPLEX_KEYS:
+        raise ConfigError(
+            f"multiplex {path} has keys {sorted(doc)}, expected {sorted(_MULTIPLEX_KEYS)}"
+        )
+    if not isinstance(doc["layers"], list):
+        raise ConfigError(f"multiplex {path}: layers must be a list")
+    base = _network_from_doc(doc["base"]) if doc["base"] is not None else None
     layers = tuple(_network_from_doc(entry) for entry in doc["layers"])
     return MultiplexNetwork(layers=layers, model_tag=doc["model_tag"], base=base)

@@ -8,12 +8,12 @@ the file format; in memory a boolean mask separates observed zeros from
 gaps.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import is_int, is_number, read_json, read_table, write_json, write_table
 from .dynamics import OpinionTrajectory
 from .errors import ConfigError, ParameterError, StructuralError
 from .numkit import philox_stream
@@ -162,9 +162,11 @@ def observation_moments(model: SamplingModel, n: int, max_lag: int) -> Observati
 
 # ---- file format ----------------------------------------------------------
 #
-# Streams are stored as delimited text with header k,agent,value holding only
-# the observed records, plus a sidecar descriptor <path>.meta.json with the
+# Streams are tables (see _files) with header k,agent,value holding only the
+# observed records, plus a sidecar JSON object <path>.meta.json with the
 # sampling model, seed, horizon, agent count, and observed issue.
+
+_SIDECAR_KEYS = {"horizon", "issue", "kind", "n", "rho", "seed"}
 
 
 def _sidecar_path(path) -> str:
@@ -172,10 +174,7 @@ def _sidecar_path(path) -> str:
 
 
 def save_stream(stream: ObservationStream, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("k,agent,value\n")
-        for k, agent, value in stream.records():
-            fh.write(f"{k},{agent},{format(value, '.17g')}\n")
+    write_table(path, "k,agent,value", stream.values, mask=stream.mask)
     rho = stream.model.rho
     if isinstance(rho, np.ndarray):
         rho = rho.tolist()
@@ -187,45 +186,40 @@ def save_stream(stream: ObservationStream, path) -> None:
         "rho": rho,
         "seed": stream.seed,
     }
-    with open(_sidecar_path(path), "w") as fh:
-        json.dump(descriptor, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(_sidecar_path(path), descriptor)
 
 
 def load_stream(path) -> ObservationStream:
-    try:
-        with open(_sidecar_path(path)) as fh:
-            descriptor = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"stream descriptor {_sidecar_path(path)} is missing") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"stream descriptor is not valid JSON: {exc}") from exc
-    expected = {"horizon", "issue", "kind", "n", "rho", "seed"}
-    if set(descriptor) != expected:
+    sidecar = _sidecar_path(path)
+    descriptor = read_json(sidecar, "stream descriptor")
+    if set(descriptor) != _SIDECAR_KEYS:
         raise ConfigError(
-            f"stream descriptor keys {sorted(descriptor)} != {sorted(expected)}"
+            f"stream descriptor {sidecar} has keys {sorted(descriptor)}, "
+            f"expected {sorted(_SIDECAR_KEYS)}"
         )
+    for key in ("horizon", "n", "issue"):
+        if not is_int(descriptor[key]) or descriptor[key] < 0:
+            raise ConfigError(f"stream descriptor {sidecar}: {key} must be a nonnegative integer")
+    if descriptor["seed"] is not None and not is_int(descriptor["seed"]):
+        raise ConfigError(f"stream descriptor {sidecar}: seed must be an integer or null")
     rho = descriptor["rho"]
+    if not (rho is None or is_number(rho) or isinstance(rho, list) and all(map(is_number, rho))):
+        raise ConfigError(
+            f"stream descriptor {sidecar}: rho must be null, a number or a list of numbers"
+        )
     if isinstance(rho, list):
         rho = np.asarray(rho, dtype=float)
     model = SamplingModel(kind=descriptor["kind"], rho=rho)
-    steps = descriptor["horizon"] + 1
-    n = descriptor["n"]
+    (ks, agents), observed = read_table(path, "k,agent,value", "stream")
+    steps, n = descriptor["horizon"] + 1, descriptor["n"]
+    outside = np.flatnonzero((ks >= steps) | (agents >= n))
+    if outside.size:
+        row = outside[0]
+        raise ConfigError(f"{path}: record ({ks[row]}, {agents[row]}) outside the stream frame")
     values = np.zeros((steps, n))
     mask = np.zeros((steps, n), dtype=bool)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "k,agent,value":
-            raise ConfigError(f"unexpected stream header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            k, agent, value = line.split(",")
-            k, agent = int(k), int(agent)
-            if not (0 <= k < steps and 0 <= agent < n):
-                raise ConfigError(f"record ({k}, {agent}) outside the stream frame")
-            values[k, agent] = float(value)
-            mask[k, agent] = True
+    values[ks, agents] = observed
+    mask[ks, agents] = True
     return ObservationStream(
         values=values,
         mask=mask,

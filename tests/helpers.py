@@ -6,6 +6,7 @@ the library against implementations that share no code with it.
 """
 
 import itertools
+import json
 
 import numpy as np
 from scipy.optimize import linprog
@@ -379,3 +380,75 @@ def reference_sparse_gamma(moments, b_bar, eta):
         assert res.status == 0
         gamma_t[:, col] = res.x[:n] - res.x[n:]
     return gamma_t.T
+
+
+# The trajectory and stream file code as it stood before the file boundary
+# module, kept verbatim (only renamed) as the byte-level format oracle.
+
+
+def reference_save_trajectory(traj, path, stride: int = 1) -> None:
+    if stride < 1:
+        raise ok.ParameterError("stride must be >= 1")
+    with open(path, "w") as fh:
+        fh.write("k,agent,issue,value\n")
+        for k in range(0, traj.states.shape[0], stride):
+            for agent in range(traj.n):
+                for issue in range(traj.n_issues):
+                    value = format(traj.states[k, agent, issue], ".17g")
+                    fh.write(f"{k},{agent},{issue},{value}\n")
+
+
+def reference_load_trajectory(path):
+    """Read a trajectory file; returns (step indices, states array)."""
+    entries = {}
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "k,agent,issue,value":
+            raise ok.ConfigError(f"unexpected trajectory header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                k, agent, issue, value = line.split(",")
+                entries[(int(k), int(agent), int(issue))] = float(value)
+            except ValueError:
+                raise ok.ConfigError(
+                    f"{path}, line {lineno}: malformed trajectory row {line.strip()!r}"
+                ) from None
+    if not entries:
+        raise ok.ConfigError("trajectory file holds no samples")
+    ks = sorted({key[0] for key in entries})
+    n = max(key[1] for key in entries) + 1
+    m = max(key[2] for key in entries) + 1
+    states = np.empty((len(ks), n, m))
+    for row, k in enumerate(ks):
+        for agent in range(n):
+            for issue in range(m):
+                try:
+                    states[row, agent, issue] = entries[(k, agent, issue)]
+                except KeyError:
+                    raise ok.ConfigError(
+                        f"trajectory file is missing (k={k}, agent={agent}, issue={issue})"
+                    ) from None
+    return np.asarray(ks, dtype=int), states
+
+
+def reference_save_stream(stream, path) -> None:
+    with open(path, "w") as fh:
+        fh.write("k,agent,value\n")
+        for k, agent, value in stream.records():
+            fh.write(f"{k},{agent},{format(value, '.17g')}\n")
+    rho = stream.model.rho
+    if isinstance(rho, np.ndarray):
+        rho = rho.tolist()
+    descriptor = {
+        "horizon": stream.horizon,
+        "issue": stream.issue,
+        "kind": stream.model.kind,
+        "n": stream.n,
+        "rho": rho,
+        "seed": stream.seed,
+    }
+    with open(str(path) + ".meta.json", "w") as fh:
+        json.dump(descriptor, fh, sort_keys=True, indent=2)
+        fh.write("\n")

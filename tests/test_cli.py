@@ -77,6 +77,31 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert "typo" in capsys.readouterr().err
 
 
+def test_a_malformed_stream_file_exits_one(tmp_path, capsys):
+    # the row "1,abc,0.2" used to escape main() as a ValueError
+    stream = tmp_path / "obs.csv"
+    stream.write_text("k,agent,value\n0,0,0.5\n1,abc,0.2\n")
+    (tmp_path / "obs.csv.meta.json").write_text(json.dumps(
+        {"horizon": 2, "issue": 0, "kind": "full", "n": 2, "rho": None, "seed": 0}
+    ))
+    config = {"seed": 0, "output_dir": str(tmp_path / "out"), "stages": [
+        {"stage": "load", "name": "obs", "path": str(stream), "format": "stream"},
+    ]}
+    path = tmp_path / "load.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: stage 'obs' (load): {stream}, line 3: malformed stream row '1,abc,0.2'\n"
+    )
+
+
+def test_a_config_that_is_not_json_exits_one(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("{seed")
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config {path} is not valid JSON: ")
+
+
 def test_an_unknown_x0_string_exits_one(tmp_path, capsys):
     config = _basic_pipeline(tmp_path)
     config["stages"][1]["x0"] = "foo"

@@ -216,6 +216,19 @@ def test_report_names_the_file_of_a_malformed_row(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command, message", [
+    (["centrality", "{bad}", "--measure", "pagerank"], "network {bad} is not valid JSON"),
+    (["evaluate", "--truth", "{net}", "--estimate", "{bad}"], "report {bad} is not valid JSON"),
+    (["report", "{bad}"], "metrics {bad} is not valid JSON"),
+])
+def test_files_that_are_not_json_exit_one(tmp_path, capsys, files, command, message):
+    # these used to escape main() as a JSONDecodeError
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    assert main([arg.format(bad=bad, **files) for arg in command]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message.format(bad=bad)}: ")
+
+
 @pytest.mark.parametrize("args, message", [
     (["simulate", "{net}", "--kind", "gossip", "--steps", "5", "--out", "{out}"],
      "gossip needs --activation-size"),

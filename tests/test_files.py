@@ -1,0 +1,253 @@
+"""The file boundary: byte identity with the previous writers, bit-exact
+round trips, and a ConfigError for every file that cannot be accepted."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import opinionkit as ok
+from helpers import (
+    reference_load_trajectory,
+    reference_save_stream,
+    reference_save_trajectory,
+)
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e308, -1e308, 0.1]
+VALUES = st.one_of(st.floats(allow_nan=False), st.sampled_from(SPECIAL))
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+def _trajectory(states):
+    return ok.OpinionTrajectory(states=states, model=ok.ModelDescriptor(kind="test"))
+
+
+@given(
+    states=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 3)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=VALUES)
+    ),
+    stride=st.integers(1, 4),
+)
+def test_trajectory_files_match_the_reference_writer_and_round_trip(
+    tmp_path_factory, states, stride
+):
+    folder = tmp_path_factory.mktemp("traj")
+    traj = _trajectory(states)
+    ok.save_trajectory(traj, folder / "new.csv", stride=stride)
+    reference_save_trajectory(traj, folder / "old.csv", stride=stride)
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+    steps, loaded = ok.load_trajectory(folder / "new.csv")
+    assert np.array_equal(steps, np.arange(0, states.shape[0], stride))
+    assert np.array_equal(_bits(loaded), _bits(states[::stride]))
+    ref_steps, ref_loaded = reference_load_trajectory(folder / "new.csv")
+    assert steps.dtype == ref_steps.dtype and np.array_equal(steps, ref_steps)
+    assert np.array_equal(_bits(loaded), _bits(ref_loaded))
+
+
+@given(
+    frame=st.tuples(st.integers(1, 8), st.integers(1, 5)).flatmap(
+        lambda shape: st.tuples(
+            arrays(np.float64, shape, elements=VALUES), arrays(np.bool_, shape)
+        )
+    ),
+    seed=st.one_of(st.none(), st.integers(0, 2**40)),
+    rho=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_stream_files_match_the_reference_writer_and_round_trip(
+    tmp_path_factory, frame, seed, rho
+):
+    folder = tmp_path_factory.mktemp("stream")
+    values, mask = frame
+    model = ok.SamplingModel("full") if rho is None else ok.SamplingModel("independent", rho)
+    stream = ok.ObservationStream(
+        values=np.where(mask, values, 0.0), mask=mask, model=model, seed=seed, issue=2
+    )
+    ok.save_stream(stream, folder / "new.csv")
+    reference_save_stream(stream, folder / "old.csv")
+    for suffix in (".csv", ".csv.meta.json"):
+        assert (folder / f"new{suffix}").read_bytes() == (folder / f"old{suffix}").read_bytes()
+    loaded = ok.load_stream(folder / "new.csv")
+    assert np.array_equal(_bits(loaded.values), _bits(stream.values))
+    assert np.array_equal(loaded.mask, stream.mask)
+    assert (loaded.seed, loaded.issue, loaded.model.kind) == (seed, 2, model.kind)
+
+
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+    data=st.data(),
+)
+def test_incomplete_trajectories_fail_like_the_reference_reader(tmp_path_factory, shape, data):
+    rows = [
+        f"{k},{agent},{issue},{k + agent / 8 + issue / 64}\n"
+        for k, agent, issue in np.ndindex(shape)
+    ]
+    kept = data.draw(st.lists(st.sampled_from(rows), min_size=1, unique=True))
+    path = tmp_path_factory.mktemp("gap") / "traj.csv"
+    path.write_text("k,agent,issue,value\n" + "".join(kept))
+    try:
+        expected = reference_load_trajectory(path)
+    except ok.ConfigError as exc:
+        with pytest.raises(ok.ConfigError) as caught:
+            ok.load_trajectory(path)
+        cell = str(exc)[str(exc).index("(k="):]
+        assert str(caught.value).endswith(f"is missing {cell}")
+    else:
+        steps, states = ok.load_trajectory(path)
+        assert np.array_equal(steps, expected[0])
+        assert np.array_equal(states, expected[1])
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("row", [
+    "0,0,0,abc", "0,0,0,1_0", "0,0,0", "0,0,0,1,2", "0.5,0,0,1", "0,1e0,0,1", "   ", "0,,0,1",
+])
+def test_load_trajectory_names_the_line_of_a_malformed_row(tmp_path, row):
+    path = _write(tmp_path / "traj.csv", f"k,agent,issue,value\n0,0,0,1\n\n{row}\n")
+    with pytest.raises(ok.ConfigError) as caught:
+        ok.load_trajectory(path)
+    assert str(caught.value) == f"{path}, line 4: malformed trajectory row {row.strip()!r}"
+
+
+def test_load_trajectory_rejects_a_repeated_row(tmp_path):
+    # the later value used to win without complaint; the first repeat in
+    # file order is named, not the first in label order
+    text = "k,agent,issue,value\n0,0,0,1\n0,1,0,2\n0,1,0,5\n0,0,0,3\n"
+    path = _write(tmp_path / "traj.csv", text)
+    with pytest.raises(ok.ConfigError) as caught:
+        ok.load_trajectory(path)
+    assert str(caught.value) == (
+        f"{path}, line 4: repeated trajectory row (k=0, agent=1, issue=0)"
+    )
+
+
+def test_load_trajectory_rejects_a_negative_label(tmp_path):
+    # the negative row used to be dropped without complaint
+    path = _write(tmp_path / "traj.csv", "k,agent,issue,value\n0,0,0,1\n\n0,-1,0,2\n")
+    with pytest.raises(ok.ConfigError) as caught:
+        ok.load_trajectory(path)
+    assert str(caught.value) == (
+        f"{path}, line 4: negative label in trajectory row (k=0, agent=-1, issue=0)"
+    )
+
+
+def test_load_trajectory_names_the_first_missing_cell(tmp_path):
+    path = _write(tmp_path / "traj.csv", "k,agent,issue,value\n0,0,0,1\n0,1,0,2\n5,1,0,3\n")
+    with pytest.raises(ok.ConfigError, match=r"is missing \(k=5, agent=0, issue=0\)$"):
+        ok.load_trajectory(path)
+
+
+def test_load_trajectory_rejects_an_empty_or_missing_table(tmp_path):
+    path = _write(tmp_path / "traj.csv", "k,agent,issue,value\n")
+    with pytest.raises(ok.ConfigError, match="holds no samples"):
+        ok.load_trajectory(path)
+    with pytest.raises(ok.ConfigError, match="is missing"):
+        ok.load_trajectory(tmp_path / "absent.csv")
+
+
+def test_load_trajectory_does_not_allocate_for_huge_labels(tmp_path):
+    text = "k,agent,issue,value\n0,0,0,1\n0,4000000000,9000000000,2\n"
+    path = _write(tmp_path / "traj.csv", text)
+    with pytest.raises(ok.ConfigError, match=r"is missing \(k=0, agent=0, issue=1\)$"):
+        ok.load_trajectory(path)
+
+
+def _stream_files(tmp_path, rows="0,0,0.5\n1,1,0.25\n", **descriptor):
+    path = _write(tmp_path / "stream.csv", "k,agent,value\n" + rows)
+    doc = {"horizon": 2, "issue": 0, "kind": "full", "n": 2, "rho": None, "seed": 3}
+    doc.update(descriptor)
+    _write(tmp_path / "stream.csv.meta.json", json.dumps(doc))
+    return path
+
+
+def test_load_stream_reads_a_hand_written_stream(tmp_path):
+    stream = ok.load_stream(_stream_files(tmp_path))
+    assert stream.values.tolist() == [[0.5, 0.0], [0.0, 0.25], [0.0, 0.0]]
+    assert stream.mask.tolist() == [[True, False], [False, True], [False, False]]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,0,0.5\n1,abc,0.2\n", "line 3: malformed stream row '1,abc,0.2'"),
+    ("0,0,0.5\n0,0,0.2\n", "line 3: repeated stream row (k=0, agent=0)"),
+    ("0,-1,0.5\n", "line 2: negative label in stream row (k=0, agent=-1)"),
+    ("3,0,0.5\n", "record (3, 0) outside the stream frame"),
+])
+def test_load_stream_rejects_bad_rows(tmp_path, rows, message):
+    with pytest.raises(ok.ConfigError, match=re.escape(message)):
+        ok.load_stream(_stream_files(tmp_path, rows=rows))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", "2", "n must be a nonnegative integer"),
+    ("horizon", -3, "horizon must be a nonnegative integer"),
+    ("issue", "x", "issue must be a nonnegative integer"),
+    ("issue", True, "issue must be a nonnegative integer"),
+    ("seed", "x", "seed must be an integer or null"),
+    ("rho", "x", "rho must be null, a number or a list of numbers"),
+])
+def test_load_stream_validates_the_sidecar_fields(tmp_path, field, value, message):
+    path = _stream_files(tmp_path, **{field: value})
+    with pytest.raises(ok.ConfigError, match=f"stream.csv.meta.json: {message}"):
+        ok.load_stream(path)
+
+
+def test_load_stream_rejects_a_sidecar_that_is_not_json(tmp_path):
+    path = _stream_files(tmp_path)
+    _write(tmp_path / "stream.csv.meta.json", "{horizon")
+    with pytest.raises(ok.ConfigError, match="stream.csv.meta.json is not valid JSON"):
+        ok.load_stream(path)
+
+
+def _network_doc(**fields):
+    doc = {"n": 2, "directed": True, "lambda": [0.5, 0.5], "edges": [[0, 1, 1.0], [1, 0, 1]]}
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n": "x"}, "n must be a nonnegative integer, got 'x'"),
+    ({"n": -1}, "n must be a nonnegative integer, got -1"),
+    ({"edges": [[0]]}, r"edge \[0\] is not \[int, int, number\]"),
+    ({"edges": [[0, 1, "1"]]}, r"edge \[0, 1, '1'\] is not \[int, int, number\]"),
+    ({"edges": [[0.0, 1, 1.0]]}, r"edge \[0.0, 1, 1.0\] is not \[int, int, number\]"),
+    ({"edges": {"0": 1}}, "edges must be a list"),
+    ({"lambda": ["a", 0.5]}, "lambda must be a list of numbers"),
+    ({"directed": "yes"}, "directed must be true or false"),
+])
+def test_load_network_validates_its_fields(tmp_path, fields, message):
+    path = _write(tmp_path / "net.json", json.dumps(_network_doc(**fields)))
+    with pytest.raises(ok.ConfigError, match=message):
+        ok.load_network(path)
+
+
+def test_a_hand_written_network_with_integer_weights_loads(tmp_path):
+    net = ok.load_network(_write(tmp_path / "net.json", json.dumps(_network_doc())))
+    assert net.w.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("loader", [ok.load_network, ok.load_multiplex, ok.load_report])
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 2,', "is not valid JSON"),
+    ("[1, 2]", "does not hold a JSON object"),
+])
+def test_json_loaders_reject_bad_documents(tmp_path, loader, text, message):
+    path = _write(tmp_path / "doc.json", text)
+    with pytest.raises(ok.ConfigError, match=f"doc.json {message}"):
+        loader(path)
+
+
+def test_load_multiplex_rejects_a_layer_that_is_not_an_object(tmp_path):
+    doc = {"model_tag": "independent", "base": None, "layers": [[1]]}
+    path = _write(tmp_path / "mx.json", json.dumps(doc))
+    with pytest.raises(ok.ConfigError, match="must be a JSON object"):
+        ok.load_multiplex(path)

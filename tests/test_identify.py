@@ -232,6 +232,47 @@ def test_infinite_horizon_matches_the_row_box_oracle(nonneg, tol):
     assert np.max(np.abs(report.w_hat - expected)) <= tol
 
 
+def _equilibrium_row_problem(m, tie_seed):
+    """Row 1 of identify_infinite_horizon's program on a Watts-Strogatz
+    network of 50 agents with lambda = 0.4 and m experiments, with random
+    tie weights. The program is the nonneg one: it has the same optimal set
+    as the signed program whenever a nonnegative feasible point exists, and
+    the signed program's lexicographic stage may spend LEXICOGRAPHIC_SLACK
+    on weights of about -5e-10, so its tie-broken point is optimal only
+    within that slack."""
+    net = ok.generate_network(
+        ok.GeneratorConfig(model="watts_strogatz", n=50, k=6, beta_rw=0.2,
+                           lambda_range=(0.4, 0.4)),
+        seed=1,
+    )
+    x0 = np.random.default_rng(2).uniform(-1.0, 1.0, (50, m))
+    x_inf, _ = ok.fj_equilibrium(net, x0)
+    psi = (x_inf - (1.0 - net.lam)[:, None] * x0) / net.lam[:, None]
+    ties = np.random.default_rng(tie_seed).uniform(0.0, 1.0, 50)
+    return ok.L1Problem(phi=x_inf.T, psi=psi[1], sum_to=1.0, nonneg=True, tie_weights=ties)
+
+
+def _tie_broken_rows(m):
+    results = [ok.solve_l1(_equilibrium_row_problem(m, tie_seed)) for tie_seed in (3, 4)]
+    for result in results:
+        assert result.ok and result.solver_log["tie_break"] == "lexicographic"
+        assert result.residual <= 1e-9 and abs(result.x.sum() - 1.0) <= 1e-9
+        # ||w||_1 >= |1'w| = 1, so every nonnegative feasible point is optimal
+        assert result.objective == pytest.approx(1.0, abs=1e-9)
+    return results
+
+
+def test_equilibrium_rows_tie_between_distinct_optima_when_under_determined():
+    # m = 10 < n: the l1 objective leaves the answer to the tie weights
+    first, second = _tie_broken_rows(10)
+    assert np.max(np.abs(first.x - second.x)) > 1e-3
+
+
+def test_equilibrium_rows_have_one_optimum_when_determined():
+    first, second = _tie_broken_rows(40)
+    assert np.max(np.abs(first.x - second.x)) <= 1e-9
+
+
 # ---- unknown susceptibilities ----------------------------------------------
 
 
