@@ -3,18 +3,26 @@
 A table is comma-separated text: a header line naming the columns, then
 one line per row of nonnegative integer labels and, last, a float value
 printed with 17 significant digits, so a read of a written table gives
-back the same doubles bit for bit. Empty lines are skipped. Every other
-document is a JSON object. Readers raise ConfigError naming the file.
+back the same doubles bit for bit. Empty lines are skipped. A table is
+written TABLE_CHUNK rows at a time: the rows' label prefixes are joined
+into one "%.17g" template, filled by a single % with the chunk's values.
+Every other document is a JSON object. Readers raise ConfigError naming
+the file.
 """
 
 import json
+import operator
 import warnings
-from itertools import islice
+from itertools import chain, compress, cycle, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+
+# Rows per formatted piece of a written table: one template string and one
+# tuple of values of this many rows are alive at a time.
+TABLE_CHUNK = 4096
 
 
 def is_int(value) -> bool:
@@ -50,20 +58,26 @@ def json_text(doc: dict) -> str:
 
 
 def table_text(header: str, values, keys=None, mask=None):
-    """Yield a table's header line, then the rows of one leading-axis slice
-    of values at a time: "keys[s],idx...,value" for values[s][idx] in
+    """Yield a table's header line, then its rows in chunks of at most
+    TABLE_CHUNK rows: "keys[s],idx...,value" for values[s][idx] in
     row-major order (keys defaults to 0, 1, ...), only where mask is true
-    when one is given. Every slice reuses one set of label prefixes."""
+    when one is given. A chunk is one template of row prefixes joined with
+    "%.17g" slots, filled by a single % with the chunk's values."""
     values = np.asarray(values, dtype=float)
-    prefixes = np.array(
-        ["".join(f"{i}," for i in idx) for idx in np.ndindex(values.shape[1:])], dtype=object
+    slots = ["".join(f"{i}," for i in idx) + "%.17g\n" for idx in np.ndindex(values.shape[1:])]
+    leads = (f"{s if keys is None else keys[s]}," for s in range(len(values)))
+    rows = map(
+        operator.add,
+        chain.from_iterable(repeat(lead, len(slots)) for lead in leads),
+        cycle(slots),
     )
+    if mask is not None:
+        rows = compress(rows, np.ravel(mask).tolist())
+        values = values[mask]
     yield header + "\n"
-    for s, block in enumerate(values):
-        lead = f"{s if keys is None else keys[s]},"
-        keep = slice(None) if mask is None else np.ravel(mask[s])
-        rows = zip(prefixes[keep].tolist(), np.ravel(block)[keep].tolist())
-        yield "".join([lead + label + format(v, ".17g") + "\n" for label, v in rows])
+    for lo in range(0, values.size, TABLE_CHUNK):
+        chunk = values.flat[lo : lo + TABLE_CHUNK]  # copies this chunk only
+        yield "".join(islice(rows, TABLE_CHUNK)) % tuple(chunk.tolist())
 
 
 def write_table(path, header: str, values, keys=None, mask=None) -> None:

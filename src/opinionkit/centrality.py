@@ -1,17 +1,23 @@
 """Node centrality measures for influence networks.
 
 Distance-based measures treat edge (i, j) as a step from i to j; weighted
-variants use 1/w_ij as the edge length, so strong ties are short. The
-betweenness accumulation follows the dependency recursion over shortest-path
-DAGs and agrees with exhaustive path enumeration on small graphs.
+variants use 1/w_ij as the edge length, so strong ties are short, and
+reject a support weight outside (0, 1/TIE_TOL) with ParameterError.
+Closeness and betweenness share one kernel, _geodesics: all-pairs
+distances from scipy's Dijkstra on the CSR support (self-loops excluded),
+which are the exact minima over paths. Edge (u, v) lies on a shortest
+s -> v path when d(s, u) is finite and |d(s, u) + len(u, v) - d(s, v)| is
+at most TIE_TOL. Betweenness runs Brandes' dependency recursion over
+these edges for a block of sources at once, one numpy step per distance
+rank, and agrees with exhaustive path enumeration on small graphs.
 """
 
-import heapq
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
 from . import dynamics
@@ -21,6 +27,10 @@ from .numkit import STRUCTURAL_ZERO
 
 # Two weighted path lengths within this tolerance count as equal.
 TIE_TOL = 1e-12
+
+# Betweenness works on blocks of sources whose (sources x edges) arrays
+# hold at most this many entries.
+GEODESIC_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -50,60 +60,30 @@ def degree_centrality(
     return CentralityVector(values=values, kind=kind, normalized=False)
 
 
-def _edge_lists(net: InfluenceNetwork, weighted: bool) -> list[list[tuple[int, float]]]:
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(net.n)]
-    for i in range(net.n):
-        for j in np.flatnonzero(np.abs(net.w[i]) > STRUCTURAL_ZERO):
-            if j == i:
-                continue
-            length = 1.0 / net.w[i, j] if weighted else 1.0
-            adjacency[i].append((int(j), length))
-    return adjacency
+def _geodesics(net: InfluenceNetwork, weighted: bool):
+    """(dist, tails, heads, lengths): all-pairs shortest-path lengths
+    dist[s, v] (inf where v is unreachable from s) and the support edges
+    tails[e] -> heads[e] with their lengths, self-loops excluded.
 
-
-def _shortest_path_dag(adjacency, source: int, n: int, weighted: bool):
-    """Distances, path counts, predecessor lists, and settle order."""
-    dist = np.full(n, np.inf)
-    sigma = np.zeros(n)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    order: list[int] = []
-    dist[source] = 0.0
-    sigma[source] = 1.0
-    if not weighted:
-        queue = [source]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            order.append(u)
-            for v, _ in adjacency[u]:
-                if np.isinf(dist[v]):
-                    dist[v] = dist[u] + 1.0
-                    queue.append(v)
-                if dist[v] == dist[u] + 1.0:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        return dist, sigma, preds, order
-
-    heap = [(0.0, source)]
-    settled = np.zeros(n, dtype=bool)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        order.append(u)
-        for v, length in adjacency[u]:
-            candidate = dist[u] + length
-            if candidate < dist[v] - TIE_TOL:
-                dist[v] = candidate
-                sigma[v] = sigma[u]
-                preds[v] = [u]
-                heapq.heappush(heap, (candidate, v))
-            elif not settled[v] and abs(candidate - dist[v]) <= TIE_TOL:
-                sigma[v] += sigma[u]
-                preds[v].append(u)
-    return dist, sigma, preds, order
+    Distances come from scipy's Dijkstra on the CSR support, so they are
+    the exact minima over paths. In weighted mode every edge length 1/w
+    must exceed TIE_TOL, so a support weight must lie in (0, 1/TIE_TOL);
+    then an edge (u, v) on a shortest s -> v path, one with d(s, u) finite
+    and |d(s, u) + len(u, v) - d(s, v)| <= TIE_TOL, always leads farther
+    from s.
+    """
+    support = np.abs(net.w) > STRUCTURAL_ZERO
+    np.fill_diagonal(support, False)
+    tails, heads = np.nonzero(support)
+    if weighted:
+        lengths = 1.0 / net.w[tails, heads]
+        if not (lengths > TIE_TOL).all():
+            raise ParameterError("weighted path lengths 1/w need weights in (0, 1/TIE_TOL)")
+    else:
+        lengths = np.ones(tails.size)
+    graph = sparse.csr_array((lengths, (tails, heads)), shape=(net.n, net.n))
+    dist = dijkstra(graph, directed=True, unweighted=not weighted)
+    return dist, tails, heads, lengths
 
 
 def closeness_centrality(net: InfluenceNetwork, weighted: bool = False) -> CentralityVector:
@@ -112,22 +92,16 @@ def closeness_centrality(net: InfluenceNetwork, weighted: bool = False) -> Centr
     Agents that reach nobody score 0; partial reachability is flagged
     because values on different reachable sets are not comparable.
     """
-    adjacency = _edge_lists(net, weighted)
+    dist, _, _, _ = _geodesics(net, weighted)
+    reach = np.isfinite(dist)
+    np.fill_diagonal(reach, False)
+    counts = reach.sum(axis=1)
     values = np.zeros(net.n)
-    partial = isolated = False
-    for i in range(net.n):
-        dist, _, _, _ = _shortest_path_dag(adjacency, i, net.n, weighted)
-        reach = np.isfinite(dist)
-        reach[i] = False
-        if not reach.any():
-            isolated = True
-            continue
-        if reach.sum() < net.n - 1:
-            partial = True
-        values[i] = 1.0 / dist[reach].sum()
-    if isolated:
+    for i in np.flatnonzero(counts):
+        values[i] = 1.0 / dist[i, reach[i]].sum()
+    if not counts.all():
         warnings.warn("agents without reachable peers score closeness 0", stacklevel=2)
-    if partial:
+    if (counts[counts > 0] < net.n - 1).any():
         warnings.warn(
             "graph is not strongly connected; closeness uses reachable sets only",
             stacklevel=2,
@@ -138,22 +112,68 @@ def closeness_centrality(net: InfluenceNetwork, weighted: bool = False) -> Centr
 def betweenness_centrality(net: InfluenceNetwork, weighted: bool = False) -> CentralityVector:
     """Sum over pairs (j, k) of the fraction of shortest j->k paths
     passing through i. Ordered pairs for directed networks, unordered for
-    undirected ones."""
-    adjacency = _edge_lists(net, weighted)
-    values = np.zeros(net.n)
-    for source in range(net.n):
-        dist, sigma, preds, order = _shortest_path_dag(
-            adjacency, source, net.n, weighted
-        )
-        delta = np.zeros(net.n)
-        for v in reversed(order):
-            for u in preds[v]:
-                delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v])
-            if v != source:
-                values[v] += delta[v]
+    undirected ones.
+
+    Brandes' dependency recursion, run for a block of sources at once:
+    path counts sigma[s, v] accumulate over the agents in increasing order
+    of dist[s, .], dependencies delta[s, u] in decreasing order, one numpy
+    step per rank. Each on-path edge (s, u -> v) is touched once per sweep.
+    """
+    dist, tails, heads, lengths = _geodesics(net, weighted)
+    n = net.n
+    values = np.zeros(n)
+    block = max(1, GEODESIC_BLOCK // max(tails.size, 1))
+    for lo in range(0, n, block):
+        sources = np.arange(lo, min(lo + block, n))
+        values += _dependencies(dist[sources], sources, tails, heads, lengths).sum(axis=0)
     if not net.directed:
         values /= 2.0
     return CentralityVector(values=values, kind="betweenness", normalized=False)
+
+
+def _dependencies(dist, sources, tails, heads, lengths) -> np.ndarray:
+    """(sources x agents) Brandes dependencies delta[s, v], zero at v = s."""
+    b, n = dist.shape
+    rows = np.arange(b)
+    # order[s, r] is the agent of rank r by distance from s; on-path edges
+    # run from a lower to a higher rank because every length exceeds TIE_TOL.
+    order = np.argsort(dist, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    rank[rows[:, None], order] = np.arange(n)
+    cells = order + (rows * n)[:, None]  # flat index of (s, order[s, r])
+    # (s, e) pairs with edge e = (u, v) on a shortest s -> v path
+    du = dist[:, tails]
+    with np.errstate(invalid="ignore"):  # inf - inf where s reaches neither end
+        on_path = np.isfinite(du) & (np.abs(du + lengths - dist[:, heads]) <= TIE_TOL)
+    pair_s, pair_e = np.nonzero(on_path)
+    tail_cell = pair_s * n + tails[pair_e]
+    head_cell = pair_s * n + heads[pair_e]
+
+    def by_rank(cell):
+        """Pair order grouped by the rank of cell, and each rank's bounds."""
+        key = rank.ravel()[cell]
+        grouped = np.argsort(key, kind="stable")
+        return grouped, np.searchsorted(key[grouped], np.arange(n + 1))
+
+    sigma = np.zeros(b * n)
+    sigma[rows * n + sources] = 1.0
+    grouped, bounds = by_rank(head_cell)
+    into_s, from_cell = pair_s[grouped], tail_cell[grouped]
+    for r in range(1, n):
+        lo, hi = bounds[r], bounds[r + 1]
+        sigma[cells[:, r]] = np.bincount(
+            into_s[lo:hi], weights=sigma[from_cell[lo:hi]], minlength=b
+        )
+
+    delta = np.zeros(b * n)
+    grouped, bounds = by_rank(tail_cell)
+    out_s, to_cell = pair_s[grouped], head_cell[grouped]
+    for r in range(n - 1, 0, -1):
+        lo, hi = bounds[r], bounds[r + 1]
+        to = to_cell[lo:hi]
+        share = np.bincount(out_s[lo:hi], weights=(1.0 + delta[to]) / sigma[to], minlength=b)
+        delta[cells[:, r]] = sigma[cells[:, r]] * share
+    return delta.reshape(b, n)
 
 
 def eigenvector_centrality(

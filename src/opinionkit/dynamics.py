@@ -343,9 +343,10 @@ def simulate_gossip_fj(
         raise ParameterError(f"activation_size must lie in [1, {net.n}]")
     table, counts = _neighbor_menus(net)
     rng = philox_stream(seed)
-    # Every per-step quantity is drawn and gathered before the loop, in
-    # blocks of GOSSIP_DRAW_BLOCK rows so that only (steps, a) arrays are
-    # kept; argpartition of iid keys yields a uniform fixed-size subset.
+    # The draws are made before the loop, in blocks of GOSSIP_DRAW_BLOCK
+    # rows, and weights, lambda and anchors are gathered per block inside
+    # it, so that only the (steps, a) arrays active and polled span the
+    # run; argpartition of iid keys yields a uniform fixed-size subset.
     active = np.empty((steps, activation_size), dtype=np.intp)
     polled = np.empty((steps, activation_size), dtype=np.intp)
     for lo in range(0, steps, GOSSIP_DRAW_BLOCK):
@@ -359,17 +360,21 @@ def simulate_gossip_fj(
         polled[lo : lo + GOSSIP_DRAW_BLOCK] = table[
             block, (picks * counts[block]).astype(int)
         ]
-    weight = net.w[active, polled]
-    keep = 1.0 - weight
-    lam_active = net.lam[active]
-    anchor = (1.0 - lam_active) * x0[active]
-
     states = np.empty((steps + 1, net.n))
     states[0] = x0
-    rows = zip(states, states[1:], active, polled, lam_active, keep, weight, anchor)
-    for x, x_next, a, p, lam_a, keep_a, weight_a, anchor_a in rows:
-        x_next[:] = x
-        x_next[a] = lam_a * (keep_a * x[a] + weight_a * x[p]) + anchor_a
+    for lo in range(0, steps, GOSSIP_DRAW_BLOCK):
+        block = active[lo : lo + GOSSIP_DRAW_BLOCK]
+        polled_block = polled[lo : lo + GOSSIP_DRAW_BLOCK]
+        weight = net.w[block, polled_block]
+        keep = 1.0 - weight
+        lam_active = net.lam[block]
+        anchor = (1.0 - lam_active) * x0[block]
+        rows = zip(
+            states[lo:], states[lo + 1 :], block, polled_block, lam_active, keep, weight, anchor
+        )
+        for x, x_next, a, p, lam_a, keep_a, weight_a, anchor_a in rows:
+            x_next[:] = x
+            x_next[a] = lam_a * (keep_a * x[a] + weight_a * x[p]) + anchor_a
     descriptor = ModelDescriptor(
         kind="gossip",
         params={"activation_size": activation_size, "beta": activation_size / net.n},

@@ -15,7 +15,7 @@ from math import log, pi as _PI
 import numpy as np
 from scipy.special import multigammaln
 
-from ._files import read_json, write_json
+from ._files import is_int, is_number, read_json, write_json
 from .errors import (
     ConfigError,
     EstimationError,
@@ -896,21 +896,42 @@ def save_report(report: EstimationReport, path) -> None:
 
 
 def load_report(path) -> EstimationReport:
+    """Read a report written by save_report. Raises ConfigError naming the
+    file unless w_hat is a rectangular array of numbers, lambda_hat and
+    gamma_hat are such arrays or null, support is a list of [int, int] and
+    metrics and solver_log are JSON objects."""
     doc = read_json(path, "report")
     expected = {"w_hat", "lambda_hat", "gamma_hat", "support", "metrics", "solver_log"}
     if set(doc) != expected:
         raise ConfigError(
             f"report {path} has keys {sorted(doc)}, expected {sorted(expected)}"
         )
+    arrays = {}
+    for name in ("w_hat", "lambda_hat", "gamma_hat"):
+        if doc[name] is None and name != "w_hat":
+            arrays[name] = None
+            continue
+        cells = np.asarray(doc[name], dtype=object)
+        try:
+            if all(map(is_number, cells.flat)):
+                arrays[name] = cells.astype(float)
+                continue
+        except OverflowError:  # an integer beyond the float range
+            pass
+        allowed = "an array of numbers" + ("" if name == "w_hat" else " or null")
+        raise ConfigError(f"report {path}: {name} must be {allowed}")
+    support = doc["support"]
+    if not isinstance(support, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(map(is_int, pair))
+        for pair in support
+    ):
+        raise ConfigError(f"report {path}: support must be a list of [int, int]")
+    for name in ("metrics", "solver_log"):
+        if not isinstance(doc[name], dict):
+            raise ConfigError(f"report {path}: {name} must be a JSON object")
     return EstimationReport(
-        w_hat=np.asarray(doc["w_hat"], dtype=float),
-        lambda_hat=None
-        if doc["lambda_hat"] is None
-        else np.asarray(doc["lambda_hat"], dtype=float),
-        gamma_hat=None
-        if doc["gamma_hat"] is None
-        else np.asarray(doc["gamma_hat"], dtype=float),
-        support=tuple((int(i), int(j)) for i, j in doc["support"]),
+        **arrays,
+        support=tuple((i, j) for i, j in support),
         metrics=doc["metrics"],
         solver_log=doc["solver_log"],
     )

@@ -5,13 +5,16 @@ dense linear algebra, direct formula evaluation. The point is to check
 the library against implementations that share no code with it.
 """
 
+import heapq
 import itertools
 import json
+import warnings
 
 import numpy as np
 from scipy.optimize import linprog
 
 import opinionkit as ok
+from opinionkit.centrality import TIE_TOL
 from opinionkit.numkit import STRUCTURAL_ZERO
 
 
@@ -204,6 +207,121 @@ def reference_simulate_fj(net, x0, steps):
     for _ in range(steps):
         states.append(coupling @ states[-1] + anchor)
     return np.stack(states)
+
+
+def _reference_edge_lists(
+    net: ok.InfluenceNetwork, weighted: bool
+) -> list[list[tuple[int, float]]]:
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(net.n)]
+    for i in range(net.n):
+        for j in np.flatnonzero(np.abs(net.w[i]) > STRUCTURAL_ZERO):
+            if j == i:
+                continue
+            length = 1.0 / net.w[i, j] if weighted else 1.0
+            adjacency[i].append((int(j), length))
+    return adjacency
+
+
+def _reference_shortest_path_dag(adjacency, source: int, n: int, weighted: bool):
+    """Distances, path counts, predecessor lists, and settle order."""
+    dist = np.full(n, np.inf)
+    sigma = np.zeros(n)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    order: list[int] = []
+    dist[source] = 0.0
+    sigma[source] = 1.0
+    if not weighted:
+        queue = [source]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            order.append(u)
+            for v, _ in adjacency[u]:
+                if np.isinf(dist[v]):
+                    dist[v] = dist[u] + 1.0
+                    queue.append(v)
+                if dist[v] == dist[u] + 1.0:
+                    sigma[v] += sigma[u]
+                    preds[v].append(u)
+        return dist, sigma, preds, order
+
+    heap = [(0.0, source)]
+    settled = np.zeros(n, dtype=bool)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        order.append(u)
+        for v, length in adjacency[u]:
+            candidate = dist[u] + length
+            if candidate < dist[v] - TIE_TOL:
+                dist[v] = candidate
+                sigma[v] = sigma[u]
+                preds[v] = [u]
+                heapq.heappush(heap, (candidate, v))
+            elif not settled[v] and abs(candidate - dist[v]) <= TIE_TOL:
+                sigma[v] += sigma[u]
+                preds[v].append(u)
+    return dist, sigma, preds, order
+
+
+def reference_closeness(
+    net: ok.InfluenceNetwork, weighted: bool = False
+) -> ok.CentralityVector:
+    """Closeness by one heapq Dijkstra per source, kept verbatim from the
+    library's earlier version as an oracle. Reciprocal of the summed
+    distances to the agents reachable from i.
+
+    Agents that reach nobody score 0; partial reachability is flagged
+    because values on different reachable sets are not comparable.
+    """
+    adjacency = _reference_edge_lists(net, weighted)
+    values = np.zeros(net.n)
+    partial = isolated = False
+    for i in range(net.n):
+        dist, _, _, _ = _reference_shortest_path_dag(adjacency, i, net.n, weighted)
+        reach = np.isfinite(dist)
+        reach[i] = False
+        if not reach.any():
+            isolated = True
+            continue
+        if reach.sum() < net.n - 1:
+            partial = True
+        values[i] = 1.0 / dist[reach].sum()
+    if isolated:
+        warnings.warn("agents without reachable peers score closeness 0", stacklevel=2)
+    if partial:
+        warnings.warn(
+            "graph is not strongly connected; closeness uses reachable sets only",
+            stacklevel=2,
+        )
+    return ok.CentralityVector(values=values, kind="closeness", normalized=False)
+
+
+def reference_betweenness(
+    net: ok.InfluenceNetwork, weighted: bool = False
+) -> ok.CentralityVector:
+    """Brandes' recursion over one heapq Dijkstra per source, kept verbatim
+    from the library's earlier version as an oracle. Sum over pairs (j, k)
+    of the fraction of shortest j->k paths passing through i. Ordered pairs
+    for directed networks, unordered for undirected ones."""
+    adjacency = _reference_edge_lists(net, weighted)
+    values = np.zeros(net.n)
+    for source in range(net.n):
+        dist, sigma, preds, order = _reference_shortest_path_dag(
+            adjacency, source, net.n, weighted
+        )
+        delta = np.zeros(net.n)
+        for v in reversed(order):
+            for u in preds[v]:
+                delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v])
+            if v != source:
+                values[v] += delta[v]
+    if not net.directed:
+        values /= 2.0
+    return ok.CentralityVector(values=values, kind="betweenness", normalized=False)
 
 
 def reference_friedkin(net):

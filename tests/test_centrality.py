@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 import opinionkit as ok
 from helpers import (
     brute_force_centrality,
+    reference_betweenness,
+    reference_closeness,
     reference_friedkin,
     row_stochastic,
     stable_network,
 )
+from opinionkit.centrality import TIE_TOL
 
 
 def _line_network(n=4):
@@ -92,6 +95,76 @@ def test_path_based_centralities_match_enumeration(seed):
         bc_ref, cc_ref = brute_force_centrality(net, weighted)
         assert np.allclose(bc, bc_ref, atol=1e-9)
         assert np.allclose(cc, cc_ref, atol=1e-9)
+
+
+def _generated(model, n, directed, sinks=0):
+    """A generated network, symmetrised when undirected; its first `sinks`
+    agents keep only a self-loop, so they reach nobody."""
+    extra = dict(k=6, beta_rw=0.2) if model == "watts_strogatz" else dict(m0=3)
+    config = ok.GeneratorConfig(model=model, n=n, lambda_range=(0.3, 0.8), **extra)
+    w = ok.generate_network(config, seed=4).w.copy()
+    if not directed:
+        w = (w + w.T) / 2.0
+    w[:sinks] = 0.0
+    w[np.arange(sinks), np.arange(sinks)] = 1.0
+    return ok.InfluenceNetwork(w=w, lam=np.full(n, 0.5), directed=directed)
+
+
+def _with_warnings(measure, net, weighted):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = measure(net, weighted=weighted).values
+    return values, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+@pytest.mark.parametrize("model, n, sinks", [
+    ("watts_strogatz", 200, 0),
+    ("watts_strogatz", 250, 0),
+    ("barabasi_albert", 200, 0),
+    ("barabasi_albert", 250, 0),
+    ("watts_strogatz", 200, 7),
+])
+def test_path_centralities_match_the_heapq_brandes_code(model, n, sinks, directed):
+    net = _generated(model, n, directed, sinks)
+    for weighted in (False, True):
+        for measure, reference in (
+            (ok.betweenness_centrality, reference_betweenness),
+            (ok.closeness_centrality, reference_closeness),
+        ):
+            values, messages = _with_warnings(measure, net, weighted)
+            expected, expected_messages = _with_warnings(reference, net, weighted)
+            # relative to the value: betweenness reaches 1e4 here, where
+            # one rounding of a reordered sum is already 2e-12
+            tolerance = 1e-12 * np.maximum(1.0, np.abs(expected))
+            assert np.all(np.abs(values - expected) <= tolerance)
+            assert messages == expected_messages
+            # only closeness flags the sinks and the partial reachable sets
+            assert len(messages) == (2 if sinks and measure is ok.closeness_centrality else 0)
+
+
+def test_betweenness_on_a_long_directed_path_is_the_closed_form():
+    n = 400
+    w = np.zeros((n, n))
+    w[np.arange(n - 1), np.arange(1, n)] = 1.0
+    w[n - 1, n - 1] = 1.0
+    net = ok.InfluenceNetwork(w=w, lam=np.full(n, 0.5))
+    i = np.arange(n)
+    for weighted in (False, True):
+        values = ok.betweenness_centrality(net, weighted=weighted).values
+        # agent i lies on the one path from each j < i to each k > i
+        assert np.array_equal(values, (i * (n - 1 - i)).astype(float))
+
+
+@pytest.mark.parametrize("weight", [-0.5, 1.0 / TIE_TOL])
+@pytest.mark.parametrize("measure", [ok.betweenness_centrality, ok.closeness_centrality])
+def test_weighted_path_centralities_reject_weights_without_a_length(measure, weight):
+    w = np.array([[0.0, 0.5, 0.5], [weight, 0.0, 1.0 - weight], [0.5, 0.5, 0.0]])
+    net = ok.InfluenceNetwork(w=w, lam=np.full(3, 0.5))
+    with pytest.raises(ok.ParameterError):
+        measure(net, weighted=True)
+    # hop counts read only the support
+    assert np.all(np.isfinite(measure(net, weighted=False).values))
 
 
 def test_eigenvector_centrality_on_a_symmetric_pair():

@@ -172,6 +172,31 @@ def test_evaluate_to_a_file_and_to_stdout(tmp_path, capsys, files):
     assert out.read_text() == expected
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("w_hat", [["a"]], "w_hat must be an array of numbers"),
+    ("w_hat", None, "w_hat must be an array of numbers"),
+    ("w_hat", [[1.0], [1.0, 2.0]], "w_hat must be an array of numbers"),
+    ("w_hat", [[10**400]], "w_hat must be an array of numbers"),
+    ("lambda_hat", [True, 0.5], "lambda_hat must be an array of numbers or null"),
+    ("gamma_hat", "0.5", "gamma_hat must be an array of numbers or null"),
+    ("support", [[0]], "support must be a list of [int, int]"),
+    ("support", [[0, 1.0]], "support must be a list of [int, int]"),
+    ("support", {"0": 1}, "support must be a list of [int, int]"),
+    ("metrics", [], "metrics must be a JSON object"),
+    ("solver_log", None, "solver_log must be a JSON object"),
+])
+def test_evaluate_rejects_a_malformed_report_field(tmp_path, capsys, files, field, value,
+                                                   message):
+    # the first two used to escape main() as a ValueError
+    with open(files["est"]) as handle:
+        doc = json.load(handle)
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["evaluate", "--truth", files["net"], "--estimate", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: report {bad}: {message}\n"
+
+
 @pytest.mark.parametrize("args, measure", [
     (["--measure", "pagerank", "--damping", "0.2"],
      lambda net: ok.pagerank(net.w, m=0.2, row_stochastic=True)),

@@ -16,6 +16,8 @@ from helpers import (
     reference_save_stream,
     reference_save_trajectory,
 )
+from opinionkit import _files
+from opinionkit._files import TABLE_CHUNK
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e308, -1e308, 0.1]
 VALUES = st.one_of(st.floats(allow_nan=False), st.sampled_from(SPECIAL))
@@ -77,6 +79,53 @@ def test_stream_files_match_the_reference_writer_and_round_trip(
     assert np.array_equal(_bits(loaded.values), _bits(stream.values))
     assert np.array_equal(loaded.mask, stream.mask)
     assert (loaded.seed, loaded.issue, loaded.model.kind) == (seed, 2, model.kind)
+
+
+def _stream(values, mask):
+    return ok.ObservationStream(
+        values=np.where(mask, values, 0.0), mask=mask, model=ok.SamplingModel("full"),
+        seed=None, issue=0,
+    )
+
+
+def _same_as_the_reference_writers(folder, states, stride, stream):
+    ok.save_trajectory(_trajectory(states), folder / "new.csv", stride=stride)
+    reference_save_trajectory(_trajectory(states), folder / "old.csv", stride=stride)
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+    ok.save_stream(stream, folder / "new.csv")
+    reference_save_stream(stream, folder / "old.csv")
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+
+def test_tables_spanning_many_chunks_match_the_reference_writers(tmp_path):
+    rng = np.random.default_rng(3)
+    # one slice holds more rows than a chunk
+    states = rng.standard_normal((3, TABLE_CHUNK // 2 + 1, 3))
+    states[1, 5:9, 0] = SPECIAL[:4]
+    mask = rng.random((3 * TABLE_CHUNK, 2)) < 0.5
+    mask[TABLE_CHUNK // 2 : 2 * TABLE_CHUNK] = False  # masked rows beyond a chunk
+    _same_as_the_reference_writers(tmp_path, states, 2, _stream(rng.random(mask.shape), mask))
+    nothing = np.zeros((TABLE_CHUNK + 3, 2), dtype=bool)
+    ok.save_stream(_stream(rng.random(nothing.shape), nothing), tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_text() == "k,agent,value\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_every_chunk_boundary_matches_the_reference_writers(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(_files, "TABLE_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for shape in [(1, 1, 1), (4, 3, 2), (5, 2, 1), (2, 9, 1)]:
+        mask = rng.random(shape[:2]) < 0.4
+        mask[1:3] = False  # masks false over more rows than a chunk
+        states = rng.standard_normal(shape)
+        stream = _stream(states[:, :, 0], mask)
+        _same_as_the_reference_writers(tmp_path, states, 1 + shape[0] % 3, stream)
+    values = rng.standard_normal(11)
+    expected = "agent,value\n" + "".join(f"{a},{v:.17g}\n" for a, v in enumerate(values))
+    assert "".join(_files.table_text("agent,value", values)) == expected
+    for empty in (np.zeros((0, 4)), np.zeros((3, 0))):
+        text = _files.table_text("k,agent,value", empty, mask=np.ones(empty.shape, dtype=bool))
+        assert "".join(text) == "k,agent,value\n"
 
 
 @given(
