@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import dijkstra
-from scipy.sparse.linalg import splu
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import dynamics
-from .errors import NumericalError, ParameterError, StabilityError
+from .errors import NumericalError, ParameterError
 from .netgraph import InfluenceNetwork
 from .numkit import STRUCTURAL_ZERO
 
@@ -192,7 +191,8 @@ def eigenvector_centrality(
         raise ParameterError("centrality needs a square matrix")
     if a.min() < -STRUCTURAL_ZERO:
         raise ParameterError("eigenvector centrality requires a nonnegative matrix")
-    if not _strongly_connected(a):
+    strong = connected_components(np.abs(a) > STRUCTURAL_ZERO, connection="strong")[0]
+    if strong != 1:
         warnings.warn(
             "matrix is reducible; the dominant eigenvector may not be unique",
             stacklevel=2,
@@ -210,28 +210,6 @@ def eigenvector_centrality(
         y = ax + shift * x
         x = y / y.sum()
     raise NumericalError(f"power iteration did not converge in {max_iter} iterations")
-
-
-def _strongly_connected(a: np.ndarray) -> bool:
-    support = np.abs(a) > STRUCTURAL_ZERO
-    np.fill_diagonal(support, False)
-    return _reaches_all(support) and _reaches_all(support.T)
-
-
-def _reaches_all(support: np.ndarray) -> bool:
-    n = support.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(support[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(int(v))
-        frontier = nxt
-    return bool(seen.all())
 
 
 def pagerank(
@@ -266,10 +244,10 @@ def friedkin_centrality(net: InfluenceNetwork, alpha: float | None = None) -> Ce
     on the equilibrium, with V the control matrix.
 
     With alpha given, susceptibilities are overridden by Lambda = alpha I,
-    giving c = (1 - alpha) (I - alpha W')^{-1} 1 / n. Requires Schur
-    stability of Lambda W. (I - Lambda W)' is solved against the ones
-    vector by one sparse LU factorisation, and the result must lie on the
-    simplex (sum 1 within 1e-9, no entry below -1e-12).
+    giving c = (1 - alpha) (I - alpha W')^{-1} 1 / n. The solve shares the
+    anchored system of dynamics.fj_equilibrium: it requires Schur stability
+    and kappa_inf(I - Lambda W) <= CONDITION_MAX. The result must lie on
+    the simplex (sum 1 within 1e-9, no entry below -1e-12).
     """
     if alpha is not None:
         if not 0.0 <= alpha <= 1.0:
@@ -277,17 +255,8 @@ def friedkin_centrality(net: InfluenceNetwork, alpha: float | None = None) -> Ce
         net = InfluenceNetwork(
             w=net.w, lam=np.full(net.n, float(alpha)), directed=net.directed
         )
-    report = dynamics.is_schur_stable(net)
-    if not report.schur_stable:
-        raise StabilityError(
-            f"influence centrality undefined: agents {report.unanchored} cannot "
-            "reach any agent with lambda < 1"
-        )
-    system = sparse.identity(net.n, format="csc") - sparse.csc_array(
-        dynamics._coupling(net)
-    )
-    solved = splu(system).solve(np.ones(net.n), trans="T")
-    values = (1.0 - net.lam) * solved / net.n
+    solve = dynamics._anchored_system(net, "influence centrality")
+    values = (1.0 - net.lam) * solve(np.ones(net.n), transpose=True) / net.n
     total_err = abs(values.sum() - 1.0)
     if total_err > 1e-9 or values.min() < -1e-12:
         raise NumericalError(

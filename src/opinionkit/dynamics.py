@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from ._files import read_table, write_table
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     StructuralError,
 )
 from .netgraph import InfluenceNetwork, MultiplexNetwork
-from .numkit import DENSE_MAX_N, STRUCTURAL_ZERO, philox_stream, spectral_radius
+from .numkit import CONDITION_MAX, DENSE_MAX_N, STRUCTURAL_ZERO, philox_stream, spectral_radius
 
 # Plateau detector: this many consecutive steps with ||dX||_inf below
 # PLATEAU_TOL mark the trajectory as converged.
@@ -83,7 +84,8 @@ class StabilityReport:
     computed spectral radius must agree and is cross-checked. The radius
     comes from numkit.spectral_radius: a dense eigen-solve up to
     DENSE_MAX_N agents, beyond that a certified ARPACK value on the CSR
-    coupling (or the dense fallback).
+    coupling (or the dense fallback). Every solve with I - Lambda W makes
+    this check and bounds kappa_inf(I - Lambda W) (see _anchored_system).
     """
 
     schur_stable: bool
@@ -127,13 +129,14 @@ def _coupling(net: InfluenceNetwork):
     return coupling if net.n <= DENSE_MAX_N else sparse.csr_array(coupling)
 
 
-def is_schur_stable(net: InfluenceNetwork) -> StabilityReport:
-    """Decide Schur stability of Lambda W by the walk criterion.
+def _stability(net: InfluenceNetwork, coupling, what: str | None = None) -> StabilityReport:
+    """Decide Schur stability of coupling = Lambda W by the walk criterion.
 
     The open set collects agents with lambda < 1; stability holds iff no
     agent is cut off from it. The eigenvalue radius is computed
     independently and the two routes must agree (the graph criterion is
-    authoritative for ties at radius 1).
+    authoritative for ties at radius 1). With `what` given, an unstable
+    network raises StabilityError naming it.
     """
     lam = net.lam
     reaches = lam < 1.0
@@ -147,7 +150,7 @@ def is_schur_stable(net: InfluenceNetwork) -> StabilityReport:
     unanchored = tuple(np.flatnonzero(~reaches).tolist())
     stable = not unanchored
 
-    radius = spectral_radius(_coupling(net))
+    radius = spectral_radius(coupling)
     if stable and radius >= 1.0 + 1e-9:
         raise NumericalError(
             f"graph criterion says stable but spectral radius is {radius:.12g}"
@@ -156,12 +159,48 @@ def is_schur_stable(net: InfluenceNetwork) -> StabilityReport:
         raise NumericalError(
             f"graph criterion says unstable but spectral radius is {radius:.12g}"
         )
+    if what is not None and not stable:
+        raise StabilityError(f"{what} needs a Schur-stable Lambda W, but agents "
+                             f"{unanchored} cannot reach any agent with lambda < 1")
     return StabilityReport(
         schur_stable=stable,
         spectral_radius=radius,
         open_set=tuple(np.flatnonzero(lam < 1.0).tolist()),
         unanchored=unanchored,
     )
+
+
+def is_schur_stable(net: InfluenceNetwork) -> StabilityReport:
+    """Decide Schur stability of Lambda W (see StabilityReport)."""
+    return _stability(net, _coupling(net))
+
+
+def _anchored_system(net: InfluenceNetwork, what: str):
+    """solve(rhs, transpose=False) with S = I - Lambda W, the one code path
+    for S^{-1}. The network must be Schur stable (else StabilityError naming
+    `what`) and kappa = ||S||_inf max|S^{-1} 1| at most CONDITION_MAX (else
+    NumericalError): the exact infinity-norm condition number when
+    Lambda W >= 0, as S^{-1} = sum_k (Lambda W)^k >= 0, else a lower bound.
+    Up to DENSE_MAX_N agents each solve is numpy's dense one (scipy's LU
+    differs from it in the last bit); beyond, SuperLU factorises S once.
+    """
+    coupling = _coupling(net)
+    _stability(net, coupling, what)
+    if net.n <= DENSE_MAX_N:
+        system, factor = np.eye(net.n) - coupling, None
+    else:
+        system = sparse.identity(net.n, format="csc") - sparse.csc_array(coupling)
+        factor = splu(system)
+
+    def solve(rhs, transpose=False):
+        if factor is None:
+            return np.linalg.solve(system.T if transpose else system, rhs)
+        return factor.solve(rhs, trans="T" if transpose else "N")
+
+    condition = abs(system).sum(axis=1).max() * np.abs(solve(np.ones(net.n))).max()
+    if condition > CONDITION_MAX:
+        raise NumericalError(f"{what}: I - Lambda W has condition number {condition:.3g} (inf-norm)")
+    return solve
 
 
 def simulate_fj(net: InfluenceNetwork, x0, steps: int) -> OpinionTrajectory:
@@ -189,21 +228,12 @@ def simulate_fj(net: InfluenceNetwork, x0, steps: int) -> OpinionTrajectory:
 def fj_equilibrium(net: InfluenceNetwork, x0) -> tuple[np.ndarray, np.ndarray]:
     """Equilibrium profile and the control matrix V with x(inf) = V x(0).
 
-    V = (I - Lambda W)^{-1} (I - Lambda) is row-stochastic; requires
-    Schur stability and raises on ill-conditioned systems.
+    V = (I - Lambda W)^{-1} (I - Lambda) is row-stochastic; requires Schur
+    stability and kappa_inf(I - Lambda W) <= CONDITION_MAX (_anchored_system).
     """
-    report = is_schur_stable(net)
-    if not report.schur_stable:
-        raise StabilityError(
-            f"equilibrium undefined: agents {report.unanchored} cannot reach "
-            "any agent with lambda < 1"
-        )
+    solve = _anchored_system(net, "equilibrium")
     x0 = np.asarray(x0, dtype=float)
-    system = np.eye(net.n) - net.lam[:, None] * net.w
-    condition = np.linalg.cond(system)
-    if condition > 1e12:
-        raise NumericalError(f"I - Lambda W has condition number {condition:.3g}")
-    control = np.linalg.solve(system, np.diag(1.0 - net.lam))
+    control = solve(np.diag(1.0 - net.lam))
     row_err = np.max(np.abs(control.sum(axis=1) - 1.0))
     if row_err > 1e-9 or control.min() < -1e-9:
         raise NumericalError(
@@ -259,7 +289,8 @@ def simulate_reflected_appraisal(
     Between issues, each agent's self-weight becomes its realized social
     power: with Lambda(s) = I - diag(c(s)) and
     W(s) = I - Lambda(s) + Lambda(s) C, the next power vector is
-    c(s+1)' = (1'/n) (I - Lambda(s) W(s))^{-1} (I - Lambda(s)).
+    c(s+1)' = (1'/n) (I - Lambda(s) W(s))^{-1} (I - Lambda(s)), the influence
+    centrality of (W(s), 1 - c(s)) under the guards of _anchored_system.
     C must be zero-diagonal with unit row sums; c0 lies on the open simplex.
     """
     c_influence = np.atleast_2d(np.asarray(c_influence, dtype=float))
@@ -284,11 +315,11 @@ def simulate_reflected_appraisal(
     for s in range(n_issues):
         w_stage = np.diag(c) + (1.0 - c)[:, None] * c_influence
         w_seq[s] = w_stage
-        system = np.eye(n) - (1.0 - c)[:, None] * w_stage
-        c_next = c * np.linalg.solve(system.T, np.ones(n)) / n
-        if abs(c_next.sum() - 1.0) > 1e-9 or c_next.min() <= 0.0:
+        stage = InfluenceNetwork(w=w_stage, lam=1.0 - c)
+        solve = _anchored_system(stage, f"reflected appraisal stage {s + 1}")
+        c = c * solve(np.ones(n), transpose=True) / n
+        if abs(c.sum() - 1.0) > 1e-9 or c.min() <= 0.0:
             raise NumericalError(f"social power left the simplex at stage {s + 1}")
-        c = c_next
         c_seq[s + 1] = c
     return AppraisalPath(w_seq=w_seq, c_seq=c_seq)
 
@@ -401,9 +432,8 @@ def expected_gossip_dynamics(
         raise StructuralError("x0 length does not match the network")
     _, counts = _neighbor_menus(net)
     n = net.n
-    inv_d = np.diag(1.0 / counts)
-    gamma_bar = (1.0 - beta) * np.eye(n) + beta * np.diag(net.lam) @ (
-        np.eye(n) - inv_d @ (np.eye(n) - net.w)
+    gamma_bar = (1.0 - beta) * np.eye(n) + beta * net.lam[:, None] * (
+        np.eye(n) - (1.0 / counts)[:, None] * (np.eye(n) - net.w)
     )
     b_bar = beta * (1.0 - net.lam) * x0
     radius = spectral_radius(gamma_bar)
@@ -459,12 +489,10 @@ def simulate_multiplex_fj(
             layer.lam if lambdas is None else lambdas[s], dtype=float
         ).ravel()
         net = InfluenceNetwork(w=layer.w, lam=lam, directed=layer.directed)
-        report = is_schur_stable(net)
-        if not report.schur_stable:
-            raise StabilityError(f"layer {s} is not Schur stable")
+        coupling = _coupling(net)
+        _stability(net, coupling, f"multiplex layer {s}")
         factor = _noise_factor(q_layers[s], n)
         rng = philox_stream(seed, 3, s)
-        coupling = np.diag(lam) @ layer.w
         anchor = (1.0 - lam) * u_layers[s]
         states = np.empty((steps + 1, n))
         states[0] = u_layers[s]
@@ -472,8 +500,7 @@ def simulate_multiplex_fj(
         # summation order inside BLAS (exactly when factor is diagonal).
         noise = rng.standard_normal((steps, n)) @ factor.T
         for x, x_next, eta in zip(states, states[1:], noise):
-            np.matmul(coupling, x, out=x_next)
-            x_next += anchor
+            np.add(coupling @ x, anchor, out=x_next)
             x_next += eta
         descriptor = ModelDescriptor(
             kind="multiplex_noisy", params={"layer": s, "steps": steps}, seed=seed

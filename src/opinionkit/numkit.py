@@ -41,6 +41,9 @@ LEXICOGRAPHIC_SLACK = 1e-9
 # sparse (CSR products, ARPACK under a Collatz-Wielandt certificate).
 DENSE_MAX_N = 200
 
+# Bound on the infinity-norm condition number of I - Lambda W wherever it is solved.
+CONDITION_MAX = 1e12
+
 _LINPROG_STATUS = {
     0: "optimal",
     1: "iteration_limit",

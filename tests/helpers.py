@@ -209,6 +209,36 @@ def reference_simulate_fj(net, x0, steps):
     return np.stack(states)
 
 
+def reference_reflected_appraisal(c_influence, c0, n_issues):
+    """(w_seq, c_seq) from the per-stage loop that solves the transposed
+    anchored system with a dense solve against the ones vector."""
+    n = c_influence.shape[0]
+    c = np.asarray(c0, dtype=float)
+    w_seq = np.empty((n_issues, n, n))
+    c_seq = np.empty((n_issues + 1, n))
+    c_seq[0] = c
+    for s in range(n_issues):
+        w_stage = np.diag(c) + (1.0 - c)[:, None] * c_influence
+        w_seq[s] = w_stage
+        system = np.eye(n) - (1.0 - c)[:, None] * w_stage
+        c_next = c * np.linalg.solve(system.T, np.ones(n)) / n
+        c = c_next
+        c_seq[s + 1] = c
+    return w_seq, c_seq
+
+
+def reference_expected_gossip_dynamics(net, beta, x0):
+    """(Gamma_bar, b_bar, x_mean_inf) from dense diagonal products."""
+    n = net.n
+    _, counts = reference_neighbor_menus(net)
+    inv_d = np.diag(1.0 / counts)
+    gamma_bar = (1.0 - beta) * np.eye(n) + beta * np.diag(net.lam) @ (
+        np.eye(n) - inv_d @ (np.eye(n) - net.w)
+    )
+    b_bar = beta * (1.0 - net.lam) * x0
+    return gamma_bar, b_bar, np.linalg.solve(np.eye(n) - gamma_bar, b_bar)
+
+
 def _reference_edge_lists(
     net: ok.InfluenceNetwork, weighted: bool
 ) -> list[list[tuple[int, float]]]:
@@ -322,6 +352,29 @@ def reference_betweenness(
     if not net.directed:
         values /= 2.0
     return ok.CentralityVector(values=values, kind="betweenness", normalized=False)
+
+
+def reference_strongly_connected(a):
+    """Strong connectivity of the support of a by two breadth-first walks
+    from agent 0, along the edges and against them."""
+    support = np.abs(a) > STRUCTURAL_ZERO
+    np.fill_diagonal(support, False)
+
+    def reaches_all(support):
+        seen = np.zeros(support.shape[0], dtype=bool)
+        seen[0] = True
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in np.flatnonzero(support[u]):
+                    if not seen[v]:
+                        seen[v] = True
+                        nxt.append(int(v))
+            frontier = nxt
+        return bool(seen.all())
+
+    return reaches_all(support) and reaches_all(support.T)
 
 
 def reference_friedkin(net):

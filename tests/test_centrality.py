@@ -13,6 +13,7 @@ from helpers import (
     reference_betweenness,
     reference_closeness,
     reference_friedkin,
+    reference_strongly_connected,
     row_stochastic,
     stable_network,
 )
@@ -187,6 +188,21 @@ def test_eigenvector_centrality_flags_reducible_input():
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.warns(UserWarning):
         ok.eigenvector_centrality(a)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_eigenvector_centrality_flags_exactly_what_the_walks_call_reducible(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    a = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.6))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ok.eigenvector_centrality(a, max_iter=20)
+        except ok.NumericalError:
+            pass
+    flagged = any("reducible" in str(w.message) for w in caught)
+    assert flagged == (not reference_strongly_connected(a))
 
 
 def test_pagerank_uniform_on_a_symmetric_cycle():

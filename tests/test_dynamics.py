@@ -9,16 +9,18 @@ from hypothesis import strategies as st
 
 import opinionkit as ok
 from helpers import (
+    reference_expected_gossip_dynamics,
     reference_gossip_fj,
     reference_multiplex_fj,
     reference_neighbor_menus,
+    reference_reflected_appraisal,
     reference_simulate_fj,
     reference_stability,
     row_stochastic,
     stable_network,
 )
 from opinionkit.dynamics import GOSSIP_DRAW_BLOCK, _neighbor_menus
-from opinionkit.numkit import DENSE_MAX_N
+from opinionkit.numkit import CONDITION_MAX, DENSE_MAX_N
 
 
 def _ws_network(n, seed):
@@ -177,6 +179,54 @@ def test_fj_equilibrium_is_the_dense_solve_bit_for_bit():
     assert np.array_equal(x_inf, expected @ x0)
 
 
+def test_fj_equilibrium_beyond_the_dense_cutoff_is_the_dense_solve():
+    n = 250
+    assert n > DENSE_MAX_N
+    net = _ws_network(n, seed=3)
+    x0 = np.random.default_rng(3).uniform(-1, 1, n)
+    x_inf, control = ok.fj_equilibrium(net, x0)
+    system = np.eye(n) - np.diag(net.lam) @ net.w
+    expected = np.linalg.solve(system, np.diag(1.0 - net.lam))
+    assert np.max(np.abs(control - expected)) <= 1e-12
+    assert np.max(np.abs(x_inf - expected @ x0)) <= 1e-12
+
+
+def test_condition_guard_rejects_a_nearly_unanchored_pair():
+    # kappa_inf of I - Lambda W is (1 + lambda) / (1 - lambda), about 2e13
+    net = _pair_network(lam=(1.0 - 1e-13, 1.0 - 1e-13))
+    with pytest.raises(ok.NumericalError, match="condition number"):
+        ok.fj_equilibrium(net, np.array([1.0, 0.0]))
+    with pytest.raises(ok.NumericalError, match="condition number"):
+        ok.friedkin_centrality(net)
+
+
+def _slow_leader(gap):
+    """Agent 0 copies agent 1, which keeps all weight on itself with
+    lambda = 1 - gap; agent 2 is fully stubborn. S = I - Lambda W has rows
+    (1, -1, 0), (0, gap, 0), (0, 0, 1) and S^{-1} 1 = (1 + 1/gap, 1/gap, 1),
+    so kappa_inf(S) = 2 (1 + 1/gap); every solve is exact for gap = 2^-k."""
+    w = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    return ok.InfluenceNetwork(w=w, lam=np.array([1.0, 1.0 - gap, 0.0]))
+
+
+def test_condition_guard_accepts_a_system_just_below_the_bound():
+    net = _slow_leader(2.0**-38)  # kappa_inf about 5.5e11
+    assert 2 * (1 + 2.0**38) < CONDITION_MAX
+    x_inf, control = ok.fj_equilibrium(net, np.array([1.0, 0.0, 3.0]))
+    assert np.array_equal(control, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(x_inf, [0.0, 0.0, 3.0])
+    assert np.array_equal(ok.friedkin_centrality(net).values, [0.0, 2 / 3, 1 / 3])
+
+
+def test_condition_guard_rejects_a_system_just_above_the_bound():
+    net = _slow_leader(2.0**-40)  # kappa_inf about 2.2e12
+    assert 2 * (1 + 2.0**40) > CONDITION_MAX
+    with pytest.raises(ok.NumericalError, match="condition number"):
+        ok.fj_equilibrium(net, np.array([1.0, 0.0, 3.0]))
+    with pytest.raises(ok.NumericalError, match="condition number"):
+        ok.friedkin_centrality(net)
+
+
 def test_belief_system_with_identity_coupling_is_plain_fj():
     rng = np.random.default_rng(2)
     net = stable_network(rng, 6)
@@ -234,6 +284,19 @@ def test_reflected_appraisal_settles_from_a_generic_start():
     assert np.max(np.abs(path.c_seq[-1] - path.c_seq[-2])) < 1e-10
 
 
+@pytest.mark.parametrize("n", [3, 5, 30])
+def test_reflected_appraisal_matches_the_dense_solve_loop(n):
+    rng = np.random.default_rng(n)
+    c = rng.uniform(0.1, 1.0, (n, n))
+    np.fill_diagonal(c, 0.0)
+    c = c / c.sum(axis=1, keepdims=True)
+    c0 = rng.dirichlet(np.ones(n))
+    path = ok.simulate_reflected_appraisal(c, c0, n_issues=40)
+    w_seq, c_seq = reference_reflected_appraisal(c, c0, 40)
+    assert np.max(np.abs(path.w_seq - w_seq)) <= 1e-12
+    assert np.max(np.abs(path.c_seq - c_seq)) <= 1e-12
+
+
 def test_reflected_appraisal_rejects_off_simplex_starts():
     c = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ok.ParameterError):
@@ -248,6 +311,18 @@ def test_gossip_expected_dynamics_hand_instance():
     assert np.allclose(gamma_bar, [[0.5, 0.25], [0.25, 0.5]], atol=1e-12)
     assert np.allclose(b_bar, [0.25, 0.0], atol=1e-12)
     assert np.allclose(x_mean, [2 / 3, 1 / 3], atol=1e-12)
+
+
+@pytest.mark.parametrize("n, k", [(6, 2), (20, 4), (250, 6)])
+def test_expected_gossip_dynamics_is_the_diagonal_product_bit_for_bit(n, k):
+    config = ok.GeneratorConfig(
+        model="watts_strogatz", n=n, k=k, beta_rw=0.2, lambda_range=(0.3, 0.8)
+    )
+    net = ok.generate_network(config, seed=n)
+    x0 = np.random.default_rng(n).uniform(-1, 1, n)
+    got = ok.expected_gossip_dynamics(net, beta=0.4, x0=x0)
+    for value, expected in zip(got, reference_expected_gossip_dynamics(net, 0.4, x0)):
+        assert np.array_equal(value, expected)
 
 
 def test_gossip_requires_pollable_neighbors():
@@ -441,6 +516,24 @@ def test_multiplex_with_diagonal_noise_matches_the_reference_bitwise():
     trajs = ok.simulate_multiplex_fj(mx, u, q, steps=2000, seed=4)
     for traj, expected in zip(trajs, reference_multiplex_fj(mx, u, q, 2000, 4)):
         assert np.array_equal(traj.states[:, :, 0], expected)
+
+
+def test_multiplex_rejects_an_unstable_layer_by_name():
+    layers = (_pair_network(), _pair_network(lam=(1.0, 1.0)))
+    mx = ok.MultiplexNetwork(layers=layers, model_tag="independent")
+    with pytest.raises(ok.StabilityError, match=r"multiplex layer 1 .* agents \(0, 1\)"):
+        ok.simulate_multiplex_fj(mx, np.array([1.0, 0.0]), np.zeros((2, 2)), steps=5, seed=0)
+
+
+def test_multiplex_beyond_the_dense_cutoff_matches_the_reference():
+    n = 250
+    assert n > DENSE_MAX_N
+    mx = ok.MultiplexNetwork(layers=(_ws_network(n, seed=5),), model_tag="independent")
+    u = np.random.default_rng(5).uniform(-1, 1, n)
+    q = np.diag(np.linspace(0.01, 0.05, n))
+    (traj,) = ok.simulate_multiplex_fj(mx, u, q, steps=300, seed=4)
+    (expected,) = reference_multiplex_fj(mx, u, q, 300, 4)
+    assert np.max(np.abs(traj.states[:, :, 0] - expected)) <= 1e-12
 
 
 _PAIR_X0 = np.array([1.0, 0.0])
