@@ -35,8 +35,9 @@ def is_number(value) -> bool:
     return isinstance(value, float) or is_int(value)
 
 
-def read_json(path, what: str) -> dict:
-    """The JSON object stored at path; what names the document in errors."""
+def read_json(path, what: str, keys=None) -> dict:
+    """The JSON object stored at path; what names the document in errors.
+    When keys is given, the object must hold exactly those keys."""
     try:
         with open(path) as handle:
             doc = json.load(handle)
@@ -46,6 +47,8 @@ def read_json(path, what: str) -> dict:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path} does not hold a JSON object")
+    if keys is not None and set(doc) != set(keys):
+        raise ConfigError(f"{what} {path} has keys {sorted(doc)}, expected {sorted(keys)}")
     return doc
 
 

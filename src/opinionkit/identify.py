@@ -173,10 +173,7 @@ def identify_finite_horizon(
     data = np.concatenate(list(states[:-1]), axis=1)        # (n, (K)*m)
     target = np.concatenate(list(states[1:]), axis=1)       # (n, (K)*m)
 
-    a_hat = np.zeros((n, n))
-    b_hat = np.zeros(n)
-    results = []
-    for i in range(n):
+    def row_problem(i):
         # Variables [a_i (n), b_i], nonnegative, b_i <= 1. Only the
         # off-diagonal couplings are priced; the a_ii / b_i tie of a
         # constant row goes to the least a_ii.
@@ -192,22 +189,18 @@ def identify_finite_horizon(
             tie[i] = 1.0
         else:
             lo[n] = hi[n] = 1.0 - float(lam[i])
-        problem = L1Problem(
+        return L1Problem(
             phi=np.vstack([data, anchor[None, :]]).T, psi=target[i], sum_to=1.0,
             nonneg=True, weights=weights, lo=lo, hi=hi, band=eps, tie_weights=tie,
         )
-        result = solve_l1(problem)
-        if result.status == "infeasible":
-            raise InfeasibleError(
-                f"row {i}: no (a, b) fits within eps={eps:.3g}; "
-                f"smallest feasible band is {minimal_band(problem):.6g}"
-            )
-        if not result.ok:
-            raise NumericalError(f"row {i}: l1 solve ended with {result.status}")
-        a_hat[i] = result.x[:n]
-        b_hat[i] = result.x[n]
-        results.append(result)
 
+    rows, results = _solve_rows(
+        map(row_problem, range(n)),
+        lambda i, problem: f"row {i}: no (a, b) fits within eps={eps:.3g}; "
+        f"smallest feasible band is {minimal_band(problem):.6g}",
+    )
+    rows = rows.reshape(n, n + 1)  # (0, 1) when there are no agents
+    a_hat, b_hat = rows[:, :n], rows[:, n]
     lambda_hat = 1.0 - b_hat
     w_hat = np.zeros((n, n))
     for i in range(n):
@@ -223,6 +216,24 @@ def identify_finite_horizon(
         metrics={"eps": eps, "n_transitions": states.shape[0] - 1, "n_issues": m},
         solver_log={**_lp_log(results), "coupling_matrix": a_hat},
     )
+
+
+def _solve_rows(problems, infeasible, what: str = "row"):
+    """(solutions stacked as rows, SolveResults) of the programs, solved
+    in order. Program i raises InfeasibleError(infeasible(i, problem)) if
+    infeasible and NumericalError naming `what` i on any other non-optimal
+    status. Every estimator row is solved here: a rule among tied optima,
+    a nonneg-first solve or per-row tie counts belong in this loop."""
+    rows, results = [], []
+    for i, problem in enumerate(problems):
+        result = solve_l1(problem)
+        if result.status == "infeasible":
+            raise InfeasibleError(infeasible(i, problem))
+        if not result.ok:
+            raise NumericalError(f"{what} {i}: l1 solve ended with {result.status}")
+        rows.append(result.x)
+        results.append(result)
+    return np.array(rows), results
 
 
 def _lp_log(results) -> dict:
@@ -287,16 +298,10 @@ def identify_infinite_horizon(
 
     phi = x_inf.T
     psi = (x_inf - (1.0 - lam)[:, None] * x0) / lam[:, None]
-    w_hat = np.zeros((n, n))
-    results = []
-    for j in range(n):
-        result = solve_l1(L1Problem(phi=phi, psi=psi[j], sum_to=1.0, nonneg=nonneg))
-        if result.status == "infeasible":
-            raise InfeasibleError(f"row {j}: equilibrium identities are inconsistent")
-        if not result.ok:
-            raise NumericalError(f"row {j}: l1 solve ended with {result.status}")
-        w_hat[j] = result.x
-        results.append(result)
+    w_hat, results = _solve_rows(
+        (L1Problem(phi=phi, psi=row, sum_to=1.0, nonneg=nonneg) for row in psi),
+        lambda j, _: f"row {j}: equilibrium identities are inconsistent",
+    )
     return EstimationReport(
         w_hat=w_hat,
         lambda_hat=lam,
@@ -335,11 +340,7 @@ def identify_unknown_lambda(
             stacklevel=2,
         )
 
-    w_hat = np.zeros((n, n))
-    mu = np.ones(n)
-    at_rest, results = [], []
-    movement = np.abs(x0 - x_inf).max(axis=1)
-    for j in range(n):
+    def row_problem(j):
         phi = np.hstack([x_inf.T, (x0[j] - x_inf[j])[:, None]])
         # Appending the closure row keeps the sum over w only, not mu.
         closure = np.zeros(n + 1)
@@ -351,18 +352,14 @@ def identify_unknown_lambda(
         lo, hi = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
         lo[j] = hi[j] = 0.0
         lo[n] = 1.0
-        result = solve_l1(
-            L1Problem(phi=phi, psi=psi, nonneg=nonneg, weights=weights, lo=lo, hi=hi)
-        )
-        if result.status == "infeasible":
-            raise InfeasibleError(f"row {j}: augmented identities are inconsistent")
-        if not result.ok:
-            raise NumericalError(f"row {j}: l1 solve ended with {result.status}")
-        w_hat[j] = result.x[:n]
-        mu[j] = result.x[n]
-        results.append(result)
-        if movement[j] <= STRUCTURAL_ZERO:
-            at_rest.append(j)
+        return L1Problem(phi=phi, psi=psi, nonneg=nonneg, weights=weights, lo=lo, hi=hi)
+
+    rows, results = _solve_rows(
+        map(row_problem, range(n)),
+        lambda j, _: f"row {j}: augmented identities are inconsistent",
+    )
+    w_hat, mu = rows[:, :n], rows[:, n]
+    at_rest = np.flatnonzero(np.abs(x0 - x_inf).max(axis=1) <= STRUCTURAL_ZERO).tolist()
     if at_rest:
         warnings.warn(
             f"agents {at_rest} never moved; their susceptibilities are arbitrary",
@@ -474,13 +471,18 @@ def estimate_cross_correlations(
         upper = steps - lag
         raw = z[:upper].T @ z[lag:] / upper
         sigma[lag] = raw / moments.cap_pi[lag]
+    return _moments(estimate_state_mean(stream, model), sigma, n_sigma, stream.horizon)
+
+
+def _moments(x_hat, sigma, n_sigma: int, horizon: int) -> MomentEstimates:
+    """The estimates of a lag stack; Sigma_-/+ average lags 0..n_sigma-1 / 1..n_sigma."""
     return MomentEstimates(
-        x_hat=stream.values.mean(axis=0) / moments.pi,
+        x_hat=x_hat,
         sigma=sigma,
         sigma_minus=sigma[:n_sigma].mean(axis=0),
         sigma_plus=sigma[1 : n_sigma + 1].mean(axis=0),
         n_sigma=n_sigma,
-        horizon=stream.horizon,
+        horizon=horizon,
     )
 
 
@@ -521,26 +523,16 @@ def estimate_gamma(
         gamma_t = pseudoinverse(moments.sigma_minus, rcond=rcond) @ target
         return gamma_t.T, info
 
-    gamma_t = np.empty((n, n))
-    results = []
-    for col in range(n):
-        weights = np.ones(n)
-        weights[col] = 0.0
-        result = solve_l1(
-            L1Problem(
-                phi=moments.sigma_minus, psi=target[:, col], weights=weights, band=eta
-            )
-        )
-        if result.status == "infeasible":
-            raise InfeasibleError(
-                f"column {col}: lag identities are inconsistent within "
-                f"eta={eta:.3g}; widen the band"
-            )
-        if not result.ok:
-            raise NumericalError(f"column {col}: solver ended with {result.status}")
-        gamma_t[:, col] = result.x
-        results.append(result)
-    return gamma_t.T, {**info, **_lp_log(results)}
+    gamma_hat, results = _solve_rows(
+        (
+            L1Problem(phi=moments.sigma_minus, psi=column, weights=weights, band=eta)
+            for weights, column in zip(1.0 - np.eye(n), target.T)
+        ),
+        lambda col, _: f"column {col}: lag identities are inconsistent within "
+        f"eta={eta:.3g}; widen the band",
+        what="column",
+    )
+    return gamma_hat, {**info, **_lp_log(results)}
 
 
 def recover_topology_and_w(
@@ -568,10 +560,7 @@ def recover_topology_and_w(
         raise IdentifiabilityError(
             "agents with lambda = 0 never move, so their rows cannot be recovered"
         )
-    off = np.abs(gamma_hat.copy())
-    np.fill_diagonal(off, 0.0)
-    if threshold is None:
-        threshold = SUPPORT_FRACTION * off.max()
+    off, threshold = _off_diagonal_cut(gamma_hat, threshold)
     keep = off > threshold
     d_hat = keep.sum(axis=1).astype(float)
     empty = np.flatnonzero(d_hat == 0)
@@ -608,15 +597,41 @@ def recover_topology_and_w(
     )
 
 
-def _check_prior(psi: np.ndarray, nu: float, n: int) -> None:
-    if psi.shape != (n, n):
-        raise StructuralError(f"prior scale must be ({n}, {n})")
-    if not np.allclose(psi, psi.T, atol=1e-9):
-        raise ParameterError("prior scale must be symmetric")
-    if np.linalg.eigvalsh(psi).min() <= 0.0:
-        raise ParameterError("prior scale must be positive definite")
+def _off_diagonal_cut(gamma_hat: np.ndarray, threshold: float | None):
+    """|gamma_hat| with its diagonal zeroed, and the edge cut: threshold,
+    or SUPPORT_FRACTION of the largest off-diagonal entry when None."""
+    off = np.abs(gamma_hat)
+    np.fill_diagonal(off, 0.0)
+    return off, SUPPORT_FRACTION * off.max() if threshold is None else threshold
+
+
+def _check_prior(psi: np.ndarray | None, nu: float, n: int) -> None:
+    """Raise unless nu > n + 1 and psi (when given) is an SPD (n, n) scale."""
+    if psi is not None:
+        psi = np.asarray(psi, dtype=float)
+        if psi.shape != (n, n):
+            raise StructuralError(f"prior scale must be ({n}, {n})")
+        if not np.allclose(psi, psi.T, atol=1e-9):
+            raise ParameterError("prior scale must be symmetric")
+        if np.linalg.eigvalsh(psi).min() <= 0.0:
+            raise ParameterError("prior scale must be positive definite")
     if nu <= n + 1:
         raise ParameterError(f"nu must exceed n + 1 = {n + 1}")
+
+
+def _shrink(prior_mean: np.ndarray, scm: np.ndarray, nu: float, t: float, n: int):
+    """(gamma * prior_mean + (1 - gamma) * scm, gamma) with the
+    inverse-Wishart weight gamma = (nu - (n+1)) / (nu + t - (n+1))."""
+    gamma = float((nu - (n + 1)) / (nu + t - (n + 1)))
+    return gamma * prior_mean + (1.0 - gamma) * scm, gamma
+
+
+def _pooled_prior(covariances, nu: float, n: int) -> np.ndarray:
+    """The prior scale (nu - (n+1)) * P of the symmetrised mean covariance
+    P, ridged by 1e-8 times its mean diagonal (at least 1e-16)."""
+    pooled = np.mean(covariances, axis=0)
+    pooled = (pooled + pooled.T) / 2.0 + 1e-8 * np.eye(n) * max(np.trace(pooled) / n, 1e-8)
+    return (nu - (n + 1)) * pooled
 
 
 def bayesian_covariance(samples, psi: np.ndarray, nu: float) -> BayesShrinkage:
@@ -630,18 +645,18 @@ def bayesian_covariance(samples, psi: np.ndarray, nu: float) -> BayesShrinkage:
     if not samples:
         raise ParameterError("need at least one system")
     n = samples[0].shape[0]
-    _check_prior(np.asarray(psi, dtype=float), float(nu), n)
     psi = np.asarray(psi, dtype=float)
+    _check_prior(psi, float(nu), n)
     prior_mean = psi / (nu - (n + 1))
     matrices, gammas = [], []
     for z in samples:
         if z.shape[0] != n:
             raise StructuralError("all systems must share the dimension")
         t = z.shape[1]
-        gamma = (nu - (n + 1)) / (nu + t - (n + 1))
         scm = z @ z.T / t if t > 0 else np.zeros((n, n))
-        matrices.append(gamma * prior_mean + (1.0 - gamma) * scm)
-        gammas.append(float(gamma))
+        matrix, gamma = _shrink(prior_mean, scm, nu, t, n)
+        matrices.append(matrix)
+        gammas.append(gamma)
     return BayesShrinkage(
         matrices=tuple(matrices), gammas=tuple(gammas), prior_mean=prior_mean
     )
@@ -705,9 +720,7 @@ def fit_hyperparameters(samples, max_iter: int = 200, rel_tol: float = 1e-8) -> 
     m = len(samples)
 
     nu = n + 3.0
-    pooled = np.mean([g / t for g, t in zip(grams, t_sizes)], axis=0)
-    pooled = (pooled + pooled.T) / 2.0 + 1e-8 * np.eye(n) * max(np.trace(pooled) / n, 1e-8)
-    psi = (nu - (n + 1)) * pooled
+    psi = _pooled_prior([g / t for g, t in zip(grams, t_sizes)], nu, n)
     lo, hi = n + 1 + 1e-6, n + 1 + 1000.0
 
     objective = _neg_log_marginal(psi, nu, grams, t_sizes, n)
@@ -764,8 +777,12 @@ def identify_multiplex(
     """Per-layer mean-update estimation with cross-layer regularization.
 
     Each layer runs the moment pipeline for the synchronous anchored
-    model (Gamma = Lambda W, b = (I - Lambda) u); the lag-0 moment is
-    shrunk toward a cross-layer prior mean before inversion. Under the
+    model (Gamma = Lambda W, b = (I - Lambda) u). With shrink, the lag-0
+    moment is first blended toward psi / (nu - (n+1)) as in
+    bayesian_covariance; nu defaults to n + 3 and psi to the prior pooled
+    from the layers' lag-0 moments as in fit_hyperparameters. A given psi
+    or nu is checked as in bayesian_covariance (nu > n + 1, psi symmetric
+    positive definite); without shrink both are unused. Under the
     common_support tag, supports are intersected across layers and each
     layer's weights are re-masked to the joint support.
     """
@@ -794,27 +811,15 @@ def identify_multiplex(
     t_effs = [float(stream.mask.sum()) / stream.n for stream in streams]
     gammas_shrink = [0.0] * n_layers
     if shrink:
-        if psi is None or nu is None:
-            nu = float(nu) if nu is not None else n + 3.0
-            pooled = np.mean([me.sigma[0] for me in moment_sets], axis=0)
-            pooled = (pooled + pooled.T) / 2.0
-            floor = max(np.trace(pooled) / n, 1e-8) * 1e-8
-            pooled = pooled + floor * np.eye(n)
-            psi = (nu - (n + 1)) * pooled
+        nu = n + 3.0 if nu is None else float(nu)
+        _check_prior(psi, nu, n)
+        if psi is None:
+            psi = _pooled_prior([me.sigma[0] for me in moment_sets], nu, n)
         prior_mean = np.asarray(psi, dtype=float) / (nu - (n + 1))
         for s, me in enumerate(moment_sets):
-            gamma = (nu - (n + 1)) / (nu + t_effs[s] - (n + 1))
-            gammas_shrink[s] = float(gamma)
             sigma = me.sigma.copy()
-            sigma[0] = gamma * prior_mean + (1.0 - gamma) * sigma[0]
-            moment_sets[s] = MomentEstimates(
-                x_hat=me.x_hat,
-                sigma=sigma,
-                sigma_minus=sigma[:n_sigma].mean(axis=0),
-                sigma_plus=sigma[1 : n_sigma + 1].mean(axis=0),
-                n_sigma=n_sigma,
-                horizon=me.horizon,
-            )
+            sigma[0], gammas_shrink[s] = _shrink(prior_mean, sigma[0], nu, t_effs[s], n)
+            moment_sets[s] = _moments(me.x_hat, sigma, n_sigma, me.horizon)
 
     gamma_hats, supports, infos = [], [], []
     for s, me in enumerate(moment_sets):
@@ -822,17 +827,8 @@ def identify_multiplex(
         gamma_hat, info = estimate_gamma(me, b_bar, mode="dense")
         gamma_hats.append(gamma_hat)
         infos.append(info)
-        off = np.abs(gamma_hat.copy())
-        np.fill_diagonal(off, 0.0)
-        cut = (
-            support_threshold
-            if support_threshold is not None
-            else SUPPORT_FRACTION * off.max()
-        )
-        supports.append({
-            (int(i), int(j))
-            for i, j in zip(*np.nonzero(np.abs(gamma_hat) > cut))
-        })
+        cut = _off_diagonal_cut(gamma_hat, support_threshold)[1]
+        supports.append(set(_support_of(gamma_hat, cut)))
 
     joint = None
     if joint_support:
@@ -882,6 +878,9 @@ def _jsonable(value):
     return value
 
 
+_REPORT_KEYS = {"w_hat", "lambda_hat", "gamma_hat", "support", "metrics", "solver_log"}
+
+
 def save_report(report: EstimationReport, path) -> None:
     """Serialize an estimation report to a JSON document."""
     doc = {
@@ -900,12 +899,7 @@ def load_report(path) -> EstimationReport:
     file unless w_hat is a rectangular array of numbers, lambda_hat and
     gamma_hat are such arrays or null, support is a list of [int, int] and
     metrics and solver_log are JSON objects."""
-    doc = read_json(path, "report")
-    expected = {"w_hat", "lambda_hat", "gamma_hat", "support", "metrics", "solver_log"}
-    if set(doc) != expected:
-        raise ConfigError(
-            f"report {path} has keys {sorted(doc)}, expected {sorted(expected)}"
-        )
+    doc = read_json(path, "report", _REPORT_KEYS)
     arrays = {}
     for name in ("w_hat", "lambda_hat", "gamma_hat"):
         if doc[name] is None and name != "w_hat":

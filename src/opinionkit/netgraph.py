@@ -464,11 +464,7 @@ def save_multiplex(mx: MultiplexNetwork, path) -> None:
 
 
 def load_multiplex(path) -> MultiplexNetwork:
-    doc = read_json(path, "multiplex")
-    if set(doc) != _MULTIPLEX_KEYS:
-        raise ConfigError(
-            f"multiplex {path} has keys {sorted(doc)}, expected {sorted(_MULTIPLEX_KEYS)}"
-        )
+    doc = read_json(path, "multiplex", _MULTIPLEX_KEYS)
     if not isinstance(doc["layers"], list):
         raise ConfigError(f"multiplex {path}: layers must be a list")
     base = _network_from_doc(doc["base"]) if doc["base"] is not None else None

@@ -191,12 +191,7 @@ def save_stream(stream: ObservationStream, path) -> None:
 
 def load_stream(path) -> ObservationStream:
     sidecar = _sidecar_path(path)
-    descriptor = read_json(sidecar, "stream descriptor")
-    if set(descriptor) != _SIDECAR_KEYS:
-        raise ConfigError(
-            f"stream descriptor {sidecar} has keys {sorted(descriptor)}, "
-            f"expected {sorted(_SIDECAR_KEYS)}"
-        )
+    descriptor = read_json(sidecar, "stream descriptor", _SIDECAR_KEYS)
     for key in ("horizon", "n", "issue"):
         if not is_int(descriptor[key]) or descriptor[key] < 0:
             raise ConfigError(f"stream descriptor {sidecar}: {key} must be a nonnegative integer")

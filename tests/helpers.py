@@ -15,6 +15,17 @@ from scipy.optimize import linprog
 
 import opinionkit as ok
 from opinionkit.centrality import TIE_TOL
+from opinionkit.dynamics import _per_layer_vectors
+from opinionkit.errors import IdentifiabilityError, ParameterError, StructuralError
+from opinionkit.identify import (
+    N_SIGMA,
+    SUPPORT_FRACTION,
+    EstimationReport,
+    MomentEstimates,
+    MultiplexEstimate,
+    estimate_cross_correlations,
+    estimate_gamma,
+)
 from opinionkit.numkit import STRUCTURAL_ZERO
 
 
@@ -623,3 +634,130 @@ def reference_save_stream(stream, path) -> None:
     with open(str(path) + ".meta.json", "w") as fh:
         json.dump(descriptor, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+# identify_multiplex as it stood before its shrinkage, prior, moment and
+# support-cut steps were shared with bayesian_covariance,
+# fit_hyperparameters, estimate_cross_correlations and
+# recover_topology_and_w, kept verbatim (renamed, with an absolute import)
+# as the oracle. It calls the library's estimate_cross_correlations and
+# estimate_gamma.
+
+
+def reference_identify_multiplex(
+    streams,
+    model_tag: str,
+    lambdas,
+    u,
+    max_lag: int = N_SIGMA,
+    n_sigma: int = N_SIGMA,
+    psi: np.ndarray | None = None,
+    nu: float | None = None,
+    support_threshold: float | None = None,
+    shrink: bool = True,
+) -> MultiplexEstimate:
+    """Per-layer mean-update estimation with cross-layer regularization.
+
+    Each layer runs the moment pipeline for the synchronous anchored
+    model (Gamma = Lambda W, b = (I - Lambda) u); the lag-0 moment is
+    shrunk toward a cross-layer prior mean before inversion. Under the
+    common_support tag, supports are intersected across layers and each
+    layer's weights are re-masked to the joint support.
+    """
+    from opinionkit.netgraph import MULTIPLEX_MODELS
+
+    if model_tag not in MULTIPLEX_MODELS:
+        raise ParameterError(
+            f"unknown multiplex model {model_tag!r}; choose from {MULTIPLEX_MODELS}"
+        )
+    joint_support = model_tag == "common_support"
+    streams = list(streams)
+    if not streams:
+        raise ParameterError("need at least one layer")
+    n = streams[0].n
+    n_layers = len(streams)
+    lambdas = [np.asarray(lam, dtype=float).ravel() for lam in lambdas]
+    u_vectors = _per_layer_vectors(u, n, n_layers)
+    if len(lambdas) != n_layers:
+        raise StructuralError("one lambda vector per layer is required")
+    if any(np.any(lam <= 0.0) for lam in lambdas):
+        raise IdentifiabilityError("every susceptibility must be positive")
+
+    moment_sets = [
+        estimate_cross_correlations(stream, max_lag, n_sigma) for stream in streams
+    ]
+    t_effs = [float(stream.mask.sum()) / stream.n for stream in streams]
+    gammas_shrink = [0.0] * n_layers
+    if shrink:
+        if psi is None or nu is None:
+            nu = float(nu) if nu is not None else n + 3.0
+            pooled = np.mean([me.sigma[0] for me in moment_sets], axis=0)
+            pooled = (pooled + pooled.T) / 2.0
+            floor = max(np.trace(pooled) / n, 1e-8) * 1e-8
+            pooled = pooled + floor * np.eye(n)
+            psi = (nu - (n + 1)) * pooled
+        prior_mean = np.asarray(psi, dtype=float) / (nu - (n + 1))
+        for s, me in enumerate(moment_sets):
+            gamma = (nu - (n + 1)) / (nu + t_effs[s] - (n + 1))
+            gammas_shrink[s] = float(gamma)
+            sigma = me.sigma.copy()
+            sigma[0] = gamma * prior_mean + (1.0 - gamma) * sigma[0]
+            moment_sets[s] = MomentEstimates(
+                x_hat=me.x_hat,
+                sigma=sigma,
+                sigma_minus=sigma[:n_sigma].mean(axis=0),
+                sigma_plus=sigma[1 : n_sigma + 1].mean(axis=0),
+                n_sigma=n_sigma,
+                horizon=me.horizon,
+            )
+
+    gamma_hats, supports, infos = [], [], []
+    for s, me in enumerate(moment_sets):
+        b_bar = (1.0 - lambdas[s]) * u_vectors[s]
+        gamma_hat, info = estimate_gamma(me, b_bar, mode="dense")
+        gamma_hats.append(gamma_hat)
+        infos.append(info)
+        off = np.abs(gamma_hat.copy())
+        np.fill_diagonal(off, 0.0)
+        cut = (
+            support_threshold
+            if support_threshold is not None
+            else SUPPORT_FRACTION * off.max()
+        )
+        supports.append({
+            (int(i), int(j))
+            for i, j in zip(*np.nonzero(np.abs(gamma_hat) > cut))
+        })
+
+    joint = None
+    if joint_support:
+        joint = set.intersection(*supports)
+    reports = []
+    for s in range(n_layers):
+        keep = joint if joint is not None else supports[s]
+        mask = np.zeros((n, n), dtype=bool)
+        for i, j in keep:
+            mask[i, j] = True
+        w_hat = np.where(mask, gamma_hats[s] / lambdas[s][:, None], 0.0)
+        w_hat = np.clip(w_hat, 0.0, None)
+        sums = w_hat.sum(axis=1)
+        renorm = float(np.max(np.abs(sums - 1.0))) if np.all(sums > 0) else float("nan")
+        w_hat = np.divide(w_hat, sums[:, None], out=w_hat, where=sums[:, None] > 0)
+        reports.append(
+            EstimationReport(
+                w_hat=w_hat,
+                lambda_hat=lambdas[s],
+                gamma_hat=gamma_hats[s],
+                support=tuple(sorted(keep)),
+                metrics={
+                    "shrinkage_gamma": gammas_shrink[s],
+                    "t_effective": t_effs[s],
+                    "max_row_renormalization": renorm,
+                },
+                solver_log=infos[s],
+            )
+        )
+    return MultiplexEstimate(
+        reports=tuple(reports),
+        joint_support=tuple(sorted(joint)) if joint is not None else None,
+    )

@@ -394,7 +394,7 @@ def test_gossip_matches_the_per_step_reference_bitwise(
 
 
 def test_gossip_keeps_only_the_draws_and_the_states_for_the_whole_run():
-    # the rate-law ring of scripts/stream_rate_law.py; six (steps, a)
+    # the rate-law ring of acceptance criterion 07; six (steps, a)
     # arrays alive for the whole run peaked at 33.7 MB here
     config = ok.GeneratorConfig(
         model="watts_strogatz", n=6, k=2, beta_rw=0.0, lambda_range=(0.85, 0.85)

@@ -300,3 +300,22 @@ def test_load_multiplex_rejects_a_layer_that_is_not_an_object(tmp_path):
     path = _write(tmp_path / "mx.json", json.dumps(doc))
     with pytest.raises(ok.ConfigError, match="must be a JSON object"):
         ok.load_multiplex(path)
+
+
+@pytest.mark.parametrize(
+    "what, name, load, expected",
+    [
+        ("report", "r.json", ok.load_report,
+         "['gamma_hat', 'lambda_hat', 'metrics', 'solver_log', 'support', 'w_hat']"),
+        ("multiplex", "m.json", ok.load_multiplex, "['base', 'layers', 'model_tag']"),
+        ("stream descriptor", "s.csv.meta.json", lambda path: ok.load_stream(
+            str(path).removesuffix(".meta.json")
+        ), "['horizon', 'issue', 'kind', 'n', 'rho', 'seed']"),
+    ],
+)
+def test_json_documents_name_the_file_and_both_key_sets(tmp_path, what, name, load, expected):
+    path = tmp_path / name
+    path.write_text('{"stray": 1}')
+    message = f"{what} {path} has keys ['stray'], expected {expected}"
+    with pytest.raises(ok.ConfigError, match=f"^{re.escape(message)}$"):
+        load(path)

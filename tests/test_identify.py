@@ -12,6 +12,7 @@ from scipy.stats import invwishart
 import opinionkit as ok
 from helpers import (
     reference_finite_horizon,
+    reference_identify_multiplex,
     reference_infinite_horizon,
     reference_sparse_gamma,
     reference_unknown_lambda,
@@ -457,6 +458,15 @@ def test_moment_stacks_average_consecutive_lags():
     assert np.allclose(moments.sigma_plus, moments.sigma[1:6].mean(axis=0), atol=1e-12)
 
 
+def test_moment_mean_is_the_bias_corrected_state_mean():
+    net, x0 = _gossip_setup()
+    traj = ok.simulate_gossip_fj(net, x0, steps=2_000, activation_size=6, seed=9)
+    model = ok.SamplingModel(kind="independent", rho=0.6)
+    stream = ok.sample_observations(traj, model, seed=3)
+    moments = ok.estimate_cross_correlations(stream, max_lag=5)
+    assert np.array_equal(moments.x_hat, stream.values.mean(axis=0) / 0.6)
+
+
 # ---- dynamics matrix and topology recovery ---------------------------------
 
 
@@ -552,6 +562,19 @@ def test_estimate_gamma_flags_an_infeasible_band_on_rank_deficient_moments():
     )
     with pytest.raises(ok.InfeasibleError, match="column 0"):
         ok.estimate_gamma(moments, np.zeros(2), mode="sparse", eta=0.1)
+
+
+def test_estimate_gamma_names_the_column_a_solve_fails_on(monkeypatch):
+    net = _ws_network(seed=7, n=10)
+    moments, _, b_bar = _exact_moments(net, 0.5, np.ones(10))
+    stalled = ok.SolveResult(
+        x=np.zeros(10), objective=np.nan, residual=np.nan, status="iteration_limit"
+    )
+    monkeypatch.setattr(ok.identify, "solve_l1", lambda problem: stalled)
+    with pytest.raises(
+        ok.NumericalError, match="^column 0: l1 solve ended with iteration_limit$"
+    ):
+        ok.estimate_gamma(moments, b_bar, mode="sparse", eta=1e-3)
 
 
 def test_lp_estimators_share_one_solver_log_schema():
@@ -737,6 +760,51 @@ def test_identify_multiplex_estimates_are_row_stochastic():
     for report in est.reports:
         assert np.allclose(report.w_hat.sum(axis=1), 1.0, atol=1e-8)
         assert report.w_hat.min() >= -1e-12
+
+
+@pytest.mark.parametrize("model_tag", ["common_support", "independent"])
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"shrink": False}, {"nu": 14.0}, {"psi": 2.0 * np.eye(8), "nu": 13.0}],
+    ids=["default", "no_shrink", "nu", "psi_nu"],
+)
+def test_identify_multiplex_matches_the_unshared_oracle(model_tag, options):
+    _, lambdas, u, streams = _multiplex_streams(5, model_tag, n=8, steps=6_000)
+    est = ok.identify_multiplex(streams, model_tag, lambdas, u, **options)
+    expected = reference_identify_multiplex(streams, model_tag, lambdas, u, **options)
+    assert est.joint_support == expected.joint_support
+    for report, oracle in zip(est.reports, expected.reports, strict=True):
+        assert np.array_equal(report.w_hat, oracle.w_hat)
+        assert report.support == oracle.support
+        assert report.metrics == oracle.metrics
+        assert report.solver_log == oracle.solver_log
+
+
+def test_identify_multiplex_uses_a_prior_scale_given_without_nu():
+    _, lambdas, u, streams = _multiplex_streams(6, n=8, steps=6_000)
+    psi = 1e6 * np.eye(8)
+    default = ok.identify_multiplex(streams, "common_support", lambdas, u)
+    given = ok.identify_multiplex(streams, "common_support", lambdas, u, psi=psi)
+    explicit = ok.identify_multiplex(streams, "common_support", lambdas, u, psi=psi, nu=11.0)
+    for ours, plain, full in zip(given.reports, default.reports, explicit.reports):
+        assert not np.array_equal(ours.gamma_hat, plain.gamma_hat)
+        assert np.array_equal(ours.gamma_hat, full.gamma_hat)
+        assert np.array_equal(ours.w_hat, full.w_hat)
+
+
+@pytest.mark.parametrize(
+    "prior, match",
+    [
+        ({"nu": 9.0}, "nu must exceed"),
+        ({"psi": np.eye(8), "nu": 9.0}, "nu must exceed"),
+        ({"psi": -np.eye(8)}, "positive definite"),
+        ({"psi": -np.eye(8), "nu": 11.0}, "positive definite"),
+    ],
+)
+def test_identify_multiplex_validates_a_given_prior(prior, match):
+    _, lambdas, u, streams = _multiplex_streams(6, n=8, steps=2_000)
+    with pytest.raises(ok.ParameterError, match=match):
+        ok.identify_multiplex(streams, "common_support", lambdas, u, **prior)
 
 
 # ---- evaluation and report files ---------------------------------------------
