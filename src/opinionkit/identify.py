@@ -9,7 +9,8 @@ metrics, and solver diagnostics in one record type.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 from math import log, pi as _PI
 
 import numpy as np
@@ -32,9 +33,11 @@ from .numkit import (
     L1Problem,
     PINV_RCOND,
     STRUCTURAL_ZERO,
+    certified_result,
     minimal_band,
     pseudoinverse,
     solve_l1,
+    unique_nonneg_solution,
 )
 from .observe import ObservationStream, observation_moments
 
@@ -218,36 +221,55 @@ def identify_finite_horizon(
     )
 
 
-def _solve_rows(problems, infeasible, what: str = "row"):
+def _solve_rows(problems, infeasible, what: str = "row", systems=None):
     """(solutions stacked as rows, SolveResults) of the programs, solved
     in order. Program i raises InfeasibleError(infeasible(i, problem)) if
     infeasible and NumericalError naming `what` i on any other non-optimal
-    status. Every estimator row is solved here: a rule among tied optima,
-    a nonneg-first solve or per-row tie counts belong in this loop."""
+    status. Every estimator row is solved here: a rule among tied optima
+    belongs in this loop.
+
+    systems, when given, yields for each program a tuple (a, b, lift) of
+    a program whose optimal set is {lift(z) : z >= 0, a z = b} whenever
+    that set is nonempty. Such a row is first decided by
+    unique_nonneg_solution: a certified-unique z is final as lift(z), with
+    no LP; a tied row, or one with no nonnegative solution, goes to
+    solve_l1 unchanged. Each result's solver_log["certificate"] holds that
+    verdict (None without systems)."""
     rows, results = [], []
-    for i, problem in enumerate(problems):
-        result = solve_l1(problem)
-        if result.status == "infeasible":
-            raise InfeasibleError(infeasible(i, problem))
-        if not result.ok:
-            raise NumericalError(f"{what} {i}: l1 solve ended with {result.status}")
+    for i, (problem, system) in enumerate(zip(problems, systems or repeat(None))):
+        verdict = None
+        if system is not None:
+            a, b, lift = system
+            verdict, z = unique_nonneg_solution(a, b)
+        if verdict == "unique":
+            result = certified_result(problem, z if lift is None else lift(z))
+        else:
+            result = solve_l1(problem)
+            if result.status == "infeasible":
+                raise InfeasibleError(infeasible(i, problem))
+            if not result.ok:
+                raise NumericalError(f"{what} {i}: l1 solve ended with {result.status}")
         rows.append(result.x)
-        results.append(result)
+        results.append(replace(result, solver_log={**result.solver_log, "certificate": verdict}))
     return np.array(rows), results
 
 
 def _lp_log(results) -> dict:
     """The solver_log entries of every LP-backed estimator: per-row (or
-    per-column) objectives, total LP iterations, and the rows decided by
-    the lexicographic tie-break."""
+    per-column) objectives, total LP iterations, the rows decided by the
+    lexicographic tie-break, the rows the uniqueness certificate decided
+    without an LP (nnls_rows), and the rows with nonnegative optima that
+    it could not certify unique, which kept HiGHS's vertex (tied_rows)."""
+
+    def rows_where(key, value):
+        return tuple(row for row, result in enumerate(results) if result.solver_log[key] == value)
+
     return {
         "objectives": tuple(result.objective for result in results),
         "iterations": sum(result.solver_log["iterations"] for result in results),
-        "lexicographic_rows": tuple(
-            row
-            for row, result in enumerate(results)
-            if result.solver_log["tie_break"] == "lexicographic"
-        ),
+        "lexicographic_rows": rows_where("tie_break", "lexicographic"),
+        "nnls_rows": rows_where("certificate", "unique"),
+        "tied_rows": rows_where("certificate", "tied"),
     }
 
 
@@ -281,6 +303,15 @@ def identify_infinite_horizon(
     restates the fixed-point identity. nonneg additionally constrains
     w >= 0. Consensus-only initial data, lambda = 1 everywhere, or any
     lambda_j = 0 make the program meaningless and raise.
+
+    Since ||w||_1 >= 1'w = 1, with equality exactly when w >= 0, the
+    program is a nonnegative feasibility problem whenever a nonnegative
+    solution exists: every such point is optimal, signed or not. So each
+    row is decided first by unique_nonneg_solution on [X(inf)'; 1']. A
+    row with exactly one nonnegative solution takes it with no LP
+    (solver_log nnls_rows). A row with several (tied_rows) keeps HiGHS's
+    vertex for now, and a row with none solves its LP; both go through
+    solve_l1 as before.
     """
     x0, x_inf = _as_profiles(x0, x_inf)
     n = x0.shape[0]
@@ -298,9 +329,11 @@ def identify_infinite_horizon(
 
     phi = x_inf.T
     psi = (x_inf - (1.0 - lam)[:, None] * x0) / lam[:, None]
+    a = np.vstack([phi, np.ones((1, n))])
     w_hat, results = _solve_rows(
         (L1Problem(phi=phi, psi=row, sum_to=1.0, nonneg=nonneg) for row in psi),
         lambda j, _: f"row {j}: equilibrium identities are inconsistent",
+        systems=((a, np.append(row, 1.0), None) for row in psi),
     )
     return EstimationReport(
         w_hat=w_hat,
@@ -323,8 +356,17 @@ def identify_unknown_lambda(
     Self-weights trade off against susceptibilities without changing any
     equilibrium, so the estimate is pinned to the canonical representative
     with diag(W) = 0. Each row solves the augmented program on
-    [X(inf)', x_j(0) - x_j(inf)] with unknown [w_j; 1/lambda_j],
-    w_jj = 0, 1'w_j = 1.
+    [X(inf)', x_j(0) - x_j(inf)] with unknown [w_j; mu_j], mu_j =
+    1/lambda_j >= 1, w_jj = 0, 1'w_j = 1, minimizing ||w_j||_1.
+
+    As in identify_infinite_horizon, ||w_j||_1 >= 1'w_j = 1 makes every
+    nonnegative solution optimal, so the program is a nonnegative
+    feasibility problem whenever one exists. Each row is decided first by
+    unique_nonneg_solution with w_jj dropped and mu_j = 1 + mu' (mu' >= 0):
+    a unique solution is final with no LP (nnls_rows); a tied row
+    (tied_rows, including an agent that never moved, whose mu is free)
+    keeps HiGHS's vertex for now, and a row with no nonnegative solution
+    solves its LP; both through solve_l1.
     """
     x0, x_inf = _as_profiles(x0, x_inf)
     n, m = x0.shape
@@ -354,9 +396,24 @@ def identify_unknown_lambda(
         lo[n] = 1.0
         return L1Problem(phi=phi, psi=psi, nonneg=nonneg, weights=weights, lo=lo, hi=hi)
 
+    def row_system(j):
+        # Columns [w without w_jj, mu'] with mu = 1 + mu', mu' >= 0: the
+        # equilibrium rows read X(inf)'w + d mu' = x_j(inf) with
+        # d = x_j(0) - x_j(inf), and the closure row 1'w = 1.
+        a = np.vstack([
+            np.hstack([np.delete(x_inf.T, j, axis=1), (x0[j] - x_inf[j])[:, None]]),
+            np.append(np.ones(n - 1), 0.0),
+        ])
+
+        def lift(z):
+            return np.concatenate([z[:j], [0.0], z[j : n - 1], [1.0 + z[n - 1]]])
+
+        return a, np.append(x_inf[j], 1.0), lift
+
     rows, results = _solve_rows(
         map(row_problem, range(n)),
         lambda j, _: f"row {j}: augmented identities are inconsistent",
+        systems=map(row_system, range(n)),
     )
     w_hat, mu = rows[:, :n], rows[:, n]
     at_rest = np.flatnonzero(np.abs(x0 - x_inf).max(axis=1) <= STRUCTURAL_ZERO).tolist()

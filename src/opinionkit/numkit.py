@@ -7,7 +7,13 @@ inputs; this module is the only one that builds or solves a linear
 program. A program is the equality form phi x = psi or the band form
 |phi x - psi| <= band, with optional box bounds. Ties among minimizers
 are broken lexicographically by a second solve when the problem names a
-tie cost, and by HiGHS's vertex choice otherwise. Combinatorial
+tie cost, and by HiGHS's vertex choice otherwise. A nonnegative solution
+set {z >= 0 : a z = b} can also be decided without an LP:
+unique_nonneg_solution finds a point by NNLS and certifies it as the only
+one through Stiemke's alternative, solved by a second NNLS in the row
+space, or reports a tie or no point (the only use of nnls in the
+package). The estimators use it for
+programs whose weighted l1 norm is constant on that set. Combinatorial
 diagnostics (spark, nullspace property) are exhaustive and therefore
 capped at small dimensions; they exist to certify test instances, not to
 scale.
@@ -18,7 +24,7 @@ from itertools import combinations, product
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 from scipy.sparse.linalg import ArpackError, eigs
 
 from .errors import CapacityError, ParameterError
@@ -43,6 +49,19 @@ DENSE_MAX_N = 200
 
 # Bound on the infinity-norm condition number of I - Lambda W wherever it is solved.
 CONDITION_MAX = 1e12
+
+# Largest max-abs residual |a z - b|, relative to max(1, max |b|), at which an
+# NNLS point z counts as a nonnegative solution of a z = b. Above it the
+# system is treated as having none, and the row keeps its LP.
+NNLS_RESIDUAL_MAX = 1e-12
+
+# Relative error in a (2-norm, as a fraction of |a|) that the uniqueness
+# certificate of unique_nonneg_solution must survive, matching PINV_RCOND,
+# below which singular values already count as noise. The certificate's
+# residual |a_S' lam| plus this error's effect, CERTIFICATE_RESIDUAL_MAX *
+# |a| |lam|, must stay below sigma_min(a_S) / |a_Z|, the least residual a
+# tie would leave.
+CERTIFICATE_RESIDUAL_MAX = 1e-10
 
 _LINPROG_STATUS = {
     0: "optimal",
@@ -210,6 +229,85 @@ def solve_l1(problem: L1Problem) -> SolveResult:
     return SolveResult(x=x, objective=objective, residual=residual, status=status, solver_log=log)
 
 
+def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
+    """Decide the nonnegative solution set P = {z >= 0 : a z = b} of an
+    (m, n) system without an LP.
+
+    Returns ("unique", z) when P = {z} is certified, ("infeasible", None)
+    when NNLS (Lawson-Hanson) finds no point of P (its residual exceeds
+    NNLS_RESIDUAL_MAX or it hits its iteration limit), and ("tied", None)
+    otherwise: P may hold more than one point.
+
+    Certificate: let z be the NNLS point, S its entries above
+    STRUCTURAL_ZERO and Z the rest (NNLS may leave rounding-level entries
+    where the solution is zero). P = {z} iff no kernel direction d != 0 of
+    a keeps d_Z >= 0. By Stiemke's alternative that holds iff a_S has full
+    column rank and some u > 0 has u = a_Z' lam with a_S' lam = 0 (with a
+    kernel basis N, the u > 0 with N_Z' u = 0). Every object here is
+    m-dimensional: lam = L mu for an orthonormal basis L of the left kernel
+    of a_S, and mu is the least-norm point with a_Z' L mu >= 1, found by a
+    second NNLS in Lawson and Hanson's least-distance form. A tie
+    direction d would give (a_Z' lam)'d_Z = -(a_S' lam)'d_S, hence
+    |a_S' lam| >= sigma_min(a_S) / |a_Z| once min(a_Z' lam) = 1. So
+    |a_S' lam| + CERTIFICATE_RESIDUAL_MAX |a| |lam| < sigma_min(a_S) / |a_Z|
+    certifies P = {z}, also for every a within that relative error
+    (2-norms bounded by Frobenius norms).
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float)
+    try:
+        z, _ = nnls(a, b)
+    except RuntimeError:  # iteration limit
+        return "infeasible", None
+    if np.max(np.abs(a @ z - b)) > NNLS_RESIDUAL_MAX * np.max(np.abs(b), initial=1.0):
+        return "infeasible", None
+    support = z > STRUCTURAL_ZERO
+    a_s, a_z = a[:, support], a[:, ~support]
+    if not 0 < a_s.shape[1] <= a.shape[0]:
+        return "tied", None  # dependent support columns, or z = 0 left to the LP
+    left, sing, _ = np.linalg.svd(a_s)
+    if sing[-1] <= PINV_RCOND * sing[0]:
+        return "tied", None  # a kernel direction on S alone
+    if not a_z.size:
+        return "unique", z
+    left = left[:, a_s.shape[1]:]
+    m_z = a_z.T @ left
+    k = m_z.shape[1]
+    try:
+        u, _ = nnls(np.vstack([m_z.T, np.ones(m_z.shape[0])]), np.eye(k + 1)[k])
+    except RuntimeError:
+        return "tied", None
+    r = np.append(m_z.T @ u, u.sum() - 1.0)
+    if not r[k] < 0.0:
+        return "tied", None  # no mu with a_Z' L mu >= 1
+    lam = left @ (-r[:k] / r[k])
+    g = a_z.T @ lam
+    if not g.min() > 0.0:
+        return "tied", None
+    lam /= g.min()
+    bound = sing[-1] / np.linalg.norm(a_z)
+    residual = np.linalg.norm(a_s.T @ lam)
+    if not residual + CERTIFICATE_RESIDUAL_MAX * np.linalg.norm(a) * np.linalg.norm(lam) < bound:
+        return "tied", None
+    return "unique", z
+
+
+def certified_result(problem: L1Problem, x: np.ndarray) -> SolveResult:
+    """The SolveResult of x as the problem's optimum when a certificate,
+    not an LP, decided it (see unique_nonneg_solution): no LP iterations,
+    and the objective and residual as solve_l1 reports them."""
+    phi = np.atleast_2d(np.asarray(problem.phi, dtype=float))
+    weights = 1.0 if problem.weights is None else np.asarray(problem.weights, float)
+    log = {"method": "nnls", "tie_break": "unique", "iterations": 0, "message": "certified"}
+    return SolveResult(
+        x=x,
+        objective=float(np.sum(weights * np.abs(x))),
+        residual=float(np.max(np.abs(phi @ x - problem.psi))),
+        status="optimal",
+        solver_log=log,
+    )
+
+
 def minimal_band(problem: L1Problem) -> float:
     """Smallest band for which the problem's constraints are feasible
     (inf when none is); the problem's own band and weights are ignored."""
@@ -271,6 +369,8 @@ def _nsp_violated_on(phi: np.ndarray, support: tuple[int, ...]) -> bool:
 
     For each sign pattern s on the support, the least ||eta_Sc||_1 over
     kernel elements normalized by s'eta_S = 1 decides the pattern.
+    Patterns s and -s have the same least value (eta -> -eta), so only
+    the 2^(|S|-1) patterns with a first sign of +1 are solved.
     """
     m, n = phi.shape
     cols = list(support)
@@ -278,9 +378,9 @@ def _nsp_violated_on(phi: np.ndarray, support: tuple[int, ...]) -> bool:
     weights[cols] = 0.0
     psi = np.zeros(m + 1)
     psi[m] = 1.0
-    for signs in product((1.0, -1.0), repeat=len(cols)):
+    for signs in product((1.0, -1.0), repeat=len(cols) - 1):
         sign_row = np.zeros((1, n))
-        sign_row[0, cols] = signs
+        sign_row[0, cols] = (1.0, *signs)
         result = solve_l1(L1Problem(phi=np.vstack([phi, sign_row]), psi=psi, weights=weights))
         if result.ok and result.objective <= 1.0 + 1e-9:
             return True

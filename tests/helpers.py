@@ -451,6 +451,24 @@ def reference_solve_l1(problem):
     return None if res.status != 0 else res.x[:n] - res.x[n:]
 
 
+def reference_nonneg_is_unique(a, b, tol=1e-9):
+    """Whether {z >= 0 : a z = b} is a single point, decided by LPs: take a
+    vertex v of the set, its support S (entries above STRUCTURAL_ZERO) and
+    the rest Z. The set is {v} iff the columns a_S are independent and the
+    largest 1_Z'z over the set is 0 (at most tol). Raises when the set is
+    empty."""
+    n = a.shape[1]
+    vertex = linprog(np.zeros(n), A_eq=a, b_eq=b, bounds=(0.0, None), method="highs")
+    assert vertex.status == 0, "no nonnegative solution"
+    zero = vertex.x <= STRUCTURAL_ZERO
+    if np.linalg.matrix_rank(a[:, ~zero]) < int((~zero).sum()):
+        return False
+    if not zero.any():
+        return True
+    reach = linprog(-zero.astype(float), A_eq=a, b_eq=b, bounds=(0.0, None), method="highs")
+    return reach.status == 0 and -reach.fun <= tol
+
+
 def reference_infinite_horizon(x0, x_inf, lam, nonneg):
     """Row-by-row equilibrium inversion through reference_solve_l1."""
     lam = np.asarray(lam, dtype=float)

@@ -14,6 +14,8 @@ from helpers import (
     reference_finite_horizon,
     reference_identify_multiplex,
     reference_infinite_horizon,
+    reference_nonneg_is_unique,
+    reference_solve_l1,
     reference_sparse_gamma,
     reference_unknown_lambda,
     sparse_row_network,
@@ -224,13 +226,21 @@ def test_infinite_horizon_nonneg_flag_constrains_the_cone():
 
 @pytest.mark.parametrize("nonneg, tol", [(False, 0.0), (True, 1e-12)])
 def test_infinite_horizon_matches_the_row_box_oracle(nonneg, tol):
+    # Rows that reach the LP are held to tol. Rows the uniqueness
+    # certificate decides without an LP (nnls_rows) are held to 1e-12: at
+    # m = 8 every row is one, at m = 4 the tied rows still reach the LP.
     net = _ws_network(seed=2)
     rng = np.random.default_rng(13)
-    x0 = rng.uniform(-1, 1, (8, 8))
-    x_inf, _ = ok.fj_equilibrium(net, x0)
-    report = ok.identify_infinite_horizon(x0, x_inf, net.lam, nonneg=nonneg)
-    expected = reference_infinite_horizon(x0, x_inf, net.lam, nonneg)
-    assert np.max(np.abs(report.w_hat - expected)) <= tol
+    for m, lp_rows in ((8, 0), (4, 6)):
+        x0 = rng.uniform(-1, 1, (8, m))
+        x_inf, _ = ok.fj_equilibrium(net, x0)
+        report = ok.identify_infinite_horizon(x0, x_inf, net.lam, nonneg=nonneg)
+        expected = reference_infinite_horizon(x0, x_inf, net.lam, nonneg)
+        errors = np.max(np.abs(report.w_hat - expected), axis=1)
+        certified = list(report.solver_log["nnls_rows"])
+        assert len(errors) - len(certified) == lp_rows
+        assert np.max(np.delete(errors, certified), initial=0.0) <= tol
+        assert np.max(errors[certified], initial=0.0) <= 1e-12
 
 
 def _equilibrium_row_problem(m, tie_seed):
@@ -272,6 +282,58 @@ def test_equilibrium_rows_tie_between_distinct_optima_when_under_determined():
 def test_equilibrium_rows_have_one_optimum_when_determined():
     first, second = _tie_broken_rows(40)
     assert np.max(np.abs(first.x - second.x)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_equilibrium_row_certificate_matches_the_lp_uniqueness_oracle(seed):
+    # Every row has a nonnegative solution (the true W), so the certificate
+    # files each one under nnls_rows (unique) or tied_rows. A certified row
+    # is the program's only optimum, so any LP finds it too.
+    net = ok.generate_network(
+        ok.GeneratorConfig(model="watts_strogatz", n=50, k=6, beta_rw=0.2,
+                           lambda_range=(0.4, 0.4)),
+        seed=seed,
+    )
+    for m in (10, 20, 40):
+        x0 = np.random.default_rng(100 * seed + m).uniform(-1.0, 1.0, (50, m))
+        x_inf, _ = ok.fj_equilibrium(net, x0)
+        report = ok.identify_infinite_horizon(x0, x_inf, net.lam)
+        unique = report.solver_log["nnls_rows"]
+        assert sorted(unique + report.solver_log["tied_rows"]) == list(range(50))
+        psi = (x_inf - (1.0 - net.lam)[:, None] * x0) / net.lam[:, None]
+        a = np.vstack([x_inf.T, np.ones((1, 50))])
+        for j in range(50):
+            assert (j in unique) == reference_nonneg_is_unique(a, np.append(psi[j], 1.0))
+        for j in unique:
+            lp = reference_solve_l1(ok.L1Problem(phi=x_inf.T, psi=psi[j], sum_to=1.0))
+            assert np.max(np.abs(report.w_hat[j] - lp)) <= 1e-12
+
+
+def test_equilibrium_rows_the_certificate_cannot_decide_reach_the_lp_unchanged():
+    # lambda = 1/2 makes psi_j = 2 x_j(inf) - x_j(0). Agents 0 and 1 share
+    # their equilibrium opinions (duplicate columns), so every row splits
+    # its weight on them freely: all three rows are tied. With x(inf) = I,
+    # row 0's only solution psi = (-0.5, 1.5) has a negative weight, and
+    # row 1's, psi = (0.5, 0.5), is unique with an empty kernel.
+    lam = np.full(3, 0.5)
+    x_inf = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    psi = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
+    report = ok.identify_infinite_horizon(2.0 * x_inf - psi, x_inf, lam)
+    assert report.solver_log["tied_rows"] == (0, 1, 2)
+    for j in range(3):
+        lp = ok.solve_l1(ok.L1Problem(phi=x_inf.T, psi=psi[j], sum_to=1.0))
+        assert np.array_equal(report.w_hat[j], lp.x)
+
+    x_inf, psi = np.eye(2), np.array([[-0.5, 1.5], [0.5, 0.5]])
+    x0 = 2.0 * x_inf - psi
+    report = ok.identify_infinite_horizon(x0, x_inf, lam[:2])
+    assert report.solver_log["nnls_rows"] == (1,) and report.solver_log["tied_rows"] == ()
+    signed = ok.solve_l1(ok.L1Problem(phi=x_inf.T, psi=psi[0], sum_to=1.0))
+    assert np.array_equal(report.w_hat[0], signed.x)
+    assert np.allclose(report.w_hat[0], [-0.5, 1.5], atol=1e-15)
+    assert np.allclose(report.w_hat[1], [0.5, 0.5], atol=1e-15)
+    with pytest.raises(ok.InfeasibleError, match="^row 0: "):
+        ok.identify_infinite_horizon(x0, x_inf, lam[:2], nonneg=True)
 
 
 # ---- unknown susceptibilities ----------------------------------------------
@@ -578,7 +640,7 @@ def test_estimate_gamma_names_the_column_a_solve_fails_on(monkeypatch):
 
 
 def test_lp_estimators_share_one_solver_log_schema():
-    lp_keys = {"objectives", "iterations", "lexicographic_rows"}
+    lp_keys = {"objectives", "iterations", "lexicographic_rows", "nnls_rows", "tied_rows"}
     net = _ws_network()
     rng = np.random.default_rng(6)
     x0 = rng.uniform(-1, 1, (8, 8))
@@ -591,10 +653,17 @@ def test_lp_estimators_share_one_solver_log_schema():
         ok.identify_finite_horizon(traj).solver_log,
         ok.estimate_gamma(moments, b_bar, mode="sparse", eta=1e-3)[1],
     ]
-    for log, rows in zip(logs, (8, 8, 8, 10)):
+    # Every row of the equilibrium fixture has a nonnegative optimum, so the
+    # certificate sorts each into nnls_rows (no LP) or tied_rows (LP); the
+    # other two estimators send every row to the LP.
+    for log, rows, sorted_rows in zip(logs, (8, 8, 8, 10), (8, 8, 0, 0)):
         assert lp_keys <= set(log)
         assert len(log["objectives"]) == rows
-        assert isinstance(log["iterations"], int) and log["iterations"] > 0
+        assert isinstance(log["iterations"], int)
+        lp_rows = rows - len(log["nnls_rows"])
+        assert (log["iterations"] > 0) == (lp_rows > 0)
+        assert len(log["nnls_rows"]) + len(log["tied_rows"]) == sorted_rows
+        assert not set(log["nnls_rows"]) & set(log["tied_rows"])
 
 
 def test_estimate_gamma_rejects_unknown_mode():

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import opinionkit as ok
-from opinionkit.numkit import DENSE_MAX_N, PINV_RCOND, L1Problem, minimal_band
+from opinionkit.numkit import (
+    DENSE_MAX_N,
+    PINV_RCOND,
+    L1Problem,
+    minimal_band,
+    unique_nonneg_solution,
+)
 
 
 def test_philox_stream_is_reproducible():
@@ -164,6 +170,44 @@ def test_solve_l1_reports_infeasibility():
     psi = np.array([0.0, 1.0])
     res = ok.solve_l1(L1Problem(phi=phi, psi=psi))
     assert not res.ok
+
+
+def test_nonneg_solution_without_a_kernel_is_unique():
+    # q = 0: the square system has one solution, and it is nonnegative
+    verdict, z = unique_nonneg_solution([[2.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+    assert verdict == "unique"
+    assert np.allclose(z, [0.5, 0.5], atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # z_0 + z_1 = 0.5 splits freely between the two equal columns
+        ([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.5, 0.5]),
+        # NNLS puts all of z_0 + z_1 = 1 on one column, so the duplicate
+        # sits in the zero set
+        ([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]], [1.0, 0.0, 1.0]),
+    ],
+)
+def test_nonneg_solution_on_duplicate_columns_is_tied(a, b):
+    verdict, z = unique_nonneg_solution(a, b)
+    assert verdict == "tied" and z is None
+
+
+def test_nonneg_solution_with_only_a_negative_solution_is_infeasible():
+    verdict, z = unique_nonneg_solution([[1.0, 0.0], [1.0, 1.0]], [-0.5, 1.0])
+    assert verdict == "infeasible" and z is None
+
+
+def test_nonneg_solution_at_a_vertex_of_a_wide_system_is_unique():
+    # the rows force z_0 = 1 and z_1 + z_2 = 0: the kernel (0, 1, -1) is
+    # not trivial, but nonnegativity leaves e_0 as the only point
+    a = [[3.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+    verdict, z = unique_nonneg_solution(a, [3.0, 1.0])
+    assert verdict == "unique"
+    assert np.allclose(z, [1.0, 0.0, 0.0], atol=1e-15)
+    # moving b off that vertex opens a segment of solutions
+    assert unique_nonneg_solution(a, [2.0, 1.0])[0] == "tied"
 
 
 @given(st.integers(0, 10_000))
