@@ -195,6 +195,8 @@ def _parse_floats(text: str, error: str):
 
 def _read_trajectory(path) -> OpinionTrajectory:
     _, states = load_trajectory(path)
+    if not np.isfinite(states).all():
+        raise ConfigError(f"trajectory {path} holds a non-finite opinion")
     return OpinionTrajectory(
         states=states, model=ModelDescriptor(kind="loaded", params={"path": str(path)})
     )

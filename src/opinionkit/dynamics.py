@@ -23,7 +23,8 @@ from .errors import (
     StructuralError,
 )
 from .netgraph import InfluenceNetwork, MultiplexNetwork
-from .numkit import CONDITION_MAX, DENSE_MAX_N, STRUCTURAL_ZERO, philox_stream, spectral_radius
+from .numkit import CONDITION_MAX, DENSE_MAX_N, STABILITY_MARGIN, STRUCTURAL_ZERO
+from .numkit import philox_stream, spectral_radius
 
 # Plateau detector: this many consecutive steps with ||dX||_inf below
 # PLATEAU_TOL mark the trajectory as converged.
@@ -85,7 +86,8 @@ class StabilityReport:
     comes from numkit.spectral_radius: a dense eigen-solve up to
     DENSE_MAX_N agents, beyond that a certified ARPACK value on the CSR
     coupling (or the dense fallback). Every solve with I - Lambda W makes
-    this check and bounds kappa_inf(I - Lambda W) (see _anchored_system).
+    the walk check and bounds kappa_inf(I - Lambda W); it certifies the
+    radius of a nonnegative coupling from its own solve (_anchored_system).
     """
 
     schur_stable: bool
@@ -129,14 +131,16 @@ def _coupling(net: InfluenceNetwork):
     return coupling if net.n <= DENSE_MAX_N else sparse.csr_array(coupling)
 
 
-def _stability(net: InfluenceNetwork, coupling, what: str | None = None) -> StabilityReport:
+def _stability(net: InfluenceNetwork, coupling, what: str | None = None,
+               certified: bool = False) -> StabilityReport:
     """Decide Schur stability of coupling = Lambda W by the walk criterion.
 
     The open set collects agents with lambda < 1; stability holds iff no
     agent is cut off from it. The eigenvalue radius is computed
     independently and the two routes must agree (the graph criterion is
     authoritative for ties at radius 1). With `what` given, an unstable
-    network raises StabilityError naming it.
+    network raises StabilityError naming it. With certified, the caller
+    certifies the radius of a walk-stable network (NaN in the report).
     """
     lam = net.lam
     reaches = lam < 1.0
@@ -150,15 +154,10 @@ def _stability(net: InfluenceNetwork, coupling, what: str | None = None) -> Stab
     unanchored = tuple(np.flatnonzero(~reaches).tolist())
     stable = not unanchored
 
-    radius = spectral_radius(coupling)
-    if stable and radius >= 1.0 + 1e-9:
-        raise NumericalError(
-            f"graph criterion says stable but spectral radius is {radius:.12g}"
-        )
-    if not stable and radius < 1.0 - 1e-10:
-        raise NumericalError(
-            f"graph criterion says unstable but spectral radius is {radius:.12g}"
-        )
+    radius = float("nan") if certified and stable else spectral_radius(coupling)
+    if (radius >= 1.0 + 1e-9) if stable else (radius < 1.0 - 1e-10):
+        verdict = "stable" if stable else "unstable"
+        raise NumericalError(f"graph criterion says {verdict} but spectral radius is {radius:.12g}")
     if what is not None and not stable:
         raise StabilityError(f"{what} needs a Schur-stable Lambda W, but agents "
                              f"{unanchored} cannot reach any agent with lambda < 1")
@@ -181,11 +180,15 @@ def _anchored_system(net: InfluenceNetwork, what: str):
     `what`) and kappa = ||S||_inf max|S^{-1} 1| at most CONDITION_MAX (else
     NumericalError): the exact infinity-norm condition number when
     Lambda W >= 0, as S^{-1} = sum_k (Lambda W)^k >= 0, else a lower bound.
+    Then y = S^{-1} 1 > 0 with y - Lambda W y >= STABILITY_MARGIN certifies
+    rho < 1 (else NumericalError); a signed coupling keeps _stability's
+    radius cross-check instead.
     Up to DENSE_MAX_N agents each solve is numpy's dense one (scipy's LU
     differs from it in the last bit); beyond, SuperLU factorises S once.
     """
     coupling = _coupling(net)
-    _stability(net, coupling, what)
+    signed = (coupling.data if sparse.issparse(coupling) else coupling).min(initial=0.0) < 0.0
+    _stability(net, coupling, what, certified=not signed)
     if net.n <= DENSE_MAX_N:
         system, factor = np.eye(net.n) - coupling, None
     else:
@@ -197,9 +200,13 @@ def _anchored_system(net: InfluenceNetwork, what: str):
             return np.linalg.solve(system.T if transpose else system, rhs)
         return factor.solve(rhs, trans="T" if transpose else "N")
 
-    condition = abs(system).sum(axis=1).max() * np.abs(solve(np.ones(net.n))).max()
+    y = solve(np.ones(net.n))
+    condition = abs(system).sum(axis=1).max() * np.abs(y).max()
     if condition > CONDITION_MAX:
         raise NumericalError(f"{what}: I - Lambda W has condition number {condition:.3g} (inf-norm)")
+    if not (signed or (y.min() > 0.0 and (y - coupling @ y).min() >= STABILITY_MARGIN)):
+        raise NumericalError(f"{what}: graph criterion says stable but (I - Lambda W)^-1 1 "
+                             "does not certify a spectral radius below 1")
     return solve
 
 

@@ -9,8 +9,7 @@ metrics, and solver diagnostics in one record type.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
-from itertools import repeat
+from dataclasses import dataclass, field
 from math import log, pi as _PI
 
 import numpy as np
@@ -33,11 +32,9 @@ from .numkit import (
     L1Problem,
     PINV_RCOND,
     STRUCTURAL_ZERO,
-    certified_result,
     minimal_band,
     pseudoinverse,
     solve_l1,
-    unique_nonneg_solution,
 )
 from .observe import ObservationStream, observation_moments
 
@@ -123,6 +120,8 @@ def _as_profiles(x0, x_inf) -> tuple[np.ndarray, np.ndarray]:
         x_inf = x_inf[:, None]
     if x0.shape != x_inf.shape:
         raise StructuralError(f"profile shapes differ: {x0.shape} vs {x_inf.shape}")
+    if not (np.isfinite(x0).all() and np.isfinite(x_inf).all()):
+        raise ParameterError("profiles must be finite")
     return x0, x_inf
 
 
@@ -221,45 +220,28 @@ def identify_finite_horizon(
     )
 
 
-def _solve_rows(problems, infeasible, what: str = "row", systems=None):
-    """(solutions stacked as rows, SolveResults) of the programs, solved
-    in order. Program i raises InfeasibleError(infeasible(i, problem)) if
-    infeasible and NumericalError naming `what` i on any other non-optimal
-    status. Every estimator row is solved here: a rule among tied optima
-    belongs in this loop.
-
-    systems, when given, yields for each program a tuple (a, b, lift) of
-    a program whose optimal set is {lift(z) : z >= 0, a z = b} whenever
-    that set is nonempty. Such a row is first decided by
-    unique_nonneg_solution: a certified-unique z is final as lift(z), with
-    no LP; a tied row, or one with no nonnegative solution, goes to
-    solve_l1 unchanged. Each result's solver_log["certificate"] holds that
-    verdict (None without systems)."""
+def _solve_rows(problems, infeasible, what: str = "row"):
+    """(solutions stacked as rows, SolveResults) of the programs, solved in
+    order by solve_l1. Program i raises InfeasibleError(infeasible(i, problem))
+    if infeasible and NumericalError naming `what` i on any other non-optimal
+    status. Every estimator row is solved here: a tie rule belongs here."""
     rows, results = [], []
-    for i, (problem, system) in enumerate(zip(problems, systems or repeat(None))):
-        verdict = None
-        if system is not None:
-            a, b, lift = system
-            verdict, z = unique_nonneg_solution(a, b)
-        if verdict == "unique":
-            result = certified_result(problem, z if lift is None else lift(z))
-        else:
-            result = solve_l1(problem)
-            if result.status == "infeasible":
-                raise InfeasibleError(infeasible(i, problem))
-            if not result.ok:
-                raise NumericalError(f"{what} {i}: l1 solve ended with {result.status}")
+    for i, problem in enumerate(problems):
+        result = solve_l1(problem)
+        if result.status == "infeasible":
+            raise InfeasibleError(infeasible(i, problem))
+        if not result.ok:
+            raise NumericalError(f"{what} {i}: l1 solve ended with {result.status}")
         rows.append(result.x)
-        results.append(replace(result, solver_log={**result.solver_log, "certificate": verdict}))
+        results.append(result)
     return np.array(rows), results
 
 
 def _lp_log(results) -> dict:
     """The solver_log entries of every LP-backed estimator: per-row (or
     per-column) objectives, total LP iterations, the rows decided by the
-    lexicographic tie-break, the rows the uniqueness certificate decided
-    without an LP (nnls_rows), and the rows with nonnegative optima that
-    it could not certify unique, which kept HiGHS's vertex (tied_rows)."""
+    lexicographic tie-break, by the uniqueness certificate without an LP
+    (nnls_rows), and by HiGHS's vertex among tied nonnegative optima (tied_rows)."""
 
     def rows_where(key, value):
         return tuple(row for row, result in enumerate(results) if result.solver_log[key] == value)
@@ -306,12 +288,10 @@ def identify_infinite_horizon(
 
     Since ||w||_1 >= 1'w = 1, with equality exactly when w >= 0, the
     program is a nonnegative feasibility problem whenever a nonnegative
-    solution exists: every such point is optimal, signed or not. So each
-    row is decided first by unique_nonneg_solution on [X(inf)'; 1']. A
-    row with exactly one nonnegative solution takes it with no LP
-    (solver_log nnls_rows). A row with several (tied_rows) keeps HiGHS's
-    vertex for now, and a row with none solves its LP; both go through
-    solve_l1 as before.
+    solution exists: every such point is optimal, signed or not, so
+    solve_l1 takes a row's only nonnegative solution with no LP (solver_log
+    nnls_rows). A row with several (tied_rows) keeps HiGHS's vertex for
+    now, and a row with none solves its LP.
     """
     x0, x_inf = _as_profiles(x0, x_inf)
     n = x0.shape[0]
@@ -327,13 +307,10 @@ def identify_infinite_horizon(
         )
     _consensus_guard(x0)
 
-    phi = x_inf.T
     psi = (x_inf - (1.0 - lam)[:, None] * x0) / lam[:, None]
-    a = np.vstack([phi, np.ones((1, n))])
     w_hat, results = _solve_rows(
-        (L1Problem(phi=phi, psi=row, sum_to=1.0, nonneg=nonneg) for row in psi),
+        (L1Problem(phi=x_inf.T, psi=row, sum_to=1.0, nonneg=nonneg) for row in psi),
         lambda j, _: f"row {j}: equilibrium identities are inconsistent",
-        systems=((a, np.append(row, 1.0), None) for row in psi),
     )
     return EstimationReport(
         w_hat=w_hat,
@@ -361,12 +338,10 @@ def identify_unknown_lambda(
 
     As in identify_infinite_horizon, ||w_j||_1 >= 1'w_j = 1 makes every
     nonnegative solution optimal, so the program is a nonnegative
-    feasibility problem whenever one exists. Each row is decided first by
-    unique_nonneg_solution with w_jj dropped and mu_j = 1 + mu' (mu' >= 0):
-    a unique solution is final with no LP (nnls_rows); a tied row
-    (tied_rows, including an agent that never moved, whose mu is free)
-    keeps HiGHS's vertex for now, and a row with no nonnegative solution
-    solves its LP; both through solve_l1.
+    feasibility problem whenever one exists: solve_l1 takes a unique
+    solution with no LP (nnls_rows); a tied row (tied_rows, including an
+    agent that never moved, whose mu is free) keeps HiGHS's vertex for
+    now, and a row with no nonnegative solution solves its LP.
     """
     x0, x_inf = _as_profiles(x0, x_inf)
     n, m = x0.shape
@@ -383,37 +358,18 @@ def identify_unknown_lambda(
         )
 
     def row_problem(j):
-        phi = np.hstack([x_inf.T, (x0[j] - x_inf[j])[:, None]])
-        # Appending the closure row keeps the sum over w only, not mu.
-        closure = np.zeros(n + 1)
-        closure[:n] = 1.0
-        phi = np.vstack([phi, closure])
-        psi = np.concatenate([x0[j], [1.0]])
-        weights = np.ones(n + 1)
-        weights[n] = 0.0
+        # The closure row sums w only, not mu; as the weights it prices w alone.
+        closure = np.append(np.ones(n), 0.0)
+        phi = np.vstack([np.hstack([x_inf.T, (x0[j] - x_inf[j])[:, None]]), closure])
         lo, hi = np.full(n + 1, np.nan), np.full(n + 1, np.nan)
         lo[j] = hi[j] = 0.0
         lo[n] = 1.0
-        return L1Problem(phi=phi, psi=psi, nonneg=nonneg, weights=weights, lo=lo, hi=hi)
-
-    def row_system(j):
-        # Columns [w without w_jj, mu'] with mu = 1 + mu', mu' >= 0: the
-        # equilibrium rows read X(inf)'w + d mu' = x_j(inf) with
-        # d = x_j(0) - x_j(inf), and the closure row 1'w = 1.
-        a = np.vstack([
-            np.hstack([np.delete(x_inf.T, j, axis=1), (x0[j] - x_inf[j])[:, None]]),
-            np.append(np.ones(n - 1), 0.0),
-        ])
-
-        def lift(z):
-            return np.concatenate([z[:j], [0.0], z[j : n - 1], [1.0 + z[n - 1]]])
-
-        return a, np.append(x_inf[j], 1.0), lift
+        return L1Problem(phi=phi, psi=np.append(x0[j], 1.0), nonneg=nonneg, weights=closure,
+                         lo=lo, hi=hi)
 
     rows, results = _solve_rows(
         map(row_problem, range(n)),
         lambda j, _: f"row {j}: augmented identities are inconsistent",
-        systems=map(row_system, range(n)),
     )
     w_hat, mu = rows[:, :n], rows[:, n]
     at_rest = np.flatnonzero(np.abs(x0 - x_inf).max(axis=1) <= STRUCTURAL_ZERO).tolist()

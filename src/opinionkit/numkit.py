@@ -11,9 +11,8 @@ tie cost, and by HiGHS's vertex choice otherwise. A nonnegative solution
 set {z >= 0 : a z = b} can also be decided without an LP:
 unique_nonneg_solution finds a point by NNLS and certifies it as the only
 one through Stiemke's alternative, solved by a second NNLS in the row
-space, or reports a tie or no point (the only use of nnls in the
-package). The estimators use it for
-programs whose weighted l1 norm is constant on that set. Combinatorial
+space, or reports a tie or no point; solve_l1 uses it (the package's only
+nnls) where the weighted l1 norm is constant on that set. Combinatorial
 diagnostics (spark, nullspace property) are exhaustive and therefore
 capped at small dimensions; they exist to certify test instances, not to
 scale.
@@ -49,6 +48,10 @@ DENSE_MAX_N = 200
 
 # Bound on the infinity-norm condition number of I - Lambda W wherever it is solved.
 CONDITION_MAX = 1e12
+
+# Least entry of y - M y, for y = (I - M)^{-1} 1 as solved (exactly 1) and
+# M >= 0, that with y > 0 certifies rho(M) <= 1 - this / max y (Collatz-Wielandt).
+STABILITY_MARGIN = 0.5
 
 # Largest max-abs residual |a z - b|, relative to max(1, max |b|), at which an
 # NNLS point z counts as a nonnegative solution of a z = b. Above it the
@@ -121,15 +124,8 @@ class SolveResult:
         return self.status == "optimal"
 
 
-def _columns(problem: L1Problem):
-    """Validate a problem and lay out its LP columns: x = u - v with
-    u, v >= 0 (u alone when nonneg), so |x_i| = u_i + v_i at any optimum
-    where weights_i > 0. Box bounds become u in [max(lo, 0), max(hi, 0)]
-    and v in [max(-hi, 0), max(-lo, 0)]; a nonneg program has u in
-    [max(lo, 0), hi], so a negative upper bound leaves it infeasible
-    rather than pinning x_i at 0. Returns phi, psi, weights, lift
-    (coefficient rows over x to rows over the columns; sign +1 prices
-    u and v alike), the column bounds, and the sum_to rows."""
+def _parsed(problem: L1Problem):
+    """The validated phi, psi and weights of a problem, and lo and hi (NaN: none)."""
     phi = np.atleast_2d(np.asarray(problem.phi, dtype=float))
     psi = np.asarray(problem.psi, dtype=float).ravel()
     m, n = phi.shape
@@ -137,14 +133,25 @@ def _columns(problem: L1Problem):
         raise ParameterError(f"phi has {m} rows but psi has {psi.shape[0]} entries")
     if not problem.band >= 0.0:
         raise ParameterError(f"band must be >= 0, got {problem.band}")
-    weights = (
-        np.ones(n) if problem.weights is None else np.asarray(problem.weights, float)
-    )
-    for name, vector in (("weights", weights), ("tie_weights", problem.tie_weights)):
+    weights = np.ones(n) if problem.weights is None else np.asarray(problem.weights, float)
+    for name, vector in (("weights", problem.weights), ("tie_weights", problem.tie_weights)):
         if vector is not None and (np.shape(vector) != (n,) or np.any(np.less(vector, 0))):
             raise ParameterError(f"{name} must be a nonnegative length-n vector")
     lo = np.full(n, np.nan) if problem.lo is None else np.asarray(problem.lo, float)
     hi = np.full(n, np.nan) if problem.hi is None else np.asarray(problem.hi, float)
+    return phi, psi, weights, lo, hi
+
+
+def _columns(problem: L1Problem, lo, hi):
+    """Lay out the LP columns of a problem with the bounds from _parsed:
+    x = u - v with u, v >= 0 (u alone when nonneg), so |x_i| = u_i + v_i at
+    any optimum where weights_i > 0. Box bounds become u in [max(lo, 0),
+    max(hi, 0)] and v in [max(-hi, 0), max(-lo, 0)]; a nonneg program has
+    u in [max(lo, 0), hi], so a negative upper bound leaves it infeasible
+    rather than pinning x_i at 0. Returns lift (coefficient rows over x to
+    rows over the columns; sign +1 prices u and v alike), the column
+    bounds, and the sum_to rows."""
+    n = lo.shape[0]
     lo, hi = np.where(np.isnan(lo), -np.inf, lo), np.where(np.isnan(hi), np.inf, hi)
     if problem.nonneg:
         bounds = np.column_stack([np.maximum(lo, 0.0), hi])
@@ -156,7 +163,7 @@ def _columns(problem: L1Problem):
         return rows if problem.nonneg else np.hstack([rows, sign * rows])
 
     sums = [] if problem.sum_to is None else [float(problem.sum_to)]
-    return phi, psi, weights, lift, bounds, lift(np.ones((len(sums), n))), np.array(sums)
+    return lift, bounds, lift(np.ones((len(sums), n))), np.array(sums)
 
 
 def _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds):
@@ -173,8 +180,12 @@ def solve_l1(problem: L1Problem) -> SolveResult:
 
     Returns a SolveResult whose status is "optimal" on success; infeasible
     or pathological programs are reported through status, never silently.
-    The band form enters as the rows [phi; -phi] x <= [psi + band;
-    -(psi - band)], the equality form as phi x = psi.
+    A program whose objective is constant on its nonnegative feasible set
+    (_nonneg_system) takes that set's point without an LP ("nnls", no
+    iterations) when unique_nonneg_solution certifies it the only one;
+    solver_log["certificate"] holds that verdict, None where it does not
+    apply. Otherwise the band form enters HiGHS as the rows [phi; -phi] x
+    <= [psi + band; -(psi - band)], the equality form as phi x = psi.
 
     Ties between optimal vertices: without tie_weights, HiGHS's
     deterministic vertex choice decides ("solver-vertex" in solver_log).
@@ -185,48 +196,82 @@ def solve_l1(problem: L1Problem) -> SolveResult:
     feasible for it, so a stage-2 failure is reported as "numerical".
     solver_log["iterations"] counts both stages.
     """
-    phi, psi, weights, lift, bounds, closure, sums = _columns(problem)
-    cost = lift(weights, 1.0)
-    block = lift(phi)
-    if problem.band == 0.0:
-        a_ub, b_ub = np.zeros((0, cost.shape[0])), np.zeros(0)
-        a_eq, b_eq = np.vstack([block, closure]), np.concatenate([psi, sums])
+    phi, psi, weights, lo, hi = _parsed(problem)
+    system = _nonneg_system(problem, phi, psi, weights, lo, hi)
+    verdict, z = (None, None) if system is None else unique_nonneg_solution(*system[:2])
+    if verdict == "unique":
+        x, status = system[2](z), "optimal"
+        log = {"method": "nnls", "tie_break": "unique", "iterations": 0, "message": "certified"}
     else:
-        a_ub = np.vstack([block, -block])
-        b_ub = np.concatenate([psi + problem.band, -(psi - problem.band)])
-        a_eq, b_eq = closure, sums
-    res, status = _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds)
-    iterations = int(res.nit)
-    tie_break = "solver-vertex"
-    if problem.tie_weights is not None and status == "optimal":
-        tie_cost = lift(np.asarray(problem.tie_weights, float), 1.0)
-        if tie_cost @ res.x > STRUCTURAL_ZERO:
-            res, status = _highs(
-                tie_cost,
-                np.vstack([a_ub, cost]),
-                np.concatenate([b_ub, [res.fun + LEXICOGRAPHIC_SLACK]]),
-                a_eq,
-                b_eq,
-                bounds,
-            )
-            iterations += int(res.nit)
-            tie_break = "lexicographic"
-            status = "optimal" if status == "optimal" else "numerical"
+        lift, bounds, closure, sums = _columns(problem, lo, hi)
+        cost = lift(weights, 1.0)
+        block = lift(phi)
+        if problem.band == 0.0:
+            a_ub, b_ub = np.zeros((0, cost.shape[0])), np.zeros(0)
+            a_eq, b_eq = np.vstack([block, closure]), np.concatenate([psi, sums])
+        else:
+            a_ub = np.vstack([block, -block])
+            b_ub = np.concatenate([psi + problem.band, -(psi - problem.band)])
+            a_eq, b_eq = closure, sums
+        res, status = _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds)
+        iterations = int(res.nit)
+        tie_break = "solver-vertex"
+        if problem.tie_weights is not None and status == "optimal":
+            tie_cost = lift(np.asarray(problem.tie_weights, float), 1.0)
+            if tie_cost @ res.x > STRUCTURAL_ZERO:
+                res, status = _highs(
+                    tie_cost,
+                    np.vstack([a_ub, cost]),
+                    np.concatenate([b_ub, [res.fun + LEXICOGRAPHIC_SLACK]]),
+                    a_eq,
+                    b_eq,
+                    bounds,
+                )
+                iterations += int(res.nit)
+                tie_break = "lexicographic"
+                status = "optimal" if status == "optimal" else "numerical"
 
-    n = phi.shape[1]
-    if res.x is None:
-        x = np.zeros(n)
-    else:
-        x = res.x if problem.nonneg else res.x[:n] - res.x[n:]
-    objective = float(np.sum(weights * np.abs(x)))
-    residual = float(np.max(np.abs(phi @ x - psi))) if res.x is not None else np.inf
-    log = {
-        "method": "highs",
-        "tie_break": tie_break,
-        "iterations": iterations,
-        "message": str(res.message),
-    }
-    return SolveResult(x=x, objective=objective, residual=residual, status=status, solver_log=log)
+        n = phi.shape[1]
+        x = None if res.x is None else res.x if problem.nonneg else res.x[:n] - res.x[n:]
+        log = {"method": "highs", "tie_break": tie_break, "iterations": iterations,
+               "message": str(res.message)}
+    residual = np.inf if x is None else float(np.abs(phi @ x - psi).max())
+    x = np.zeros(phi.shape[1]) if x is None else x
+    objective = float((weights * np.abs(x)).sum())
+    return SolveResult(x=x, objective=objective, residual=residual, status=status,
+                       solver_log={**log, "certificate": verdict})
+
+
+def _nonneg_system(problem: L1Problem, phi, psi, weights, lo, hi):
+    """(a, b, lift) with the optimal set {lift(z) : z >= 0, a z = b} when
+    that set is nonempty, or None. It holds for band 0 without tie_weights
+    when every coordinate is pinned (lo = hi, >= 0 if nonneg) or unbounded
+    above, the unpinned weights equal a row of R = [phi; 1'] (ones only with
+    sum_to) and a signed program prices the unpinned ones without lo >= 0.
+    With x0 the pins and max(lo, 0) elsewhere (NaN: 0), sum w|x| >= sum w x,
+    a constant, with equality iff x >= x0: so a = R and lift(z) = x0 + z
+    off the pins, and b = rhs - R x0 (None unless finite)."""
+    if problem.band != 0.0 or problem.tie_weights is not None or not phi.shape[1]:
+        return None
+    rows, rhs = phi, psi
+    if problem.sum_to is not None:
+        rows = np.concatenate((phi, np.ones((1, phi.shape[1]))))
+        rhs = np.concatenate((psi, [float(problem.sum_to)]))
+    free = lo != hi  # NaN bounds never pin
+    base = np.where(free, np.fmax(lo, 0.0), lo)
+    a, b = rows[:, free], rhs - rows @ base
+    eligible = free.any() and not (hi[free] < np.inf).any() and (
+        (base >= 0.0).all() if problem.nonneg else ((weights > 0.0) | (lo >= 0.0))[free].all()
+    )
+
+    def lift(z):
+        x = base.copy()
+        x[free] += z
+        return x
+
+    if eligible and (a == weights[free]).all(axis=1).any() and np.isfinite(b).all():
+        return a, b, lift
+    return None
 
 
 def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
@@ -259,7 +304,7 @@ def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
         z, _ = nnls(a, b)
     except RuntimeError:  # iteration limit
         return "infeasible", None
-    if np.max(np.abs(a @ z - b)) > NNLS_RESIDUAL_MAX * np.max(np.abs(b), initial=1.0):
+    if np.abs(a @ z - b).max() > NNLS_RESIDUAL_MAX * np.abs(b).max(initial=1.0):
         return "infeasible", None
     support = z > STRUCTURAL_ZERO
     a_s, a_z = a[:, support], a[:, ~support]
@@ -292,26 +337,11 @@ def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
     return "unique", z
 
 
-def certified_result(problem: L1Problem, x: np.ndarray) -> SolveResult:
-    """The SolveResult of x as the problem's optimum when a certificate,
-    not an LP, decided it (see unique_nonneg_solution): no LP iterations,
-    and the objective and residual as solve_l1 reports them."""
-    phi = np.atleast_2d(np.asarray(problem.phi, dtype=float))
-    weights = 1.0 if problem.weights is None else np.asarray(problem.weights, float)
-    log = {"method": "nnls", "tie_break": "unique", "iterations": 0, "message": "certified"}
-    return SolveResult(
-        x=x,
-        objective=float(np.sum(weights * np.abs(x))),
-        residual=float(np.max(np.abs(phi @ x - problem.psi))),
-        status="optimal",
-        solver_log=log,
-    )
-
-
 def minimal_band(problem: L1Problem) -> float:
     """Smallest band for which the problem's constraints are feasible
     (inf when none is); the problem's own band and weights are ignored."""
-    phi, psi, _, lift, bounds, closure, sums = _columns(problem)
+    phi, psi, _, lo, hi = _parsed(problem)
+    lift, bounds, closure, sums = _columns(problem, lo, hi)
     block = lift(phi)
     ones = np.ones((block.shape[0], 1))
     cost = np.zeros(block.shape[1] + 1)

@@ -469,6 +469,26 @@ def reference_nonneg_is_unique(a, b, tol=1e-9):
     return reach.status == 0 and -reach.fun <= tol
 
 
+def reference_equilibrium_system(x_inf, psi_row):
+    """The nonnegative system [X(inf)'; 1'] w = [psi_j; 1] of one
+    identify_infinite_horizon row, as the estimator once built it by hand."""
+    a = np.vstack([x_inf.T, np.ones((1, x_inf.shape[0]))])
+    return a, np.append(psi_row, 1.0)
+
+
+def reference_augmented_system(x0, x_inf, j):
+    """The nonnegative system of identify_unknown_lambda's row j over the
+    columns [w without w_jj, mu'] with mu = 1 + mu': X(inf)'w + d mu' =
+    x_j(inf) with d = x_j(0) - x_j(inf), and 1'w = 1, as the estimator once
+    built it by hand."""
+    n = x0.shape[0]
+    a = np.vstack([
+        np.hstack([np.delete(x_inf.T, j, axis=1), (x0[j] - x_inf[j])[:, None]]),
+        np.append(np.ones(n - 1), 0.0),
+    ])
+    return a, np.append(x_inf[j], 1.0)
+
+
 def reference_infinite_horizon(x0, x_inf, lam, nonneg):
     """Row-by-row equilibrium inversion through reference_solve_l1."""
     lam = np.asarray(lam, dtype=float)

@@ -278,6 +278,37 @@ def test_flag_checks_exit_one_with_their_message(tmp_path, capsys, files, args, 
     assert not (tmp_path / "out").exists()
 
 
+def test_identify_names_the_file_of_a_non_finite_profile(tmp_path, capsys, files):
+    # a nan opinion used to escape main() as a ValueError from the solver
+    bad = tmp_path / "p.csv"
+    text = open(files["profiles"]).read()
+    bad.write_text(text[: text.rstrip().rindex(",") + 1] + "nan\n")
+    out = tmp_path / "r.json"
+    assert main([
+        "identify", "--method", "infinite_horizon", "--profiles", str(bad),
+        "--network", files["net"], "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: trajectory {bad} holds a non-finite opinion\n"
+    assert not out.exists()
+    _, states = ok.load_trajectory(bad)
+    lam = ok.load_network(files["net"]).lam
+    with pytest.raises(ok.ParameterError, match="profiles must be finite"):
+        ok.identify_infinite_horizon(states[0], states[1], lam)
+    with pytest.raises(ok.ParameterError, match="profiles must be finite"):
+        ok.identify_unknown_lambda(states[0], states[1])
+
+
+def test_observe_names_the_file_of_a_non_finite_trajectory(tmp_path, capsys, files):
+    # every command that reads a trajectory file shares the check
+    bad = tmp_path / "traj.csv"
+    text = open(files["traj"]).read()
+    bad.write_text(text[: text.rstrip().rindex(",") + 1] + "inf\n")
+    out = tmp_path / "stream.csv"
+    assert main(["observe", str(bad), "--kind", "full", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: trajectory {bad} holds a non-finite opinion\n"
+    assert not out.exists()
+
+
 def test_simulate_rejects_an_x0_of_the_wrong_length(tmp_path, capsys, files):
     out = tmp_path / "traj.csv"
     assert main([

@@ -89,6 +89,22 @@ def test_fj_equilibrium_requires_stability():
         ok.fj_equilibrium(net, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("w, lam, message", [
+    # nonnegative with rows summing to 1.5: every agent reaches lambda < 1,
+    # but rho is about 1.39, so y = (I - Lambda W)^{-1} 1 is negative
+    ([[0.2, 1.3], [1.0, 0.5]], [0.9, 0.95], "does not certify a spectral radius below 1"),
+    # signed, with rho about 2.01: the radius cross-check decides
+    ([[0.0, -3.0], [-3.0, 0.0]], [0.5, 0.9], "says stable but spectral radius is 2.01"),
+], ids=["over-stochastic", "signed"])
+def test_solve_paths_reject_walk_stable_couplings_of_radius_above_one(w, lam, message):
+    net = ok.InfluenceNetwork(w=np.array(w), lam=np.array(lam))
+    assert ok.spectral_radius(np.diag(net.lam) @ net.w) > 1.3
+    with pytest.raises(ok.NumericalError, match=message):
+        ok.fj_equilibrium(net, np.array([1.0, 0.0]))
+    with pytest.raises(ok.NumericalError, match=message):
+        ok.friedkin_centrality(net)
+
+
 def test_schur_stability_walk_criterion_hand_instances():
     # fully susceptible ring: nobody is anchored
     ring = ok.InfluenceNetwork(

@@ -132,6 +132,20 @@ def test_finite_horizon_matches_the_direct_linprog_oracle(eps, pinned):
     assert (2 in reports[0].solver_log["lexicographic_rows"]) is not pinned
 
 
+def test_finite_horizon_rows_with_a_weights_sample_are_certified():
+    # with 0/1 opinions some x(0) equals row i's weights (1 off i, 0 at i), so
+    # the objective is constant on the feasible set and the certificate decides
+    w = np.array([[0.3, 0.5, 0.2], [0.2, 0.4, 0.4], [0.5, 0.0, 0.5]])
+    net = ok.InfluenceNetwork(w=w, lam=np.array([0.7, 0.5, 0.4]))
+    x0 = np.array(np.meshgrid([0.0, 1.0], [0.0, 1.0], [0.0, 1.0])).reshape(3, 8)
+    traj = ok.simulate_fj(net, x0, steps=3)
+    report = ok.identify_finite_horizon(traj, lam=net.lam)
+    assert report.solver_log["nnls_rows"] == (0, 1, 2)
+    a_hat, b_hat = reference_finite_horizon(traj.states, 0.0, net.lam)
+    assert np.max(np.abs(report.solver_log["coupling_matrix"] - a_hat)) <= 1e-12
+    assert np.array_equal(report.lambda_hat, 1.0 - b_hat)
+
+
 def test_finite_horizon_names_the_smallest_feasible_band():
     # one agent starting at 1 must stay at a x + b x(0) = 1, 0.5 away
     traj = ok.OpinionTrajectory(

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import opinionkit as ok
+from helpers import reference_augmented_system, reference_equilibrium_system, reference_solve_l1
+from opinionkit import numkit
 from opinionkit.numkit import (
     DENSE_MAX_N,
     PINV_RCOND,
@@ -208,6 +210,99 @@ def test_nonneg_solution_at_a_vertex_of_a_wide_system_is_unique():
     assert np.allclose(z, [1.0, 0.0, 0.0], atol=1e-15)
     # moving b off that vertex opens a segment of solutions
     assert unique_nonneg_solution(a, [2.0, 1.0])[0] == "tied"
+
+
+# The wide system above as an l1 program: ||x||_1 >= 1'x = 1, with equality
+# exactly on the nonnegative feasible points, of which e_0 is the only one.
+VERTEX = dict(phi=np.array([[3.0, 1.0, 1.0]]), psi=np.array([3.0]), sum_to=1.0)
+# weights equal to the first row of phi: x_2 is free of cost, and x_0 in
+# [0, 0.5] with x_1 = 1 - x_0, x_2 = 0.5 - x_0 are its nonnegative points
+UNPRICED = dict(phi=np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]), psi=np.array([1.0, 0.5]),
+                weights=np.array([1.0, 1.0, 0.0]))
+NAN = np.nan
+
+
+@pytest.mark.parametrize("extra", [
+    {},
+    {"nonneg": True},
+    # a priced coordinate with a negative lo keeps the shift 0, not lo
+    {"lo": np.array([NAN, -0.5, NAN])},
+    # pinned coordinates move to b; a positive lo shifts its coordinate
+    {"phi": np.array([[3.0, 1.0, 1.0, 2.0]]), "psi": np.array([4.25]), "sum_to": 1.75,
+     "lo": np.array([NAN, NAN, 0.25, 0.5]), "hi": np.array([NAN, NAN, NAN, 0.5])},
+])
+def test_solve_l1_certifies_a_unique_nonnegative_optimum(extra):
+    problem = L1Problem(**{**VERTEX, **extra})
+    res = ok.solve_l1(problem)
+    assert res.ok and res.solver_log["method"] == "nnls"
+    assert res.solver_log["certificate"] == "unique" and res.solver_log["iterations"] == 0
+    assert np.max(np.abs(res.x - reference_solve_l1(problem))) <= 1e-12
+    assert res.objective == pytest.approx(np.abs(res.x).sum(), abs=0.0)
+
+
+# Each program breaks one clause of the certificate's rule; the second is
+# the same program with that clause kept, which the certificate decides.
+PINNED_LOW = {"lo": np.array([NAN, NAN, -0.5]), "hi": np.array([NAN, NAN, -0.5])}
+UNPRICED_LO = {**UNPRICED, "lo": np.array([NAN, NAN, 0.0])}
+
+
+@pytest.mark.parametrize("breached, kept, verdict", [
+    ({**VERTEX, "band": 0.1}, VERTEX, "unique"),
+    ({**VERTEX, "tie_weights": np.array([0.0, 1.0, 1.0])}, VERTEX, "unique"),
+    ({**VERTEX, "hi": np.array([NAN, 5.0, NAN])}, VERTEX, "unique"),
+    ({**VERTEX, "weights": np.array([1.0, 2.0, 1.0])}, VERTEX, "unique"),
+    (UNPRICED, UNPRICED_LO, "tied"),
+    ({**UNPRICED, "lo": np.array([NAN, NAN, -1.0])}, UNPRICED_LO, "tied"),
+    ({**VERTEX, **PINNED_LOW, "nonneg": True}, {**VERTEX, **PINNED_LOW}, "unique"),
+], ids=["band", "tie-weights", "upper-bound", "weights-not-a-row", "signed-unpriced-free",
+        "signed-unpriced-negative-lo", "nonneg-negative-pin"])
+def test_solve_l1_leaves_programs_outside_the_certificate_to_highs(breached, kept, verdict):
+    res = ok.solve_l1(L1Problem(**breached))
+    assert res.solver_log["method"] == "highs" and res.solver_log["certificate"] is None
+    assert res.ok == (not breached.get("nonneg", False))  # a negative pin is infeasible
+    assert ok.solve_l1(L1Problem(**kept)).solver_log["certificate"] == verdict
+
+
+def _captured_rows(monkeypatch, estimate):
+    """The l1 programs an estimator hands to solve_l1, in row order."""
+    problems = []
+
+    def solve(problem):
+        problems.append(problem)
+        return numkit.solve_l1(problem)
+
+    monkeypatch.setattr(ok.identify, "solve_l1", solve)
+    estimate()
+    return problems
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_derived_systems_match_the_hand_built_ones(monkeypatch, nonneg):
+    net = ok.generate_network(
+        ok.GeneratorConfig(model="watts_strogatz", n=12, k=4, beta_rw=0.3,
+                           lambda_range=(0.3, 0.8)),
+        seed=4,
+    )
+    x0 = np.random.default_rng(4).uniform(-1.0, 1.0, (12, 8))
+    x_inf, _ = ok.fj_equilibrium(net, x0)
+    rows = _captured_rows(
+        monkeypatch, lambda: ok.identify_infinite_horizon(x0, x_inf, net.lam, nonneg=nonneg)
+    )
+    for problem in rows:
+        a, b, _ = numkit._nonneg_system(problem, *numkit._parsed(problem))
+        ref_a, ref_b = reference_equilibrium_system(x_inf, problem.psi)
+        assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
+    rows = _captured_rows(
+        monkeypatch, lambda: ok.identify_unknown_lambda(x0, x_inf, nonneg=nonneg)
+    )
+    for j, problem in enumerate(rows):
+        a, b, lift = numkit._nonneg_system(problem, *numkit._parsed(problem))
+        ref_a, ref_b = reference_augmented_system(x0, x_inf, j)
+        assert a.tobytes() == ref_a.tobytes()
+        # b is x_j(0) - d here and x_j(inf) by hand: equal up to rounding
+        assert np.max(np.abs(b - ref_b)) <= 1e-15
+        z = np.arange(12.0)
+        assert np.array_equal(lift(z), np.concatenate([z[:j], [0.0], z[j:11], [12.0]]))
 
 
 @given(st.integers(0, 10_000))
