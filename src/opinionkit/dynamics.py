@@ -9,6 +9,7 @@ variants act on n x m opinion matrices.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -485,12 +486,22 @@ def simulate_multiplex_fj(
     Layer s runs x(k+1) = Lambda_s W_s x(k) + (I - Lambda_s) u_s + eta(k)
     with eta ~ N(0, q_noise), using independent spawned noise streams.
     u and q_noise may be shared across layers or given per layer.
+    All layers advance in one step: one batched product over the stacked
+    dense couplings, or one CSR product over their block diagonal beyond
+    DENSE_MAX_N agents. Each row sums the same terms in the same order as
+    its own layer's product, so the states match per-layer stepping bit
+    for bit.
     """
     _check_steps(steps)
     n, n_layers = mx.n, mx.n_layers
     u_layers = _per_layer_vectors(u, n, n_layers)
     q_layers = _per_layer_matrices(q_noise, n, n_layers)
-    trajectories = []
+    couplings = []
+    # Step-major, so each step reads and writes one contiguous
+    # (n_layers, n, 1) stack of columns.
+    frames = np.empty((steps + 1, n_layers, n, 1))
+    anchors = np.empty((n_layers, n, 1))
+    noise = np.empty((steps, n_layers, n, 1))
     for s, layer in enumerate(mx.layers):
         lam = np.asarray(
             layer.lam if lambdas is None else lambdas[s], dtype=float
@@ -498,24 +509,34 @@ def simulate_multiplex_fj(
         net = InfluenceNetwork(w=layer.w, lam=lam, directed=layer.directed)
         coupling = _coupling(net)
         _stability(net, coupling, f"multiplex layer {s}")
+        couplings.append(coupling)
         factor = _noise_factor(q_layers[s], n)
         rng = philox_stream(seed, 3, s)
-        anchor = (1.0 - lam) * u_layers[s]
-        states = np.empty((steps + 1, n))
-        states[0] = u_layers[s]
+        anchors[s, :, 0] = (1.0 - lam) * u_layers[s]
+        frames[0, s, :, 0] = u_layers[s]
         # One GEMM for all steps; row k equals factor @ shock(k) up to the
         # summation order inside BLAS (exactly when factor is diagonal).
-        noise = rng.standard_normal((steps, n)) @ factor.T
-        for x, x_next, eta in zip(states, states[1:], noise):
-            np.add(coupling @ x, anchor, out=x_next)
-            x_next += eta
-        descriptor = ModelDescriptor(
-            kind="multiplex_noisy", params={"layer": s, "steps": steps}, seed=seed
+        noise[:, s, :, 0] = rng.standard_normal((steps, n)) @ factor.T
+    if sparse.issparse(couplings[0]):
+        block = sparse.block_diag(couplings, format="csr")
+
+        def advance(x):
+            return (block @ x.ravel()).reshape(x.shape)
+    else:
+        advance = partial(np.matmul, np.stack(couplings))  # one gemv per layer
+    for x, x_next, eta in zip(frames, frames[1:], noise):
+        np.add(advance(x), anchors, out=x_next)
+        x_next += eta
+    del noise  # freed before the per-layer copies below
+    return [
+        OpinionTrajectory(
+            states=np.ascontiguousarray(frames[:, s]),
+            model=ModelDescriptor(
+                kind="multiplex_noisy", params={"layer": s, "steps": steps}, seed=seed
+            ),
         )
-        trajectories.append(
-            OpinionTrajectory(states=states[:, :, None], model=descriptor)
-        )
-    return trajectories
+        for s in range(n_layers)
+    ]
 
 
 def _per_layer_vectors(u, n: int, n_layers: int) -> list[np.ndarray]:

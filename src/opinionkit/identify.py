@@ -166,6 +166,8 @@ def identify_finite_horizon(
     states = traj.states
     if states.shape[0] < 2:
         raise StructuralError("need at least one transition")
+    if not np.isfinite(states).all():
+        raise ParameterError("trajectory states must be finite")
     n, m = states.shape[1], states.shape[2]
     if lam is not None:
         lam = np.asarray(lam, dtype=float).ravel()

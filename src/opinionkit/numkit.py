@@ -300,12 +300,17 @@ def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
-    try:
-        z, _ = nnls(a, b)
-    except RuntimeError:  # iteration limit
-        return "infeasible", None
+    if a.shape[1]:
+        try:
+            z, _ = nnls(a, b)
+        except RuntimeError:  # iteration limit
+            return "infeasible", None
+    else:
+        z = np.zeros(0)  # nnls cannot take zero columns; P = {()} iff b = 0
     if np.abs(a @ z - b).max() > NNLS_RESIDUAL_MAX * np.abs(b).max(initial=1.0):
         return "infeasible", None
+    if not z.size:
+        return "unique", z
     support = z > STRUCTURAL_ZERO
     a_s, a_z = a[:, support], a[:, ~support]
     if not 0 < a_s.shape[1] <= a.shape[0]:

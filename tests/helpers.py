@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 
 import opinionkit as ok
 from opinionkit.centrality import TIE_TOL
-from opinionkit.dynamics import _per_layer_vectors
+from opinionkit.dynamics import _coupling, _noise_factor, _per_layer_matrices, _per_layer_vectors
 from opinionkit.errors import IdentifiabilityError, ParameterError, StructuralError
 from opinionkit.identify import (
     N_SIGMA,
@@ -204,6 +204,33 @@ def reference_multiplex_fj(mx, u, q_noise, steps, seed):
         shocks = rng.standard_normal((steps, mx.n))
         for k in range(steps):
             states[k + 1] = coupling @ states[k] + anchor + factor @ shocks[k]
+        out.append(states)
+    return out
+
+
+def reference_multiplex_per_layer(mx, u, q_noise, steps, seed, lambdas=None):
+    """Noisy per-layer states (steps + 1, n) from simulate_multiplex_fj as
+    it stood before its layers were stacked: one step loop per layer, each
+    with its own coupling product."""
+    n, n_layers = mx.n, mx.n_layers
+    u_layers = _per_layer_vectors(u, n, n_layers)
+    q_layers = _per_layer_matrices(q_noise, n, n_layers)
+    out = []
+    for s, layer in enumerate(mx.layers):
+        lam = np.asarray(
+            layer.lam if lambdas is None else lambdas[s], dtype=float
+        ).ravel()
+        net = ok.InfluenceNetwork(w=layer.w, lam=lam, directed=layer.directed)
+        coupling = _coupling(net)
+        factor = _noise_factor(q_layers[s], n)
+        rng = ok.philox_stream(seed, 3, s)
+        anchor = (1.0 - lam) * u_layers[s]
+        states = np.empty((steps + 1, n))
+        states[0] = u_layers[s]
+        noise = rng.standard_normal((steps, n)) @ factor.T
+        for x, x_next, eta in zip(states, states[1:], noise):
+            np.add(coupling @ x, anchor, out=x_next)
+            x_next += eta
         out.append(states)
     return out
 

@@ -12,6 +12,7 @@ from helpers import (
     reference_expected_gossip_dynamics,
     reference_gossip_fj,
     reference_multiplex_fj,
+    reference_multiplex_per_layer,
     reference_neighbor_menus,
     reference_reflected_appraisal,
     reference_simulate_fj,
@@ -550,6 +551,37 @@ def test_multiplex_beyond_the_dense_cutoff_matches_the_reference():
     (traj,) = ok.simulate_multiplex_fj(mx, u, q, steps=300, seed=4)
     (expected,) = reference_multiplex_fj(mx, u, q, 300, 4)
     assert np.max(np.abs(traj.states[:, :, 0] - expected)) <= 1e-12
+
+
+def _multiplex_case(case):
+    """(mx, u, q, lambdas) for one stacked-step configuration."""
+    n = 250 if case == "sparse" else 12
+    mx = _multiplex(n=n)
+    rng = np.random.default_rng(31)
+    root = rng.normal(size=(n, n))
+    q = 0.02 * root @ root.T / n
+    u = rng.uniform(-1, 1, n)
+    lambdas = None
+    if case == "per_layer":
+        u = rng.uniform(-1, 1, (mx.n_layers, n))
+        q = np.stack([(1.0 + s) * q for s in range(mx.n_layers)])
+    elif case == "lambdas":
+        lambdas = [rng.uniform(0.1, 0.9, n) for _ in mx.layers]
+    return mx, u, q, lambdas
+
+
+@pytest.mark.parametrize("steps", [0, 1, 200])
+@pytest.mark.parametrize("case", ["dense", "per_layer", "lambdas", "sparse"])
+def test_stacked_multiplex_step_matches_per_layer_stepping_bitwise(case, steps):
+    mx, u, q, lambdas = _multiplex_case(case)
+    assert mx.n_layers >= 2 and (mx.n > DENSE_MAX_N) == (case == "sparse")
+    trajs = ok.simulate_multiplex_fj(mx, u, q, steps=steps, seed=4, lambdas=lambdas)
+    expected = reference_multiplex_per_layer(mx, u, q, steps, 4, lambdas=lambdas)
+    assert len(trajs) == len(expected) == mx.n_layers
+    for traj, states in zip(trajs, expected):
+        assert traj.states.shape == (steps + 1, mx.n, 1)
+        assert traj.states.flags.c_contiguous
+        assert np.array_equal(traj.states[:, :, 0], states)
 
 
 _PAIR_X0 = np.array([1.0, 0.0])

@@ -166,6 +166,17 @@ def test_finite_horizon_rejects_a_pinned_lambda_outside_the_model(lam):
         ok.identify_finite_horizon(traj, lam=np.array(lam))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_finite_horizon_rejects_non_finite_states(bad):
+    net = _ws_network(n=6)
+    traj = ok.simulate_fj(net, np.linspace(-1.0, 1.0, 6), steps=8)
+    states = traj.states.copy()
+    states[-1, 2, 0] = bad
+    traj = ok.OpinionTrajectory(states=states, model=traj.model)
+    with pytest.raises(ok.ParameterError, match="finite"):
+        ok.identify_finite_horizon(traj)
+
+
 def test_finite_horizon_needs_at_least_two_frames():
     traj = ok.OpinionTrajectory(
         states=np.zeros((1, 8, 2)), model=ok.ModelDescriptor(kind="fj", params={})

@@ -1,5 +1,10 @@
 """Unit tests for the shared numerical toolkit."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +215,24 @@ def test_nonneg_solution_at_a_vertex_of_a_wide_system_is_unique():
     assert np.allclose(z, [1.0, 0.0, 0.0], atol=1e-15)
     # moving b off that vertex opens a segment of solutions
     assert unique_nonneg_solution(a, [2.0, 1.0])[0] == "tied"
+
+
+def test_nonneg_solution_without_columns_is_unique_iff_b_is_zero():
+    # scipy's nnls aborted the process on a system with no columns, so the
+    # calls run in a child: a crash there fails this test instead of pytest
+    code = (
+        "import numpy as np\n"
+        "from opinionkit.numkit import unique_nonneg_solution\n"
+        "for b in (np.ones(3), [0.0, 1e-3, 0.0], np.zeros(3)):\n"
+        "    verdict, z = unique_nonneg_solution(np.zeros((3, 0)), b)\n"
+        "    print(verdict, None if z is None else z.shape)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(numkit.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["infeasible None", "infeasible None", "unique (0,)"]
 
 
 # The wide system above as an l1 program: ||x||_1 >= 1'x = 1, with equality
