@@ -4,8 +4,9 @@ A table is comma-separated text: a header line naming the columns, then
 one line per row of nonnegative integer labels and, last, a float value
 printed with 17 significant digits, so a read of a written table gives
 back the same doubles bit for bit. Empty lines are skipped. A table is
-written TABLE_CHUNK rows at a time: the rows' label prefixes are joined
-into one "%.17g" template, filled by a single % with the chunk's values.
+written TABLE_CHUNK cells at a time: the label prefixes of the chunk's
+rows (its observed cells, under a mask) are joined into one "%.17g"
+template, filled by a single % with their values.
 Every other document is a JSON object. Readers raise ConfigError naming
 the file.
 """
@@ -20,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Rows per formatted piece of a written table: one template string and one
-# tuple of values of this many rows are alive at a time.
+# Cells per formatted piece of a written table: one template string and one
+# tuple of values of at most this many rows are alive at a time.
 TABLE_CHUNK = 4096
 
 
@@ -64,8 +65,10 @@ def table_text(header: str, values, keys=None, mask=None):
     """Yield a table's header line, then its rows in chunks of at most
     TABLE_CHUNK rows: "keys[s],idx...,value" for values[s][idx] in
     row-major order (keys defaults to 0, 1, ...), only where mask is true
-    when one is given. A chunk is one template of row prefixes joined with
-    "%.17g" slots, filled by a single % with the chunk's values."""
+    when one is given. A chunk covers TABLE_CHUNK cells; it is one template
+    of row prefixes joined with "%.17g" slots, filled by a single % with
+    the chunk's values, so memory stays O(TABLE_CHUNK) with or without a
+    mask."""
     values = np.asarray(values, dtype=float)
     slots = ["".join(f"{i}," for i in idx) + "%.17g\n" for idx in np.ndindex(values.shape[1:])]
     leads = (f"{s if keys is None else keys[s]}," for s in range(len(values)))
@@ -75,12 +78,15 @@ def table_text(header: str, values, keys=None, mask=None):
         cycle(slots),
     )
     if mask is not None:
-        rows = compress(rows, np.ravel(mask).tolist())
-        values = values[mask]
+        mask = np.asarray(mask, dtype=bool)
     yield header + "\n"
     for lo in range(0, values.size, TABLE_CHUNK):
         chunk = values.flat[lo : lo + TABLE_CHUNK]  # copies this chunk only
-        yield "".join(islice(rows, TABLE_CHUNK)) % tuple(chunk.tolist())
+        piece = islice(rows, len(chunk))
+        if mask is not None:
+            keep = mask.flat[lo : lo + TABLE_CHUNK]
+            piece, chunk = compress(piece, keep.tolist()), chunk[keep]
+        yield "".join(piece) % tuple(chunk.tolist())
 
 
 def write_table(path, header: str, values, keys=None, mask=None) -> None:

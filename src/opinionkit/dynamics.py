@@ -25,7 +25,7 @@ from .errors import (
 )
 from .netgraph import InfluenceNetwork, MultiplexNetwork
 from .numkit import CONDITION_MAX, DENSE_MAX_N, STABILITY_MARGIN, STRUCTURAL_ZERO
-from .numkit import philox_stream, spectral_radius
+from .numkit import DRAW_BLOCK, philox_stream, spectral_radius
 
 # Plateau detector: this many consecutive steps with ||dX||_inf below
 # PLATEAU_TOL mark the trajectory as converged.
@@ -33,12 +33,6 @@ PLATEAU_TOL = 1e-10
 PLATEAU_RUN = 3
 
 _DIVERGENCE_CAP = 1e12
-
-# Rows of per-step gossip draws generated at once. Consecutive
-# rng.random((rows, n)) calls yield the same doubles as one call, so the
-# block size bounds memory without changing any trajectory.
-GOSSIP_DRAW_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class ModelDescriptor:
@@ -382,28 +376,26 @@ def simulate_gossip_fj(
         raise ParameterError(f"activation_size must lie in [1, {net.n}]")
     table, counts = _neighbor_menus(net)
     rng = philox_stream(seed)
-    # The draws are made before the loop, in blocks of GOSSIP_DRAW_BLOCK
-    # rows, and weights, lambda and anchors are gathered per block inside
-    # it, so that only the (steps, a) arrays active and polled span the
-    # run; argpartition of iid keys yields a uniform fixed-size subset.
+    # The draws are made before the loop, in blocks of DRAW_BLOCK rows,
+    # and weights, lambda and anchors are gathered per block inside it,
+    # so that only the (steps, a) arrays active and polled span the run;
+    # argpartition of iid keys yields a uniform fixed-size subset.
     active = np.empty((steps, activation_size), dtype=np.intp)
     polled = np.empty((steps, activation_size), dtype=np.intp)
-    for lo in range(0, steps, GOSSIP_DRAW_BLOCK):
-        block = active[lo : lo + GOSSIP_DRAW_BLOCK]
+    for lo in range(0, steps, DRAW_BLOCK):
+        block = active[lo : lo + DRAW_BLOCK]
         block[:] = np.argpartition(
             rng.random((len(block), net.n)), activation_size - 1, axis=1
         )[:, :activation_size]
-    for lo in range(0, steps, GOSSIP_DRAW_BLOCK):
-        block = active[lo : lo + GOSSIP_DRAW_BLOCK]
+    for lo in range(0, steps, DRAW_BLOCK):
+        block = active[lo : lo + DRAW_BLOCK]
         picks = np.take_along_axis(rng.random((len(block), net.n)), block, axis=1)
-        polled[lo : lo + GOSSIP_DRAW_BLOCK] = table[
-            block, (picks * counts[block]).astype(int)
-        ]
+        polled[lo : lo + DRAW_BLOCK] = table[block, (picks * counts[block]).astype(int)]
     states = np.empty((steps + 1, net.n))
     states[0] = x0
-    for lo in range(0, steps, GOSSIP_DRAW_BLOCK):
-        block = active[lo : lo + GOSSIP_DRAW_BLOCK]
-        polled_block = polled[lo : lo + GOSSIP_DRAW_BLOCK]
+    for lo in range(0, steps, DRAW_BLOCK):
+        block = active[lo : lo + DRAW_BLOCK]
+        polled_block = polled[lo : lo + DRAW_BLOCK]
         weight = net.w[block, polled_block]
         keep = 1.0 - weight
         lam_active = net.lam[block]

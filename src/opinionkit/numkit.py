@@ -19,7 +19,7 @@ scale.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 from scipy import sparse
@@ -66,6 +66,10 @@ NNLS_RESIDUAL_MAX = 1e-12
 # tie would leave.
 CERTIFICATE_RESIDUAL_MAX = 1e-10
 
+# Column subsets whose ranks spark decides in one stacked matrix_rank call;
+# the stack holds at most this many m x k submatrices.
+SPARK_CHUNK = 4096
+
 _LINPROG_STATUS = {
     0: "optimal",
     1: "iteration_limit",
@@ -73,6 +77,12 @@ _LINPROG_STATUS = {
     3: "unbounded",
     4: "numerical",
 }
+
+
+# Rows of per-step draws generated, or of per-step arrays checked, at once.
+# Consecutive rng.random((rows, n)) calls yield the same doubles as one
+# call, so the block size bounds memory without changing any draw.
+DRAW_BLOCK = 4096
 
 
 def philox_stream(seed: int | None, *spawn_key: int) -> np.random.Generator:
@@ -371,16 +381,19 @@ def pseudoinverse(matrix: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
 def spark(phi: np.ndarray, tol: float | None = None) -> int:
     """Smallest number of linearly dependent columns of phi.
 
-    Exhaustive over column subsets; capped at 20 columns. A matrix with
-    full column rank has spark n + 1 by convention.
+    Exhaustive over column subsets, in increasing size and SPARK_CHUNK
+    subsets per rank call; capped at 20 columns. A matrix with full column
+    rank has spark n + 1 by convention.
     """
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     m, n = phi.shape
     if n > 20:
         raise CapacityError(f"spark is exhaustive; {n} columns exceeds the cap of 20")
     for k in range(1, min(m + 1, n) + 1):
-        for cols in combinations(range(n), k):
-            if np.linalg.matrix_rank(phi[:, cols], tol=tol) < k:
+        subsets = combinations(range(n), k)
+        while chunk := list(islice(subsets, SPARK_CHUNK)):
+            stack = phi[:, chunk].transpose(1, 0, 2)  # (subset, row, column)
+            if (np.linalg.matrix_rank(stack, tol=tol) < k).any():
                 return k
     return n + 1
 

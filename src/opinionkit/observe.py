@@ -16,7 +16,7 @@ import numpy as np
 from ._files import is_int, is_number, read_json, read_table, write_json, write_table
 from .dynamics import OpinionTrajectory
 from .errors import ConfigError, ParameterError, StructuralError
-from .numkit import philox_stream
+from .numkit import DRAW_BLOCK, philox_stream
 
 SAMPLING_KINDS = ("full", "intermittent", "independent")
 
@@ -77,8 +77,12 @@ class ObservationStream:
         mask = np.atleast_2d(np.asarray(self.mask, dtype=bool))
         if values.shape != mask.shape:
             raise StructuralError("values and mask shapes differ")
-        if np.any(values[~mask] != 0.0):
-            raise StructuralError("unobserved entries must be stored as zeros")
+        # A nonzero or NaN value where the mask is false, found a row block
+        # at a time, so that no full-size temporary is made.
+        for lo in range(0, len(values), DRAW_BLOCK):
+            block, seen = values[lo : lo + DRAW_BLOCK], mask[lo : lo + DRAW_BLOCK]
+            if ((block != 0.0) > seen).any():
+                raise StructuralError("unobserved entries must be stored as zeros")
         values.setflags(write=False)
         mask.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -117,6 +121,13 @@ def sample_observations(
 
     The full model reproduces the trajectory exactly; the random models
     draw the masks from a dedicated seeded stream.
+
+    Random-stream layout: a Philox(seed) stream yields one uniform per step
+    (intermittent; step k is seen when its draw is below rho) or one
+    uniform per (step, agent) in row-major order (independent; entry
+    [k, i] is seen when its draw is below rho_i). The independent draws are
+    made in blocks of DRAW_BLOCK rows, which yield the same doubles as one
+    draw, so only the mask spans the run.
     """
     if not 0 <= issue < traj.n_issues:
         raise ParameterError(f"issue {issue} outside 0..{traj.n_issues - 1}")
@@ -128,7 +139,11 @@ def sample_observations(
     elif model.kind == "intermittent":
         mask = np.repeat(rng.random(steps)[:, None] < float(model.rho), n, axis=1)
     else:
-        mask = rng.random((steps, n)) < model.rho_vector(n)[None, :]
+        rho = model.rho_vector(n)
+        mask = np.empty((steps, n), dtype=bool)
+        for lo in range(0, steps, DRAW_BLOCK):
+            block = mask[lo : lo + DRAW_BLOCK]
+            np.less(rng.random(block.shape), rho, out=block)
     return ObservationStream(
         values=np.where(mask, x, 0.0), mask=mask, model=model, seed=seed, issue=issue
     )

@@ -435,6 +435,17 @@ def reference_stability(net):
     return not unanchored, radius, open_set, unanchored
 
 
+def reference_spark(phi, tol=None):
+    """Smallest number of linearly dependent columns, one matrix_rank call
+    per column subset in increasing size (n + 1 for full column rank)."""
+    m, n = phi.shape
+    for k in range(1, min(m + 1, n) + 1):
+        for cols in itertools.combinations(range(n), k):
+            if np.linalg.matrix_rank(phi[:, cols], tol=tol) < k:
+                return k
+    return n + 1
+
+
 def reference_solve_l1(problem):
     """Weighted l1 solve with box bounds as dense inequality rows and a
     nonneg program as split variables whose negative part is fixed at 0;

@@ -20,8 +20,8 @@ from helpers import (
     row_stochastic,
     stable_network,
 )
-from opinionkit.dynamics import GOSSIP_DRAW_BLOCK, _neighbor_menus
-from opinionkit.numkit import CONDITION_MAX, DENSE_MAX_N
+from opinionkit.dynamics import _neighbor_menus
+from opinionkit.numkit import CONDITION_MAX, DENSE_MAX_N, DRAW_BLOCK
 
 
 def _ws_network(n, seed):
@@ -393,9 +393,7 @@ def _gossip_network(n, model, self_loop_mass, net_seed):
     model=st.sampled_from(["watts_strogatz", "barabasi_albert"]),
     self_loop_mass=st.sampled_from([0.0, 0.4]),
     net_seed=st.integers(0, 2**16),
-    steps=st.sampled_from(
-        [0, 1, GOSSIP_DRAW_BLOCK - 1, GOSSIP_DRAW_BLOCK, GOSSIP_DRAW_BLOCK + 1]
-    ),
+    steps=st.sampled_from([0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )

@@ -3,6 +3,7 @@ round trips, and a ConfigError for every file that cannot be accepted."""
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,23 @@ def test_tables_spanning_many_chunks_match_the_reference_writers(tmp_path):
     nothing = np.zeros((TABLE_CHUNK + 3, 2), dtype=bool)
     ok.save_stream(_stream(rng.random(nothing.shape), nothing), tmp_path / "empty.csv")
     assert (tmp_path / "empty.csv").read_text() == "k,agent,value\n"
+
+
+def test_masked_tables_are_written_in_chunk_sized_memory(tmp_path, monkeypatch):
+    # a full-length mask list and a full copy of the observed values
+    # peaked at 1.14 MB here
+    monkeypatch.setattr(_files, "TABLE_CHUNK", 256)
+    rng = np.random.default_rng(4)
+    mask = rng.random((401, 200)) < 0.7
+    stream = _stream(rng.standard_normal(mask.shape), mask)
+    tracemalloc.start()
+    try:
+        ok.save_stream(stream, tmp_path / "stream.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stream.values.nbytes / 8
+    assert np.array_equal(ok.load_stream(tmp_path / "stream.csv").values, stream.values)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])

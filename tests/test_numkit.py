@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import opinionkit as ok
-from helpers import reference_augmented_system, reference_equilibrium_system, reference_solve_l1
+from helpers import (
+    reference_augmented_system,
+    reference_equilibrium_system,
+    reference_solve_l1,
+    reference_spark,
+)
 from opinionkit import numkit
 from opinionkit.numkit import (
     DENSE_MAX_N,
@@ -365,6 +370,21 @@ def test_spark_of_independent_columns_is_count_plus_one():
 def test_spark_generic_wide_matrix():
     phi = np.random.default_rng(3).normal(size=(3, 5))
     assert ok.spark(phi) == 4
+
+
+@pytest.mark.parametrize("chunk", [1, 7, numkit.SPARK_CHUNK])
+def test_spark_matches_the_per_subset_reference(monkeypatch, chunk):
+    monkeypatch.setattr(numkit, "SPARK_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    low_rank = rng.normal(size=(7, 3)) @ rng.normal(size=(3, 10))
+    duplicate = rng.normal(size=(5, 9))
+    duplicate[:, 8] = duplicate[:, 3]
+    sum_of_three = rng.normal(size=(6, 10))
+    sum_of_three[:, 9] = sum_of_three[:, 0] - sum_of_three[:, 4] + sum_of_three[:, 7]
+    instances = [rng.normal(size=(4, 9)), rng.normal(size=(9, 7)), low_rank, duplicate]
+    for phi in instances + [sum_of_three, np.zeros((3, 4))]:
+        for tol in (None, 0.5):
+            assert ok.spark(phi, tol=tol) == reference_spark(phi, tol=tol)
 
 
 def test_spark_capacity_guard():

@@ -1,6 +1,7 @@
 """Unit tests for the observation layer."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ from hypothesis import strategies as st
 
 import opinionkit as ok
 from helpers import stable_network
+from opinionkit.numkit import DRAW_BLOCK, philox_stream
+
+# Rows of a stream that spans two whole draw blocks and a partial third.
+BLOCKED_ROWS = 2 * DRAW_BLOCK + 17
 
 
 def _trajectory(seed=0, n=6, steps=200, issues=1):
@@ -53,6 +58,32 @@ def test_independent_sampling_rate_and_zero_fill():
     assert np.array_equal(
         stream.values[observed], traj.states[:, :, 0][observed]
     )
+
+
+@pytest.mark.parametrize("rho", [0.3, np.linspace(0.05, 0.95, 7)])
+def test_independent_masks_are_one_row_major_uniform_draw(rho):
+    states = np.random.default_rng(1).uniform(-1, 1, (BLOCKED_ROWS, 7))
+    traj = ok.OpinionTrajectory(states=states, model=ok.ModelDescriptor("test"))
+    stream = ok.sample_observations(traj, ok.SamplingModel("independent", rho), seed=12)
+    expected = philox_stream(12).random((BLOCKED_ROWS, 7)) < rho
+    assert np.array_equal(stream.mask, expected)
+    assert np.array_equal(stream.values, np.where(expected, states, 0.0))
+
+
+def test_independent_sampling_holds_only_its_outputs_and_two_draw_blocks():
+    # one (steps, n) float64 draw for the mask peaked at 65.6 MiB here,
+    # against 34.3 MiB of values and mask
+    steps, n = 20_001, 200
+    traj = ok.OpinionTrajectory(states=np.ones((steps, n)), model=ok.ModelDescriptor("test"))
+    model = ok.SamplingModel("independent", 0.1)
+    tracemalloc.start()
+    try:
+        stream = ok.sample_observations(traj, model, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = stream.values.nbytes + stream.mask.nbytes
+    assert peak <= outputs + 2 * DRAW_BLOCK * n * 8
 
 
 def test_intermittent_sampling_is_all_or_none_per_step():
@@ -125,6 +156,29 @@ def test_empirical_mask_moments_match_the_formulas():
     assert np.allclose(lag0, moments.cap_pi[0], atol=0.02)
     lag1 = p[:-1].T @ p[1:] / (p.shape[0] - 1)
     assert np.allclose(lag1, moments.cap_pi[1], atol=0.02)
+
+
+@pytest.mark.parametrize("row", [0, BLOCKED_ROWS - 1])
+@pytest.mark.parametrize("stray", [-2.5, 5e-324, np.nan])
+def test_stream_rejects_a_value_in_a_gap(row, stray):
+    mask = np.ones((BLOCKED_ROWS, 3), dtype=bool)
+    mask[row, 1] = False
+    values = np.zeros(mask.shape)
+    values[row, 1] = stray
+    model = ok.SamplingModel("independent", 0.5)
+    with pytest.raises(ok.StructuralError, match="unobserved entries"):
+        ok.ObservationStream(values=values, mask=mask, model=model)
+
+
+def test_stream_accepts_observed_zeros_and_zero_filled_gaps():
+    mask = np.random.default_rng(2).random((BLOCKED_ROWS, 3)) < 0.5
+    values = np.where(mask, np.arange(mask.size).reshape(mask.shape) % 3, 0.0)
+    assert (values[mask] == 0.0).any() and (values[mask] != 0.0).any()
+    stream = ok.ObservationStream(
+        values=values, mask=mask, model=ok.SamplingModel("independent", 0.5)
+    )
+    assert np.array_equal(stream.values, values)
+    assert np.array_equal(stream.mask, mask)
 
 
 def test_stream_records_only_observed_entries():
