@@ -49,12 +49,12 @@ def degree_centrality(
     """
     if direction not in ("in", "out"):
         raise ParameterError(f"direction must be 'in' or 'out', got {direction!r}")
-    axis = 1 if direction == "in" else 0
     if weighted:
-        values = net.w.sum(axis=axis)
+        values = net.w.sum(axis=1 if direction == "in" else 0)
         kind = f"weighted_{direction}_degree"
     else:
-        values = (np.abs(net.w) > STRUCTURAL_ZERO).sum(axis=axis).astype(float)
+        ends = net.support[0 if direction == "in" else 1]
+        values = np.bincount(ends, minlength=net.n).astype(float)
         kind = f"{direction}_degree"
     return CentralityVector(values=values, kind=kind, normalized=False)
 
@@ -71,11 +71,11 @@ def _geodesics(net: InfluenceNetwork, weighted: bool):
     and |d(s, u) + len(u, v) - d(s, v)| <= TIE_TOL, always leads farther
     from s.
     """
-    support = np.abs(net.w) > STRUCTURAL_ZERO
-    np.fill_diagonal(support, False)
-    tails, heads = np.nonzero(support)
+    tails, heads, weights = net.support
+    off_diagonal = tails != heads
+    tails, heads = tails[off_diagonal], heads[off_diagonal]
     if weighted:
-        lengths = 1.0 / net.w[tails, heads]
+        lengths = 1.0 / weights[off_diagonal]
         if not (lengths > TIE_TOL).all():
             raise ParameterError("weighted path lengths 1/w need weights in (0, 1/TIE_TOL)")
     else:

@@ -544,15 +544,19 @@ def _set_path(config, path: str, value) -> None:
 
 
 def _sweep_point(payload):
+    """Run one grid point; returns (index, evaluate metrics, the point's
+    artifact digests keyed by their path below the sweep directory)."""
     index, config, point_dir = payload
-    run_pipeline(config, output_dir=point_dir)
+    manifest = run_pipeline(config, output_dir=point_dir)
     metrics = {}
     for record in config["stages"]:
         if isinstance(record, dict) and record.get("stage") == "evaluate":
             artifact = Path(point_dir) / f"{record['name']}.json"
             if artifact.is_file():
                 metrics[record["name"]] = read_json(artifact, "metrics")
-    return index, metrics
+    prefix = Path(point_dir).name
+    digests = {f"{prefix}/{rel}": digest for rel, digest in manifest["artifacts"].items()}
+    return index, metrics, digests
 
 
 def run_sweep(config: dict, output_dir=None, jobs: int = 1) -> dict:
@@ -598,11 +602,14 @@ def run_sweep(config: dict, output_dir=None, jobs: int = 1) -> dict:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, payloads))
     results.sort(key=lambda item: item[0])
+    digests = {}
+    for _, _, point_digests in results:
+        digests.update(point_digests)
 
     metric_columns = sorted(
         {
             f"{stage}.{key}"
-            for _, metrics in results
+            for _, metrics, _ in results
             for stage, doc in metrics.items()
             for key in doc
         }
@@ -611,7 +618,7 @@ def run_sweep(config: dict, output_dir=None, jobs: int = 1) -> dict:
     with open(out / rel, "w") as handle:
         header = ["point"] + [path for path, _ in axes] + metric_columns
         handle.write(",".join(header) + "\n")
-        for index, metrics in results:
+        for index, metrics, _ in results:
             row = [str(index)]
             for value in coordinates[index]:
                 row.append(
@@ -627,13 +634,16 @@ def run_sweep(config: dict, output_dir=None, jobs: int = 1) -> dict:
                 row.append("" if value is None else format(float(value), ".17g"))
             handle.write(",".join(row) + "\n")
 
+    # Every file under the sweep directory is hashed; the points' own
+    # manifests already hold the digests of the artifacts they wrote, so
+    # only the rest (point manifests, sweep.csv, stale files) is read back.
     files = sorted(
         p.relative_to(out).as_posix()
         for p in out.rglob("*")
         if p.is_file() and p.relative_to(out).as_posix() != "manifest.json"
     )
     manifest = {
-        "artifacts": {rel_path: _sha256(out / rel_path) for rel_path in files},
+        "artifacts": {rel: digests.get(rel) or _sha256(out / rel) for rel in files},
         "config_sha256": _config_hash(config),
         "points": len(payloads),
         "seed": config["seed"],

@@ -121,9 +121,21 @@ def _coupling(net: InfluenceNetwork):
     cutoff a CSR product or factorisation does O(nnz) work; below it a
     dense product costs less than the per-call overhead of a sparse one,
     and small systems stay bit-identical to dense arithmetic.
+    Beyond the cutoff the network's cached CSR is scaled row by row and
+    the zero products (lambda = 0, underflow) are dropped: the result is
+    sparse.csr_array(lam[:, None] * w) bit for bit, in arrays of its own.
+    A non-finite lambda makes NaN of its row's zeros, so it takes the
+    dense product.
     """
-    coupling = net.lam[:, None] * net.w
-    return coupling if net.n <= DENSE_MAX_N else sparse.csr_array(coupling)
+    if net.n <= DENSE_MAX_N or not np.isfinite(net.lam).all():
+        coupling = net.lam[:, None] * net.w
+        return coupling if net.n <= DENSE_MAX_N else sparse.csr_array(coupling)
+    nonzeros = net.nonzeros
+    data = nonzeros.data * np.repeat(net.lam, np.diff(nonzeros.indptr))
+    keep = data != 0.0
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    indptr = kept[nonzeros.indptr].astype(nonzeros.indptr.dtype)
+    return sparse.csr_array((data[keep], nonzeros.indices[keep], indptr), shape=nonzeros.shape)
 
 
 def _stability(net: InfluenceNetwork, coupling, what: str | None = None,
@@ -139,11 +151,12 @@ def _stability(net: InfluenceNetwork, coupling, what: str | None = None,
     """
     lam = net.lam
     reaches = lam < 1.0
-    support = sparse.csr_array(np.abs(net.w) > STRUCTURAL_ZERO)
+    rows, cols, _ = net.support
     # Propagate reachability backwards along influence edges until stable.
     changed = True
     while changed:
-        grown = reaches | (support @ reaches)
+        grown = reaches.copy()
+        grown[rows[reaches[cols]]] = True
         changed = bool((grown != reaches).any())
         reaches = grown
     unanchored = tuple(np.flatnonzero(~reaches).tolist())
@@ -180,6 +193,12 @@ def _anchored_system(net: InfluenceNetwork, what: str):
     radius cross-check instead.
     Up to DENSE_MAX_N agents each solve is numpy's dense one (scipy's LU
     differs from it in the last bit); beyond, SuperLU factorises S once.
+    A walk-stable nonnegative coupling makes S a nonsingular M-matrix,
+    whose LU factorisation under any symmetric permutation is stable with
+    positive diagonal pivots (Berman & Plemmons, Nonnegative Matrices in
+    the Mathematical Sciences, ch. 6): SuperLU then takes a minimum-degree
+    ordering of S' + S and the diagonal pivots, which keeps the fill near
+    that of the graph. A signed coupling keeps COLAMD with partial pivoting.
     """
     coupling = _coupling(net)
     signed = (coupling.data if sparse.issparse(coupling) else coupling).min(initial=0.0) < 0.0
@@ -188,7 +207,11 @@ def _anchored_system(net: InfluenceNetwork, what: str):
         system, factor = np.eye(net.n) - coupling, None
     else:
         system = sparse.identity(net.n, format="csc") - sparse.csc_array(coupling)
-        factor = splu(system)
+        if signed:
+            factor = splu(system)
+        else:
+            factor = splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
 
     def solve(rhs, transpose=False):
         if factor is None:
@@ -331,14 +354,14 @@ def _neighbor_menus(net: InfluenceNetwork) -> tuple[np.ndarray, np.ndarray]:
 
     Row i lists agent i's neighbors in ascending order, padded with 0.
     """
-    support = np.abs(net.w) > STRUCTURAL_ZERO
-    np.fill_diagonal(support, False)
-    counts = support.sum(axis=1)
+    rows, cols, _ = net.support
+    off_diagonal = rows != cols
+    rows, cols = rows[off_diagonal], cols[off_diagonal]
+    counts = np.bincount(rows, minlength=net.n)
     if (counts == 0).any():
         lonely = np.flatnonzero(counts == 0).tolist()
         raise StructuralError(f"agents {lonely} have no neighbors to poll")
-    rows, cols = np.nonzero(support)
-    # nonzero scans row-major, so each row's entries are contiguous and
+    # The support is row-major, so each row's entries are contiguous and
     # ascending; subtracting the row's first offset gives the slot.
     slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
     table = np.zeros((net.n, int(counts.max())), dtype=int)

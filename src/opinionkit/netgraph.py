@@ -10,9 +10,11 @@ lambda_i = 0 a fully stubborn agent).
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
+from scipy import sparse
 
 from ._files import is_int, is_number, read_json
 from .errors import ConfigError, EstimationError, ParameterError, StructuralError
@@ -24,7 +26,13 @@ MULTIPLEX_MODELS = ("common_component", "common_support", "independent")
 
 @dataclass(frozen=True)
 class InfluenceNetwork:
-    """A weighted directed influence network with per-agent susceptibilities."""
+    """A weighted directed influence network with per-agent susceptibilities.
+
+    The dense w is the network; its sparse view is computed once, on first
+    use, and every cached array is read-only: `nonzeros` holds the exact
+    nonzeros of w and `support` the structural edges |w| > STRUCTURAL_ZERO,
+    which every support consumer reads instead of rescanning w.
+    """
 
     w: np.ndarray
     lam: np.ndarray
@@ -48,8 +56,29 @@ class InfluenceNetwork:
     def n(self) -> int:
         return self.w.shape[0]
 
+    @cached_property
+    def nonzeros(self) -> sparse.csr_array:
+        """The entries w != 0 (NaN included) as canonical CSR, equal to
+        sparse.csr_array(w) in indptr, indices and data."""
+        matrix = sparse.csr_array(self.w)
+        for part in (matrix.data, matrix.indices, matrix.indptr):
+            part.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, weights) of the entries |w| > STRUCTURAL_ZERO in
+        row-major order, the indices as np.nonzero returns them."""
+        matrix = self.nonzeros
+        keep = np.abs(matrix.data) > STRUCTURAL_ZERO
+        rows = np.repeat(np.arange(self.n), np.diff(matrix.indptr))[keep]
+        triple = (rows, matrix.indices[keep].astype(np.intp), matrix.data[keep])
+        for part in triple:
+            part.setflags(write=False)
+        return triple
+
     def edge_set(self) -> set[tuple[int, int]]:
-        rows, cols = np.nonzero(np.abs(self.w) > STRUCTURAL_ZERO)
+        rows, cols, _ = self.support
         return set(zip(rows.tolist(), cols.tolist()))
 
 
@@ -207,20 +236,21 @@ def validate_network(net: InfluenceNetwork, tol: float = 1e-9) -> ValidationRepo
 def network_density(net: InfluenceNetwork, alpha: float | None = None) -> DensityReport:
     """Edge count over n^2 (self-loops included). When alpha is given, the
     sparse flag reports whether |E| <= alpha * n."""
-    n_edges = int(np.count_nonzero(np.abs(net.w) > STRUCTURAL_ZERO))
+    n_edges = net.support[0].size
     density = n_edges / net.n**2
-    sparse = None if alpha is None else bool(n_edges <= alpha * net.n)
-    return DensityReport(n_edges=n_edges, density=density, sparse=sparse)
+    is_sparse = None if alpha is None else bool(n_edges <= alpha * net.n)
+    return DensityReport(n_edges=n_edges, density=density, sparse=is_sparse)
 
 
 def degree_profile(net: InfluenceNetwork) -> DegreeProfile:
-    support = np.abs(net.w) > STRUCTURAL_ZERO
+    rows, cols, _ = net.support
+    in_degree = np.bincount(rows, minlength=net.n)
     return DegreeProfile(
-        in_degree=support.sum(axis=1),
-        out_degree=support.sum(axis=0),
+        in_degree=in_degree,
+        out_degree=np.bincount(cols, minlength=net.n),
         weighted_in_degree=net.w.sum(axis=1),
         weighted_out_degree=net.w.sum(axis=0),
-        d_max=int(support.sum(axis=1).max()),
+        d_max=int(in_degree.max()),
     )
 
 
@@ -394,10 +424,9 @@ def _f17(x: float) -> str:
 
 def _network_doc(net: InfluenceNetwork) -> str:
     lam = ", ".join(_f17(v) for v in net.lam)
-    rows, cols = np.nonzero(np.abs(net.w) > STRUCTURAL_ZERO)
-    order = np.lexsort((cols, rows))
+    rows, cols, weights = (part.tolist() for part in net.support)
     edges = ", ".join(
-        f"[{rows[k]}, {cols[k]}, {_f17(net.w[rows[k], cols[k]])}]" for k in order
+        f"[{i}, {j}, {_f17(weight)}]" for i, j, weight in zip(rows, cols, weights)
     )
     directed = "true" if net.directed else "false"
     return (

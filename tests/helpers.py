@@ -11,6 +11,7 @@ import json
 import warnings
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 import opinionkit as ok
@@ -44,6 +45,22 @@ def stable_network(rng, n, density=0.4, lam_range=(0.1, 0.9)):
     """Random influence network with every agent at least partly anchored."""
     lam = rng.uniform(*lam_range, size=n)
     return ok.InfluenceNetwork(w=row_stochastic(rng, n, density), lam=lam)
+
+
+def slow_chain_network(n, seed=0):
+    """Agent i copies agent i + 1 with lambda drawn from [0.99, 1); the
+    last agent keeps its own opinion (lambda = 0). I - Lambda W is then
+    bidiagonal with kappa_inf in the hundreds."""
+    w = np.zeros((n, n))
+    w[np.arange(n - 1), np.arange(1, n)] = 1.0
+    w[n - 1, n - 1] = 1.0
+    lam = np.random.default_rng(seed).uniform(0.99, 1.0, n)
+    lam[-1] = 0.0
+    return ok.InfluenceNetwork(w=w, lam=lam)
+
+
+def relative_error(got, expected):
+    return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
 
 
 def sparse_row_network(rng, n, row_nnz, lam):
@@ -837,3 +854,86 @@ def reference_identify_multiplex(
         reports=tuple(reports),
         joint_support=tuple(sorted(joint)) if joint is not None else None,
     )
+
+
+# ---- dense support scans: each network consumer's own scan of |w| ----------
+#
+# These are the consumers' scans of the dense matrix, kept verbatim as the
+# references for the network's cached sparse view.
+
+
+def reference_support_mask(net):
+    return np.abs(net.w) > STRUCTURAL_ZERO
+
+
+def reference_edge_set(net):
+    rows, cols = np.nonzero(reference_support_mask(net))
+    return set(zip(rows.tolist(), cols.tolist()))
+
+
+def reference_network_density(net, alpha=None):
+    n_edges = int(np.count_nonzero(reference_support_mask(net)))
+    sparse_flag = None if alpha is None else bool(n_edges <= alpha * net.n)
+    return ok.DensityReport(n_edges=n_edges, density=n_edges / net.n**2, sparse=sparse_flag)
+
+
+def reference_degree_profile(net):
+    support = reference_support_mask(net)
+    return ok.DegreeProfile(
+        in_degree=support.sum(axis=1),
+        out_degree=support.sum(axis=0),
+        weighted_in_degree=net.w.sum(axis=1),
+        weighted_out_degree=net.w.sum(axis=0),
+        d_max=int(support.sum(axis=1).max()),
+    )
+
+
+def reference_network_doc(net):
+    """The network file text, one numpy scalar per edge."""
+    f17 = lambda x: format(float(x), ".17g")  # noqa: E731
+    lam = ", ".join(f17(v) for v in net.lam)
+    rows, cols = np.nonzero(reference_support_mask(net))
+    order = np.lexsort((cols, rows))
+    edges = ", ".join(f"[{rows[k]}, {cols[k]}, {f17(net.w[rows[k], cols[k]])}]" for k in order)
+    directed = "true" if net.directed else "false"
+    return (
+        f'{{"n": {net.n}, "directed": {directed}, '
+        f'"lambda": [{lam}], "edges": [{edges}]}}\n'
+    )
+
+
+def reference_degree_centrality(net, direction):
+    return reference_support_mask(net).sum(axis=1 if direction == "in" else 0).astype(float)
+
+
+def reference_geodesic_edges(net, weighted):
+    """(tails, heads, lengths) of the support without self-loops; raises
+    ParameterError where a weighted length 1/w is not above TIE_TOL."""
+    support = reference_support_mask(net)
+    np.fill_diagonal(support, False)
+    tails, heads = np.nonzero(support)
+    if weighted:
+        lengths = 1.0 / net.w[tails, heads]
+        if not (lengths > TIE_TOL).all():
+            raise ParameterError("weighted path lengths 1/w need weights in (0, 1/TIE_TOL)")
+    else:
+        lengths = np.ones(tails.size)
+    return tails, heads, lengths
+
+
+def reference_unanchored(net):
+    """Agents that cannot reach lambda < 1, by the CSR walk over the
+    dense support scan."""
+    reaches = net.lam < 1.0
+    support = sparse.csr_array(reference_support_mask(net))
+    changed = True
+    while changed:
+        grown = reaches | (support @ reaches)
+        changed = bool((grown != reaches).any())
+        reaches = grown
+    return tuple(np.flatnonzero(~reaches).tolist())
+
+
+def reference_coupling_csr(net):
+    """Lambda W as CSR, converted from the dense product."""
+    return sparse.csr_array(net.lam[:, None] * net.w)

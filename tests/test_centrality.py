@@ -14,7 +14,9 @@ from helpers import (
     reference_closeness,
     reference_friedkin,
     reference_strongly_connected,
+    relative_error,
     row_stochastic,
+    slow_chain_network,
     stable_network,
 )
 from opinionkit.centrality import TIE_TOL
@@ -266,6 +268,20 @@ def test_friedkin_centrality_matches_the_dense_reference(n, alpha):
     if alpha is not None:
         net = ok.InfluenceNetwork(w=net.w, lam=np.full(n, alpha))
     assert np.max(np.abs(values - reference_friedkin(net))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["watts_strogatz", "slow_chain"])
+@pytest.mark.parametrize("n", [250, 1000])
+def test_friedkin_centrality_beyond_the_cutoff_matches_the_dense_solve(kind, n):
+    if kind == "slow_chain":
+        net = slow_chain_network(n)
+    else:
+        config = ok.GeneratorConfig(
+            model="watts_strogatz", n=n, k=6, beta_rw=0.2, lambda_range=(0.3, 0.8)
+        )
+        net = ok.generate_network(config, seed=n)
+    values = ok.friedkin_centrality(net).values
+    assert relative_error(values, reference_friedkin(net)) <= 1e-12
 
 
 def test_friedkin_centrality_favors_the_stubborn_agent():

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line and the pipeline runner."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -420,3 +421,22 @@ def test_run_sweep_rejects_bad_grids(tmp_path):
         ok.run_sweep({**config, "grid": {"stages.9.n": [4]}})
     with pytest.raises(ok.ConfigError, match="jobs"):
         ok.run_sweep(config, jobs=0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_manifest_is_a_rehash_of_every_file_on_disk(tmp_path, jobs):
+    config = _sweep_config(tmp_path)
+    out = Path(config["output_dir"])
+    (out / "point_0001").mkdir(parents=True)
+    (out / "point_0001" / "stale.txt").write_text("left by an earlier run\n")
+    (out / "point_0001" / "net.json").write_text("overwritten by this run\n")
+    manifest = ok.run_sweep(config, jobs=jobs)
+    on_disk = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.rglob("*")
+        if path.is_file() and path != out / "manifest.json"
+    }
+    assert manifest["artifacts"] == on_disk
+    assert {"point_0001/stale.txt", "point_0001/net.json", "point_0003/manifest.json",
+            "sweep.csv"} <= set(on_disk)
+    assert json.loads((out / "manifest.json").read_text()) == manifest

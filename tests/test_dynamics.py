@@ -17,10 +17,12 @@ from helpers import (
     reference_reflected_appraisal,
     reference_simulate_fj,
     reference_stability,
+    relative_error,
     row_stochastic,
+    slow_chain_network,
     stable_network,
 )
-from opinionkit.dynamics import _neighbor_menus
+from opinionkit.dynamics import _anchored_system, _neighbor_menus
 from opinionkit.numkit import CONDITION_MAX, DENSE_MAX_N, DRAW_BLOCK
 
 
@@ -206,6 +208,32 @@ def test_fj_equilibrium_beyond_the_dense_cutoff_is_the_dense_solve():
     expected = np.linalg.solve(system, np.diag(1.0 - net.lam))
     assert np.max(np.abs(control - expected)) <= 1e-12
     assert np.max(np.abs(x_inf - expected @ x0)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["watts_strogatz", "slow_chain"])
+@pytest.mark.parametrize("n", [250, 1000])
+def test_fj_equilibrium_beyond_the_cutoff_matches_the_dense_solve(kind, n):
+    # A nonnegative coupling takes SuperLU's M-matrix factorisation with
+    # diagonal pivots; np.linalg.solve is the oracle.
+    net = _ws_network(n, seed=n) if kind == "watts_strogatz" else slow_chain_network(n)
+    x0 = np.random.default_rng(n).uniform(-1, 1, (n, 3))
+    x_inf, control = ok.fj_equilibrium(net, x0)
+    expected = np.linalg.solve(np.eye(n) - net.lam[:, None] * net.w, np.diag(1.0 - net.lam))
+    assert relative_error(control, expected) <= 1e-12
+    assert relative_error(x_inf, expected @ x0) <= 1e-12
+
+
+def test_signed_anchored_system_beyond_the_cutoff_matches_the_dense_solve():
+    # A signed coupling keeps SuperLU's partial pivoting.
+    net = _ws_network(250, seed=8)
+    w = net.w.copy()
+    w[0, np.flatnonzero(w[0])[0]] *= -1.0
+    net = ok.InfluenceNetwork(w=w, lam=net.lam)
+    solve = _anchored_system(net, "signed test")
+    system = np.eye(net.n) - net.lam[:, None] * net.w
+    rhs = np.random.default_rng(8).uniform(-1, 1, (net.n, 4))
+    assert relative_error(solve(rhs), np.linalg.solve(system, rhs)) <= 1e-12
+    assert relative_error(solve(rhs, transpose=True), np.linalg.solve(system.T, rhs)) <= 1e-12
 
 
 def test_condition_guard_rejects_a_nearly_unanchored_pair():

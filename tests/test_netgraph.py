@@ -311,3 +311,25 @@ def test_pair_d_correlation_is_a_jaccard_index(seed):
     expected = len(a & b) / len(a | b) if (a | b) else 0.0
     assert value == pytest.approx(expected)
     assert 0.0 <= value <= 1.0
+
+
+@pytest.mark.parametrize("tag", ["independent", "common_support", "common_component"])
+def test_multiplex_file_round_trip_is_exact(tag, tmp_path):
+    cfg = ok.MultiplexConfig(
+        model_tag=tag,
+        base=ok.GeneratorConfig(model="watts_strogatz", n=15, k=4, beta_rw=0.3),
+        n_layers=3,
+        innovation_p=0.2,
+    )
+    mx = ok.build_multiplex(cfg, seed=5)
+    ok.save_multiplex(mx, tmp_path / "mx.json")
+    back = ok.load_multiplex(tmp_path / "mx.json")
+    assert back.model_tag == tag
+    assert (back.base is None) == (mx.base is None) == (tag == "independent")
+    pairs = list(zip(back.layers, mx.layers, strict=True))
+    if mx.base is not None:
+        pairs.append((back.base, mx.base))
+    for got, want in pairs:
+        assert got.w.tobytes() == want.w.tobytes()
+        assert got.lam.tobytes() == want.lam.tobytes()
+        assert got.directed == want.directed

@@ -1,0 +1,157 @@
+"""Bitwise pins for the network's cached sparse view.
+
+Every support consumer must return what its own dense scan of |w| >
+STRUCTURAL_ZERO returned (tests/helpers.py keeps those scans), in values,
+dtypes and order, on networks on both sides of DENSE_MAX_N that hold a
+weight in (0, STRUCTURAL_ZERO], one exactly at it, -0.0 entries,
+self-loops, rows with lambda = 0 and, when signed, a negative and a NaN
+weight.
+"""
+
+import numpy as np
+import pytest
+
+import opinionkit as ok
+from helpers import (
+    reference_coupling_csr,
+    reference_degree_centrality,
+    reference_degree_profile,
+    reference_edge_set,
+    reference_geodesic_edges,
+    reference_neighbor_menus,
+    reference_network_density,
+    reference_network_doc,
+    reference_unanchored,
+)
+from opinionkit import dynamics
+from opinionkit.centrality import _geodesics
+from opinionkit.dynamics import _coupling, _neighbor_menus, _stability
+from opinionkit.numkit import DENSE_MAX_N, STRUCTURAL_ZERO
+
+CASES = [(12, False), (12, True), (DENSE_MAX_N + 30, False), (DENSE_MAX_N + 30, True)]
+
+
+def _awkward_network(n, signed, seed=0):
+    """Three to five neighbours per agent, self-loops on every third one,
+    lambda = 0 on every fifth, and a closed pair n-2 <-> n-1 with lambda = 1
+    whose only way out is a weight below STRUCTURAL_ZERO."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n, n))
+    for i in range(n - 2):
+        others = np.delete(np.arange(n), i)
+        cols = rng.choice(others, size=int(rng.integers(3, 6)), replace=False)
+        w[i, cols] = rng.uniform(0.1, 1.0, cols.size)
+    w[np.arange(0, n - 2, 3), np.arange(0, n - 2, 3)] = 0.5
+    w /= np.where(w.sum(axis=1) > 0, w.sum(axis=1), 1.0)[:, None]
+    w[n - 2, n - 1] = 1.0
+    w[n - 1, n - 2] = 1.0 - 5e-13
+    w[n - 1, 0] = 5e-13
+    empty = np.flatnonzero(w[1] == 0.0)
+    w[1, empty[0]] = STRUCTURAL_ZERO
+    w[1, empty[1]] = 2e-13
+    w[2, np.flatnonzero(w[2] == 0.0)[:2]] = -0.0
+    if signed:
+        w[4, np.flatnonzero(w[4])[0]] = -0.25
+        w[5, np.flatnonzero(w[5])[0]] = np.nan
+    lam = rng.uniform(0.2, 0.9, n)
+    lam[::5] = 0.0
+    lam[n - 2 :] = 1.0
+    return ok.InfluenceNetwork(w=w, lam=lam)
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n, signed", CASES)
+def test_support_consumers_match_their_dense_scans(n, signed, tmp_path, monkeypatch):
+    net = _awkward_network(n, signed)
+    assert net.edge_set() == reference_edge_set(net)
+    for alpha in (None, 4.0):
+        assert ok.network_density(net, alpha) == reference_network_density(net, alpha)
+    profile, expected = ok.degree_profile(net), reference_degree_profile(net)
+    for field in ("in_degree", "out_degree", "weighted_in_degree", "weighted_out_degree"):
+        assert _same(getattr(profile, field), getattr(expected, field))
+    assert type(profile.d_max) is int and profile.d_max == expected.d_max
+    for direction in ("in", "out"):
+        values = ok.degree_centrality(net, direction).values
+        assert _same(values, reference_degree_centrality(net, direction))
+    for weighted in (False, True):
+        if weighted and signed:
+            with pytest.raises(ok.ParameterError):
+                reference_geodesic_edges(net, weighted)
+            with pytest.raises(ok.ParameterError):
+                _geodesics(net, weighted)
+            continue
+        _, tails, heads, lengths = _geodesics(net, weighted)
+        for got, want in zip((tails, heads, lengths), reference_geodesic_edges(net, weighted)):
+            assert _same(got, want)
+    table, counts = _neighbor_menus(net)
+    ref_table, ref_counts = reference_neighbor_menus(net)
+    assert _same(table, ref_table) and _same(counts, ref_counts)
+    # Only the walk is pinned here; NaN weights leave no radius to compare.
+    monkeypatch.setattr(dynamics, "spectral_radius", lambda coupling: 1.0)
+    report = _stability(net, _coupling(net))
+    assert report.unanchored == reference_unanchored(net) == (n - 2, n - 1)
+    assert report.open_set == tuple(np.flatnonzero(net.lam < 1.0).tolist())
+    ok.save_network(net, tmp_path / "net.json")
+    assert (tmp_path / "net.json").read_text() == reference_network_doc(net)
+
+
+@pytest.mark.parametrize("n, signed", CASES)
+@pytest.mark.parametrize("lam_edit", [None, "nan", "inf"])
+def test_coupling_is_the_dense_product_bit_for_bit(n, signed, lam_edit):
+    net = _awkward_network(n, signed)
+    if lam_edit is not None:
+        lam = net.lam.copy()
+        lam[7] = float(lam_edit)  # its row's zeros become NaN products
+        net = ok.InfluenceNetwork(w=net.w, lam=lam)
+    with np.errstate(invalid="ignore"):
+        coupling = _coupling(net)
+        if n <= DENSE_MAX_N:
+            assert _same(coupling, net.lam[:, None] * net.w)
+            return
+        expected = reference_coupling_csr(net)
+    assert (coupling.data == 0.0).sum() == 0
+    for part in ("indptr", "indices", "data"):
+        assert _same(getattr(coupling, part), getattr(expected, part))
+    assert coupling.shape == expected.shape
+
+
+def test_coupling_shares_no_array_with_the_network_cache(tmp_path):
+    config = ok.GeneratorConfig(
+        model="watts_strogatz", n=DENSE_MAX_N + 50, k=6, beta_rw=0.2, lambda_range=(0.3, 0.8)
+    )
+    generated = ok.generate_network(config, seed=2)
+    lam = generated.lam.copy()
+    lam[::7] = 0.0
+    net = ok.InfluenceNetwork(w=generated.w, lam=lam)
+    cached = (*net.support, net.nonzeros.data, net.nonzeros.indices, net.nonzeros.indptr)
+    before = [part.copy() for part in cached]
+
+    coupling = _coupling(net)
+    coupling.eliminate_zeros()
+    coupling.data[:] = 0.0
+    coupling.eliminate_zeros()
+    x0 = np.random.default_rng(2).uniform(-1, 1, net.n)
+    ok.friedkin_centrality(net)
+    ok.friedkin_centrality(net, alpha=0.5)
+    ok.fj_equilibrium(net, x0)
+    ok.simulate_fj(net, x0, steps=5)
+    ok.simulate_gossip_fj(net, x0, steps=5, activation_size=3, seed=1)
+    ok.is_schur_stable(net)
+    net.edge_set()
+    ok.network_density(net)
+    ok.degree_profile(net)
+    ok.degree_centrality(net)
+    ok.closeness_centrality(net, weighted=True)
+    ok.save_network(net, tmp_path / "net.json")
+
+    assert (net.support[0] is cached[0]) and (net.nonzeros.data is cached[3])
+    for part, old in zip(cached, before):
+        assert _same(part, old)
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = part[1]
+    with pytest.raises(ValueError, match="read-only"):
+        net.nonzeros.eliminate_zeros()
