@@ -13,6 +13,7 @@ the file.
 
 import json
 import operator
+import sys
 import warnings
 from itertools import chain, compress, cycle, islice, repeat
 from pathlib import Path
@@ -32,8 +33,8 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """Whether a decoded JSON value is an integer or a float."""
-    return isinstance(value, float) or is_int(value)
+    """Whether a decoded JSON value is a float or an integer within the float range."""
+    return isinstance(value, float) or is_int(value) and abs(value) <= sys.float_info.max
 
 
 def read_json(path, what: str, keys=None) -> dict:

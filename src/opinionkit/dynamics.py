@@ -27,12 +27,12 @@ from .netgraph import InfluenceNetwork, MultiplexNetwork
 from .numkit import CONDITION_MAX, DENSE_MAX_N, STABILITY_MARGIN, STRUCTURAL_ZERO
 from .numkit import DRAW_BLOCK, philox_stream, spectral_radius
 
-# Plateau detector: this many consecutive steps with ||dX||_inf below
-# PLATEAU_TOL mark the trajectory as converged.
+# The synchronous step loop reads one number per step, the move max|dX|:
+# PLATEAU_RUN consecutive moves below the tolerance mark convergence, and a
+# move above DIVERGENCE_CAP, or NaN (as from inf), raises NumericalError.
 PLATEAU_TOL = 1e-10
 PLATEAU_RUN = 3
-
-_DIVERGENCE_CAP = 1e12
+DIVERGENCE_CAP = 1e12
 
 @dataclass(frozen=True)
 class ModelDescriptor:
@@ -124,12 +124,9 @@ def _coupling(net: InfluenceNetwork):
     Beyond the cutoff the network's cached CSR is scaled row by row and
     the zero products (lambda = 0, underflow) are dropped: the result is
     sparse.csr_array(lam[:, None] * w) bit for bit, in arrays of its own.
-    A non-finite lambda makes NaN of its row's zeros, so it takes the
-    dense product.
     """
-    if net.n <= DENSE_MAX_N or not np.isfinite(net.lam).all():
-        coupling = net.lam[:, None] * net.w
-        return coupling if net.n <= DENSE_MAX_N else sparse.csr_array(coupling)
+    if net.n <= DENSE_MAX_N:
+        return net.lam[:, None] * net.w
     nonzeros = net.nonzeros
     data = nonzeros.data * np.repeat(net.lam, np.diff(nonzeros.indptr))
     keep = data != 0.0
@@ -201,7 +198,10 @@ def _anchored_system(net: InfluenceNetwork, what: str):
     that of the graph. A signed coupling keeps COLAMD with partial pivoting.
     """
     coupling = _coupling(net)
-    signed = (coupling.data if sparse.issparse(coupling) else coupling).min(initial=0.0) < 0.0
+    entries = coupling.data if sparse.issparse(coupling) else coupling
+    if not np.isfinite(entries).all():
+        raise ParameterError(f"{what}: Lambda W holds a non-finite weight")
+    signed = entries.min(initial=0.0) < 0.0
     _stability(net, coupling, what, certified=not signed)
     if net.n <= DENSE_MAX_N:
         system, factor = np.eye(net.n) - coupling, None
@@ -228,12 +228,10 @@ def _anchored_system(net: InfluenceNetwork, what: str):
     return solve
 
 
-def simulate_fj(net: InfluenceNetwork, x0, steps: int) -> OpinionTrajectory:
-    """Run x(k+1) = Lambda W x(k) + (I - Lambda) x(0) for `steps` steps.
-
-    Works for any susceptibility vector; with lambda = 1 everywhere this
-    is pure averaging. Returns the full trajectory including x(0).
-    """
+def _synchronous(net: InfluenceNetwork, x0, steps: int, issue_map, kind: str) -> OpinionTrajectory:
+    """X(k+1) = Lambda W X(k) issue_map + (I - Lambda) X(0); no map skips that
+    product (X @ I would turn -0.0 into +0.0). Each step's move
+    max|X(k+1) - X(k)| feeds both the plateau detector and DIVERGENCE_CAP."""
     _check_steps(steps)
     x0 = _as_profile(x0, net.n)
     coupling = _coupling(net)
@@ -242,12 +240,26 @@ def simulate_fj(net: InfluenceNetwork, x0, steps: int) -> OpinionTrajectory:
     states[0] = x0
     converged_at, run = None, 0
     for k in range(steps):
-        states[k + 1] = coupling @ states[k] + anchor
-        run = run + 1 if np.max(np.abs(states[k + 1] - states[k])) < PLATEAU_TOL else 0
+        pulled = coupling @ states[k]
+        states[k + 1] = (pulled if issue_map is None else pulled @ issue_map) + anchor
+        move = np.max(np.abs(states[k + 1] - states[k]))
+        if not move <= DIVERGENCE_CAP:
+            raise NumericalError(f"{kind} trajectory diverged at step {k + 1} (move {move:.3g})")
+        run = run + 1 if move < PLATEAU_TOL else 0
         if run >= PLATEAU_RUN and converged_at is None:
             converged_at = k + 1
-    descriptor = ModelDescriptor(kind="anchored_averaging", params={"steps": steps})
+    descriptor = ModelDescriptor(kind=kind, params={"steps": steps})
     return OpinionTrajectory(states=states, model=descriptor, converged_at=converged_at)
+
+
+def simulate_fj(net: InfluenceNetwork, x0, steps: int) -> OpinionTrajectory:
+    """Run x(k+1) = Lambda W x(k) + (I - Lambda) x(0) for `steps` steps.
+
+    Works for any susceptibility vector; with lambda = 1 everywhere this
+    is pure averaging. Returns the full trajectory including x(0). A step
+    moving an opinion by more than DIVERGENCE_CAP raises NumericalError.
+    """
+    return _synchronous(net, x0, steps, None, "anchored_averaging")
 
 
 def fj_equilibrium(net: InfluenceNetwork, x0) -> tuple[np.ndarray, np.ndarray]:
@@ -273,37 +285,17 @@ def simulate_belief_system(
     """Multi-issue dynamics X(k+1) = Lambda W X(k) C' + (I - Lambda) X(0).
 
     C couples the issues; row-contractive C (sum of |row| <= 1) keeps the
-    recursion bounded. A violated contract is flagged, and divergence past
-    1e12 aborts with a numerical error.
+    recursion bounded. A violated contract is flagged, and a step moving
+    an entry by more than DIVERGENCE_CAP aborts with a numerical error.
     """
-    _check_steps(steps)
     c_matrix = np.atleast_2d(np.asarray(c_matrix, dtype=float))
-    x0 = _as_profile(x0, net.n)
-    if c_matrix.shape != (x0.shape[1], x0.shape[1]):
-        raise StructuralError(
-            f"issue coupling must be ({x0.shape[1]}, {x0.shape[1]}), got {c_matrix.shape}"
-        )
+    m = _as_profile(x0, net.n).shape[1]
+    if c_matrix.shape != (m, m):
+        raise StructuralError(f"issue coupling must be ({m}, {m}), got {c_matrix.shape}")
     if np.abs(c_matrix).sum(axis=1).max() > 1.0 + 1e-12:
-        warnings.warn(
-            "issue-coupling matrix is not row-contractive; dynamics may diverge",
-            stacklevel=2,
-        )
-    coupling = _coupling(net)
-    anchor = (1.0 - net.lam)[:, None] * x0
-    states = np.empty((steps + 1, net.n, x0.shape[1]))
-    states[0] = x0
-    converged_at, run = None, 0
-    for k in range(steps):
-        states[k + 1] = coupling @ states[k] @ c_matrix.T + anchor
-        if not np.all(np.isfinite(states[k + 1])) or np.max(
-            np.abs(states[k + 1])
-        ) > _DIVERGENCE_CAP:
-            raise NumericalError(f"belief-system trajectory diverged at step {k + 1}")
-        run = run + 1 if np.max(np.abs(states[k + 1] - states[k])) < PLATEAU_TOL else 0
-        if run >= PLATEAU_RUN and converged_at is None:
-            converged_at = k + 1
-    descriptor = ModelDescriptor(kind="belief_system", params={"steps": steps})
-    return OpinionTrajectory(states=states, model=descriptor, converged_at=converged_at)
+        warnings.warn("issue-coupling matrix is not row-contractive; dynamics may diverge",
+                      stacklevel=2)
+    return _synchronous(net, x0, steps, c_matrix.T, "belief_system")
 
 
 def simulate_reflected_appraisal(

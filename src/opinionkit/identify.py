@@ -921,12 +921,9 @@ def load_report(path) -> EstimationReport:
             arrays[name] = None
             continue
         cells = np.asarray(doc[name], dtype=object)
-        try:
-            if all(map(is_number, cells.flat)):
-                arrays[name] = cells.astype(float)
-                continue
-        except OverflowError:  # an integer beyond the float range
-            pass
+        if all(map(is_number, cells.flat)):
+            arrays[name] = cells.astype(float)
+            continue
         allowed = "an array of numbers" + ("" if name == "w_hat" else " or null")
         raise ConfigError(f"report {path}: {name} must be {allowed}")
     support = doc["support"]

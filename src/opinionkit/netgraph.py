@@ -47,6 +47,9 @@ class InfluenceNetwork:
             raise StructuralError(
                 f"{lam.shape[0]} susceptibilities for {w.shape[0]} agents"
             )
+        if not np.isfinite(lam).all():
+            bad = np.flatnonzero(~np.isfinite(lam)).tolist()
+            raise ParameterError(f"susceptibilities of agents {bad} are not finite")
         w.setflags(write=False)
         lam.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -215,9 +218,7 @@ def validate_network(net: InfluenceNetwork, tol: float = 1e-9) -> ValidationRepo
     w, lam = net.w, net.lam
     if not np.all(np.isfinite(w)):
         problems.append("non-finite weight entries")
-    if not np.all(np.isfinite(lam)):
-        problems.append("non-finite susceptibility entries")
-    if np.all(np.isfinite(w)):
+    else:
         bad = np.argwhere((w < -tol) | (w > 1.0 + tol))
         problems.extend(
             f"w[{i},{j}]={w[i, j]:.6g} outside [0, 1]" for i, j in bad[:20]
@@ -227,9 +228,8 @@ def validate_network(net: InfluenceNetwork, tol: float = 1e-9) -> ValidationRepo
         sums = w.sum(axis=1)
         for i in np.flatnonzero(np.abs(sums - 1.0) > tol):
             problems.append(f"row {i} sums to {sums[i]:.12g}")
-    if np.all(np.isfinite(lam)):
-        for i in np.flatnonzero((lam < -tol) | (lam > 1.0 + tol)):
-            problems.append(f"lambda[{i}]={lam[i]:.6g} outside [0, 1]")
+    for i in np.flatnonzero((lam < -tol) | (lam > 1.0 + tol)):
+        problems.append(f"lambda[{i}]={lam[i]:.6g} outside [0, 1]")
     return ValidationReport(ok=not problems, problems=tuple(problems))
 
 
@@ -412,7 +412,8 @@ def build_multiplex(config: MultiplexConfig, seed: int | None = None) -> Multipl
 #   {"n": 3, "directed": true, "lambda": [...], "edges": [[i, j, w], ...]}
 # with 0-based indices, edges sorted by (i, j), and weights printed with 17
 # significant digits so that load(save(net)) is bit-exact. Files are read
-# through _files.read_json, and every field is checked where it is read.
+# through _files.read_json; every field is checked where it is read, by an
+# error that names the file (and the layer of a multiplex file).
 
 _NETWORK_KEYS = {"n", "directed", "lambda", "edges"}
 _MULTIPLEX_KEYS = {"model_tag", "base", "layers"}
@@ -435,41 +436,45 @@ def _network_doc(net: InfluenceNetwork) -> str:
     )
 
 
-def _network_from_doc(doc) -> InfluenceNetwork:
+def _network_from_doc(doc, where: str) -> InfluenceNetwork:
     if not isinstance(doc, dict):
-        raise ConfigError("a network document must be a JSON object")
+        raise ConfigError(f"{where}: a network document must be a JSON object")
     unknown = set(doc) - _NETWORK_KEYS
     if unknown:
-        raise ConfigError(f"unknown network file keys: {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown network file keys: {sorted(unknown)}")
     missing = _NETWORK_KEYS - set(doc)
     if missing:
-        raise ConfigError(f"network file missing keys: {sorted(missing)}")
+        raise ConfigError(f"{where}: network file missing keys: {sorted(missing)}")
     n, lam, edges = doc["n"], doc["lambda"], doc["edges"]
     if not is_int(n) or n < 0:
-        raise ConfigError(f"network n must be a nonnegative integer, got {n!r}")
+        raise ConfigError(f"{where}: network n must be a nonnegative integer, got {n!r}")
+    if n == 0:
+        raise ConfigError(f"{where}: network n must be at least 1, got 0")
     if not isinstance(doc["directed"], bool):
-        raise ConfigError(f"network directed must be true or false, got {doc['directed']!r}")
+        raise ConfigError(f"{where}: network directed must be true or false, got {doc['directed']!r}")
     if not isinstance(lam, list) or not all(map(is_number, lam)):
-        raise ConfigError("network lambda must be a list of numbers")
+        raise ConfigError(f"{where}: network lambda must be a list of numbers")
+    if len(lam) != n or not np.isfinite(lam).all():
+        raise ConfigError(f"{where}: network lambda must hold {n} finite numbers")
     if not isinstance(edges, list):
-        raise ConfigError("network edges must be a list")
+        raise ConfigError(f"{where}: network edges must be a list")
     w = np.zeros((n, n))
     seen = set()
     for entry in edges:
         if not (isinstance(entry, list) and len(entry) == 3 and is_number(entry[2])
                 and is_int(entry[0]) and is_int(entry[1])):
-            raise ConfigError(f"network edge {entry!r} is not [int, int, number]")
+            raise ConfigError(f"{where}: network edge {entry!r} is not [int, int, number]")
         i, j, weight = entry
         if not (0 <= i < n and 0 <= j < n):
-            raise ConfigError(f"edge ({i}, {j}) outside agent range 0..{n - 1}")
+            raise ConfigError(f"{where}: edge ({i}, {j}) outside agent range 0..{n - 1}")
         if (i, j) in seen:
-            raise ConfigError(f"edge ({i}, {j}) is listed twice")
+            raise ConfigError(f"{where}: edge ({i}, {j}) is listed twice")
         seen.add((i, j))
         w[i, j] = weight
     net = InfluenceNetwork(w=w, lam=np.asarray(lam, dtype=float), directed=doc["directed"])
     report = validate_network(net)
     if not report.ok:
-        raise ConfigError(f"invalid network: {'; '.join(report.problems)}")
+        raise ConfigError(f"{where}: invalid network: {'; '.join(report.problems)}")
     return net
 
 
@@ -479,7 +484,7 @@ def save_network(net: InfluenceNetwork, path) -> None:
 
 
 def load_network(path) -> InfluenceNetwork:
-    return _network_from_doc(read_json(path, "network"))
+    return _network_from_doc(read_json(path, "network"), f"network {path}")
 
 
 def save_multiplex(mx: MultiplexNetwork, path) -> None:
@@ -496,6 +501,7 @@ def load_multiplex(path) -> MultiplexNetwork:
     doc = read_json(path, "multiplex", _MULTIPLEX_KEYS)
     if not isinstance(doc["layers"], list):
         raise ConfigError(f"multiplex {path}: layers must be a list")
-    base = _network_from_doc(doc["base"]) if doc["base"] is not None else None
-    layers = tuple(_network_from_doc(entry) for entry in doc["layers"])
+    where = f"multiplex {path}"
+    base = None if doc["base"] is None else _network_from_doc(doc["base"], f"{where} base")
+    layers = tuple(_network_from_doc(d, f"{where} layer {s}") for s, d in enumerate(doc["layers"]))
     return MultiplexNetwork(layers=layers, model_tag=doc["model_tag"], base=base)

@@ -498,13 +498,16 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 300) -> float:
     So tol is the relative width of the certified bracket, not a stop on
     the change of an estimate. An ARPACK failure or an open certificate
     (reducible or nilpotent inputs, such as a hierarchy below a stubborn
-    root) falls back to the dense eigen-solve.
+    root) falls back to the dense eigen-solve. A NaN or inf entry raises
+    ParameterError.
     """
     if not sparse.issparse(matrix):
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     n = matrix.shape[0]
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ParameterError("spectral radius requires a square matrix")
+    if not np.isfinite(matrix.tocsr().data if sparse.issparse(matrix) else matrix).all():
+        raise ParameterError("spectral radius requires a finite matrix")
     if n > DENSE_MAX_N:
         csr = sparse.csr_array(matrix, dtype=float)
         if not (csr.data < 0.0).any():

@@ -16,7 +16,14 @@ from scipy.optimize import linprog
 
 import opinionkit as ok
 from opinionkit.centrality import TIE_TOL
-from opinionkit.dynamics import _coupling, _noise_factor, _per_layer_matrices, _per_layer_vectors
+from opinionkit.dynamics import (
+    PLATEAU_RUN,
+    PLATEAU_TOL,
+    _coupling,
+    _noise_factor,
+    _per_layer_matrices,
+    _per_layer_vectors,
+)
 from opinionkit.errors import IdentifiabilityError, ParameterError, StructuralError
 from opinionkit.identify import (
     N_SIGMA,
@@ -262,6 +269,39 @@ def reference_simulate_fj(net, x0, steps):
     for _ in range(steps):
         states.append(coupling @ states[-1] + anchor)
     return np.stack(states)
+
+
+def reference_belief_system(net, c_matrix, x0, steps):
+    """Reference states of the synchronous simulators from two separate
+    loops on the library's own coupling, so that they compare bit for bit:
+    the belief-system step X(k+1) = Lambda W X(k) C' + (I - Lambda) X(0)
+    with a finiteness and max|X| <= 1e12 guard, and with c_matrix None the
+    unguarded anchored-averaging step."""
+    x0 = np.asarray(x0, dtype=float)
+    x0 = x0[:, None] if x0.ndim == 1 else x0
+    coupling = _coupling(net)
+    anchor = (1.0 - net.lam)[:, None] * x0
+    states = np.empty((steps + 1, net.n, x0.shape[1]))
+    states[0] = x0
+    for k in range(steps):
+        if c_matrix is None:
+            states[k + 1] = coupling @ states[k] + anchor
+            continue
+        states[k + 1] = coupling @ states[k] @ c_matrix.T + anchor
+        if not np.all(np.isfinite(states[k + 1])) or np.max(np.abs(states[k + 1])) > 1e12:
+            raise ok.NumericalError(f"belief-system trajectory diverged at step {k + 1}")
+    return states
+
+
+def reference_converged_at(states):
+    """The first step k closing PLATEAU_RUN consecutive steps that each
+    move no entry by PLATEAU_TOL or more, or None."""
+    run = 0
+    for k in range(1, len(states)):
+        run = run + 1 if np.max(np.abs(states[k] - states[k - 1])) < PLATEAU_TOL else 0
+        if run >= PLATEAU_RUN:
+            return k
+    return None
 
 
 def reference_reflected_appraisal(c_influence, c0, n_issues):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import opinionkit as ok
 from helpers import (
+    reference_belief_system,
+    reference_converged_at,
     reference_expected_gossip_dynamics,
     reference_gossip_fj,
     reference_multiplex_fj,
@@ -167,6 +169,72 @@ def test_simulate_fj_matches_the_dense_reference_across_the_cutoff(n):
         assert np.array_equal(states, expected)
     else:
         assert np.max(np.abs(states - expected)) <= 1e-12
+
+
+def _pinned_case(n, seed):
+    """A Watts-Strogatz network with lambda = 0 and lambda = 1 agents, an
+    x0 of three issues holding -0.0, and a row-stochastic issue coupling
+    that is not the identity."""
+    net = _ws_network(n, seed)
+    lam = net.lam.copy()
+    lam[::7] = 0.0
+    lam[3::11] = 1.0
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1, 1, (n, 3))
+    x0[::5, 1] = -0.0
+    c = rng.uniform(0.1, 1.0, (3, 3))
+    return ok.InfluenceNetwork(w=net.w, lam=lam), x0, c / c.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n", [12, DENSE_MAX_N + 30])
+def test_synchronous_simulators_match_their_separate_loops_bitwise(n, seed):
+    net, x0, c = _pinned_case(n, seed)
+    for c_matrix, traj in (
+        (None, ok.simulate_fj(net, x0, steps=400)),
+        (c, ok.simulate_belief_system(net, c, x0, steps=400)),
+    ):
+        expected = reference_belief_system(net, c_matrix, x0, 400)
+        assert traj.states.shape == expected.shape
+        assert traj.states.tobytes() == expected.tobytes()
+        assert traj.converged_at == reference_converged_at(expected) is not None
+
+
+def _diverging(simulator, w):
+    net = ok.InfluenceNetwork(w=np.array(w), lam=np.ones(2))
+    x0 = np.array([1.0, 0.0])
+    if simulator == "fj":
+        return ok.simulate_fj(net, x0, steps=60)
+    return ok.simulate_belief_system(net, np.eye(1), x0, steps=60)
+
+
+@pytest.mark.parametrize("simulator", ["fj", "belief_system"])
+def test_synchronous_simulators_stop_at_the_step_that_diverges(simulator):
+    # x(k) = W^k x(0) alternates between the agents with |x(k)| = 3^k, so
+    # step 26 is the first to move an opinion by more than 1e12 (3^26)
+    with pytest.raises(ok.NumericalError, match=r"at step 26\b"):
+        _diverging(simulator, [[0.0, -3.0], [-3.0, 0.0]])
+    with pytest.raises(ok.NumericalError, match=r"at step 1\b"):
+        _diverging(simulator, [[0.0, np.nan], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("n", [50, 250])
+def test_a_non_finite_weight_raises_a_package_error(n):
+    net = _ws_network(n, seed=4)
+    w = net.w.copy()
+    w[3, np.flatnonzero(w[3])[0]] = np.nan
+    net = ok.InfluenceNetwork(w=w, lam=net.lam)
+    x0 = np.random.default_rng(4).uniform(-1, 1, n)
+    for call in (
+        lambda: ok.is_schur_stable(net),
+        lambda: ok.expected_gossip_dynamics(net, 0.5, x0),
+        lambda: ok.fj_equilibrium(net, x0),
+        lambda: ok.friedkin_centrality(net),
+    ):
+        with pytest.raises(ok.ParameterError, match="finite"):
+            call()
+    with pytest.raises(ok.NumericalError, match=r"at step 1\b"):
+        ok.simulate_fj(net, x0, steps=5)
 
 
 @pytest.mark.parametrize("closed_loop", [False, True])

@@ -290,6 +290,9 @@ def _network_doc(**fields):
     ({"edges": {"0": 1}}, "edges must be a list"),
     ({"lambda": ["a", 0.5]}, "lambda must be a list of numbers"),
     ({"directed": "yes"}, "directed must be true or false"),
+    ({"edges": [[0, 1, 10**400]]}, r"edge \[0, 1, 1\d+\] is not \[int, int, number\]"),
+    ({"lambda": [10**400, 0.5]}, "lambda must be a list of numbers"),
+    ({"lambda": [0.5]}, "lambda must hold 2 finite numbers"),
 ])
 def test_load_network_validates_its_fields(tmp_path, fields, message):
     path = _write(tmp_path / "net.json", json.dumps(_network_doc(**fields)))

@@ -1,6 +1,7 @@
 """Unit tests for network containers, generators, and the file format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import opinionkit as ok
 from helpers import row_stochastic
+from opinionkit.cli import main
 
 
 def test_validation_flags_non_stochastic_rows():
@@ -230,6 +232,34 @@ def test_network_loaders_list_the_validation_problems(tmp_path):
         "model_tag": "independent", "base": None, "layers": [json.loads(path.read_text())]
     }))
     with pytest.raises(ok.ConfigError, match="row 0 sums to 0.7"):
+        ok.load_multiplex(multiplex)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"edges": [[0, 1, 0.3], [0, 1, 0.7], [1, 0, 1.0]]}, r"edge \(0, 1\) is listed twice"),
+    ({"edges": [[0, 1, 0.7], [1, 0, 1.0]]}, "row 0 sums to 0.7"),
+    ({"lambda": [0.5, float("nan")]}, "lambda must hold 2 finite numbers"),
+    ({"n": 0, "lambda": [], "edges": []}, "n must be at least 1, got 0"),
+])
+def test_a_rejected_network_file_names_itself(tmp_path, capsys, fields, message):
+    good = {"n": 2, "directed": True, "lambda": [0.5, 0.5], "edges": [[0, 1, 1.0], [1, 0, 1.0]]}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({**good, **fields}))
+    with pytest.raises(ok.ConfigError, match=f"^network {re.escape(str(path))}: .*{message}"):
+        ok.load_network(path)
+    for command in (
+        ["simulate", str(path), "--steps", "3", "--out", str(tmp_path / "traj.csv")],
+        ["centrality", str(path), "--measure", "friedkin"],
+        ["centrality", str(path), "--measure", "pagerank"],
+    ):
+        assert main(command) == 1
+        assert re.match(f"error: network {re.escape(str(path))}: .*{message}",
+                        capsys.readouterr().err)
+    multiplex = tmp_path / "mx.json"
+    multiplex.write_text(json.dumps(
+        {"model_tag": "independent", "base": None, "layers": [good, {**good, **fields}]}
+    ))
+    with pytest.raises(ok.ConfigError, match=f"^multiplex {re.escape(str(multiplex))} layer 1: "):
         ok.load_multiplex(multiplex)
 
 

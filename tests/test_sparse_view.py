@@ -100,23 +100,28 @@ def test_support_consumers_match_their_dense_scans(n, signed, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("n, signed", CASES)
-@pytest.mark.parametrize("lam_edit", [None, "nan", "inf"])
+@pytest.mark.parametrize("lam_edit", [None])  # keeps the case ids; lambda is finite
 def test_coupling_is_the_dense_product_bit_for_bit(n, signed, lam_edit):
     net = _awkward_network(n, signed)
-    if lam_edit is not None:
-        lam = net.lam.copy()
-        lam[7] = float(lam_edit)  # its row's zeros become NaN products
-        net = ok.InfluenceNetwork(w=net.w, lam=lam)
-    with np.errstate(invalid="ignore"):
-        coupling = _coupling(net)
-        if n <= DENSE_MAX_N:
-            assert _same(coupling, net.lam[:, None] * net.w)
-            return
-        expected = reference_coupling_csr(net)
+    coupling = _coupling(net)
+    if n <= DENSE_MAX_N:
+        assert _same(coupling, net.lam[:, None] * net.w)
+        return
+    expected = reference_coupling_csr(net)
     assert (coupling.data == 0.0).sum() == 0
     for part in ("indptr", "indices", "data"):
         assert _same(getattr(coupling, part), getattr(expected, part))
     assert coupling.shape == expected.shape
+
+
+@pytest.mark.parametrize("n", [12, DENSE_MAX_N + 30])
+def test_a_non_finite_susceptibility_is_rejected_at_construction(n):
+    net = _awkward_network(n, signed=True)
+    for bad in (np.nan, np.inf, -np.inf):
+        lam = net.lam.copy()
+        lam[7] = bad
+        with pytest.raises(ok.ParameterError, match=r"agents \[7\] are not finite"):
+            ok.InfluenceNetwork(w=net.w, lam=lam)
 
 
 def test_coupling_shares_no_array_with_the_network_cache(tmp_path):
