@@ -6,7 +6,11 @@ printed with 17 significant digits, so a read of a written table gives
 back the same doubles bit for bit. Empty lines are skipped. A table is
 written TABLE_CHUNK cells at a time: the label prefixes of the chunk's
 rows (its observed cells, under a mask) are joined into one "%.17g"
-template, filled by a single % with their values.
+template, filled by a single % with their values. A run of cells equal
+bit for bit down a column is formatted once, and its text enters the
+template as a literal for each of its cells (see table_text), so the
+writer's cost is per formatted value, not per cell. Memory stays
+O(TABLE_CHUNK + row width) with or without a mask.
 Every other document is a JSON object. Readers raise ConfigError naming
 the file.
 """
@@ -15,7 +19,7 @@ import json
 import operator
 import sys
 import warnings
-from itertools import chain, compress, cycle, islice, repeat
+from itertools import chain, compress, cycle, islice, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -66,28 +70,101 @@ def table_text(header: str, values, keys=None, mask=None):
     """Yield a table's header line, then its rows in chunks of at most
     TABLE_CHUNK rows: "keys[s],idx...,value" for values[s][idx] in
     row-major order (keys defaults to 0, 1, ...), only where mask is true
-    when one is given. A chunk covers TABLE_CHUNK cells; it is one template
-    of row prefixes joined with "%.17g" slots, filled by a single % with
-    the chunk's values, so memory stays O(TABLE_CHUNK) with or without a
-    mask."""
+    when one is given.
+
+    A chunk covers TABLE_CHUNK cells; it is one template of row prefixes
+    joined with "%.17g" slots, filled by a single % with the chunk's
+    values. A column is one idx, read down the rows s, and a run is two or
+    more written cells in a row of a column whose values are equal bit
+    for bit (so -0.0 and 0.0, or two NaN payloads, never share a run; a
+    cell the mask leaves out ends a run). A run is formatted once: the
+    text of its first cell goes into the template as a literal for every
+    cell of the run, and only cells outside runs keep a slot, so a table
+    without runs is written from the same templates as without this rule.
+    Each column carries the text of its current run from chunk to chunk.
+    Memory stays O(TABLE_CHUNK + row width), with or without a mask."""
     values = np.asarray(values, dtype=float)
-    slots = ["".join(f"{i}," for i in idx) + "%.17g\n" for idx in np.ndindex(values.shape[1:])]
+    slots = [
+        "".join(idx) + "%.17g\n"
+        for idx in product(*([f"{i}," for i in range(size)] for size in values.shape[1:]))
+    ]
+    width = len(slots)
+    # each column's slot, then the text of its current run once it has one
+    known = np.array(slots + [None] * width, dtype=object)
     leads = (f"{s if keys is None else keys[s]}," for s in range(len(values)))
-    rows = map(
-        operator.add,
-        chain.from_iterable(repeat(lead, len(slots)) for lead in leads),
-        cycle(slots),
-    )
+    heads = chain.from_iterable(repeat(lead, width) for lead in leads)
+    cells = _row_major(values)
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
+        mask = _row_major(np.asarray(mask, dtype=bool))
     yield header + "\n"
     for lo in range(0, values.size, TABLE_CHUNK):
-        chunk = values.flat[lo : lo + TABLE_CHUNK]  # copies this chunk only
-        piece = islice(rows, len(chunk))
+        hi = min(lo + TABLE_CHUNK, values.size)
+        up, down, chunk = _equal_neighbours(cells, mask, lo, hi, width)
+        literal = up | down
+        tails = islice(cycle(slots), lo % width, None)
+        if literal.any():
+            tails = _run_tails(known, chunk, up, down, lo)
+        piece = map(operator.add, islice(heads, hi - lo), tails)
+        slotted = ~literal
         if mask is not None:
-            keep = mask.flat[lo : lo + TABLE_CHUNK]
-            piece, chunk = compress(piece, keep.tolist()), chunk[keep]
-        yield "".join(piece) % tuple(chunk.tolist())
+            keep = mask[lo:hi]
+            piece = compress(piece, keep.tolist())
+            slotted &= keep
+        yield "".join(piece) % tuple(chunk[slotted].tolist())
+
+
+def _run_tails(known, chunk, up, down, lo: int) -> list:
+    """The text after the row lead of each cell of a chunk that starts at
+    cell lo: its column's slot, or the literal text of the run it belongs
+    to. known holds each column's slot, then its current run text: a run
+    that starts in the chunk is formatted here, and its column's entry is
+    updated for the next chunk."""
+    width = len(known) // 2
+    column = np.arange(lo, lo + len(chunk)) % width
+    first = down & ~up
+    starts = list(map(operator.mod, known[column[first]], chunk[first].tolist()))
+    texts = np.concatenate([known, np.array(starts, dtype=object)])
+    # the latest run start at or above each cell in its column, on a grid of
+    # the whole rows that the chunk touches
+    offset = lo % width
+    grid = np.full((-(-(offset + len(chunk)) // width), width), -1)
+    latest = grid.reshape(-1)[offset : offset + len(chunk)]
+    latest[first] = np.arange(2 * width, len(texts))
+    np.maximum.accumulate(grid, axis=0, out=grid)
+    (ends,) = np.nonzero(grid[-1] >= 0)
+    known[width + ends] = texts[grid[-1, ends]]
+    return texts[np.where(up | down, np.where(latest < 0, width + column, latest), column)].tolist()
+
+
+def _row_major(array):
+    """The cells of array in row-major order, as a one-dimensional view
+    when array is C-contiguous and else as its flat iterator: a slice of
+    either copies at most the cells it holds."""
+    return array.reshape(-1) if array.flags.c_contiguous else array.flat
+
+
+def _equal_neighbours(cells, mask, lo: int, hi: int, width: int):
+    """(up, down, chunk) for the cells lo:hi of a table's row-major cells:
+    whether each cell's bits equal those of the cell one row above, and of
+    the cell one row below, both cells written (true in the row-major
+    mask, when one is given), and the cells' values. Reads the chunk's
+    cells and their neighbours only."""
+    chunk = cells[lo:hi]
+    bits = chunk.view(np.int64)
+    up = np.zeros(hi - lo, dtype=bool)
+    down = np.zeros(hi - lo, dtype=bool)
+    skip = min(max(width - lo, 0), hi - lo)  # cells in row 0 have no row above
+    reach = min(max(len(cells) - width - lo, 0), hi - lo)  # cells with a row below
+    above, below = slice(lo + skip - width, hi - width), slice(lo + width, lo + width + reach)
+    up[skip:] = bits[skip:] == cells[above].view(np.int64)
+    down[:reach] = bits[:reach] == cells[below].view(np.int64)
+    if mask is not None:
+        keep = mask[lo:hi]
+        up[skip:] &= mask[above]
+        down[:reach] &= mask[below]
+        up &= keep
+        down &= keep
+    return up, down, chunk
 
 
 def write_table(path, header: str, values, keys=None, mask=None) -> None:

@@ -252,9 +252,7 @@ def friedkin_centrality(net: InfluenceNetwork, alpha: float | None = None) -> Ce
     if alpha is not None:
         if not 0.0 <= alpha <= 1.0:
             raise ParameterError("alpha must lie in [0, 1]")
-        net = InfluenceNetwork(
-            w=net.w, lam=np.full(net.n, float(alpha)), directed=net.directed
-        )
+        net = net._with_susceptibilities(np.full(net.n, float(alpha)))
     solve = dynamics._anchored_system(net, "influence centrality")
     values = (1.0 - net.lam) * solve(np.ones(net.n), transpose=True) / net.n
     total_err = abs(values.sum() - 1.0)

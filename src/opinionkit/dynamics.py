@@ -389,6 +389,9 @@ def simulate_gossip_fj(
         raise StructuralError("x0 length does not match the network")
     if not 1 <= activation_size <= net.n:
         raise ParameterError(f"activation_size must lie in [1, {net.n}]")
+    # nonzeros, not support: a NaN weight fails |w| > STRUCTURAL_ZERO
+    if not np.isfinite(net.nonzeros.data).all():
+        raise ParameterError("gossip: W holds a non-finite weight")
     table, counts = _neighbor_menus(net)
     rng = philox_stream(seed)
     # The draws are made before the loop, in blocks of DRAW_BLOCK rows,
@@ -513,7 +516,7 @@ def simulate_multiplex_fj(
         lam = np.asarray(
             layer.lam if lambdas is None else lambdas[s], dtype=float
         ).ravel()
-        net = InfluenceNetwork(w=layer.w, lam=lam, directed=layer.directed)
+        net = layer._with_susceptibilities(lam)
         coupling = _coupling(net)
         _stability(net, coupling, f"multiplex layer {s}")
         couplings.append(coupling)

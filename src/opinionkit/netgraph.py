@@ -9,7 +9,7 @@ lambda_i = 0 a fully stubborn agent).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import networkx as nx
@@ -83,6 +83,14 @@ class InfluenceNetwork:
     def edge_set(self) -> set[tuple[int, int]]:
         rows, cols, _ = self.support
         return set(zip(rows.tolist(), cols.tolist()))
+
+    def _with_susceptibilities(self, lam) -> "InfluenceNetwork":
+        """This network with susceptibilities lam. The derived network
+        shares w and the sparse views cached from it (nonzeros and
+        support, which depend on w only) instead of rescanning w."""
+        derived = replace(self, lam=lam)
+        derived.__dict__.update(nonzeros=self.nonzeros, support=self.support)
+        return derived
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,13 @@ def test_a_non_finite_weight_raises_a_package_error(n):
             call()
     with pytest.raises(ok.NumericalError, match=r"at step 1\b"):
         ok.simulate_fj(net, x0, steps=5)
+    # gossip checks nonzeros, where NaN is kept, before its first draw
+    for bad in (np.nan, np.inf):
+        w = w.copy()
+        w[3, np.flatnonzero(w[3])[0]] = bad
+        gossip = ok.InfluenceNetwork(w=w, lam=net.lam)
+        with pytest.raises(ok.ParameterError, match="finite"):
+            ok.simulate_gossip_fj(gossip, x0, steps=5, activation_size=1, seed=0)
 
 
 @pytest.mark.parametrize("closed_loop", [False, True])

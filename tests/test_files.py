@@ -128,6 +128,21 @@ def test_masked_tables_are_written_in_chunk_sized_memory(tmp_path, monkeypatch):
     assert np.array_equal(ok.load_stream(tmp_path / "stream.csv").values, stream.values)
 
 
+def _with_runs(rng, shape, fresh=0.3):
+    """Normal draws where each cell below row 0 repeats the cell above it
+    unless a fresh draw (probability fresh) starts a new value."""
+    base = rng.standard_normal(shape)
+    rows = np.arange(shape[0]).reshape(-1, *[1] * (len(shape) - 1))
+    source = np.where(rng.random(shape) < fresh, rows, 0)
+    source = np.maximum.accumulate(source, axis=0)
+    return np.take_along_axis(base, source, axis=0)
+
+
+def _repeat_share(states):
+    bits = _bits(states)
+    return np.mean(bits[1:] == bits[:-1])
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_every_chunk_boundary_matches_the_reference_writers(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(_files, "TABLE_CHUNK", chunk)
@@ -138,12 +153,99 @@ def test_every_chunk_boundary_matches_the_reference_writers(tmp_path, monkeypatc
         states = rng.standard_normal(shape)
         stream = _stream(states[:, :, 0], mask)
         _same_as_the_reference_writers(tmp_path, states, 1 + shape[0] % 3, stream)
+    # runs down a column that cross chunk boundaries, in rows narrower and
+    # wider than a chunk, under strides that keep and break them
+    for shape in [(9, 1, 1), (12, 2, 1), (8, 3, 3), (10, 4, 2)]:
+        states = _with_runs(rng, shape)
+        mask = rng.random(shape[:2]) < 0.7
+        stream = _stream(states[:, :, 0], mask)
+        for stride in (1, 2):
+            _same_as_the_reference_writers(tmp_path, states, stride, stream)
     values = rng.standard_normal(11)
     expected = "agent,value\n" + "".join(f"{a},{v:.17g}\n" for a, v in enumerate(values))
     assert "".join(_files.table_text("agent,value", values)) == expected
     for empty in (np.zeros((0, 4)), np.zeros((3, 0))):
         text = _files.table_text("k,agent,value", empty, mask=np.ones(empty.shape, dtype=bool))
         assert "".join(text) == "k,agent,value\n"
+
+
+def test_a_converged_fj_trajectory_matches_the_reference_writer(tmp_path):
+    config = ok.GeneratorConfig(
+        model="watts_strogatz", n=40, k=4, beta_rw=0.2, lambda_range=(0.3, 0.8)
+    )
+    net = ok.generate_network(config, seed=1)
+    x0 = np.random.default_rng(1).uniform(-1, 1, (40, 3))
+    traj = ok.simulate_fj(net, x0, steps=200)
+    assert traj.converged_at is not None and traj.converged_at < 150
+    assert _repeat_share(traj.states[::3]) > 0.5
+    for stride in (1, 3, 7):
+        ok.save_trajectory(traj, tmp_path / "new.csv", stride=stride)
+        reference_save_trajectory(traj, tmp_path / "old.csv", stride=stride)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_an_activation_one_gossip_trajectory_matches_the_reference_writers(tmp_path):
+    config = ok.GeneratorConfig(
+        model="watts_strogatz", n=30, k=4, beta_rw=0.2, lambda_range=(0.6, 0.9)
+    )
+    net = ok.generate_network(config, seed=2)
+    x0 = np.random.default_rng(2).uniform(-1, 1, 30)
+    traj = ok.simulate_gossip_fj(net, x0, steps=3000, activation_size=1, seed=2)
+    assert _repeat_share(traj.states) > 0.9
+    stream = ok.sample_observations(traj, ok.SamplingModel("independent", 0.7), seed=3)
+    _same_as_the_reference_writers(tmp_path, traj.states, 1, stream)
+
+
+def test_signed_zeros_and_nan_payloads_never_share_a_text(tmp_path, monkeypatch):
+    quiet = np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(np.float64)
+    column = np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0])
+    payloads = quiet[[0, 1, 1, 0, 0, 1, 0, 0]]
+    states = np.stack([column, payloads, -column, -payloads], axis=1)[:, :, None]
+    mask = np.ones(states.shape[:2], dtype=bool)
+    for chunk in (1, 3, TABLE_CHUNK):
+        monkeypatch.setattr(_files, "TABLE_CHUNK", chunk)
+        _same_as_the_reference_writers(tmp_path, states, 1, _stream(states[:, :, 0], mask))
+        ok.save_trajectory(_trajectory(states), tmp_path / "traj.csv")
+        steps, loaded = ok.load_trajectory(tmp_path / "traj.csv")
+        assert np.array_equal(_bits(loaded[:, ::2]), _bits(states[:, ::2]))
+
+
+def test_a_run_that_starts_in_an_unobserved_cell_matches_the_reference_writer(
+    tmp_path, monkeypatch
+):
+    # column 0 holds 0.0 throughout, as a stream fills its unobserved
+    # cells, and is observed from row 2 on; column 1 repeats a value that
+    # the mask hides in rows 0 and 3
+    values = np.zeros((7, 2))
+    values[:, 1] = 0.25
+    mask = np.ones((7, 2), dtype=bool)
+    mask[:2, 0] = False
+    mask[[0, 3], 1] = False
+    for chunk in (1, 2, 5, TABLE_CHUNK):
+        monkeypatch.setattr(_files, "TABLE_CHUNK", chunk)
+        ok.save_stream(_stream(values, mask), tmp_path / "new.csv")
+        reference_save_stream(_stream(values, mask), tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        expected = "k,agent,value\n" + "".join(
+            f"{k},{a},{values[k, a]:.17g}\n" for k, a in zip(*np.nonzero(mask))
+        )
+        assert "".join(_files.table_text("k,agent,value", values, mask=mask)) == expected
+
+
+def test_unmasked_tables_are_written_in_chunk_sized_memory(tmp_path, monkeypatch):
+    monkeypatch.setattr(_files, "TABLE_CHUNK", 256)
+    rng = np.random.default_rng(5)
+    # the peak depends on TABLE_CHUNK and the row width, not on the rows
+    traj = _trajectory(_with_runs(rng, (1601, 200, 1), fresh=0.2))
+    tracemalloc.start()
+    try:
+        ok.save_trajectory(traj, tmp_path / "traj.csv", stride=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= traj.states[::2].nbytes / 8
+    steps, loaded = ok.load_trajectory(tmp_path / "traj.csv")
+    assert np.array_equal(_bits(loaded), _bits(traj.states[::2]))
 
 
 @given(

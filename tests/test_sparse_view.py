@@ -8,6 +8,8 @@ self-loops, rows with lambda = 0 and, when signed, a negative and a NaN
 weight.
 """
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,38 @@ def test_coupling_shares_no_array_with_the_network_cache(tmp_path):
             part[0] = part[1]
     with pytest.raises(ValueError, match="read-only"):
         net.nonzeros.eliminate_zeros()
+
+
+@pytest.mark.parametrize("n", [12, DENSE_MAX_N + 30])
+def test_a_derived_network_shares_the_sparse_view(n, monkeypatch):
+    net = _awkward_network(n, signed=False)
+    lam = np.full(n, 0.5)
+    derived = net._with_susceptibilities(lam)
+    assert derived.w is net.w and np.array_equal(derived.lam, lam)
+    assert derived.nonzeros is net.nonzeros and derived.support is net.support
+
+    # counts every scan of a w for its nonzeros
+    scans, rescan = [], ok.InfluenceNetwork.nonzeros.func
+    scan = cached_property(lambda self: scans.append(self) or rescan(self))
+    scan.__set_name__(ok.InfluenceNetwork, "nonzeros")
+    fresh = ok.InfluenceNetwork(w=net.w.copy(), lam=lam)
+    other = ok.InfluenceNetwork(w=net.w.copy(), lam=net.lam)
+    mx = ok.MultiplexNetwork(layers=(net, other), model_tag="independent")
+    fresh_mx = ok.MultiplexNetwork(
+        layers=(fresh, ok.InfluenceNetwork(w=other.w, lam=lam)), model_tag="independent"
+    )
+    for layer in (*mx.layers, *fresh_mx.layers):
+        layer.support
+    u, q_noise = np.linspace(-0.5, 0.5, n), 0.01 * np.eye(n)
+    expected_centrality = ok.friedkin_centrality(fresh).values
+    expected_states = [
+        t.states for t in ok.simulate_multiplex_fj(fresh_mx, u, q_noise, steps=20, seed=3)
+    ]
+
+    monkeypatch.setattr(ok.InfluenceNetwork, "nonzeros", scan)
+    centrality = ok.friedkin_centrality(net, alpha=0.5).values
+    trajs = ok.simulate_multiplex_fj(mx, u, q_noise, steps=20, seed=3, lambdas=[lam, lam])
+    assert scans == []
+    assert _same(centrality, expected_centrality)
+    for traj, states in zip(trajs, expected_states):
+        assert _same(traj.states, states)
