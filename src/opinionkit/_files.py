@@ -177,7 +177,8 @@ def read_table(path, header: str, what: str):
     """(labels, values) of the table at path: one int64 array per label
     column and the float64 values, in file order. Raises ConfigError for a
     missing file, another header, and (naming the line) a malformed row, a
-    negative label or a row repeating an earlier row's labels."""
+    negative label or a row repeating an earlier row's labels. A table whose
+    label rows ascend strictly, as every written table's do, is not sorted."""
     names = header.split(",")
     dtype = [(name, np.int64) for name in names[:-1]] + [(names[-1], np.float64)]
     try:
@@ -196,14 +197,9 @@ def read_table(path, header: str, what: str):
         lineno, line = _first_bad_line(path, dtype)
         raise ConfigError(f"{path}, line {lineno}: malformed {what} row {line!r}") from None
     labels = tuple(table[name] for name in names[:-1])
-    order = np.lexsort(labels[::-1])  # stable: equal rows keep file order
-    repeated = np.ones(max(order.size - 1, 0), dtype=bool)
-    for column in labels:
-        ranked = column[order]
-        repeated &= ranked[1:] == ranked[:-1]
     for problem, rows in (
         ("negative label in", np.flatnonzero(np.any([c < 0 for c in labels], axis=0))),
-        ("repeated", order[1:][repeated]),
+        ("repeated", _repeated_rows(labels)),
     ):
         if rows.size:
             row = int(rows.min())
@@ -211,6 +207,25 @@ def read_table(path, header: str, what: str):
             lineno = next(islice(_data_lines(path), row, None))[0]
             raise ConfigError(f"{path}, line {lineno}: {problem} {what} row ({cell})")
     return labels, table[names[-1]]
+
+
+def _repeated_rows(labels) -> np.ndarray:
+    """The rows whose labels repeat an earlier row's. Every written table
+    has its label rows in strictly ascending order, which one pass over
+    neighbouring rows confirms; only other tables are sorted."""
+    above = np.zeros(max(len(labels[0]) - 1, 0), dtype=bool)
+    equal = np.ones_like(above)
+    for column in labels:
+        above |= equal & (column[1:] > column[:-1])
+        equal &= column[1:] == column[:-1]
+    if above.all():
+        return np.empty(0, dtype=np.intp)
+    order = np.lexsort(labels[::-1])  # stable: equal rows keep file order
+    repeated = np.ones(max(order.size - 1, 0), dtype=bool)
+    for column in labels:
+        ranked = column[order]
+        repeated &= ranked[1:] == ranked[:-1]
+    return order[1:][repeated]
 
 
 def _data_lines(path):

@@ -341,12 +341,14 @@ def simulate_reflected_appraisal(
     return AppraisalPath(w_seq=w_seq, c_seq=c_seq)
 
 
-def _neighbor_menus(net: InfluenceNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Padded neighbor table and per-agent counts, self-loops excluded.
+def _neighbor_menus(net: InfluenceNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Padded neighbor table, per-agent counts and the weights aligned with
+    the table, self-loops excluded.
 
-    Row i lists agent i's neighbors in ascending order, padded with 0.
+    Row i lists agent i's neighbors in ascending order, padded with 0, and
+    weights[i, s] = w[i, table[i, s]] (0.0 in the padding).
     """
-    rows, cols, _ = net.support
+    rows, cols, weights = net.support
     off_diagonal = rows != cols
     rows, cols = rows[off_diagonal], cols[off_diagonal]
     counts = np.bincount(rows, minlength=net.n)
@@ -358,7 +360,9 @@ def _neighbor_menus(net: InfluenceNetwork) -> tuple[np.ndarray, np.ndarray]:
     slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
     table = np.zeros((net.n, int(counts.max())), dtype=int)
     table[rows, slots] = cols
-    return table, counts
+    weight_table = np.zeros(table.shape)
+    weight_table[rows, slots] = weights[off_diagonal]
+    return table, counts, weight_table
 
 
 def simulate_gossip_fj(
@@ -392,14 +396,14 @@ def simulate_gossip_fj(
     # nonzeros, not support: a NaN weight fails |w| > STRUCTURAL_ZERO
     if not np.isfinite(net.nonzeros.data).all():
         raise ParameterError("gossip: W holds a non-finite weight")
-    table, counts = _neighbor_menus(net)
+    table, counts, weights = _neighbor_menus(net)
     rng = philox_stream(seed)
     # The draws are made before the loop, in blocks of DRAW_BLOCK rows,
-    # and weights, lambda and anchors are gathered per block inside it,
-    # so that only the (steps, a) arrays active and polled span the run;
-    # argpartition of iid keys yields a uniform fixed-size subset.
+    # and neighbors, weights, lambda and anchors are gathered per block
+    # inside it, so that only the (steps, a) arrays active and slot span
+    # the run; argpartition of iid keys yields a uniform fixed-size subset.
     active = np.empty((steps, activation_size), dtype=np.intp)
-    polled = np.empty((steps, activation_size), dtype=np.intp)
+    slot = np.empty((steps, activation_size), dtype=np.intp)
     for lo in range(0, steps, DRAW_BLOCK):
         block = active[lo : lo + DRAW_BLOCK]
         block[:] = np.argpartition(
@@ -408,13 +412,14 @@ def simulate_gossip_fj(
     for lo in range(0, steps, DRAW_BLOCK):
         block = active[lo : lo + DRAW_BLOCK]
         picks = np.take_along_axis(rng.random((len(block), net.n)), block, axis=1)
-        polled[lo : lo + DRAW_BLOCK] = table[block, (picks * counts[block]).astype(int)]
+        slot[lo : lo + DRAW_BLOCK] = (picks * counts[block]).astype(int)
     states = np.empty((steps + 1, net.n))
     states[0] = x0
     for lo in range(0, steps, DRAW_BLOCK):
         block = active[lo : lo + DRAW_BLOCK]
-        polled_block = polled[lo : lo + DRAW_BLOCK]
-        weight = net.w[block, polled_block]
+        slot_block = slot[lo : lo + DRAW_BLOCK]
+        polled_block = table[block, slot_block]
+        weight = weights[block, slot_block]
         keep = 1.0 - weight
         lam_active = net.lam[block]
         anchor = (1.0 - lam_active) * x0[block]
@@ -448,7 +453,7 @@ def expected_gossip_dynamics(
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.shape[0] != net.n:
         raise StructuralError("x0 length does not match the network")
-    _, counts = _neighbor_menus(net)
+    _, counts, _ = _neighbor_menus(net)
     n = net.n
     gamma_bar = (1.0 - beta) * np.eye(n) + beta * net.lam[:, None] * (
         np.eye(n) - (1.0 / counts)[:, None] * (np.eye(n) - net.w)
@@ -611,7 +616,12 @@ def load_trajectory(path) -> tuple[np.ndarray, np.ndarray]:
     (ks, agents, issues), values = read_table(path, "k,agent,issue,value", "trajectory")
     if values.size == 0:
         raise ConfigError(f"trajectory file {path} holds no samples")
-    steps, frames = np.unique(ks, return_inverse=True)
+    if (ks[1:] >= ks[:-1]).all():  # steps in file order: frames count step changes
+        starts = np.concatenate(([True], ks[1:] != ks[:-1]))
+        steps, frames = ks[starts], np.cumsum(starts)
+        frames -= 1
+    else:
+        steps, frames = np.unique(ks, return_inverse=True)
     shape = (steps.size, int(agents.max()) + 1, int(issues.max()) + 1)
     # read_table rejects repeated rows, so the table is complete exactly
     # when it has one row per cell

@@ -24,40 +24,77 @@ GENERATOR_MODELS = ("erdos_renyi", "watts_strogatz", "barabasi_albert")
 MULTIPLEX_MODELS = ("common_component", "common_support", "independent")
 
 
-@dataclass(frozen=True)
+# Cells of one dense row block: generated networks sum their rows
+# (_dense_row_sums), and common_component layers draw their n^2 innovation
+# uniforms, a block of rows at a time.
+ROW_BLOCK_CELLS = 1 << 18
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class InfluenceNetwork:
     """A weighted directed influence network with per-agent susceptibilities.
 
-    The dense w is the network; its sparse view is computed once, on first
-    use, and every cached array is read-only: `nonzeros` holds the exact
-    nonzeros of w and `support` the structural edges |w| > STRUCTURAL_ZERO,
-    which every support consumer reads instead of rescanning w.
+    InfluenceNetwork(w, lam, directed) takes the dense w. The generators and
+    loaders build the network from its entries as CSR instead, and its
+    dense w (n^2 doubles) is then built on first use. Every cached view is
+    computed once and read-only: `w`; `nonzeros`, the exact nonzeros of w
+    as canonical CSR; and `support`, the structural edges |w| >
+    STRUCTURAL_ZERO, which every support consumer reads instead of
+    rescanning w.
     """
 
-    w: np.ndarray
     lam: np.ndarray
     directed: bool = True
 
-    def __post_init__(self):
-        w = np.atleast_2d(np.asarray(self.w, dtype=float))
-        lam = np.asarray(self.lam, dtype=float).ravel()
+    def __init__(self, w, lam, directed: bool = True):
+        w = np.atleast_2d(np.asarray(w, dtype=float))
         if w.shape[0] != w.shape[1]:
             raise StructuralError(f"influence matrix must be square, got {w.shape}")
-        if lam.shape[0] != w.shape[0]:
-            raise StructuralError(
-                f"{lam.shape[0]} susceptibilities for {w.shape[0]} agents"
-            )
+        self._set_susceptibilities(lam, w.shape[0], directed)
+        w.setflags(write=False)
+        self.__dict__["w"] = w
+
+    @classmethod
+    def _from_entries(cls, entries: sparse.csr_array, lam, directed: bool):
+        """The network whose w holds the entries of the canonical CSR
+        `entries` and zeros elsewhere. Listed zeros keep their sign in w
+        and stay out of nonzeros, as in sparse.csr_array(w)."""
+        net = cls.__new__(cls)
+        net._set_susceptibilities(lam, entries.shape[0], directed)
+        nonzeros = entries
+        if (entries.data == 0.0).any():
+            nonzeros = entries.copy()
+            nonzeros.eliminate_zeros()
+        for matrix in (entries, nonzeros):
+            for part in (matrix.data, matrix.indices, matrix.indptr):
+                part.setflags(write=False)
+        net.__dict__.update(_entries=entries, nonzeros=nonzeros)
+        return net
+
+    def _set_susceptibilities(self, lam, n: int, directed: bool) -> None:
+        lam = np.asarray(lam, dtype=float).ravel()
+        if lam.shape[0] != n:
+            raise StructuralError(f"{lam.shape[0]} susceptibilities for {n} agents")
         if not np.isfinite(lam).all():
             bad = np.flatnonzero(~np.isfinite(lam)).tolist()
             raise ParameterError(f"susceptibilities of agents {bad} are not finite")
-        w.setflags(write=False)
         lam.setflags(write=False)
-        object.__setattr__(self, "w", w)
         object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "directed", directed)
 
     @property
     def n(self) -> int:
-        return self.w.shape[0]
+        return self.lam.shape[0]
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """The dense influence matrix, built here from the entries of a
+        network made from them."""
+        entries = self._entries
+        w = np.zeros(entries.shape)
+        w[np.repeat(np.arange(self.n), np.diff(entries.indptr)), entries.indices] = entries.data
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def nonzeros(self) -> sparse.csr_array:
@@ -86,10 +123,13 @@ class InfluenceNetwork:
 
     def _with_susceptibilities(self, lam) -> "InfluenceNetwork":
         """This network with susceptibilities lam. The derived network
-        shares w and the sparse views cached from it (nonzeros and
-        support, which depend on w only) instead of rescanning w."""
-        derived = replace(self, lam=lam)
-        derived.__dict__.update(nonzeros=self.nonzeros, support=self.support)
+        shares w, its entries and the sparse views cached from them
+        (nonzeros and support, which depend on w only) instead of
+        rescanning w."""
+        derived = type(self).__new__(type(self))
+        derived._set_susceptibilities(lam, self.n, self.directed)
+        shared = {key: self.__dict__[key] for key in ("w", "_entries") if key in self.__dict__}
+        derived.__dict__.update(shared, nonzeros=self.nonzeros, support=self.support)
         return derived
 
 
@@ -220,22 +260,31 @@ def validate_network(net: InfluenceNetwork, tol: float = 1e-9) -> ValidationRepo
     """Check row-stochasticity, weight range, and susceptibility range.
 
     Returns every violation found; an empty problem list means the network
-    satisfies the model contract within tol.
+    satisfies the model contract within tol (which must be nonnegative).
+    Reads the nonzeros of w, never the dense w: a row sum adds the row's
+    nonzeros, so it can differ from the dense w.sum(axis=1) in the last
+    bit, and a verdict can differ from that of the dense sum only for a
+    row that misses 1 by tol within rounding.
     """
+    if tol < 0.0:
+        raise ParameterError(f"validation tolerance must be nonnegative, got {tol}")
     problems: list[str] = []
-    w, lam = net.w, net.lam
-    if not np.all(np.isfinite(w)):
+    matrix = net.nonzeros
+    if not np.isfinite(matrix.data).all():
         problems.append("non-finite weight entries")
     else:
-        bad = np.argwhere((w < -tol) | (w > 1.0 + tol))
+        rows = np.repeat(np.arange(net.n), np.diff(matrix.indptr))
+        (bad,) = np.nonzero((matrix.data < -tol) | (matrix.data > 1.0 + tol))
         problems.extend(
-            f"w[{i},{j}]={w[i, j]:.6g} outside [0, 1]" for i, j in bad[:20]
+            f"w[{rows[k]},{matrix.indices[k]}]={matrix.data[k]:.6g} outside [0, 1]"
+            for k in bad[:20]
         )
         if len(bad) > 20:
             problems.append(f"... {len(bad) - 20} more weight-range violations")
-        sums = w.sum(axis=1)
+        sums = matrix.sum(axis=1)
         for i in np.flatnonzero(np.abs(sums - 1.0) > tol):
             problems.append(f"row {i} sums to {sums[i]:.12g}")
+    lam = net.lam
     for i in np.flatnonzero((lam < -tol) | (lam > 1.0 + tol)):
         problems.append(f"lambda[{i}]={lam[i]:.6g} outside [0, 1]")
     return ValidationReport(ok=not problems, problems=tuple(problems))
@@ -287,8 +336,9 @@ def laplacian_quadratic(net: InfluenceNetwork, x: np.ndarray) -> float:
     return float(0.5 * np.sum(net.w * diff**2))
 
 
-def _topology(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
-    """Boolean adjacency (no self-loops) for the configured model."""
+def _topology(config: GeneratorConfig, rng: np.random.Generator):
+    """(rows, cols) of the configured model's edges, both directions of an
+    undirected edge, each edge once and no self-loop, in row-major order."""
     n = config.n
     if config.model == "erdos_renyi":
         graph = nx.gnp_random_graph(n, config.p, seed=rng, directed=True)
@@ -296,26 +346,64 @@ def _topology(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
         graph = nx.watts_strogatz_graph(n, config.k, config.beta_rw, seed=rng)
     else:
         graph = nx.barabasi_albert_graph(n, config.m0, seed=rng)
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v in graph.edges():
-        adj[u, v] = True
-        if not graph.is_directed():
-            adj[v, u] = True
-    np.fill_diagonal(adj, False)
-    return adj
+    edges = np.array(graph.edges(), dtype=np.int64).reshape(-1, 2)
+    if not graph.is_directed():
+        edges = np.concatenate([edges, edges[:, ::-1]])
+    rows, cols = np.divmod(np.unique(edges[:, 0] * n + edges[:, 1]), n)
+    off_diagonal = rows != cols
+    return rows[off_diagonal], cols[off_diagonal]
 
 
-def _raw_weights(adj: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Positive raw weights on the support; empty rows get self-loop 1."""
-    raw = np.zeros(adj.shape)
-    raw[adj] = 1.0 - rng.random(int(adj.sum()))
-    empty = raw.sum(axis=1) == 0.0
-    raw[empty, np.flatnonzero(empty)] = 1.0
-    return raw
+def _csr(n: int, rows, cols, data) -> sparse.csr_array:
+    """The n x n CSR of entries at distinct positions given in row-major
+    order, with the index dtype of sparse.csr_array of the dense matrix."""
+    index = np.int32 if max(len(data), n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_array((data, np.asarray(cols, dtype=index), indptr), shape=(n, n))
 
 
-def _row_normalize(raw: np.ndarray) -> np.ndarray:
-    return raw / raw.sum(axis=1, keepdims=True)
+def _raw_weights(n: int, rows, cols, rng: np.random.Generator) -> sparse.csr_array:
+    """Positive raw weights on the edges, drawn in their row-major order;
+    empty rows get self-loop 1."""
+    data = 1.0 - rng.random(len(rows))
+    empty = np.flatnonzero(np.bincount(rows, minlength=n) == 0)
+    if empty.size:
+        rows, cols = np.concatenate([rows, empty]), np.concatenate([cols, empty])
+        data = np.concatenate([data, np.ones(empty.size)])
+        order = np.argsort(rows, kind="stable")
+        rows, cols, data = rows[order], cols[order], data[order]
+    return _csr(n, rows, cols, data)
+
+
+def _block_rows(width: int) -> int:
+    """Rows of one dense row block: ROW_BLOCK_CELLS cells, at least one row."""
+    return max(1, ROW_BLOCK_CELLS // width)
+
+
+def _dense_row_sums(matrix: sparse.csr_array) -> np.ndarray:
+    """The row sums of the dense matrix, zeros included, bit for bit: each
+    block of rows is scattered into one dense buffer and summed by numpy's
+    pairwise rule, whose grouping a sum over the nonzeros alone would
+    change. O(ROW_BLOCK_CELLS + n) memory, O(n^2) time."""
+    n_rows, width = matrix.shape
+    step = _block_rows(width)
+    buffer = np.zeros((min(step, n_rows), width))
+    sums = np.empty(n_rows)
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        span = slice(matrix.indptr[lo], matrix.indptr[hi])
+        at = (np.repeat(np.arange(hi - lo), np.diff(matrix.indptr[lo : hi + 1])), matrix.indices[span])
+        buffer[at] = matrix.data[span]
+        sums[lo:hi] = buffer[: hi - lo].sum(axis=1)
+        buffer[at] = 0.0
+    return sums
+
+
+def _row_normalize(raw: sparse.csr_array) -> sparse.csr_array:
+    sums = _dense_row_sums(raw)
+    data = raw.data / np.repeat(sums, np.diff(raw.indptr))
+    return sparse.csr_array((data, raw.indices, raw.indptr), shape=raw.shape)
 
 
 def _draw_lambda(
@@ -330,13 +418,15 @@ def generate_network(config: GeneratorConfig, seed: int | None = None) -> Influe
 
     Bit-reproducible for fixed (config, seed). Agents left without
     out-edges by the topology draw anchor to themselves with a self-loop
-    of weight 1.
+    of weight 1. The network is built from its edge list as CSR, so the
+    draw holds O(ROW_BLOCK_CELLS + edges) memory, not n^2 doubles; the
+    row sums are those of the dense rows bit for bit (_dense_row_sums),
+    in O(n^2) time.
     """
     rng = philox_stream(seed)
-    adj = _topology(config, rng)
-    raw = _raw_weights(adj, rng)
+    raw = _raw_weights(config.n, *_topology(config, rng), rng)
     lam = _draw_lambda(config, rng, config.n)
-    return InfluenceNetwork(w=_row_normalize(raw), lam=lam, directed=True)
+    return InfluenceNetwork._from_entries(_row_normalize(raw), lam, directed=True)
 
 
 def fit_power_law(degrees: np.ndarray, k_min: float = 1.0) -> PowerLawFit:
@@ -375,43 +465,53 @@ def build_multiplex(config: MultiplexConfig, seed: int | None = None) -> Multipl
     """Draw a multi-layer network under the configured coupling model.
 
     Layer streams are spawned from the seed, so layers are independent
-    and the draw is reproducible regardless of evaluation order.
+    and the draw is reproducible regardless of evaluation order. Every
+    layer is built as generate_network builds a network; common_component
+    draws its n^2 innovation uniforms a row block at a time.
     """
+    n = config.base.n
     base_rng = philox_stream(seed, 0)
-    adj = _topology(config.base, base_rng)
-    base_raw = _raw_weights(adj, base_rng)
-    base_net = InfluenceNetwork(
-        w=_row_normalize(base_raw),
-        lam=_draw_lambda(config.base, base_rng, config.base.n),
-        directed=True,
+    edges = _topology(config.base, base_rng)
+    base_raw = _raw_weights(n, *edges, base_rng)
+    base_net = InfluenceNetwork._from_entries(
+        _row_normalize(base_raw), _draw_lambda(config.base, base_rng, n), directed=True
     )
 
     layers = []
     for layer_idx in range(config.n_layers):
         rng = philox_stream(seed, 1, layer_idx)
         if config.model_tag == "independent":
-            layer_adj = _topology(config.base, rng)
-            raw = _raw_weights(layer_adj, rng)
+            raw = _raw_weights(n, *_topology(config.base, rng), rng)
         elif config.model_tag == "common_support":
-            raw = _raw_weights(adj, rng)
+            raw = _raw_weights(n, *edges, rng)
         else:  # common_component
-            innovation = np.zeros_like(base_raw)
+            raw = base_raw
             if config.innovation_p > 0.0:
-                extra = rng.random(base_raw.shape) < config.innovation_p
-                np.fill_diagonal(extra, False)
-                innovation[extra] = config.innovation_scale * (
-                    1.0 - rng.random(int(extra.sum()))
-                )
-            raw = base_raw + innovation
+                raw = base_raw + _innovation(config, rng)
         layers.append(
-            InfluenceNetwork(
-                w=_row_normalize(raw),
-                lam=_draw_lambda(config.base, rng, config.base.n),
-                directed=True,
+            InfluenceNetwork._from_entries(
+                _row_normalize(raw), _draw_lambda(config.base, rng, n), directed=True
             )
         )
     base = base_net if config.model_tag != "independent" else None
     return MultiplexNetwork(layers=tuple(layers), model_tag=config.model_tag, base=base)
+
+
+def _innovation(config: MultiplexConfig, rng: np.random.Generator) -> sparse.csr_array:
+    """The sparse innovation of a common_component layer: an off-diagonal
+    edge wherever one of n^2 uniforms (drawn a row block at a time) falls
+    below innovation_p, then weights in (0, innovation_scale] in row-major
+    order."""
+    n = config.base.n
+    rows, cols = [], []
+    step = _block_rows(n)
+    for lo in range(0, n, step):
+        local, block_cols = np.nonzero(rng.random((min(step, n - lo), n)) < config.innovation_p)
+        off_diagonal = local + lo != block_cols
+        rows.append(local[off_diagonal] + lo)
+        cols.append(block_cols[off_diagonal])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return _csr(n, rows, cols, config.innovation_scale * (1.0 - rng.random(rows.size)))
 
 
 # ---- file format ----------------------------------------------------------
@@ -466,20 +566,30 @@ def _network_from_doc(doc, where: str) -> InfluenceNetwork:
         raise ConfigError(f"{where}: network lambda must hold {n} finite numbers")
     if not isinstance(edges, list):
         raise ConfigError(f"{where}: network edges must be a list")
-    w = np.zeros((n, n))
-    seen = set()
+    rows, cols, weights, problem = [], [], [], None
     for entry in edges:
         if not (isinstance(entry, list) and len(entry) == 3 and is_number(entry[2])
                 and is_int(entry[0]) and is_int(entry[1])):
-            raise ConfigError(f"{where}: network edge {entry!r} is not [int, int, number]")
+            problem = f"{where}: network edge {entry!r} is not [int, int, number]"
+            break
         i, j, weight = entry
         if not (0 <= i < n and 0 <= j < n):
-            raise ConfigError(f"{where}: edge ({i}, {j}) outside agent range 0..{n - 1}")
-        if (i, j) in seen:
-            raise ConfigError(f"{where}: edge ({i}, {j}) is listed twice")
-        seen.add((i, j))
-        w[i, j] = weight
-    net = InfluenceNetwork(w=w, lam=np.asarray(lam, dtype=float), directed=doc["directed"])
+            problem = f"{where}: edge ({i}, {j}) outside agent range 0..{n - 1}"
+            break
+        rows.append(i)
+        cols.append(j)
+        weights.append(weight)
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    order = np.lexsort((cols, rows))  # stable: a repeated edge follows its first listing
+    rows, cols = rows[order], cols[order]
+    repeats = order[1:][(rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])]
+    if repeats.size:  # the first repeat in file order comes before any later problem
+        i, j, _ = edges[repeats.min()]
+        raise ConfigError(f"{where}: edge ({i}, {j}) is listed twice")
+    if problem is not None:
+        raise ConfigError(problem)
+    entries = _csr(n, rows, cols, np.array(weights, dtype=float)[order])
+    net = InfluenceNetwork._from_entries(entries, np.asarray(lam, dtype=float), doc["directed"])
     report = validate_network(net)
     if not report.ok:
         raise ConfigError(f"{where}: invalid network: {'; '.join(report.problems)}")
@@ -492,6 +602,11 @@ def save_network(net: InfluenceNetwork, path) -> None:
 
 
 def load_network(path) -> InfluenceNetwork:
+    """The network stored at path, built from the file's edge list as CSR,
+    so loading holds O(n + edges) memory, never n^2 doubles. A listed 0.0
+    or -0.0 weight keeps its sign in w and stays out of nonzeros. Raises
+    ConfigError naming the file and, for a bad edge list, the first bad
+    entry in file order."""
     return _network_from_doc(read_json(path, "network"), f"network {path}")
 
 

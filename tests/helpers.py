@@ -10,6 +10,7 @@ import itertools
 import json
 import warnings
 
+import networkx as nx
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
@@ -34,7 +35,7 @@ from opinionkit.identify import (
     estimate_cross_correlations,
     estimate_gamma,
 )
-from opinionkit.numkit import STRUCTURAL_ZERO
+from opinionkit.numkit import STRUCTURAL_ZERO, philox_stream
 
 
 def row_stochastic(rng, n, density=0.4, self_loops=True):
@@ -977,3 +978,91 @@ def reference_unanchored(net):
 def reference_coupling_csr(net):
     """Lambda W as CSR, converted from the dense product."""
     return sparse.csr_array(net.lam[:, None] * net.w)
+
+
+# The dense generators that built every network before networks were built
+# from their edge lists, kept verbatim (renamed; _topology, _raw_weights,
+# _row_normalize and _draw_lambda as they were): an n x n bool adjacency,
+# then dense raw and normalised weight matrices.
+
+
+def _reference_topology(config, rng):
+    """Boolean adjacency (no self-loops) for the configured model."""
+    n = config.n
+    if config.model == "erdos_renyi":
+        graph = nx.gnp_random_graph(n, config.p, seed=rng, directed=True)
+    elif config.model == "watts_strogatz":
+        graph = nx.watts_strogatz_graph(n, config.k, config.beta_rw, seed=rng)
+    else:
+        graph = nx.barabasi_albert_graph(n, config.m0, seed=rng)
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in graph.edges():
+        adj[u, v] = True
+        if not graph.is_directed():
+            adj[v, u] = True
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def _reference_raw_weights(adj, rng):
+    """Positive raw weights on the support; empty rows get self-loop 1."""
+    raw = np.zeros(adj.shape)
+    raw[adj] = 1.0 - rng.random(int(adj.sum()))
+    empty = raw.sum(axis=1) == 0.0
+    raw[empty, np.flatnonzero(empty)] = 1.0
+    return raw
+
+
+def _reference_row_normalize(raw):
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def _reference_draw_lambda(config, rng, n):
+    lo, hi = config.lambda_range
+    return rng.uniform(lo, hi, size=n)
+
+
+def reference_generate_network(config, seed=None):
+    rng = philox_stream(seed)
+    adj = _reference_topology(config, rng)
+    raw = _reference_raw_weights(adj, rng)
+    lam = _reference_draw_lambda(config, rng, config.n)
+    return ok.InfluenceNetwork(w=_reference_row_normalize(raw), lam=lam, directed=True)
+
+
+def reference_build_multiplex(config, seed=None):
+    base_rng = philox_stream(seed, 0)
+    adj = _reference_topology(config.base, base_rng)
+    base_raw = _reference_raw_weights(adj, base_rng)
+    base_net = ok.InfluenceNetwork(
+        w=_reference_row_normalize(base_raw),
+        lam=_reference_draw_lambda(config.base, base_rng, config.base.n),
+        directed=True,
+    )
+
+    layers = []
+    for layer_idx in range(config.n_layers):
+        rng = philox_stream(seed, 1, layer_idx)
+        if config.model_tag == "independent":
+            layer_adj = _reference_topology(config.base, rng)
+            raw = _reference_raw_weights(layer_adj, rng)
+        elif config.model_tag == "common_support":
+            raw = _reference_raw_weights(adj, rng)
+        else:  # common_component
+            innovation = np.zeros_like(base_raw)
+            if config.innovation_p > 0.0:
+                extra = rng.random(base_raw.shape) < config.innovation_p
+                np.fill_diagonal(extra, False)
+                innovation[extra] = config.innovation_scale * (
+                    1.0 - rng.random(int(extra.sum()))
+                )
+            raw = base_raw + innovation
+        layers.append(
+            ok.InfluenceNetwork(
+                w=_reference_row_normalize(raw),
+                lam=_reference_draw_lambda(config.base, rng, config.base.n),
+                directed=True,
+            )
+        )
+    base = base_net if config.model_tag != "independent" else None
+    return ok.MultiplexNetwork(layers=tuple(layers), model_tag=config.model_tag, base=base)

@@ -511,6 +511,18 @@ def test_gossip_matches_the_per_step_reference_bitwise(
     assert np.array_equal(traj.states[:, :, 0], expected)
 
 
+def test_gossip_reads_its_weights_from_the_neighbor_table():
+    config = ok.GeneratorConfig(
+        model="watts_strogatz", n=DENSE_MAX_N + 1, k=6, beta_rw=0.2, lambda_range=(0.3, 0.8)
+    )
+    net = ok.generate_network(config, seed=3)
+    x0 = np.random.default_rng(3).uniform(-1.0, 1.0, net.n)
+    traj = ok.simulate_gossip_fj(net, x0, DRAW_BLOCK + 7, 20, seed=4)
+    assert "w" not in net.__dict__  # the dense w was never built
+    expected = reference_gossip_fj(net, x0, DRAW_BLOCK + 7, 20, 4)
+    assert traj.states[:, :, 0].tobytes() == expected.tobytes()
+
+
 def test_gossip_keeps_only_the_draws_and_the_states_for_the_whole_run():
     # the rate-law ring of acceptance criterion 07; six (steps, a)
     # arrays alive for the whole run peaked at 33.7 MB here
@@ -537,9 +549,12 @@ def test_neighbor_menus_match_the_per_agent_loop(n, density, seed):
         with pytest.raises(ok.StructuralError):
             _neighbor_menus(net)
         return
-    table, counts = _neighbor_menus(net)
+    table, counts, weights = _neighbor_menus(net)
     assert np.array_equal(table, ref_table) and table.dtype == ref_table.dtype
     assert np.array_equal(counts, ref_counts)
+    padding = np.arange(table.shape[1]) >= counts[:, None]
+    expected = np.where(padding, 0.0, net.w[np.arange(n)[:, None], ref_table])
+    assert weights.tobytes() == expected.tobytes()
 
 
 def test_cesaro_average_of_a_constant_trajectory_is_constant():

@@ -310,6 +310,43 @@ def test_load_trajectory_rejects_a_negative_label(tmp_path):
     )
 
 
+def test_a_shuffled_table_loads_to_the_same_arrays(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    states = rng.uniform(-1, 1, (7, 5, 3))
+    ok.save_trajectory(_trajectory(states), tmp_path / "traj.csv", stride=2)
+    mask = rng.random((9, 5)) < 0.6
+    stream = _stream(rng.random((9, 5)), mask)
+    ok.save_stream(stream, tmp_path / "stream.csv")
+    with monkeypatch.context() as patched:  # written tables ascend: no sort
+        for name in ("lexsort", "unique"):
+            patched.setattr(np, name, lambda *args, **kwargs: pytest.fail("sorted a written table"))
+        steps, loaded = ok.load_trajectory(tmp_path / "traj.csv")
+        read = ok.load_stream(tmp_path / "stream.csv")
+    assert steps.tolist() == [0, 2, 4, 6] and _bits(loaded).tobytes() == _bits(states[::2]).tobytes()
+    assert np.array_equal(read.mask, mask) and np.array_equal(_bits(read.values), _bits(stream.values))
+    for name in ("traj.csv", "stream.csv"):
+        header, *rows = (tmp_path / name).read_text().splitlines(keepends=True)
+        (tmp_path / name).write_text(header + "".join(rng.permutation(rows)))
+    steps, shuffled = ok.load_trajectory(tmp_path / "traj.csv")
+    assert steps.tolist() == [0, 2, 4, 6] and _bits(shuffled).tobytes() == _bits(loaded).tobytes()
+    read = ok.load_stream(tmp_path / "stream.csv")
+    assert np.array_equal(read.mask, mask) and np.array_equal(_bits(read.values), _bits(stream.values))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,0,0,1\n0,1,0,2\n0,1,0,3\n", "line 4: repeated trajectory row (k=0, agent=1, issue=0)"),
+    ("0,-1,0,1\n0,0,0,2\n0,1,0,3\n", "line 2: negative label in trajectory row (k=0, agent=-1, issue=0)"),
+    ("0,0,0,1\n0,1,0,2\n1,0,-1,3\n1,0,0,4\n",
+     "line 4: negative label in trajectory row (k=1, agent=0, issue=-1)"),
+])
+def test_faults_in_ascending_tables_name_their_line(tmp_path, rows, message):
+    # label rows ascend up to the fault, as in a written table
+    path = _write(tmp_path / "traj.csv", "k,agent,issue,value\n" + rows)
+    with pytest.raises(ok.ConfigError) as caught:
+        ok.load_trajectory(path)
+    assert str(caught.value) == f"{path}, {message}"
+
+
 def test_load_trajectory_names_the_first_missing_cell(tmp_path):
     path = _write(tmp_path / "traj.csv", "k,agent,issue,value\n0,0,0,1\n0,1,0,2\n5,1,0,3\n")
     with pytest.raises(ok.ConfigError, match=r"is missing \(k=5, agent=0, issue=0\)$"):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,12 @@ def test_validation_flags_lambda_outside_unit_interval():
     )
     assert not report.ok
     assert any("lambda[1]" in p for p in report.problems)
+
+
+def test_validation_rejects_a_negative_tolerance():
+    net = ok.InfluenceNetwork(w=np.eye(2), lam=np.array([0.5, 0.5]))
+    with pytest.raises(ok.ParameterError, match="tolerance must be nonnegative"):
+        ok.validate_network(net, tol=-1e-9)
 
 
 def test_network_rejects_shape_mismatch():
@@ -363,3 +370,74 @@ def test_multiplex_file_round_trip_is_exact(tag, tmp_path):
         assert got.w.tobytes() == want.w.tobytes()
         assert got.lam.tobytes() == want.lam.tobytes()
         assert got.directed == want.directed
+
+
+def _first_edge_problem(edges, n):
+    """The error of the per-entry loop that read network edges into a dense
+    w: the first entry in file order that is malformed, out of range or a
+    repeat of an earlier one."""
+    seen = set()
+    for entry in edges:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], (int, float))
+                and isinstance(entry[0], int) and isinstance(entry[1], int)):
+            return f"network edge {entry!r} is not [int, int, number]"
+        i, j, _ = entry
+        if not (0 <= i < n and 0 <= j < n):
+            return f"edge ({i}, {j}) outside agent range 0..{n - 1}"
+        if (i, j) in seen:
+            return f"edge ({i}, {j}) is listed twice"
+        seen.add((i, j))
+    return None
+
+
+@pytest.mark.parametrize("edges", [
+    [[2, 1, 0.5], [0, 1, 0.5], [0, 1, 0.5], [2, 1, 0.5]],
+    [[2, 1, 0.5], [0, 1, 0.5], [2, 1, 0.5], [0, 1, 0.5]],
+    [[1, 1, 0.5], [1, 1, 0.5], [3, 0, 0.5]],
+    [[3, 0, 0.5], [1, 1, 0.5], [1, 1, 0.5]],
+    [[0, 2, 0.5], [1, -1, 0.5], [0, 2, 0.5]],
+    [[0, 2, 0.5], [0, 2, 0.5], [1, "x", 0.5]],
+    [[0, 2, 0.5], [[1], 2, 0.5], [0, 2, 0.5]],
+])
+def test_edge_errors_name_the_first_bad_entry_in_file_order(tmp_path, edges):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"n": 3, "directed": True, "lambda": [0.5] * 3, "edges": edges}))
+    with pytest.raises(ok.ConfigError) as caught:
+        ok.load_network(path)
+    assert str(caught.value) == f"network {path}: {_first_edge_problem(edges, 3)}"
+
+
+def test_a_large_sparse_network_file_loads_and_round_trips(tmp_path):
+    # n^2 doubles would take 320 GB; the file holds one self-loop per agent
+    n = 200_000
+    text = (
+        f'{{"n": {n}, "directed": true, "lambda": [{", ".join(["0.5"] * n)}], '
+        f'"edges": [{", ".join(f"[{i}, {i}, 1]" for i in range(n))}]}}\n'
+    )
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    net = ok.load_network(path)
+    assert net.n == n and net.nonzeros.nnz == n and "w" not in net.__dict__
+    ok.save_network(net, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text() == text
+    ok.save_network(ok.load_network(tmp_path / "again.json"), tmp_path / "twice.json")
+    assert (tmp_path / "twice.json").read_text() == text
+
+
+def test_a_generated_network_never_holds_a_dense_matrix(tmp_path):
+    n = 3000
+    config = ok.GeneratorConfig(model="watts_strogatz", n=n, k=6, beta_rw=0.2, lambda_range=(0.3, 0.8))
+    tracemalloc.start()
+    try:
+        net = ok.generate_network(config, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense n x n array is 72 MB; the dense generator traced 155.4 MB here
+    assert peak < n * n * 8 / 8
+    x0 = np.random.default_rng(1).uniform(-1, 1, n)
+    ok.simulate_fj(net, x0, steps=20)
+    ok.friedkin_centrality(net)
+    ok.save_network(net, tmp_path / "net.json")
+    assert ok.validate_network(net).ok
+    assert "w" not in net.__dict__

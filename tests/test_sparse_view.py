@@ -8,6 +8,7 @@ self-loops, rows with lambda = 0 and, when signed, a negative and a NaN
 weight.
 """
 
+import json
 from functools import cached_property
 
 import numpy as np
@@ -18,14 +19,16 @@ from helpers import (
     reference_coupling_csr,
     reference_degree_centrality,
     reference_degree_profile,
+    reference_build_multiplex,
     reference_edge_set,
+    reference_generate_network,
     reference_geodesic_edges,
     reference_neighbor_menus,
     reference_network_density,
     reference_network_doc,
     reference_unanchored,
 )
-from opinionkit import dynamics
+from opinionkit import dynamics, netgraph
 from opinionkit.centrality import _geodesics
 from opinionkit.dynamics import _coupling, _neighbor_menus, _stability
 from opinionkit.numkit import DENSE_MAX_N, STRUCTURAL_ZERO
@@ -89,9 +92,11 @@ def test_support_consumers_match_their_dense_scans(n, signed, tmp_path, monkeypa
         _, tails, heads, lengths = _geodesics(net, weighted)
         for got, want in zip((tails, heads, lengths), reference_geodesic_edges(net, weighted)):
             assert _same(got, want)
-    table, counts = _neighbor_menus(net)
+    table, counts, weights = _neighbor_menus(net)
     ref_table, ref_counts = reference_neighbor_menus(net)
     assert _same(table, ref_table) and _same(counts, ref_counts)
+    padding = np.arange(table.shape[1]) >= counts[:, None]
+    assert _same(weights, np.where(padding, 0.0, net.w[np.arange(n)[:, None], ref_table]))
     # Only the walk is pinned here; NaN weights leave no radius to compare.
     monkeypatch.setattr(dynamics, "spectral_radius", lambda coupling: 1.0)
     report = _stability(net, _coupling(net))
@@ -197,3 +202,87 @@ def test_a_derived_network_shares_the_sparse_view(n, monkeypatch):
     assert _same(centrality, expected_centrality)
     for traj, states in zip(trajs, expected_states):
         assert _same(traj.states, states)
+
+
+MODELS = {
+    # p = 1.5 / n leaves about a fifth of the rows empty (self-loop 1)
+    "erdos_renyi": lambda n: dict(p=1.5 / n),
+    "watts_strogatz_ring": lambda n: dict(model="watts_strogatz", k=4, beta_rw=0.0),
+    "watts_strogatz": lambda n: dict(k=4 if n < 20 else 6, beta_rw=0.2),
+    "barabasi_albert": lambda n: dict(m0=3),
+}
+
+
+def _assert_same_network(net, expected):
+    assert _same(net.lam, expected.lam) and net.directed == expected.directed
+    for part in ("indptr", "indices", "data"):  # expected.nonzeros is csr_array(w)
+        assert _same(getattr(net.nonzeros, part), getattr(expected.nonzeros, part))
+    assert "w" not in net.__dict__  # built on first use, from the CSR
+    assert _same(net.w, expected.w)
+
+
+@pytest.mark.parametrize("n", [12, DENSE_MAX_N, DENSE_MAX_N + 1, 1000])
+@pytest.mark.parametrize("family", sorted(MODELS))
+def test_generated_networks_match_the_dense_generator_bit_for_bit(family, n):
+    fields = {"model": family, "lambda_range": (0.3, 0.8), **MODELS[family](n)}
+    config = ok.GeneratorConfig(n=n, **fields)
+    for seed in (0, 1, 12345):
+        net, expected = ok.generate_network(config, seed=seed), reference_generate_network(config, seed=seed)
+        _assert_same_network(net, expected)
+        if family == "erdos_renyi":
+            assert (np.diag(expected.w) == 1.0).any()
+
+
+@pytest.mark.parametrize("n", [12, DENSE_MAX_N + 1])
+@pytest.mark.parametrize("tag, innovation_p", [
+    ("independent", 0.0),
+    ("common_support", 0.0),
+    ("common_component", 0.0),
+    ("common_component", 0.05),
+])
+def test_multiplex_layers_match_the_dense_generator_bit_for_bit(n, tag, innovation_p, monkeypatch):
+    # rows of three agents per block, so innovations span several blocks
+    monkeypatch.setattr(netgraph, "ROW_BLOCK_CELLS", 3 * n)
+    base = ok.GeneratorConfig(model="erdos_renyi", n=n, p=2.0 / n, lambda_range=(0.3, 0.8))
+    config = ok.MultiplexConfig(model_tag=tag, base=base, n_layers=3, innovation_p=innovation_p)
+    for seed in (0, 1, 12345):
+        mx, expected = ok.build_multiplex(config, seed=seed), reference_build_multiplex(config, seed=seed)
+        assert mx.model_tag == expected.model_tag and mx.n_layers == expected.n_layers
+        for layer, expected_layer in zip(mx.layers, expected.layers):
+            _assert_same_network(layer, expected_layer)
+        assert (mx.base is None) == (expected.base is None)
+        if expected.base is not None:
+            _assert_same_network(mx.base, expected.base)
+
+
+def test_row_sums_are_the_dense_ones_for_any_block_size(monkeypatch):
+    config = ok.GeneratorConfig(model="watts_strogatz", n=300, k=6, beta_rw=0.3)
+    expected = reference_generate_network(config, seed=4)
+    for cells in (1, 299, 300, 301, 1 << 30):
+        monkeypatch.setattr(netgraph, "ROW_BLOCK_CELLS", cells)
+        _assert_same_network(ok.generate_network(config, seed=4), expected)
+
+
+def _scattered(n, edges):
+    """The dense w that listing edges in file order writes."""
+    w = np.zeros((n, n))
+    for i, j, weight in edges:
+        w[i, j] = weight
+    return w
+
+
+@pytest.mark.parametrize("edges", [
+    [[2, 0, 0.5], [0, 1, 1.0], [2, 2, 0.5], [1, 1, 1.0]],
+    [[0, 1, 1.0], [0, 2, -0.0], [1, 1, 1.0], [2, 1, 0.0], [2, 0, 1], [0, 0, -0.0]],
+    [[2, 0, 1.0], [1, 2, 0.0], [1, 1, 1.0], [0, 2, -0.0], [0, 0, 1.0]],
+])
+def test_loaded_networks_match_the_dense_loader_bit_for_bit(edges, tmp_path):
+    doc = {"n": 3, "directed": True, "lambda": [0.2, 0.5, 0.8], "edges": edges}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    net = ok.load_network(path)
+    expected = ok.InfluenceNetwork(w=_scattered(3, edges), lam=doc["lambda"])
+    _assert_same_network(net, expected)
+    assert np.signbit(net.w).sum() == sum(np.signbit(weight) for _, _, weight in edges)
+    ok.save_network(net, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text() == reference_network_doc(expected)
