@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import dynamics
 from .errors import NumericalError, ParameterError
-from .netgraph import InfluenceNetwork
+from .netgraph import InfluenceNetwork, _weight_sums
 from .numkit import STRUCTURAL_ZERO
 
 # Two weighted path lengths within this tolerance count as equal.
@@ -50,7 +50,7 @@ def degree_centrality(
     if direction not in ("in", "out"):
         raise ParameterError(f"direction must be 'in' or 'out', got {direction!r}")
     if weighted:
-        values = net.w.sum(axis=1 if direction == "in" else 0)
+        values = _weight_sums(net, axis=1 if direction == "in" else 0)
         kind = f"weighted_{direction}_degree"
     else:
         ends = net.support[0 if direction == "in" else 1]

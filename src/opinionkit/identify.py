@@ -160,6 +160,13 @@ def identify_finite_horizon(
     b_i = 1 - lambda_i, which leaves no tie. The recovered pair is lambda_i = 1 - b_i and
     w_ij = a_ij / lambda_i (a fully stubborn row falls back to the
     self-loop convention).
+
+    With eps = 0 the programs are nonnegative, so solve_l1 certifies most
+    rows without an LP (solver_log nnls_rows): a row whose data admit one
+    (a, b) takes it, and a stubborn row takes the zero-cost face's point
+    a = 0, b = 1, which is the tie-break's choice. A row neither face
+    decides, and every row of a band eps > 0, is solved by HiGHS, with the
+    lexicographic stage where the tie remains (lexicographic_rows).
     """
     if eps < 0.0:
         raise ParameterError("eps must be >= 0")
@@ -242,8 +249,10 @@ def _solve_rows(problems, infeasible, what: str = "row"):
 def _lp_log(results) -> dict:
     """The solver_log entries of every LP-backed estimator: per-row (or
     per-column) objectives, total LP iterations, the rows decided by the
-    lexicographic tie-break, by the uniqueness certificate without an LP
-    (nnls_rows), and by HiGHS's vertex among tied nonnegative optima (tied_rows)."""
+    lexicographic stage-2 LP, by a certified face without an LP
+    (nnls_rows), and the rows left to HiGHS whose first face, the
+    nonnegative feasible set (for a signed row, its nonnegative optimal
+    set), holds several points (tied_rows)."""
 
     def rows_where(key, value):
         return tuple(row for row, result in enumerate(results) if result.solver_log[key] == value)

@@ -34,20 +34,21 @@ ROW_BLOCK_CELLS = 1 << 18
 class InfluenceNetwork:
     """A weighted directed influence network with per-agent susceptibilities.
 
-    InfluenceNetwork(w, lam, directed) takes the dense w. The generators and
-    loaders build the network from its entries as CSR instead, and its
-    dense w (n^2 doubles) is then built on first use. Every cached view is
-    computed once and read-only: `w`; `nonzeros`, the exact nonzeros of w
-    as canonical CSR; and `support`, the structural edges |w| >
-    STRUCTURAL_ZERO, which every support consumer reads instead of
-    rescanning w.
+    InfluenceNetwork(w, lam, directed) freezes a copy of the dense w, so
+    the caller's array stays writable and its later writes change nothing
+    here. The generators and loaders build the network from its entries
+    as CSR instead, and its dense w (n^2 doubles) is then built on first
+    use. Every cached view is computed once and read-only: `w`;
+    `nonzeros`, the exact nonzeros of w as canonical CSR; and `support`,
+    the structural edges |w| > STRUCTURAL_ZERO, which every support
+    consumer reads instead of rescanning w.
     """
 
     lam: np.ndarray
     directed: bool = True
 
     def __init__(self, w, lam, directed: bool = True):
-        w = np.atleast_2d(np.asarray(w, dtype=float))
+        w = np.array(w, dtype=float, ndmin=2)
         if w.shape[0] != w.shape[1]:
             raise StructuralError(f"influence matrix must be square, got {w.shape}")
         self._set_susceptibilities(lam, w.shape[0], directed)
@@ -305,8 +306,8 @@ def degree_profile(net: InfluenceNetwork) -> DegreeProfile:
     return DegreeProfile(
         in_degree=in_degree,
         out_degree=np.bincount(cols, minlength=net.n),
-        weighted_in_degree=net.w.sum(axis=1),
-        weighted_out_degree=net.w.sum(axis=0),
+        weighted_in_degree=_weight_sums(net, axis=1),
+        weighted_out_degree=_weight_sums(net, axis=0),
         d_max=int(in_degree.max()),
     )
 
@@ -398,6 +399,18 @@ def _dense_row_sums(matrix: sparse.csr_array) -> np.ndarray:
         sums[lo:hi] = buffer[: hi - lo].sum(axis=1)
         buffer[at] = 0.0
     return sums
+
+
+def _weight_sums(net: InfluenceNetwork, axis: int) -> np.ndarray:
+    """net.w.sum(axis) bit for bit, from the nonzeros without the dense w.
+    Row sums (axis 1) come from _dense_row_sums. numpy reduces axis 0 of a
+    C-ordered array row by row, from 0.0, so a column sum adds its entries
+    in row order, as bincount does; the zeros between them change no
+    partial sum. O(ROW_BLOCK_CELLS + n) memory."""
+    matrix = net.nonzeros
+    if axis == 1:
+        return _dense_row_sums(matrix)
+    return np.bincount(matrix.indices, weights=matrix.data, minlength=net.n)
 
 
 def _row_normalize(raw: sparse.csr_array) -> sparse.csr_array:

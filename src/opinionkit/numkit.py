@@ -11,8 +11,14 @@ tie cost, and by HiGHS's vertex choice otherwise. A nonnegative solution
 set {z >= 0 : a z = b} can also be decided without an LP:
 unique_nonneg_solution finds a point by NNLS and certifies it as the only
 one through Stiemke's alternative, solved by a second NNLS in the row
-space, or reports a tie or no point; solve_l1 uses it (the package's only
-nnls) where the weighted l1 norm is constant on that set. Combinatorial
+space, or reports a tie or no point. solve_l1 calls it (the package's
+only nnls, from one call site) on up to two faces of a band-0 program
+before any LP: for a program whose feasible set is nonnegative, the
+feasible set itself and its zero-cost face, where every priced coordinate
+sits at its least value; for a signed one, the nonnegative set on which
+its weighted l1 norm is constant. A face certified to be one point that
+meets every upper bound is the optimum, and HiGHS runs only where no face
+is, that is where a vertex must still be chosen. Combinatorial
 diagnostics (spark, nullspace property) are exhaustive and therefore
 capped at small dimensions; they exist to certify test instances, not to
 scale.
@@ -190,12 +196,18 @@ def solve_l1(problem: L1Problem) -> SolveResult:
 
     Returns a SolveResult whose status is "optimal" on success; infeasible
     or pathological programs are reported through status, never silently.
-    A program whose objective is constant on its nonnegative feasible set
-    (_nonneg_system) takes that set's point without an LP ("nnls", no
-    iterations) when unique_nonneg_solution certifies it the only one;
-    solver_log["certificate"] holds that verdict, None where it does not
-    apply. Otherwise the band form enters HiGHS as the rows [phi; -phi] x
-    <= [psi + band; -(psi - band)], the equality form as phi x = psi.
+
+    Before any LP, a band-0 program offers up to two faces, its
+    nonnegative feasible set and its zero-cost face (a signed program: the
+    set on which its cost is constant), to the certificate (_faces,
+    _face_point). A face certified to be one point that meets every upper
+    bound is the program's optimum, lexicographic too, and is returned
+    without an LP ("nnls", no iterations; tie_break names the face,
+    "unique" or "zero-cost"). solver_log["certificate"] is "unique" then;
+    otherwise the first face's verdict, "tied" (several points) or
+    "infeasible" (none found), and None where no face applies. Every other
+    program enters HiGHS: the band form as the rows [phi; -phi] x <= [psi
+    + band; -(psi - band)], the equality form as phi x = psi.
 
     Ties between optimal vertices: without tie_weights, HiGHS's
     deterministic vertex choice decides ("solver-vertex" in solver_log).
@@ -207,44 +219,17 @@ def solve_l1(problem: L1Problem) -> SolveResult:
     solver_log["iterations"] counts both stages.
     """
     phi, psi, weights, lo, hi = _parsed(problem)
-    system = _nonneg_system(problem, phi, psi, weights, lo, hi)
-    verdict, z = (None, None) if system is None else unique_nonneg_solution(*system[:2])
-    if verdict == "unique":
-        x, status = system[2](z), "optimal"
-        log = {"method": "nnls", "tie_break": "unique", "iterations": 0, "message": "certified"}
+    verdict = None
+    for tie_break, *face in _faces(problem, phi, psi, weights, lo, hi):
+        found, x = _face_point(*face, hi)
+        verdict = verdict or found
+        if x is not None:
+            verdict, status = "unique", "optimal"
+            log = {"method": "nnls", "tie_break": tie_break, "iterations": 0,
+                   "message": "certified"}
+            break
     else:
-        lift, bounds, closure, sums = _columns(problem, lo, hi)
-        cost = lift(weights, 1.0)
-        block = lift(phi)
-        if problem.band == 0.0:
-            a_ub, b_ub = np.zeros((0, cost.shape[0])), np.zeros(0)
-            a_eq, b_eq = np.vstack([block, closure]), np.concatenate([psi, sums])
-        else:
-            a_ub = np.vstack([block, -block])
-            b_ub = np.concatenate([psi + problem.band, -(psi - problem.band)])
-            a_eq, b_eq = closure, sums
-        res, status = _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds)
-        iterations = int(res.nit)
-        tie_break = "solver-vertex"
-        if problem.tie_weights is not None and status == "optimal":
-            tie_cost = lift(np.asarray(problem.tie_weights, float), 1.0)
-            if tie_cost @ res.x > STRUCTURAL_ZERO:
-                res, status = _highs(
-                    tie_cost,
-                    np.vstack([a_ub, cost]),
-                    np.concatenate([b_ub, [res.fun + LEXICOGRAPHIC_SLACK]]),
-                    a_eq,
-                    b_eq,
-                    bounds,
-                )
-                iterations += int(res.nit)
-                tie_break = "lexicographic"
-                status = "optimal" if status == "optimal" else "numerical"
-
-        n = phi.shape[1]
-        x = None if res.x is None else res.x if problem.nonneg else res.x[:n] - res.x[n:]
-        log = {"method": "highs", "tie_break": tie_break, "iterations": iterations,
-               "message": str(res.message)}
+        x, status, log = _highs_l1(problem, phi, psi, weights, lo, hi)
     residual = np.inf if x is None else float(np.abs(phi @ x - psi).max())
     x = np.zeros(phi.shape[1]) if x is None else x
     objective = float((weights * np.abs(x)).sum())
@@ -252,36 +237,115 @@ def solve_l1(problem: L1Problem) -> SolveResult:
                        solver_log={**log, "certificate": verdict})
 
 
-def _nonneg_system(problem: L1Problem, phi, psi, weights, lo, hi):
-    """(a, b, lift) with the optimal set {lift(z) : z >= 0, a z = b} when
-    that set is nonempty, or None. It holds for band 0 without tie_weights
-    when every coordinate is pinned (lo = hi, >= 0 if nonneg) or unbounded
-    above, the unpinned weights equal a row of R = [phi; 1'] (ones only with
-    sum_to) and a signed program prices the unpinned ones without lo >= 0.
-    With x0 the pins and max(lo, 0) elsewhere (NaN: 0), sum w|x| >= sum w x,
-    a constant, with equality iff x >= x0: so a = R and lift(z) = x0 + z
-    off the pins, and b = rhs - R x0 (None unless finite)."""
-    if problem.band != 0.0 or problem.tie_weights is not None or not phi.shape[1]:
-        return None
+def _highs_l1(problem: L1Problem, phi, psi, weights, lo, hi):
+    """(x or None, status, solver_log) of the program solved by HiGHS, with
+    the lexicographic stage when tie_weights asks for it (see solve_l1)."""
+    lift, bounds, closure, sums = _columns(problem, lo, hi)
+    cost = lift(weights, 1.0)
+    block = lift(phi)
+    if problem.band == 0.0:
+        a_ub, b_ub = np.zeros((0, cost.shape[0])), np.zeros(0)
+        a_eq, b_eq = np.vstack([block, closure]), np.concatenate([psi, sums])
+    else:
+        a_ub = np.vstack([block, -block])
+        b_ub = np.concatenate([psi + problem.band, -(psi - problem.band)])
+        a_eq, b_eq = closure, sums
+    res, status = _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds)
+    iterations = int(res.nit)
+    tie_break = "solver-vertex"
+    if problem.tie_weights is not None and status == "optimal":
+        tie_cost = lift(np.asarray(problem.tie_weights, float), 1.0)
+        if tie_cost @ res.x > STRUCTURAL_ZERO:
+            res, status = _highs(
+                tie_cost,
+                np.vstack([a_ub, cost]),
+                np.concatenate([b_ub, [res.fun + LEXICOGRAPHIC_SLACK]]),
+                a_eq,
+                b_eq,
+                bounds,
+            )
+            iterations += int(res.nit)
+            tie_break = "lexicographic"
+            status = "optimal" if status == "optimal" else "numerical"
+
+    n = phi.shape[1]
+    x = None if res.x is None else res.x if problem.nonneg else res.x[:n] - res.x[n:]
+    return x, status, {"method": "highs", "tie_break": tie_break, "iterations": iterations,
+                       "message": str(res.message)}
+
+
+def _faces(problem: L1Problem, phi, psi, weights, lo, hi):
+    """The faces of a band-0 program that solve_l1 offers the certificate,
+    in order, as (tie_break, rows, rhs, base, moving): the face is {x :
+    rows x = rhs, x = base off the mask moving, x >= base on it}, the
+    program's upper bounds dropped. rows = [phi; 1'] (ones only with
+    sum_to), and base holds the pins (lo = hi) and max(lo, 0) elsewhere
+    (NaN: 0); moving is a subset of the unpinned coordinates.
+
+    A nonnegative program (nonneg with pins >= 0, or every coordinate
+    pinned or lo >= 0) has x >= base on its feasible set, so its cost is
+    sum w x >= sum w base, and so is its tie cost:
+      "unique": every unpinned coordinate moves, the whole feasible set;
+      "zero-cost": the coordinates priced by weights or tie_weights stay
+        at base, their least value (0, or lo where lo > 0), which holds
+        every optimum, and every lexicographic one, whenever it is not
+        empty.
+    A signed program gets the first face alone where its cost is constant
+    on it, without tie_weights or an upper bound off the pins: the
+    unpinned weights equal a row of rows and each unpinned coordinate is
+    priced or has lo >= 0. Then sum w|x| >= sum w x, a constant, with
+    equality iff x >= base, so that face is the optimal set."""
+    if problem.band != 0.0 or not phi.shape[1]:
+        return
     rows, rhs = phi, psi
     if problem.sum_to is not None:
         rows = np.concatenate((phi, np.ones((1, phi.shape[1]))))
         rhs = np.concatenate((psi, [float(problem.sum_to)]))
     free = lo != hi  # NaN bounds never pin
     base = np.where(free, np.fmax(lo, 0.0), lo)
-    a, b = rows[:, free], rhs - rows @ base
-    eligible = free.any() and not (hi[free] < np.inf).any() and (
-        (base >= 0.0).all() if problem.nonneg else ((weights > 0.0) | (lo >= 0.0))[free].all()
-    )
+    if (base >= 0.0).all() if problem.nonneg else (~free | (lo >= 0.0)).all():
+        yield "unique", rows, rhs, base, free
+        priced = weights > 0.0
+        if problem.tie_weights is not None:
+            priced |= np.asarray(problem.tie_weights, float) > 0.0
+        if (free & priced).any():
+            yield "zero-cost", rows, rhs, base, free & ~priced
+    elif (
+        not problem.nonneg
+        and problem.tie_weights is None
+        and not (hi[free] < np.inf).any()
+        and ((weights > 0.0) | (lo >= 0.0))[free].all()
+        and (rows[:, free] == weights[free]).all(axis=1).any()
+    ):
+        yield "unique", rows, rhs, base, free
 
-    def lift(z):
+
+def _face_point(rows, rhs, base, moving, hi):
+    """(verdict, x) for a face from _faces: ("unique", x) when
+    unique_nonneg_solution certifies the face {x} and x meets every upper
+    bound, else ("tied" or "infeasible", None). A point above an upper
+    bound, often by rounding, is not returned: the face is offered once
+    more with those coordinates pinned at their bounds, where they move
+    and their bounds admit base. The face is one point, so a point it
+    still holds there, within the certificate's NNLS_RESIDUAL_MAX, is that
+    point; found none, the verdict is "infeasible". Only finite systems
+    reach the certificate."""
+    for _ in range(2):
+        b = rhs - rows @ base
+        if not np.isfinite(b).all():
+            break
+        found, z = unique_nonneg_solution(rows[:, moving], b)
+        if z is None:
+            return found, None
         x = base.copy()
-        x[free] += z
-        return x
-
-    if eligible and (a == weights[free]).all(axis=1).any() and np.isfinite(b).all():
-        return a, b, lift
-    return None
+        x[moving] += z
+        above = x > hi  # NaN: no bound
+        if not above.any():
+            return found, x
+        if not (moving & (base <= hi))[above].all():
+            break
+        base, moving = np.where(above, hi, base), moving & ~above
+    return "infeasible", None
 
 
 def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):

@@ -114,22 +114,54 @@ def test_finite_horizon_tie_break_keeps_genuine_self_loops():
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
 @pytest.mark.parametrize("pinned", [False, True])
-def test_finite_horizon_matches_the_direct_linprog_oracle(eps, pinned):
-    # agent 2 of the first network is fully stubborn
+def test_finite_horizon_matches_the_direct_linprog_oracle(monkeypatch, eps, pinned):
+    # agent 2 of the first network is fully stubborn. Rows that reach HiGHS
+    # match the oracle bit for bit. A row a face certifies without an LP
+    # (nnls_rows) is the program's one feasible or zero-cost point, held to
+    # 1e-12 of the generating (lambda W, 1 - lambda): on the first network
+    # the oracle's HiGHS points miss it by up to 2.3e-9, within HiGHS's
+    # feasibility tolerance.
     w = np.array([[0.3, 0.5, 0.2], [0.2, 0.4, 0.4], [0.5, 0.0, 0.5]])
     nets = [ok.InfluenceNetwork(w=w, lam=np.array([0.7, 0.5, 0.0])), _ws_network(seed=3)]
     rng = np.random.default_rng(3)
+    tie_breaks = []
+
+    def solve(problem):
+        result = ok.numkit.solve_l1(problem)
+        tie_breaks.append(result.solver_log["tie_break"])
+        return result
+
+    monkeypatch.setattr(ok.identify, "solve_l1", solve)
     reports = []
     for net in nets:
         traj = ok.simulate_fj(net, rng.uniform(-1, 1, (net.n, 6)), steps=8)
         lam = net.lam if pinned else None
         report = ok.identify_finite_horizon(traj, eps=eps, lam=lam)
         a_hat, b_hat = reference_finite_horizon(traj.states, eps, lam)
-        assert np.array_equal(report.solver_log["coupling_matrix"], a_hat)
-        assert np.array_equal(report.lambda_hat, 1.0 - b_hat)
+        certified = list(report.solver_log["nnls_rows"])
+        assert not certified or eps == 0.0
+        lp_rows = np.setdiff1d(np.arange(net.n), certified)
+        coupling = report.solver_log["coupling_matrix"]
+        assert np.array_equal(coupling[lp_rows], a_hat[lp_rows])
+        assert np.array_equal(report.lambda_hat[lp_rows], 1.0 - b_hat[lp_rows])
+        truth = net.lam[:, None] * net.w
+        assert np.max(np.abs(coupling - truth)[certified], initial=0.0) <= 1e-12
+        assert np.max(np.abs(report.lambda_hat - net.lam)[certified], initial=0.0) <= 1e-12
         reports.append(report)
-    # the stubborn row goes to the tie-break only while lambda is free
-    assert (2 in reports[0].solver_log["lexicographic_rows"]) is not pinned
+    # the stubborn row is tied only while lambda is free: the zero-cost face
+    # decides it at eps = 0, the lexicographic stage within a band
+    assert (tie_breaks[2] == "zero-cost") == (eps == 0.0 and not pinned)
+    assert (2 in reports[0].solver_log["lexicographic_rows"]) == (eps > 0.0 and not pinned)
+
+
+def test_finite_horizon_band_rows_reach_highs():
+    # eps > 0 makes every row a band program, which no face certificate takes
+    net = _ws_network(seed=3)
+    traj = ok.simulate_fj(net, np.random.default_rng(3).uniform(-1, 1, (8, 6)), steps=8)
+    log = ok.identify_finite_horizon(traj, eps=1e-3).solver_log
+    assert log["nnls_rows"] == () and log["tied_rows"] == ()
+    assert log["iterations"] >= 8
+    assert ok.identify_finite_horizon(traj).solver_log["nnls_rows"] == tuple(range(8))
 
 
 def test_finite_horizon_rows_with_a_weights_sample_are_certified():
@@ -288,10 +320,10 @@ def _equilibrium_row_problem(m, tie_seed):
     return ok.L1Problem(phi=x_inf.T, psi=psi[1], sum_to=1.0, nonneg=True, tie_weights=ties)
 
 
-def _tie_broken_rows(m):
+def _tie_broken_rows(m, tie_break):
     results = [ok.solve_l1(_equilibrium_row_problem(m, tie_seed)) for tie_seed in (3, 4)]
     for result in results:
-        assert result.ok and result.solver_log["tie_break"] == "lexicographic"
+        assert result.ok and result.solver_log["tie_break"] == tie_break
         assert result.residual <= 1e-9 and abs(result.x.sum() - 1.0) <= 1e-9
         # ||w||_1 >= |1'w| = 1, so every nonnegative feasible point is optimal
         assert result.objective == pytest.approx(1.0, abs=1e-9)
@@ -300,12 +332,13 @@ def _tie_broken_rows(m):
 
 def test_equilibrium_rows_tie_between_distinct_optima_when_under_determined():
     # m = 10 < n: the l1 objective leaves the answer to the tie weights
-    first, second = _tie_broken_rows(10)
+    first, second = _tie_broken_rows(10, "lexicographic")
     assert np.max(np.abs(first.x - second.x)) > 1e-3
 
 
 def test_equilibrium_rows_have_one_optimum_when_determined():
-    first, second = _tie_broken_rows(40)
+    # m = 40: the feasible set is one point, which the certificate takes
+    first, second = _tie_broken_rows(40, "unique")
     assert np.max(np.abs(first.x - second.x)) <= 1e-9
 
 
@@ -678,10 +711,11 @@ def test_lp_estimators_share_one_solver_log_schema():
         ok.identify_finite_horizon(traj).solver_log,
         ok.estimate_gamma(moments, b_bar, mode="sparse", eta=1e-3)[1],
     ]
-    # Every row of the equilibrium fixture has a nonnegative optimum, so the
-    # certificate sorts each into nnls_rows (no LP) or tied_rows (LP); the
-    # other two estimators send every row to the LP.
-    for log, rows, sorted_rows in zip(logs, (8, 8, 8, 10), (8, 8, 0, 0)):
+    # Every row of the equilibrium fixture has a nonnegative optimum, and
+    # every finite-horizon row a nonnegative feasible set, so the certificate
+    # sorts each into nnls_rows (no LP) or tied_rows (LP); the band programs
+    # of estimate_gamma send every column to the LP.
+    for log, rows, sorted_rows in zip(logs, (8, 8, 8, 10), (8, 8, 8, 0)):
         assert lp_keys <= set(log)
         assert len(log["objectives"]) == rows
         assert isinstance(log["iterations"], int)

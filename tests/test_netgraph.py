@@ -55,6 +55,15 @@ def test_network_arrays_are_read_only():
         net.lam[0] = 0.1
 
 
+def test_network_freezes_a_copy_of_the_callers_w():
+    w = np.eye(2)
+    net = ok.InfluenceNetwork(w=w, lam=np.array([0.5, 0.5]))
+    w[0, 0] = 0.5
+    w[0, 1] = 0.5
+    assert np.array_equal(net.w, np.eye(2))
+    assert np.array_equal(net.nonzeros.toarray(), np.eye(2))
+
+
 def test_edge_set_lists_every_nonzero_entry():
     w = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]])
     net = ok.InfluenceNetwork(w=w, lam=np.full(3, 0.5))
@@ -85,6 +94,26 @@ def test_degree_profile_hand_instance():
     assert profile.out_degree.tolist() == [2, 3, 1]
     assert profile.d_max == 3
     assert np.allclose(profile.weighted_in_degree, 1.0)
+
+
+@pytest.mark.parametrize("model, kwargs", [
+    ("watts_strogatz", dict(n=1000, k=6, beta_rw=0.2)),
+    ("barabasi_albert", dict(n=1000, m0=3)),
+    ("erdos_renyi", dict(n=600, p=0.01)),
+])
+def test_weighted_degrees_match_the_dense_sums_without_building_w(model, kwargs):
+    # several row blocks of _dense_row_sums; BA's hubs make long columns
+    for seed in (1, 2):
+        net = ok.generate_network(ok.GeneratorConfig(model=model, **kwargs), seed=seed)
+        profile = ok.degree_profile(net)
+        centrality = [ok.degree_centrality(net, direction, weighted=True).values
+                      for direction in ("in", "out")]
+        assert "w" not in net.__dict__
+        row_sums, column_sums = net.w.sum(axis=1), net.w.sum(axis=0)
+        assert profile.weighted_in_degree.tobytes() == row_sums.tobytes()
+        assert profile.weighted_out_degree.tobytes() == column_sums.tobytes()
+        assert centrality[0].tobytes() == row_sums.tobytes()
+        assert centrality[1].tobytes() == column_sums.tobytes()
 
 
 def test_laplacian_rows_sum_to_zero():

@@ -291,6 +291,70 @@ def test_solve_l1_leaves_programs_outside_the_certificate_to_highs(breached, kep
     assert ok.solve_l1(L1Problem(**kept)).solver_log["certificate"] == verdict
 
 
+def _no_lp(*args):
+    raise AssertionError("the program reached HiGHS")
+
+
+@pytest.mark.parametrize("problem, tie_break, expected", [
+    # one feasible point, e_0, under a cost that is not constant on the cone
+    ({**VERTEX, "nonneg": True, "weights": np.array([1.0, 2.0, 5.0])}, "unique", [1, 0, 0]),
+    ({**VERTEX, "nonneg": True, "tie_weights": np.array([0.0, 1.0, 1.0])}, "unique", [1, 0, 0]),
+    # a signed program whose lower bounds are all >= 0 is nonnegative too
+    ({**VERTEX, "weights": np.array([1.0, 2.0, 5.0]), "lo": np.zeros(3)}, "unique", [1, 0, 0]),
+    # a segment of feasible points; pricing x_0 and tie-pricing x_1 leaves e_2
+    (dict(phi=np.array([[1.0, 1.0, 1.0]]), psi=np.array([1.0]), nonneg=True,
+          weights=np.array([1.0, 0.0, 0.0]), tie_weights=np.array([0.0, 1.0, 0.0])),
+     "zero-cost", [0, 0, 1]),
+], ids=["feasible-point", "feasible-point-tie-weights", "signed-lo", "zero-cost"])
+def test_solve_l1_certifies_a_face_of_a_nonnegative_program_without_highs(
+    monkeypatch, problem, tie_break, expected
+):
+    monkeypatch.setattr(numkit, "_highs", _no_lp)
+    res = ok.solve_l1(L1Problem(**problem))
+    assert res.ok and res.solver_log["method"] == "nnls" and res.solver_log["iterations"] == 0
+    assert res.solver_log["tie_break"] == tie_break and res.solver_log["certificate"] == "unique"
+    assert np.max(np.abs(res.x - expected)) <= 1e-12
+    if "tie_weights" not in problem:
+        monkeypatch.undo()
+        assert np.max(np.abs(res.x - reference_solve_l1(L1Problem(**problem)))) <= 1e-12
+
+
+def test_solve_l1_sends_a_face_point_above_an_upper_bound_to_highs():
+    # e_0 is the only nonnegative point; x_0 <= 0.5 leaves none
+    problem = L1Problem(**{**VERTEX, "nonneg": True, "hi": np.array([0.5, NAN, NAN])})
+    res = ok.solve_l1(problem)
+    assert res.solver_log["method"] == "highs" and res.solver_log["certificate"] == "infeasible"
+    assert res.status == "infeasible"
+
+
+@pytest.mark.parametrize("bound, method", [(0.5, "nnls"), (0.5 - 1e-14, "nnls"),
+                                           (0.5 - 1e-9, "highs")])
+def test_solve_l1_returns_a_face_point_only_within_its_upper_bounds(bound, method):
+    # (0.5, 0.5) is the one feasible point. Where it breaks x_0's bound, the
+    # face is offered again with x_0 at the bound: 1e-14 below, the point
+    # there is within the certificate's NNLS_RESIDUAL_MAX and is returned;
+    # 1e-9 below, it is not, and the program goes to HiGHS
+    problem = L1Problem(phi=np.array([[1.0, 2.0]]), psi=np.array([1.5]), sum_to=1.0,
+                        nonneg=True, hi=np.array([bound, NAN]))
+    res = ok.solve_l1(problem)
+    assert res.solver_log["method"] == method
+    if method == "nnls":
+        assert res.ok and res.x[0] <= bound
+        assert np.max(np.abs(res.x - 0.5)) <= 1e-12
+
+
+@pytest.mark.parametrize("nonneg, lo", [(True, [0.25, NAN]), (False, [0.25, 0.0])])
+def test_solve_l1_keeps_a_priced_coordinate_at_its_positive_lower_bound(nonneg, lo):
+    # x_0 costs, x_1 does not: the zero-cost face holds x_0 at its least
+    # value 0.25, never at 0, which its lower bound forbids
+    problem = L1Problem(phi=np.array([[1.0, 1.0]]), psi=np.array([1.0]), nonneg=nonneg,
+                        weights=np.array([1.0, 0.0]), lo=np.array(lo))
+    res = ok.solve_l1(problem)
+    assert res.ok and res.solver_log["tie_break"] == "zero-cost"
+    assert res.x[0] >= 0.25 and np.max(np.abs(res.x - [0.25, 0.75])) <= 1e-15
+    assert np.max(np.abs(res.x - reference_solve_l1(problem))) <= 1e-12
+
+
 def _captured_rows(monkeypatch, estimate):
     """The l1 programs an estimator hands to solve_l1, in row order."""
     problems = []
@@ -317,20 +381,23 @@ def test_derived_systems_match_the_hand_built_ones(monkeypatch, nonneg):
         monkeypatch, lambda: ok.identify_infinite_horizon(x0, x_inf, net.lam, nonneg=nonneg)
     )
     for problem in rows:
-        a, b, _ = numkit._nonneg_system(problem, *numkit._parsed(problem))
+        _, rows, rhs, base, moving = next(numkit._faces(problem, *numkit._parsed(problem)))
+        a, b = rows[:, moving], rhs - rows @ base
         ref_a, ref_b = reference_equilibrium_system(x_inf, problem.psi)
         assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
     rows = _captured_rows(
         monkeypatch, lambda: ok.identify_unknown_lambda(x0, x_inf, nonneg=nonneg)
     )
     for j, problem in enumerate(rows):
-        a, b, lift = numkit._nonneg_system(problem, *numkit._parsed(problem))
+        _, rows, rhs, base, moving = next(numkit._faces(problem, *numkit._parsed(problem)))
+        a, b = rows[:, moving], rhs - rows @ base
         ref_a, ref_b = reference_augmented_system(x0, x_inf, j)
         assert a.tobytes() == ref_a.tobytes()
         # b is x_j(0) - d here and x_j(inf) by hand: equal up to rounding
         assert np.max(np.abs(b - ref_b)) <= 1e-15
-        z = np.arange(12.0)
-        assert np.array_equal(lift(z), np.concatenate([z[:j], [0.0], z[j:11], [12.0]]))
+        # w_jj is pinned at 0 and mu starts from its lower bound 1
+        assert np.array_equal(moving, np.arange(13) != j)
+        assert np.array_equal(base, np.eye(13)[12])
 
 
 @given(st.integers(0, 10_000))
