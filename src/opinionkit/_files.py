@@ -4,13 +4,14 @@ A table is comma-separated text: a header line naming the columns, then
 one line per row of nonnegative integer labels and, last, a float value
 printed with 17 significant digits, so a read of a written table gives
 back the same doubles bit for bit. Empty lines are skipped. A table is
-written TABLE_CHUNK cells at a time: the label prefixes of the chunk's
-rows (its observed cells, under a mask) are joined into one "%.17g"
-template, filled by a single % with their values. A run of cells equal
-bit for bit down a column is formatted once, and its text enters the
-template as a literal for each of its cells (see table_text), so the
-writer's cost is per formatted value, not per cell. Memory stays
-O(TABLE_CHUNK + row width) with or without a mask.
+written in chunks of whole rows, about TABLE_CHUNK cells each: a row is
+its label lead joined before the text of each written cell (a "%.17g"
+slot, or under a mask only its observed cells), and the chunk's rows form
+one template, filled by a single % with their values. A run of cells
+equal bit for bit down a column is formatted once, and its text stands
+in the row for each of its cells (see table_text), so the writer's cost
+is per formatted value, not per cell. Memory stays O(TABLE_CHUNK + row
+width) with or without a mask.
 Every other document is a JSON object. Readers raise ConfigError naming
 the file.
 """
@@ -19,7 +20,7 @@ import json
 import operator
 import sys
 import warnings
-from itertools import chain, compress, cycle, islice, product, repeat
+from itertools import compress, islice, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -67,104 +68,79 @@ def json_text(doc: dict) -> str:
 
 
 def table_text(header: str, values, keys=None, mask=None):
-    """Yield a table's header line, then its rows in chunks of at most
-    TABLE_CHUNK rows: "keys[s],idx...,value" for values[s][idx] in
-    row-major order (keys defaults to 0, 1, ...), only where mask is true
-    when one is given.
+    """Yield a table's header line, then its rows in chunks of whole rows:
+    "keys[s],idx...,value" for values[s][idx] in row-major order (keys
+    defaults to 0, 1, ...), only where mask is true when one is given.
 
-    A chunk covers TABLE_CHUNK cells; it is one template of row prefixes
-    joined with "%.17g" slots, filled by a single % with the chunk's
-    values. A column is one idx, read down the rows s, and a run is two or
-    more written cells in a row of a column whose values are equal bit
-    for bit (so -0.0 and 0.0, or two NaN payloads, never share a run; a
-    cell the mask leaves out ends a run). A run is formatted once: the
-    text of its first cell goes into the template as a literal for every
-    cell of the run, and only cells outside runs keep a slot, so a table
-    without runs is written from the same templates as without this rule.
-    Each column carries the text of its current run from chunk to chunk.
-    Memory stays O(TABLE_CHUNK + row width), with or without a mask."""
+    A chunk holds max(1, TABLE_CHUNK // width) rows of width cells. Row s
+    is written as lead + lead.join(tails), with lead "keys[s]," and one
+    tail per written cell, its slot "idx...,%.17g" and a newline: masked
+    cells are dropped, and a row without written cells writes nothing.
+    The chunk's rows are one template, filled by a single % with its
+    slotted values.
+    A column is one idx, read down the rows s, and a run is two or more
+    written cells in a row of a column whose values are equal bit for bit
+    (so -0.0 and 0.0, or two NaN payloads, never share a run; a cell the
+    mask leaves out ends a run). A run is formatted once: the text of its
+    first cell is the tail of every cell of the run, and only cells
+    outside runs keep a slot, so a chunk without runs reuses the one slot
+    list for every row. Each column carries the text of its current run
+    from chunk to chunk. Memory stays O(TABLE_CHUNK + row width), with or
+    without a mask."""
     values = np.asarray(values, dtype=float)
     slots = [
         "".join(idx) + "%.17g\n"
         for idx in product(*([f"{i}," for i in range(size)] for size in values.shape[1:]))
     ]
-    width = len(slots)
+    width, count = len(slots), len(values)
     # each column's slot, then the text of its current run once it has one
     known = np.array(slots + [None] * width, dtype=object)
-    leads = (f"{s if keys is None else keys[s]}," for s in range(len(values)))
-    heads = chain.from_iterable(repeat(lead, width) for lead in leads)
-    cells = _row_major(values)
-    if mask is not None:
-        mask = _row_major(np.asarray(mask, dtype=bool))
+    step = max(1, TABLE_CHUNK // max(width, 1))
     yield header + "\n"
-    for lo in range(0, values.size, TABLE_CHUNK):
-        hi = min(lo + TABLE_CHUNK, values.size)
-        up, down, chunk = _equal_neighbours(cells, mask, lo, hi, width)
-        literal = up | down
-        tails = islice(cycle(slots), lo % width, None)
-        if literal.any():
-            tails = _run_tails(known, chunk, up, down, lo)
-        piece = map(operator.add, islice(heads, hi - lo), tails)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        # the chunk's rows and their neighbours; equal[t] tells which cells
+        # of row lo + t equal, bit for bit, the written cell above them
+        first, last = max(lo - 1, 0), min(hi + 1, count)
+        window = np.ascontiguousarray(values[first:last]).reshape(last - first, width)
+        bits = window.view(np.int64)
+        equal = np.zeros((hi - lo + 1, width), dtype=bool)
+        equal[first + 1 - lo : last - lo] = bits[1:] == bits[:-1]
+        if mask is not None:
+            seen = np.asarray(mask[first:last], dtype=bool).reshape(last - first, width)
+            equal[first + 1 - lo : last - lo] &= seen[1:] & seen[:-1]
+        block, literal = window[lo - first : hi - first], equal[:-1] | equal[1:]
+        rows = _run_tails(known, block, equal).tolist() if literal.any() else repeat(slots)
         slotted = ~literal
         if mask is not None:
-            keep = mask[lo:hi]
-            piece = compress(piece, keep.tolist())
-            slotted &= keep
-        yield "".join(piece) % tuple(chunk[slotted].tolist())
+            seen = seen[lo - first : hi - first]
+            rows = map(list, map(compress, rows, seen.tolist()))
+            slotted &= seen
+        leads = (f"{s if keys is None else keys[s]}," for s in range(lo, hi))
+        template = "".join(lead + lead.join(tails) for lead, tails in zip(leads, rows) if tails)
+        yield template % tuple(block[slotted].tolist())
 
 
-def _run_tails(known, chunk, up, down, lo: int) -> list:
-    """The text after the row lead of each cell of a chunk that starts at
-    cell lo: its column's slot, or the literal text of the run it belongs
-    to. known holds each column's slot, then its current run text: a run
-    that starts in the chunk is formatted here, and its column's entry is
-    updated for the next chunk."""
-    width = len(known) // 2
-    column = np.arange(lo, lo + len(chunk)) % width
+def _run_tails(known, block, equal):
+    """The tails of a chunk's (rows, width) block: each cell's slot, or the
+    text of the run it belongs to; equal[t] and equal[t + 1] tell which
+    cells of row t equal the cell above and the cell below. known holds
+    each column's slot, then its current run text: a run that starts in
+    the chunk is formatted here, and its column's entry is updated for the
+    next chunk."""
+    up, down = equal[:-1], equal[1:]
+    width = block.shape[1]
+    column = np.arange(width)
     first = down & ~up
-    starts = list(map(operator.mod, known[column[first]], chunk[first].tolist()))
+    starts = list(map(operator.mod, known[np.nonzero(first)[1]], block[first].tolist()))
     texts = np.concatenate([known, np.array(starts, dtype=object)])
-    # the latest run start at or above each cell in its column, on a grid of
-    # the whole rows that the chunk touches
-    offset = lo % width
-    grid = np.full((-(-(offset + len(chunk)) // width), width), -1)
-    latest = grid.reshape(-1)[offset : offset + len(chunk)]
+    # the latest run start at or above each cell in its column
+    latest = np.full(block.shape, -1)
     latest[first] = np.arange(2 * width, len(texts))
-    np.maximum.accumulate(grid, axis=0, out=grid)
-    (ends,) = np.nonzero(grid[-1] >= 0)
-    known[width + ends] = texts[grid[-1, ends]]
-    return texts[np.where(up | down, np.where(latest < 0, width + column, latest), column)].tolist()
-
-
-def _row_major(array):
-    """The cells of array in row-major order, as a one-dimensional view
-    when array is C-contiguous and else as its flat iterator: a slice of
-    either copies at most the cells it holds."""
-    return array.reshape(-1) if array.flags.c_contiguous else array.flat
-
-
-def _equal_neighbours(cells, mask, lo: int, hi: int, width: int):
-    """(up, down, chunk) for the cells lo:hi of a table's row-major cells:
-    whether each cell's bits equal those of the cell one row above, and of
-    the cell one row below, both cells written (true in the row-major
-    mask, when one is given), and the cells' values. Reads the chunk's
-    cells and their neighbours only."""
-    chunk = cells[lo:hi]
-    bits = chunk.view(np.int64)
-    up = np.zeros(hi - lo, dtype=bool)
-    down = np.zeros(hi - lo, dtype=bool)
-    skip = min(max(width - lo, 0), hi - lo)  # cells in row 0 have no row above
-    reach = min(max(len(cells) - width - lo, 0), hi - lo)  # cells with a row below
-    above, below = slice(lo + skip - width, hi - width), slice(lo + width, lo + width + reach)
-    up[skip:] = bits[skip:] == cells[above].view(np.int64)
-    down[:reach] = bits[:reach] == cells[below].view(np.int64)
-    if mask is not None:
-        keep = mask[lo:hi]
-        up[skip:] &= mask[above]
-        down[:reach] &= mask[below]
-        up &= keep
-        down &= keep
-    return up, down, chunk
+    np.maximum.accumulate(latest, axis=0, out=latest)
+    (ends,) = np.nonzero(latest[-1] >= 0)
+    known[width + ends] = texts[latest[-1, ends]]
+    return texts[np.where(up | down, np.where(latest < 0, width + column, latest), column)]
 
 
 def write_table(path, header: str, values, keys=None, mask=None) -> None:

@@ -386,6 +386,11 @@ def simulate_gossip_fj(
     uniform poll draws (entry [k, i] picks agent i's neighbor at step k).
     Seeded trajectories depend on this layout only, not on how the draws
     are blocked in memory.
+
+    With activation_size = n (beta = 1) every agent is active: the keys
+    are still drawn, so the layout holds, but not sorted, and each step
+    updates the whole state vector at once, with the same arithmetic per
+    agent as a step over an active subset.
     """
     _check_steps(steps)
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -398,10 +403,45 @@ def simulate_gossip_fj(
         raise ParameterError("gossip: W holds a non-finite weight")
     table, counts, weights = _neighbor_menus(net)
     rng = philox_stream(seed)
-    # The draws are made before the loop, in blocks of DRAW_BLOCK rows,
-    # and neighbors, weights, lambda and anchors are gathered per block
-    # inside it, so that only the (steps, a) arrays active and slot span
-    # the run; argpartition of iid keys yields a uniform fixed-size subset.
+    states = np.empty((steps + 1, net.n))
+    states[0] = x0
+    if activation_size == net.n:
+        _full_activation_steps(net, rng, states, table, counts, weights)
+    else:
+        _partial_activation_steps(net, rng, states, activation_size, table, counts, weights)
+    descriptor = ModelDescriptor(
+        kind="gossip",
+        params={"activation_size": activation_size, "beta": activation_size / net.n},
+        seed=seed,
+    )
+    return OpinionTrajectory(states=states[:, :, None], model=descriptor)
+
+
+def _full_activation_steps(net, rng, states, table, counts, weights) -> None:
+    """Gossip steps with every agent active, written into states[1:]: the
+    activation keys are drawn and dropped (each step's set is all agents),
+    then each block of poll draws picks every agent's neighbor and weight
+    in agent order, and a step updates the whole state vector at once."""
+    steps, x0 = len(states) - 1, states[0]
+    for lo in range(0, steps, DRAW_BLOCK):
+        rng.random((min(DRAW_BLOCK, steps - lo), net.n))
+    agents, lam = np.arange(net.n), net.lam
+    anchor = (1.0 - lam) * x0
+    for lo in range(0, steps, DRAW_BLOCK):
+        slot = (rng.random((min(DRAW_BLOCK, steps - lo), net.n)) * counts).astype(int)
+        polled, weight = table[agents, slot], weights[agents, slot]
+        rows = zip(states[lo:], states[lo + 1 :], polled, 1.0 - weight, weight)
+        for x, x_next, p, keep, weight_k in rows:
+            np.add(lam * (keep * x + weight_k * x[p]), anchor, out=x_next)
+
+
+def _partial_activation_steps(net, rng, states, activation_size, table, counts, weights) -> None:
+    """Gossip steps with activation_size < n agents active, written into
+    states[1:]. The draws are made before the loop, in blocks of DRAW_BLOCK
+    rows, and neighbors, weights, lambda and anchors are gathered per block
+    inside it, so that only the (steps, a) arrays active and slot span the
+    run; argpartition of iid keys yields a uniform fixed-size subset."""
+    steps, x0 = len(states) - 1, states[0]
     active = np.empty((steps, activation_size), dtype=np.intp)
     slot = np.empty((steps, activation_size), dtype=np.intp)
     for lo in range(0, steps, DRAW_BLOCK):
@@ -413,8 +453,6 @@ def simulate_gossip_fj(
         block = active[lo : lo + DRAW_BLOCK]
         picks = np.take_along_axis(rng.random((len(block), net.n)), block, axis=1)
         slot[lo : lo + DRAW_BLOCK] = (picks * counts[block]).astype(int)
-    states = np.empty((steps + 1, net.n))
-    states[0] = x0
     for lo in range(0, steps, DRAW_BLOCK):
         block = active[lo : lo + DRAW_BLOCK]
         slot_block = slot[lo : lo + DRAW_BLOCK]
@@ -429,12 +467,6 @@ def simulate_gossip_fj(
         for x, x_next, a, p, lam_a, keep_a, weight_a, anchor_a in rows:
             x_next[:] = x
             x_next[a] = lam_a * (keep_a * x[a] + weight_a * x[p]) + anchor_a
-    descriptor = ModelDescriptor(
-        kind="gossip",
-        params={"activation_size": activation_size, "beta": activation_size / net.n},
-        seed=seed,
-    )
-    return OpinionTrajectory(states=states[:, :, None], model=descriptor)
 
 
 def expected_gossip_dynamics(

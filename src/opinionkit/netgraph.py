@@ -25,8 +25,9 @@ MULTIPLEX_MODELS = ("common_component", "common_support", "independent")
 
 
 # Cells of one dense row block: generated networks sum their rows
-# (_dense_row_sums), and common_component layers draw their n^2 innovation
-# uniforms, a block of rows at a time.
+# (_dense_row_sums), Erdos-Renyi draws its n(n - 1) pair uniforms and
+# common_component layers draw their n^2 innovation uniforms, a block of
+# rows at a time.
 ROW_BLOCK_CELLS = 1 << 18
 
 
@@ -342,8 +343,8 @@ def _topology(config: GeneratorConfig, rng: np.random.Generator):
     undirected edge, each edge once and no self-loop, in row-major order."""
     n = config.n
     if config.model == "erdos_renyi":
-        graph = nx.gnp_random_graph(n, config.p, seed=rng, directed=True)
-    elif config.model == "watts_strogatz":
+        return _gnp_edges(n, config.p, rng)
+    if config.model == "watts_strogatz":
         graph = nx.watts_strogatz_graph(n, config.k, config.beta_rw, seed=rng)
     else:
         graph = nx.barabasi_albert_graph(n, config.m0, seed=rng)
@@ -353,6 +354,24 @@ def _topology(config: GeneratorConfig, rng: np.random.Generator):
     rows, cols = np.divmod(np.unique(edges[:, 0] * n + edges[:, 1]), n)
     off_diagonal = rows != cols
     return rows[off_diagonal], cols[off_diagonal]
+
+
+def _gnp_edges(n: int, p: float, rng: np.random.Generator):
+    """(rows, cols) of networkx.gnp_random_graph(n, p, seed=rng,
+    directed=True) and the same draws: one uniform per ordered pair i != j
+    in itertools.permutations order (row i, then j ascending), an edge
+    where it is below p. The uniforms are drawn a block of ROW_BLOCK_CELLS
+    cells at a time; p <= 0 and p >= 1 draw none."""
+    if p <= 0.0 or p >= 1.0:  # the empty or the complete graph
+        rows, cols = np.divmod(np.arange(n * (n - 1) if p >= 1.0 else 0), n - 1)
+        return rows, cols + (cols >= rows)
+    step, rows, cols = _block_rows(n - 1), [], []
+    for lo in range(0, n, step):
+        hits, at = np.nonzero(rng.random((min(step, n - lo), n - 1)) < p)
+        rows.append(hits + lo)
+        cols.append(at)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return rows, cols + (cols >= rows)
 
 
 def _csr(n: int, rows, cols, data) -> sparse.csr_array:

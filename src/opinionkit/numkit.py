@@ -370,7 +370,10 @@ def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
     |a_S' lam| >= sigma_min(a_S) / |a_Z| once min(a_Z' lam) = 1. So
     |a_S' lam| + CERTIFICATE_RESIDUAL_MAX |a| |lam| < sigma_min(a_S) / |a_Z|
     certifies P = {z}, also for every a within that relative error
-    (2-norms bounded by Frobenius norms).
+    (2-norms bounded by Frobenius norms). Where z = 0 (S empty), Gordan's
+    alternative decides instead: P = {0} iff some lam has a' lam > 0. The
+    same least-distance NNLS finds lam with L = I, and once min(a' lam) =
+    1, CERTIFICATE_RESIDUAL_MAX |a| |lam| < 1 certifies P = {0}.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
@@ -387,14 +390,17 @@ def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
         return "unique", z
     support = z > STRUCTURAL_ZERO
     a_s, a_z = a[:, support], a[:, ~support]
-    if not 0 < a_s.shape[1] <= a.shape[0]:
-        return "tied", None  # dependent support columns, or z = 0 left to the LP
-    left, sing, _ = np.linalg.svd(a_s)
-    if sing[-1] <= PINV_RCOND * sing[0]:
-        return "tied", None  # a kernel direction on S alone
-    if not a_z.size:
-        return "unique", z
-    left = left[:, a_s.shape[1]:]
+    if a_s.shape[1] > a.shape[0]:
+        return "tied", None  # dependent support columns
+    if a_s.shape[1]:
+        left, sing, _ = np.linalg.svd(a_s)
+        if sing[-1] <= PINV_RCOND * sing[0]:
+            return "tied", None  # a kernel direction on S alone
+        if not a_z.size:
+            return "unique", z
+        left, bound = left[:, a_s.shape[1]:], sing[-1] / np.linalg.norm(a_z)
+    else:
+        left, bound = np.eye(a.shape[0]), 1.0  # z = 0: Gordan, L = I
     m_z = a_z.T @ left
     k = m_z.shape[1]
     try:
@@ -409,7 +415,6 @@ def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
     if not g.min() > 0.0:
         return "tied", None
     lam /= g.min()
-    bound = sing[-1] / np.linalg.norm(a_z)
     residual = np.linalg.norm(a_s.T @ lam)
     if not residual + CERTIFICATE_RESIDUAL_MAX * np.linalg.norm(a) * np.linalg.norm(lam) < bound:
         return "tied", None

@@ -511,25 +511,39 @@ def test_gossip_matches_the_per_step_reference_bitwise(
     assert np.array_equal(traj.states[:, :, 0], expected)
 
 
-def test_gossip_reads_its_weights_from_the_neighbor_table():
+@pytest.mark.parametrize("activation_size", [20, DENSE_MAX_N + 1])  # some agents, or all
+def test_gossip_reads_its_weights_from_the_neighbor_table(activation_size):
     config = ok.GeneratorConfig(
         model="watts_strogatz", n=DENSE_MAX_N + 1, k=6, beta_rw=0.2, lambda_range=(0.3, 0.8)
     )
     net = ok.generate_network(config, seed=3)
     x0 = np.random.default_rng(3).uniform(-1.0, 1.0, net.n)
-    traj = ok.simulate_gossip_fj(net, x0, DRAW_BLOCK + 7, 20, seed=4)
+    traj = ok.simulate_gossip_fj(net, x0, DRAW_BLOCK + 7, activation_size, seed=4)
     assert "w" not in net.__dict__  # the dense w was never built
-    expected = reference_gossip_fj(net, x0, DRAW_BLOCK + 7, 20, 4)
+    expected = reference_gossip_fj(net, x0, DRAW_BLOCK + 7, activation_size, 4)
+    assert traj.states[:, :, 0].tobytes() == expected.tobytes()
+
+
+def _rate_law_ring():
+    """The n=6 ring of acceptance criterion 07."""
+    config = ok.GeneratorConfig(
+        model="watts_strogatz", n=6, k=2, beta_rw=0.0, lambda_range=(0.85, 0.85)
+    )
+    return ok.generate_network(config, seed=5)
+
+
+@pytest.mark.parametrize("steps", [DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1])
+def test_full_activation_on_the_rate_law_ring_matches_the_reference_bitwise(steps):
+    net = _rate_law_ring()
+    x0 = np.random.default_rng(steps).uniform(-1.0, 1.0, net.n)
+    traj = ok.simulate_gossip_fj(net, x0, steps, net.n, seed=7)
+    expected = reference_gossip_fj(net, x0, steps, net.n, 7)
     assert traj.states[:, :, 0].tobytes() == expected.tobytes()
 
 
 def test_gossip_keeps_only_the_draws_and_the_states_for_the_whole_run():
-    # the rate-law ring of acceptance criterion 07; six (steps, a)
-    # arrays alive for the whole run peaked at 33.7 MB here
-    config = ok.GeneratorConfig(
-        model="watts_strogatz", n=6, k=2, beta_rw=0.0, lambda_range=(0.85, 0.85)
-    )
-    net = ok.generate_network(config, seed=5)
+    # six (steps, a) arrays alive for the whole run peaked at 33.7 MB here
+    net = _rate_law_ring()
     x0 = np.random.default_rng(0).uniform(-1, 1, net.n)
     tracemalloc.start()
     try:

@@ -140,6 +140,9 @@ def test_finite_horizon_matches_the_direct_linprog_oracle(monkeypatch, eps, pinn
         a_hat, b_hat = reference_finite_horizon(traj.states, eps, lam)
         certified = list(report.solver_log["nnls_rows"])
         assert not certified or eps == 0.0
+        if net is nets[0] and eps == 0.0:
+            # pinned, the stubborn row's only point is a = 0 (Gordan's alternative)
+            assert certified == [0, 1, 2]
         lp_rows = np.setdiff1d(np.arange(net.n), certified)
         coupling = report.solver_log["coupling_matrix"]
         assert np.array_equal(coupling[lp_rows], a_hat[lp_rows])

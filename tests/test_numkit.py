@@ -222,6 +222,22 @@ def test_nonneg_solution_at_a_vertex_of_a_wide_system_is_unique():
     assert unique_nonneg_solution(a, [2.0, 1.0])[0] == "tied"
 
 
+def test_zero_as_the_only_nonneg_solution_is_unique():
+    # independent columns: a z = 0 holds z = 0 alone (Gordan: lam = (2, -1)
+    # gives a' lam = (1, 3) > 0)
+    verdict, z = unique_nonneg_solution([[1.0, 1.0], [1.0, 2.0]], [0.0, 0.0])
+    assert verdict == "unique" and np.array_equal(z, [0.0, 0.0])
+    # a single row with positive entries: z_0 + 2 z_1 = 0 forces z = 0
+    assert unique_nonneg_solution([[1.0, 2.0]], [0.0])[0] == "unique"
+
+
+@pytest.mark.parametrize("a", [[[1.0, -1.0]], [[0.0, 0.0]], [[1.0, -1.0], [2.0, -2.0]]])
+def test_zero_with_a_nonneg_kernel_direction_is_tied(a):
+    # (1, 1) solves every system here, so P is a ray and no lam has a' lam > 0
+    verdict, z = unique_nonneg_solution(a, np.zeros(len(a)))
+    assert verdict == "tied" and z is None
+
+
 def test_nonneg_solution_without_columns_is_unique_iff_b_is_zero():
     # scipy's nnls aborted the process on a system with no columns, so the
     # calls run in a child: a crash there fails this test instead of pytest

@@ -233,6 +233,18 @@ def test_generated_networks_match_the_dense_generator_bit_for_bit(family, n):
             assert (np.diag(expected.w) == 1.0).any()
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_empty_and_complete_erdos_renyi_graphs_match_networkx_without_a_draw(p, monkeypatch):
+    # networkx returns these graphs before its pair loop, so lambda is the
+    # stream's first draw after the raw weights
+    monkeypatch.setattr(netgraph, "ROW_BLOCK_CELLS", 5)
+    config = ok.GeneratorConfig(model="erdos_renyi", n=12, p=p, lambda_range=(0.3, 0.8))
+    for seed in (0, 1):
+        net = ok.generate_network(config, seed=seed)
+        _assert_same_network(net, reference_generate_network(config, seed=seed))
+        assert len(net.support[0]) == (12 if p == 0.0 else 12 * 11)
+
+
 @pytest.mark.parametrize("n", [12, DENSE_MAX_N + 1])
 @pytest.mark.parametrize("tag, innovation_p", [
     ("independent", 0.0),
