@@ -34,6 +34,12 @@ PLATEAU_TOL = 1e-10
 PLATEAU_RUN = 3
 DIVERGENCE_CAP = 1e12
 
+# A partial gossip run resolves its activation draws into subsets against a
+# boolean membership mask of this many cells, max(1, cells // n) rows of n.
+ACTIVATION_MASK_CELLS = 1 << 22
+# cesaro_average accumulates its running sums in blocks of this many cells.
+CESARO_BLOCK_CELLS = 1 << 15
+
 @dataclass(frozen=True)
 class ModelDescriptor:
     kind: str
@@ -380,17 +386,20 @@ def simulate_gossip_fj(
     lambda_i ((1 - w_i,theta) x_i + w_i,theta x_theta) + (1 - lambda_i) x_i(0).
     Updates within a step read the previous state.
 
-    Random-stream layout: a Philox(seed) stream yields first steps x n
-    uniform activation keys (row k for step k; the activation_size
-    smallest keys of a row pick its active agents), then steps x n
-    uniform poll draws (entry [k, i] picks agent i's neighbor at step k).
+    Random-stream layout of a Philox(seed) stream, for a = activation_size:
+    - a < n: a columns of steps integers, column i drawn in one call as
+      rng.integers(0, n - a + i + 1, size=steps); by Floyd's sample, step
+      k's member i is column i's entry k unless an earlier member of step
+      k holds it, and then n - a + i. Then steps x a uniform poll draws
+      (entry [k, i] picks the neighbor of step k's member i). The draws
+      cost O(a) per step, whatever n.
+    - a = n (beta = 1): steps x n uniform activation keys, drawn and
+      dropped (every agent is active), then steps x n uniform poll draws
+      (entry [k, i] picks agent i's neighbor at step k). Each step
+      updates the whole state vector at once, with the same arithmetic
+      per agent as a step over an active subset.
     Seeded trajectories depend on this layout only, not on how the draws
     are blocked in memory.
-
-    With activation_size = n (beta = 1) every agent is active: the keys
-    are still drawn, so the layout holds, but not sorted, and each step
-    updates the whole state vector at once, with the same arithmetic per
-    agent as a step over an active subset.
     """
     _check_steps(steps)
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -435,24 +444,43 @@ def _full_activation_steps(net, rng, states, table, counts, weights) -> None:
             np.add(lam * (keep * x + weight_k * x[p]), anchor, out=x_next)
 
 
+def _activation_sets(rng, n: int, activation_size: int, steps: int) -> np.ndarray:
+    """(steps, activation_size) active agents, row k a uniform subset for
+    step k, by Floyd's sample (Bentley and Floyd, CACM 30(9), 1987).
+
+    Column i is drawn for every step at once as integers in
+    [0, n - activation_size + i]; member i of a step is its drawn value,
+    or n - activation_size + i when an earlier member of the step already
+    holds that value. The replacements are resolved one row block at a
+    time against a membership mask of ACTIVATION_MASK_CELLS cells."""
+    offset = n - activation_size
+    active = np.empty((steps, activation_size), dtype=np.intp)
+    for i in range(activation_size):
+        active[:, i] = rng.integers(0, offset + i + 1, size=steps)
+    rows = max(1, ACTIVATION_MASK_CELLS // n)
+    member = np.zeros((min(rows, steps), n), dtype=bool)
+    for lo in range(0, steps, rows):
+        block = active[lo : lo + rows]
+        row = np.arange(len(block))
+        for i, drawn in enumerate(block.T):
+            drawn[member[row, drawn]] = offset + i
+            member[row, drawn] = True
+        member[row[:, None], block] = False
+    return active
+
+
 def _partial_activation_steps(net, rng, states, activation_size, table, counts, weights) -> None:
     """Gossip steps with activation_size < n agents active, written into
-    states[1:]. The draws are made before the loop, in blocks of DRAW_BLOCK
-    rows, and neighbors, weights, lambda and anchors are gathered per block
-    inside it, so that only the (steps, a) arrays active and slot span the
-    run; argpartition of iid keys yields a uniform fixed-size subset."""
+    states[1:]. The active sets and then the poll draws (in blocks of
+    DRAW_BLOCK rows) are made before the loop, and neighbors, weights,
+    lambda and anchors are gathered per block inside it, so that only the
+    (steps, a) arrays active and slot span the run."""
     steps, x0 = len(states) - 1, states[0]
-    active = np.empty((steps, activation_size), dtype=np.intp)
+    active = _activation_sets(rng, net.n, activation_size, steps)
     slot = np.empty((steps, activation_size), dtype=np.intp)
     for lo in range(0, steps, DRAW_BLOCK):
         block = active[lo : lo + DRAW_BLOCK]
-        block[:] = np.argpartition(
-            rng.random((len(block), net.n)), activation_size - 1, axis=1
-        )[:, :activation_size]
-    for lo in range(0, steps, DRAW_BLOCK):
-        block = active[lo : lo + DRAW_BLOCK]
-        picks = np.take_along_axis(rng.random((len(block), net.n)), block, axis=1)
-        slot[lo : lo + DRAW_BLOCK] = (picks * counts[block]).astype(int)
+        slot[lo : lo + DRAW_BLOCK] = (rng.random(block.shape) * counts[block]).astype(int)
     for lo in range(0, steps, DRAW_BLOCK):
         block = active[lo : lo + DRAW_BLOCK]
         slot_block = slot[lo : lo + DRAW_BLOCK]
@@ -501,9 +529,21 @@ def expected_gossip_dynamics(
 
 
 def cesaro_average(traj: OpinionTrajectory) -> np.ndarray:
-    """Running time-averages (1/(k+1)) sum_{l<=k} x(l), same shape as states."""
-    cumulative = np.cumsum(traj.states, axis=0)
-    steps = np.arange(1, traj.states.shape[0] + 1, dtype=float)
+    """Running time-averages (1/(k+1)) sum_{l<=k} x(l), same shape as states.
+
+    The running sums are taken a block of CESARO_BLOCK_CELLS cells (whole
+    states) at a time: each block starts from the previous block's last
+    sum, so the same terms are added in the same order as one cumsum."""
+    states = traj.states
+    cumulative = np.empty_like(states)
+    rows = max(1, CESARO_BLOCK_CELLS // max(1, states.shape[1] * states.shape[2]))
+    for lo in range(0, len(states), rows):
+        block = cumulative[lo : lo + rows]
+        block[:] = states[lo : lo + rows]
+        if lo:
+            block[0] += cumulative[lo - 1]
+        np.cumsum(block, axis=0, out=block)
+    steps = np.arange(1, len(states) + 1, dtype=float)
     cumulative /= steps[:, None, None]
     return cumulative
 

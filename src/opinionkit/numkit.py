@@ -392,6 +392,10 @@ def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
     a_s, a_z = a[:, support], a[:, ~support]
     if a_s.shape[1] > a.shape[0]:
         return "tied", None  # dependent support columns
+    if a_s.shape[1] == a.shape[0] and a_z.shape[1]:
+        # a square a_S is singular, or each zero column j gives a tie
+        # direction d_j = 1, d_S = -a_S^-1 a_j, which is >= 0 on Z
+        return "tied", None
     if a_s.shape[1]:
         left, sing, _ = np.linalg.svd(a_s)
         if sing[-1] <= PINV_RCOND * sing[0]:

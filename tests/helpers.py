@@ -186,21 +186,40 @@ def reference_neighbor_menus(net):
 
 
 def reference_gossip_fj(net, x0, steps, activation_size, seed):
-    """Gossip states (steps + 1, n) from a per-step loop over one draw of
-    all activation keys followed by one draw of all poll values."""
+    """Gossip states (steps + 1, n) from a per-step loop. With every agent
+    active: one draw of all activation keys, then one of all poll values.
+    Otherwise: the activation_size whole integer columns, then the
+    (steps, activation_size) poll values, and each step's active set by
+    Floyd's sample over a plain list."""
     x0 = np.asarray(x0, dtype=float).ravel()
+    n = net.n
     table, counts = reference_neighbor_menus(net)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    keys = rng.random((steps, net.n))
-    picks = rng.random((steps, net.n))
+    if activation_size == n:
+        keys = rng.random((steps, n))
+        picks = rng.random((steps, n))
+    else:
+        columns = [
+            rng.integers(0, n - activation_size + i + 1, size=steps)
+            for i in range(activation_size)
+        ]
+        polls = rng.random((steps, activation_size))
 
     x = x0.copy()
-    states = np.empty((steps + 1, net.n))
+    states = np.empty((steps + 1, n))
     states[0] = x
     lam = net.lam
     for k in range(steps):
-        active = np.argpartition(keys[k], activation_size - 1)[:activation_size]
-        polled = table[active, (picks[k, active] * counts[active]).astype(int)]
+        if activation_size == n:
+            active = np.argpartition(keys[k], activation_size - 1)[:activation_size]
+            polled = table[active, (picks[k, active] * counts[active]).astype(int)]
+        else:
+            members = []
+            for i, column in enumerate(columns):
+                drawn = int(column[k])
+                members.append(n - activation_size + i if drawn in members else drawn)
+            active = np.array(members)
+            polled = table[active, (polls[k] * counts[active]).astype(int)]
         weight = net.w[active, polled]
         x_next = x.copy()
         x_next[active] = (

@@ -24,8 +24,14 @@ from helpers import (
     slow_chain_network,
     stable_network,
 )
-from opinionkit.dynamics import _anchored_system, _neighbor_menus
-from opinionkit.numkit import CONDITION_MAX, DENSE_MAX_N, DRAW_BLOCK
+from opinionkit import dynamics
+from opinionkit.dynamics import (
+    CESARO_BLOCK_CELLS,
+    _activation_sets,
+    _anchored_system,
+    _neighbor_menus,
+)
+from opinionkit.numkit import CONDITION_MAX, DENSE_MAX_N, DRAW_BLOCK, philox_stream
 
 
 def _ws_network(n, seed):
@@ -511,6 +517,16 @@ def test_gossip_matches_the_per_step_reference_bitwise(
     assert np.array_equal(traj.states[:, :, 0], expected)
 
 
+@pytest.mark.parametrize("mask_cells", [1, 50])  # one step, or four, per mask block
+def test_partial_gossip_does_not_depend_on_the_mask_block(monkeypatch, mask_cells):
+    monkeypatch.setattr(dynamics, "ACTIVATION_MASK_CELLS", mask_cells)
+    net = _gossip_network(12, "watts_strogatz", 0.4, 3)
+    x0 = np.random.default_rng(3).uniform(-1.0, 1.0, net.n)
+    traj = ok.simulate_gossip_fj(net, x0, 301, 5, seed=2)
+    expected = reference_gossip_fj(net, x0, 301, 5, 2)
+    assert traj.states[:, :, 0].tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("activation_size", [20, DENSE_MAX_N + 1])  # some agents, or all
 def test_gossip_reads_its_weights_from_the_neighbor_table(activation_size):
     config = ok.GeneratorConfig(
@@ -554,6 +570,37 @@ def test_gossip_keeps_only_the_draws_and_the_states_for_the_whole_run():
     assert peak <= 33.7e6 / 2
 
 
+def test_activation_sets_are_uniform_subsets():
+    # n = 5, a = 2: each of the 10 pairs has probability 1/10 per step;
+    # 27.88 is the 0.1% point of chi-square with 9 degrees of freedom
+    steps = 200_000
+    active = _activation_sets(philox_stream(1), 5, 2, steps)
+    assert (active[:, 0] != active[:, 1]).all()
+    _, counts = np.unique(np.sort(active, axis=1), axis=0, return_counts=True)
+    assert len(counts) == 10
+    expected = steps / 10
+    assert ((counts - expected) ** 2 / expected).sum() < 27.88
+    # a = n - 1: every member of a step is a distinct agent
+    wide = _activation_sets(philox_stream(2), 9, 8, 5_000)
+    assert wide.min() >= 0 and wide.max() <= 8
+    assert (np.diff(np.sort(wide, axis=1), axis=1) > 0).all()
+
+
+def test_partial_gossip_draws_follow_the_activation_size():
+    # n activation keys per step and their argpartition indices (102.8 MB
+    # here) exceed the bound: the draws must stay O(steps * a) plus the mask
+    net = _ws_network(20_000, seed=1)
+    x0 = np.random.default_rng(1).uniform(-1.0, 1.0, net.n)
+    steps = 200
+    tracemalloc.start()
+    try:
+        ok.simulate_gossip_fj(net, x0, steps, 20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (steps + 1) * net.n * 8 + 16e6
+
+
 @given(n=st.integers(2, 12), density=st.floats(0.1, 1.0), seed=st.integers(0, 2**16))
 def test_neighbor_menus_match_the_per_agent_loop(n, density, seed):
     rng = np.random.default_rng(seed)
@@ -580,12 +627,14 @@ def test_cesaro_average_of_a_constant_trajectory_is_constant():
 
 
 def test_cesaro_average_matches_cumulative_means():
+    # a short trajectory, and one of three running-sum blocks plus a step
     rng = np.random.default_rng(11)
     net = stable_network(rng, 4)
-    traj = ok.simulate_fj(net, rng.uniform(-1, 1, 4), steps=20)
-    avg = ok.cesaro_average(traj)
-    direct = np.cumsum(traj.states, axis=0) / np.arange(1, 22)[:, None, None]
-    assert np.array_equal(avg, direct)
+    for steps in (20, 3 * (CESARO_BLOCK_CELLS // net.n)):
+        traj = ok.simulate_fj(net, rng.uniform(-1, 1, 4), steps=steps)
+        avg = ok.cesaro_average(traj)
+        direct = np.cumsum(traj.states, axis=0) / np.arange(1, steps + 2)[:, None, None]
+        assert avg.tobytes() == direct.tobytes()
 
 
 def test_cross_correlation_recursion_matches_direct_evaluation():

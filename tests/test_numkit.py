@@ -238,6 +238,23 @@ def test_zero_with_a_nonneg_kernel_direction_is_tied(a):
     assert verdict == "tied" and z is None
 
 
+def test_square_support_with_a_zero_column_is_tied_after_one_nnls(monkeypatch):
+    # z = (1 - t, 2 - t, t) solves the system for t in [0, 1]; NNLS stops at
+    # a vertex, whose support fills both rows and leaves a zero column
+    real, points = numkit.nnls, []
+
+    def counted(a, b):
+        z, residual = real(a, b)
+        points.append(z)
+        return z, residual
+
+    monkeypatch.setattr(numkit, "nnls", counted)
+    verdict, z = unique_nonneg_solution([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 2.0])
+    assert verdict == "tied" and z is None
+    assert len(points) == 1
+    assert np.count_nonzero(points[0] > numkit.STRUCTURAL_ZERO) == 2
+
+
 def test_nonneg_solution_without_columns_is_unique_iff_b_is_zero():
     # scipy's nnls aborted the process on a system with no columns, so the
     # calls run in a child: a crash there fails this test instead of pytest
