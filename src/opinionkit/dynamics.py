@@ -106,11 +106,15 @@ class AppraisalPath:
 
 
 def _as_profile(x0, n: int) -> np.ndarray:
+    """x0 as an (n, m) array of finite opinions, an (n,) vector as one
+    column; every simulator and equilibrium reads its initial profile here."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         x0 = x0[:, None]
     if x0.ndim != 2 or x0.shape[0] != n:
         raise StructuralError(f"initial profile must be ({n},) or ({n}, m)")
+    if not np.isfinite(x0).all():
+        raise ParameterError("initial profile must be finite")
     return x0
 
 
@@ -274,8 +278,9 @@ def fj_equilibrium(net: InfluenceNetwork, x0) -> tuple[np.ndarray, np.ndarray]:
     V = (I - Lambda W)^{-1} (I - Lambda) is row-stochastic; requires Schur
     stability and kappa_inf(I - Lambda W) <= CONDITION_MAX (_anchored_system).
     """
-    solve = _anchored_system(net, "equilibrium")
     x0 = np.asarray(x0, dtype=float)
+    _as_profile(x0, net.n)
+    solve = _anchored_system(net, "equilibrium")
     control = solve(np.diag(1.0 - net.lam))
     row_err = np.max(np.abs(control.sum(axis=1) - 1.0))
     if row_err > 1e-9 or control.min() < -1e-9:
@@ -387,12 +392,15 @@ def simulate_gossip_fj(
     Updates within a step read the previous state.
 
     Random-stream layout of a Philox(seed) stream, for a = activation_size:
-    - a < n: a columns of steps integers, column i drawn in one call as
-      rng.integers(0, n - a + i + 1, size=steps); by Floyd's sample, step
-      k's member i is column i's entry k unless an earlier member of step
-      k holds it, and then n - a + i. Then steps x a uniform poll draws
-      (entry [k, i] picks the neighbor of step k's member i). The draws
-      cost O(a) per step, whatever n.
+    - a < n: with d = min(a, n - a), d columns of steps integers, column
+      i drawn in one call as rng.integers(0, n - d + i + 1, size=steps);
+      by Floyd's sample, step k's member i is column i's entry k unless an
+      earlier member of step k holds it, and then n - d + i. For a <= n/2
+      these members are step k's active set, in that order; for a > n/2
+      they are its inactive agents, and the active set is every other
+      agent, in ascending order. Then steps x a uniform poll draws (entry
+      [k, i] picks the neighbor of step k's member i). The draws cost
+      O(min(a, n - a)) columns per run and O(a) numbers per step.
     - a = n (beta = 1): steps x n uniform activation keys, drawn and
       dropped (every agent is active), then steps x n uniform poll draws
       (entry [k, i] picks agent i's neighbor at step k). Each step
@@ -402,9 +410,7 @@ def simulate_gossip_fj(
     are blocked in memory.
     """
     _check_steps(steps)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape[0] != net.n:
-        raise StructuralError("x0 length does not match the network")
+    x0 = _as_profile(np.ravel(x0), net.n)[:, 0]
     if not 1 <= activation_size <= net.n:
         raise ParameterError(f"activation_size must lie in [1, {net.n}]")
     # nonzeros, not support: a NaN weight fails |w| > STRUCTURAL_ZERO
@@ -446,25 +452,37 @@ def _full_activation_steps(net, rng, states, table, counts, weights) -> None:
 
 def _activation_sets(rng, n: int, activation_size: int, steps: int) -> np.ndarray:
     """(steps, activation_size) active agents, row k a uniform subset for
-    step k, by Floyd's sample (Bentley and Floyd, CACM 30(9), 1987).
+    step k, by Floyd's sample (Bentley and Floyd, CACM 30(9), 1987) of
+    d = min(a, n - a) agents for a = activation_size.
 
-    Column i is drawn for every step at once as integers in
-    [0, n - activation_size + i]; member i of a step is its drawn value,
-    or n - activation_size + i when an earlier member of the step already
-    holds that value. The replacements are resolved one row block at a
-    time against a membership mask of ACTIVATION_MASK_CELLS cells."""
-    offset = n - activation_size
-    active = np.empty((steps, activation_size), dtype=np.intp)
-    for i in range(activation_size):
-        active[:, i] = rng.integers(0, offset + i + 1, size=steps)
+    Column i is drawn for every step at once as integers in [0, n - d + i];
+    member i of a step's sample is its drawn value, or n - d + i when an
+    earlier member of the step already holds that value. The replacements
+    are resolved one row block at a time against a membership mask of
+    ACTIVATION_MASK_CELLS cells. For 2a <= n the sample is the active set;
+    for 2a > n it is the inactive set, and a step's active agents are the
+    others, in ascending order. Either way the Python loop runs over
+    min(a, n - a) columns."""
+    drawn_size = min(activation_size, n - activation_size)
+    offset = n - drawn_size
+    drawn = np.empty((steps, drawn_size), dtype=np.intp)
+    for i in range(drawn_size):
+        drawn[:, i] = rng.integers(0, offset + i + 1, size=steps)
+    complement = drawn_size < activation_size
+    active = np.empty((steps, activation_size), dtype=np.intp) if complement else drawn
     rows = max(1, ACTIVATION_MASK_CELLS // n)
     member = np.zeros((min(rows, steps), n), dtype=bool)
     for lo in range(0, steps, rows):
-        block = active[lo : lo + rows]
+        block = drawn[lo : lo + rows]
         row = np.arange(len(block))
-        for i, drawn in enumerate(block.T):
-            drawn[member[row, drawn]] = offset + i
-            member[row, drawn] = True
+        for i, column in enumerate(block.T):
+            column[member[row, column]] = offset + i
+            member[row, column] = True
+        if complement:
+            # flat indices of the unmarked cells, row by row, made agents
+            others = np.flatnonzero(~member[: len(block)]).reshape(len(block), activation_size)
+            others -= (row * n)[:, None]
+            active[lo : lo + rows] = others
         member[row[:, None], block] = False
     return active
 
@@ -510,9 +528,7 @@ def expected_gossip_dynamics(
     """
     if not 0.0 < beta <= 1.0:
         raise ParameterError("beta must lie in (0, 1]")
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape[0] != net.n:
-        raise StructuralError("x0 length does not match the network")
+    x0 = _as_profile(np.ravel(x0), net.n)[:, 0]
     _, counts, _ = _neighbor_menus(net)
     n = net.n
     gamma_bar = (1.0 - beta) * np.eye(n) + beta * net.lam[:, None] * (
@@ -634,9 +650,7 @@ def _per_layer_vectors(u, n: int, n_layers: int) -> list[np.ndarray]:
         vectors = list(u)
     else:
         raise StructuralError(f"u must be ({n},) or ({n_layers}, {n})")
-    if any(v.shape[0] != n for v in vectors):
-        raise StructuralError("anchor length does not match the agent count")
-    return vectors
+    return [_as_profile(v, n)[:, 0] for v in vectors]
 
 
 def _per_layer_matrices(q, n: int, n_layers: int) -> list[np.ndarray]:

@@ -184,9 +184,21 @@ def _columns(problem: L1Problem, lo, hi):
 
 def _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds):
     """The package's one linear-program solve; returns the scipy result and
-    its status name."""
+    its status name.
+
+    The presolve rule is read off the LP: one without inequality rows (the
+    equality form, stage 1 of every band-0 program) runs without HiGHS's
+    presolve. Its rows are dense and its columns carry simple bounds, so
+    presolve removes nothing and only costs time; on the tied equilibrium
+    rows HiGHS returns the same vertices in the same iterations without it.
+    An LP with inequality rows (a band program, the lexicographic stage 2
+    with its cost-bound row, minimal_band) keeps HiGHS's defaults. Without
+    presolve, results there moved through the LEXICOGRAPHIC_SLACK that
+    stage 2 spends on signed programs, past the bounds of direct-linprog
+    oracles (a finite-horizon lambda of 1.00000008e-9 against 1e-9)."""
     res = linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
+        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
+        options={"presolve": len(b_ub) > 0},
     )
     return res, _LINPROG_STATUS.get(res.status, "numerical")
 
@@ -207,7 +219,10 @@ def solve_l1(problem: L1Problem) -> SolveResult:
     otherwise the first face's verdict, "tied" (several points) or
     "infeasible" (none found), and None where no face applies. Every other
     program enters HiGHS: the band form as the rows [phi; -phi] x <= [psi
-    + band; -(psi - band)], the equality form as phi x = psi.
+    + band; -(psi - band)], the equality form as phi x = psi. HiGHS runs
+    the equality form without presolve, which removes nothing from its
+    dense rows, and keeps presolve wherever the LP has inequality rows: the
+    band form and the stage-2 solve below (see _highs).
 
     Ties between optimal vertices: without tie_weights, HiGHS's
     deterministic vertex choice decides ("solver-vertex" in solver_log).

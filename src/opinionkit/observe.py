@@ -42,7 +42,7 @@ class SamplingModel:
         rho = np.asarray(self.rho, dtype=float)
         if self.kind == "intermittent" and rho.ndim != 0:
             raise ParameterError("intermittent sampling takes a scalar rho")
-        if rho.min() < 0.0 or rho.max() > 1.0:
+        if not ((rho >= 0.0) & (rho <= 1.0)).all():  # NaN fails both
             raise ParameterError("rho entries must lie in [0, 1]")
 
     def rho_vector(self, n: int) -> np.ndarray:

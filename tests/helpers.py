@@ -188,9 +188,11 @@ def reference_neighbor_menus(net):
 def reference_gossip_fj(net, x0, steps, activation_size, seed):
     """Gossip states (steps + 1, n) from a per-step loop. With every agent
     active: one draw of all activation keys, then one of all poll values.
-    Otherwise: the activation_size whole integer columns, then the
-    (steps, activation_size) poll values, and each step's active set by
-    Floyd's sample over a plain list."""
+    Otherwise, with d the smaller of activation_size and n - activation_size:
+    the d whole integer columns, then the (steps, activation_size) poll
+    values, and each step's sample of d agents by Floyd's sample over a
+    plain list; the sample is the active set when d = activation_size, and
+    otherwise the inactive set, whose complement, in agent order, is active."""
     x0 = np.asarray(x0, dtype=float).ravel()
     n = net.n
     table, counts = reference_neighbor_menus(net)
@@ -199,9 +201,9 @@ def reference_gossip_fj(net, x0, steps, activation_size, seed):
         keys = rng.random((steps, n))
         picks = rng.random((steps, n))
     else:
+        drawn_size = min(activation_size, n - activation_size)
         columns = [
-            rng.integers(0, n - activation_size + i + 1, size=steps)
-            for i in range(activation_size)
+            rng.integers(0, n - drawn_size + i + 1, size=steps) for i in range(drawn_size)
         ]
         polls = rng.random((steps, activation_size))
 
@@ -217,7 +219,9 @@ def reference_gossip_fj(net, x0, steps, activation_size, seed):
             members = []
             for i, column in enumerate(columns):
                 drawn = int(column[k])
-                members.append(n - activation_size + i if drawn in members else drawn)
+                members.append(n - drawn_size + i if drawn in members else drawn)
+            if drawn_size < activation_size:
+                members = [agent for agent in range(n) if agent not in members]
             active = np.array(members)
             polled = table[active, (polls[k] * counts[active]).astype(int)]
         weight = net.w[active, polled]

@@ -319,12 +319,34 @@ def test_simulate_rejects_an_x0_of_the_wrong_length(tmp_path, capsys, files):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["fj", "gossip"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_simulate_rejects_a_non_finite_x0(tmp_path, capsys, files, kind, bad):
+    out = tmp_path / "traj.csv"
+    assert main([
+        "simulate", files["net"], "--kind", kind, "--steps", "5", "--x0",
+        f"0.1,0.2,{bad},0.4,0.5,0.6", "--activation-size", "2", "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == "error: initial profile must be finite\n"
+    assert not out.exists()
+
+
 def test_observe_rejects_a_rho_that_is_not_a_number(tmp_path, capsys, files):
     out = tmp_path / "stream.csv"
     assert main([
         "observe", files["traj"], "--kind", "intermittent", "--rho", "abc", "--out", str(out)
     ]) == 1
     assert capsys.readouterr().err.startswith("error: rho ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rho", ["nan", "0.2,nan,0.6,0.8,1.0,0.5"], ids=["scalar", "entry"])
+def test_observe_rejects_a_nan_rho(tmp_path, capsys, files, rho):
+    out = tmp_path / "stream.csv"
+    assert main([
+        "observe", files["traj"], "--kind", "independent", "--rho", rho, "--out", str(out)
+    ]) == 1
+    assert capsys.readouterr().err == "error: rho entries must lie in [0, 1]\n"
     assert not out.exists()
 
 

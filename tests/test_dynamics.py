@@ -250,6 +250,33 @@ def test_a_non_finite_weight_raises_a_package_error(n):
             ok.simulate_gossip_fj(gossip, x0, steps=5, activation_size=1, seed=0)
 
 
+_PROFILE_ENTRY_POINTS = {
+    "simulate_fj": lambda net, x0: ok.simulate_fj(net, x0, steps=5),
+    "simulate_belief_system": lambda net, x0: ok.simulate_belief_system(
+        net, np.eye(1), x0, steps=5
+    ),
+    "simulate_gossip_fj": lambda net, x0: ok.simulate_gossip_fj(net, x0, 5, 1, seed=0),
+    "fj_equilibrium": ok.fj_equilibrium,
+    "expected_gossip_dynamics": lambda net, x0: ok.expected_gossip_dynamics(net, 0.5, x0),
+    "simulate_multiplex_fj": lambda net, u: ok.simulate_multiplex_fj(
+        ok.MultiplexNetwork(layers=(net, net), model_tag="independent"), u,
+        np.zeros((net.n, net.n)), steps=5, seed=0,
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(_PROFILE_ENTRY_POINTS))
+def test_a_non_finite_initial_profile_raises_a_parameter_error(entry, bad):
+    # an input error, reported before any step or solve
+    net = _ws_network(12, seed=2)
+    x0 = np.random.default_rng(2).uniform(-1, 1, net.n)
+    _PROFILE_ENTRY_POINTS[entry](net, x0)
+    x0[3] = bad
+    with pytest.raises(ok.ParameterError, match="initial profile must be finite"):
+        _PROFILE_ENTRY_POINTS[entry](net, x0)
+
+
 @pytest.mark.parametrize("closed_loop", [False, True])
 def test_schur_report_matches_the_dense_reference_beyond_the_cutoff(closed_loop):
     net = _ws_network(250, seed=5)
@@ -584,6 +611,32 @@ def test_activation_sets_are_uniform_subsets():
     wide = _activation_sets(philox_stream(2), 9, 8, 5_000)
     assert wide.min() >= 0 and wide.max() <= 8
     assert (np.diff(np.sort(wide, axis=1), axis=1) > 0).all()
+
+
+def test_near_full_activation_sets_are_the_complements_of_uniform_subsets():
+    # n = 5, a = 3: the 2 inactive agents are drawn, so each of the 10
+    # triples has probability 1/10 per step and is listed in ascending order
+    steps = 200_000
+    active = _activation_sets(philox_stream(3), 5, 3, steps)
+    assert (np.diff(active, axis=1) > 0).all()
+    _, counts = np.unique(active, axis=0, return_counts=True)
+    assert len(counts) == 10
+    expected = steps / 10
+    assert ((counts - expected) ** 2 / expected).sum() < 27.88
+    # a = 2 draws the same two columns from the same stream: the sets at
+    # a = 2 are the inactive agents of the sets at a = 3
+    inactive = _activation_sets(philox_stream(3), 5, 2, steps)
+    assert (np.sort(np.concatenate([active, inactive], axis=1), axis=1) == np.arange(5)).all()
+
+
+@pytest.mark.parametrize("mask_cells", [1, 50])  # one step, or four, per mask block
+def test_near_full_gossip_does_not_depend_on_the_mask_block(monkeypatch, mask_cells):
+    monkeypatch.setattr(dynamics, "ACTIVATION_MASK_CELLS", mask_cells)
+    net = _gossip_network(12, "watts_strogatz", 0.4, 3)
+    x0 = np.random.default_rng(3).uniform(-1.0, 1.0, net.n)
+    traj = ok.simulate_gossip_fj(net, x0, 301, 9, seed=2)
+    expected = reference_gossip_fj(net, x0, 301, 9, 2)
+    assert traj.states[:, :, 0].tobytes() == expected.tobytes()
 
 
 def test_partial_gossip_draws_follow_the_activation_size():

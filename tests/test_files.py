@@ -407,6 +407,13 @@ def test_load_stream_validates_the_sidecar_fields(tmp_path, field, value, messag
         ok.load_stream(path)
 
 
+def test_load_stream_rejects_a_nan_rho_in_the_sidecar(tmp_path):
+    # json.dumps writes NaN and json.load reads it back as a float
+    path = _stream_files(tmp_path, kind="intermittent", rho=float("nan"))
+    with pytest.raises(ok.ParameterError, match="rho entries must lie in"):
+        ok.load_stream(path)
+
+
 def test_load_stream_rejects_a_sidecar_that_is_not_json(tmp_path):
     path = _stream_files(tmp_path)
     _write(tmp_path / "stream.csv.meta.json", "{horizon")

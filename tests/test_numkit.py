@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.optimize import linprog
 
 import opinionkit as ok
 from helpers import (
@@ -143,8 +144,8 @@ def test_solve_l1_tie_weights_decide_between_optima(tie_weights, expected):
 
 def test_solve_l1_iterations_count_both_stages():
     # columns 4 and 5 are equal and free of cost, so the optimum may put
-    # the unit on either; a tie cost on column 4 moves it to column 5 in
-    # a second solve whose pivots add to the first's
+    # the unit on either; a tie cost on the column HiGHS chose moves it to
+    # the other in a second solve whose pivots add to the first's
     phi = np.random.default_rng(0).normal(size=(3, 6))
     phi[:, 5] = phi[:, 4]
     weights = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
@@ -152,11 +153,40 @@ def test_solve_l1_iterations_count_both_stages():
         phi=phi, psi=phi @ [0.5, 0, 0, 0, 1, 0], nonneg=True, weights=weights
     )
     plain = ok.solve_l1(L1Problem(**problem))
-    tied = ok.solve_l1(L1Problem(**problem, tie_weights=np.eye(6)[4]))
+    chosen = 4 + int(np.argmax(plain.x[4:]))
+    tied = ok.solve_l1(L1Problem(**problem, tie_weights=np.eye(6)[chosen]))
     assert plain.ok and tied.ok
     assert tied.solver_log["tie_break"] == "lexicographic"
-    assert np.allclose(tied.x, [0.5, 0, 0, 0, 0, 1], rtol=0.0, atol=1e-9)
+    expected = np.array([0.5, 0, 0, 0, 0, 0])
+    expected[9 - chosen] = 1.0
+    assert np.allclose(tied.x, expected, rtol=0.0, atol=1e-9)
     assert tied.solver_log["iterations"] > plain.solver_log["iterations"]
+
+
+def test_highs_presolves_exactly_the_lps_with_inequality_rows(monkeypatch):
+    presolve = []
+
+    def recorded(*args, options, **kwargs):
+        presolve.append(options["presolve"])
+        return linprog(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(numkit, "linprog", recorded)
+    phi = np.random.default_rng(0).normal(size=(3, 6))
+    phi[:, 5] = phi[:, 4]
+    problem = dict(phi=phi, psi=phi @ [0.5, 0, 0, 0, 1, 0], nonneg=True,
+                   weights=np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))
+    cases = [
+        (L1Problem(**problem), [False]),  # equality form, one stage
+        (L1Problem(**problem, band=0.1), [True]),  # band rows
+        (L1Problem(**problem, tie_weights=np.ones(6)), [False, True]),  # stage 2's cost row
+    ]
+    for lp, expected in cases:
+        presolve.clear()
+        assert ok.solve_l1(lp).ok
+        assert presolve == expected
+    presolve.clear()
+    minimal_band(L1Problem(**problem))
+    assert presolve == [True]
 
 
 def test_minimal_band_hand_instance():

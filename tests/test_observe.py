@@ -31,6 +31,16 @@ def test_sampling_model_validates_kind_and_rate():
         ok.SamplingModel(kind="independent", rho=-0.1)
 
 
+@pytest.mark.parametrize("kind, rho", [
+    ("independent", np.nan),
+    ("independent", np.array([0.2, np.nan, 0.8])),
+    ("intermittent", np.nan),
+], ids=["independent-scalar", "independent-entry", "intermittent"])
+def test_sampling_model_rejects_a_nan_rate(kind, rho):
+    with pytest.raises(ok.ParameterError, match="rho entries"):
+        ok.SamplingModel(kind=kind, rho=rho)
+
+
 def test_rho_vector_broadcasts_scalars_and_checks_length():
     model = ok.SamplingModel(kind="independent", rho=0.5)
     assert np.allclose(model.rho_vector(4), 0.5)
