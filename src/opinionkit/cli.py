@@ -31,6 +31,7 @@ from ._files import (
     is_int,
     is_number,
     json_text,
+    number_texts,
     read_json,
     read_table,
     table_text,
@@ -410,8 +411,9 @@ def _plot_rows(name: str, value, where: str) -> list:
 
 def _plot_text(rows) -> str:
     rows = sorted(rows, key=lambda row: (row[2], str(row[0])))
+    ys = number_texts([float(y) for _, y, _ in rows])
     return "x,y,series\n" + "".join(
-        f"{x},{format(float(y), '.17g')},{series}\n" for x, y, series in rows
+        f"{x},{y},{series}\n" for (x, _, series), y in zip(rows, ys)
     )
 
 
@@ -619,19 +621,20 @@ def run_sweep(config: dict, output_dir=None, jobs: int = 1) -> dict:
         header = ["point"] + [path for path, _ in axes] + metric_columns
         handle.write(",".join(header) + "\n")
         for index, metrics, _ in results:
-            row = [str(index)]
-            for value in coordinates[index]:
-                row.append(
-                    format(value, ".17g") if isinstance(value, float) else str(value)
-                )
             flat = {
                 f"{stage}.{key}": doc[key]
                 for stage, doc in metrics.items()
                 for key in doc
             }
-            for column in metric_columns:
-                value = flat.get(column)
-                row.append("" if value is None else format(float(value), ".17g"))
+            coordinate = coordinates[index]
+            cells = [flat.get(column) for column in metric_columns]
+            texts = iter(number_texts(
+                [value for value in coordinate if isinstance(value, float)]
+                + [float(value) for value in cells if value is not None]
+            ))
+            row = [str(index)]
+            row += [next(texts) if isinstance(v, float) else str(v) for v in coordinate]
+            row += ["" if v is None else next(texts) for v in cells]
             handle.write(",".join(row) + "\n")
 
     # Every file under the sweep directory is hashed; the points' own

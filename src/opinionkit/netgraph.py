@@ -16,7 +16,7 @@ import networkx as nx
 import numpy as np
 from scipy import sparse
 
-from ._files import is_int, is_number, read_json
+from ._files import is_int, is_number, number_texts, read_json
 from .errors import ConfigError, EstimationError, ParameterError, StructuralError
 from .numkit import STRUCTURAL_ZERO, philox_stream
 
@@ -559,15 +559,12 @@ _NETWORK_KEYS = {"n", "directed", "lambda", "edges"}
 _MULTIPLEX_KEYS = {"model_tag", "base", "layers"}
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _network_doc(net: InfluenceNetwork) -> str:
-    lam = ", ".join(_f17(v) for v in net.lam)
-    rows, cols, weights = (part.tolist() for part in net.support)
+    lam = ", ".join(number_texts(net.lam))
+    rows, cols, weights = net.support
     edges = ", ".join(
-        f"[{i}, {j}, {_f17(weight)}]" for i, j, weight in zip(rows, cols, weights)
+        f"[{i}, {j}, {weight}]"
+        for i, j, weight in zip(rows.tolist(), cols.tolist(), number_texts(weights))
     )
     directed = "true" if net.directed else "false"
     return (

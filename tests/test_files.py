@@ -4,6 +4,7 @@ round trips, and a ConfigError for every file that cannot be accepted."""
 import json
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from helpers import (
     reference_save_trajectory,
 )
 from opinionkit import _files
-from opinionkit._files import TABLE_CHUNK
+from opinionkit._files import FAST_EXPONENTS, TABLE_CHUNK
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e308, -1e308, 0.1]
 VALUES = st.one_of(st.floats(allow_nan=False), st.sampled_from(SPECIAL))
@@ -246,6 +247,83 @@ def test_unmasked_tables_are_written_in_chunk_sized_memory(tmp_path, monkeypatch
     assert peak <= traj.states[::2].nbytes / 8
     steps, loaded = ok.load_trajectory(tmp_path / "traj.csv")
     assert np.array_equal(_bits(loaded), _bits(traj.states[::2]))
+
+
+def _decade_carries():
+    """The exponents k in [-300, 300) whose nearest double lies below 10^k
+    yet prints as 1e<k>: its 17-digit rounding carries into the decade."""
+    return [
+        k for k in range(-300, 300)
+        if Fraction(float(f"1e{k}")) < Fraction(10) ** k
+        and ("%.16e" % float(f"1e{k}")).startswith("1.0000000000000000e")
+    ]
+
+
+def _kernel_cases():
+    """Values on every edge of the number kernel, both signs of each."""
+    powers = np.array([float(f"1e{k}") for k in range(-FAST_EXPONENTS - 2, FAST_EXPONENTS + 3)])
+    cases, up, down = [powers], powers, powers
+    for _ in range(3):  # 1-3 ulps on either side of each power of ten
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        cases += [up, down]
+    payloads = np.array(
+        [0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, 0xFFF8000000000000],
+        dtype=np.uint64,
+    ).view(np.float64)
+    cases.append(payloads)
+    cases.append(np.array([float(f"1e{k}") for k in _decade_carries()]))
+    cases.append(np.array([
+        1000000000000000.25, 1000000000000000.75, 0.5, 2.5,  # exact ties
+        1.5e-5, 0.00012, 9999999999999998.0, 12345678901234567.0,  # X = -5, -4, 15, 16
+        99999999999999984.0, 123456789012345678.0,  # X = 16, 17
+        1.5e-99, 1.5e-100, 1.5e99, 1.5e100, 2.5e-123, 7e123,  # 2- and 3-digit exponents
+        5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+        0.0, np.inf, 0.1, 1 / 3, 2 / 3,
+    ]))
+    subnormals = np.random.default_rng(12).integers(1, 2**52, 64, dtype=np.uint64)
+    cases.append(subnormals.view(np.float64))
+    values = np.concatenate(cases)
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, TABLE_CHUNK])
+def test_the_number_kernel_prints_every_value_as_percent_17g(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(_files, "TABLE_CHUNK", chunk)
+    assert len(_decade_carries()) == 13
+    assert "%.17g" % 1000000000000000.25 == "1000000000000000.2"
+    assert "%.17g" % 1000000000000000.75 == "1000000000000000.8"
+    values = _kernel_cases()
+    if chunk == TABLE_CHUNK:  # and a million random bit patterns
+        bits = np.random.default_rng(13).integers(0, 2**64, 10**6, dtype=np.uint64)
+        values = np.concatenate([values, bits.view(np.float64)])
+    values = np.concatenate([values, np.zeros(-len(values) % 6)])
+    texts = ["%.17g" % x for x in values.tolist()]
+    assert _files.number_texts(values) == texts
+    assert "".join(_files.table_text("agent,value", values)) == "agent,value\n" + "".join(
+        f"{agent},{text}\n" for agent, text in enumerate(texts)
+    )
+    states = values.reshape(-1, 3, 2)
+    ok.save_trajectory(_trajectory(states), tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_text() == "k,agent,issue,value\n" + "".join(
+        f"{k},{agent},{issue},{text}\n"
+        for (k, agent, issue), text in zip(np.ndindex(states.shape), texts)
+    )
+    mask = np.random.default_rng(chunk).random((len(values) // 6, 6)) < 0.7
+    ok.save_stream(_stream(values.reshape(mask.shape), mask), tmp_path / "stream.csv")
+    rows, columns = np.nonzero(mask)
+    assert (tmp_path / "stream.csv").read_text() == "k,agent,value\n" + "".join(
+        f"{k},{agent},{texts[6 * k + agent]}\n"
+        for k, agent in zip(rows.tolist(), columns.tolist())
+    )
+
+
+def test_the_number_kernel_leaves_almost_no_uniform_value_to_percent():
+    # a certificate that refused every value would print the same bytes,
+    # only slower
+    values = np.random.default_rng(14).uniform(-1, 1, 10**5)
+    _, _, certified = _files._decimal(values)
+    assert 1 - certified.mean() < 1e-4
+    assert _files.number_texts(values) == ["%.17g" % x for x in values.tolist()]
 
 
 @given(
