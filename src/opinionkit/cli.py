@@ -7,6 +7,13 @@ stages by name, every artifact lands in one output directory, and a
 manifest records the config hash, the seed, dependency versions, and a
 digest per artifact. Reruns of the same config are byte-identical.
 
+Each per-step subcommand runs the stage function of the same kind: it
+reads its input files with the load stage's readers, builds one stage
+record from its options, calls the stage with --seed as given, and
+writes or prints the value with the stage's artifact writer. A stage
+called from a subcommand (where is None) names options in its messages
+instead of record keys.
+
 Exit codes: 1 configuration or usage, 2 identifiability, 3 numerical or
 stability, 4 capacity.
 """
@@ -36,7 +43,6 @@ from ._files import (
     read_table,
     table_text,
     write_json,
-    write_table,
 )
 from .errors import ConfigError, OpinionKitError
 from .centrality import (
@@ -132,14 +138,26 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _check_keys(record: dict, required: set, optional: set, where: str) -> None:
-    keys = set(record)
-    missing = required - keys
-    unknown = keys - required - optional
+def _check_keys(record: dict, required: dict, optional: dict, where) -> None:
+    """Check record against its required and optional keys, each mapped to
+    its kind: int and float mean a JSON integer and number (is_int,
+    is_number), object anything, and any other type an instance of it.
+    where prefixes the messages (None: no prefix)."""
+    at = "" if where is None else f"{where}: "
+    kinds = {**optional, **required}
+    missing = required.keys() - record.keys()
+    unknown = record.keys() - kinds.keys()
     if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+        raise ConfigError(f"{at}missing keys {sorted(missing)}")
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{at}unknown keys {sorted(unknown)}")
+    for key, value in record.items():
+        kind = kinds[key]
+        check = {int: is_int, float: is_number}.get(kind)
+        if not (check(value) if check else isinstance(value, kind)):
+            name = {int: "an integer", float: "a number", str: "a string", list: "a list",
+                    bool: "true or false", dict: "an object"}[kind]
+            raise ConfigError(f"{at}{key} must be {name}")
 
 
 def _stage_seed(seed: int, index: int) -> int:
@@ -149,22 +167,37 @@ def _stage_seed(seed: int, index: int) -> int:
 # pipeline stages
 
 
-def _ref(objects: dict, name, expected, where: str):
+def _ref(objects: dict, name, expected):
     if not isinstance(name, str) or name not in objects:
         raise ConfigError(
-            f"{where}: references stage {name!r}, which does not exist yet "
+            f"references stage {name!r}, which does not exist yet "
             "(stages may only reference earlier stages)"
         )
     value = objects[name]
     if not isinstance(value, expected):
         raise ConfigError(
-            f"{where}: stage {name!r} holds {type(value).__name__}, "
-            f"not {expected.__name__}"
+            f"stage {name!r} holds {type(value).__name__}, not {expected.__name__}"
         )
     return value
 
 
+def _named(key: str, where) -> str:
+    """A record key as messages name it: the key in a pipeline, or the
+    option that sets it in a subcommand (where is None)."""
+    if where is not None:
+        return key
+    return "--" + ("trajectory" if key == "x0_from" else key).replace("_", "-")
+
+
+def _need(record: dict, keys: list, what: str, where) -> None:
+    """Raise ConfigError naming every one of keys when record lacks any."""
+    if not all(key in record for key in keys):
+        raise ConfigError(f"{what} needs {', '.join(_named(key, where) for key in keys)}")
+
+
 def _resolve_x0(spec, n: int, issues: int, stage_seed: int) -> np.ndarray:
+    if issues < 1:
+        raise ConfigError("issues must be positive")
     if isinstance(spec, str):
         if spec == "spread":
             if issues != 1:
@@ -185,13 +218,13 @@ def _resolve_x0(spec, n: int, issues: int, stage_seed: int) -> np.ndarray:
 
 
 def _parse_floats(text: str, error: str):
-    """A float, or an array of floats when the text holds commas; raises
+    """A float, or a list of floats when the text holds commas; raises
     ConfigError(error) on anything else."""
     try:
         values = [float(item) for item in text.split(",")]
     except ValueError as exc:
         raise ConfigError(error) from exc
-    return np.array(values) if "," in text else values[0]
+    return values if "," in text else values[0]
 
 
 def _read_trajectory(path) -> OpinionTrajectory:
@@ -203,39 +236,16 @@ def _read_trajectory(path) -> OpinionTrajectory:
     )
 
 
-def _simulate(net, kind, x0, steps, activation_size, seed):
-    if kind == "fj":
-        return simulate_fj(net, x0, steps)
-    if kind == "gossip":
-        return simulate_gossip_fj(net, x0, steps, activation_size, seed=seed)
-    raise ConfigError(f"unknown dynamics kind {kind!r}")
-
-
-def _identify_equilibrium(method, x0, x_inf, lam, nonneg):
-    if method == "infinite_horizon":
-        return identify_infinite_horizon(x0, x_inf, lam, nonneg=nonneg)
-    return identify_unknown_lambda(x0, x_inf, nonneg=nonneg)
-
-
-def _yule_walker(stream, net, source, beta, max_lag, n_sigma, mode, eta, threshold):
-    """Lag moments, Gamma-hat and the recovered weights of one observed
-    gossip stream, anchored at frame 0 of the source trajectory; the
-    report's solver_log also carries estimate_gamma's diagnostics."""
-    moments = estimate_cross_correlations(stream, max_lag=max_lag, n_sigma=n_sigma)
-    b_bar = beta * (1.0 - net.lam) * source.states[0, :, stream.issue]
-    gamma_hat, info = estimate_gamma(moments, b_bar, mode=mode, eta=eta)
-    report = recover_topology_and_w(gamma_hat, net.lam, beta, threshold=threshold)
-    return dataclasses.replace(report, solver_log={**report.solver_log, **info})
-
-
 def _stage_generate(record, where, stage_seed, objects):
     _check_keys(
         record,
-        {"stage", "name", "model", "n"},
-        {"p", "k", "beta_rw", "m0", "lambda_range"},
+        {"stage": str, "name": str, "model": str, "n": int},
+        {"p": float, "k": int, "beta_rw": float, "m0": int, "lambda_range": list},
         where,
     )
     lambda_range = tuple(record.get("lambda_range", (0.0, 1.0)))
+    if len(lambda_range) != 2 or not all(map(is_number, lambda_range)):
+        raise ConfigError("lambda_range must be two numbers")
     config = GeneratorConfig(
         model=record["model"],
         n=record["n"],
@@ -249,10 +259,10 @@ def _stage_generate(record, where, stage_seed, objects):
 
 
 def _stage_load(record, where, stage_seed, objects):
-    _check_keys(record, {"stage", "name", "path", "format"}, set(), where)
+    _check_keys(record, {"stage": str, "name": str, "path": str, "format": str}, {}, where)
     path = Path(record["path"])
     if not path.is_file():
-        raise ConfigError(f"{where}: input file {path} does not exist")
+        raise ConfigError(f"input file {path} does not exist")
     kind = record["format"]
     if kind == "network":
         return load_network(path)
@@ -260,151 +270,171 @@ def _stage_load(record, where, stage_seed, objects):
         return _read_trajectory(path)
     if kind == "stream":
         return load_stream(path)
-    raise ConfigError(f"{where}: unknown format {kind!r}")
+    raise ConfigError(f"unknown format {kind!r}")
 
 
 def _stage_simulate(record, where, stage_seed, objects):
     _check_keys(
         record,
-        {"stage", "name", "network", "kind", "steps"},
-        {"x0", "issues", "activation_size", "stride"},
+        {"stage": str, "name": str, "network": str, "kind": str, "steps": int},
+        {"x0": object, "issues": int, "activation_size": int, "stride": int},
         where,
     )
-    net = _ref(objects, record["network"], InfluenceNetwork, where)
-    x0 = _resolve_x0(
-        record.get("x0", "spread"), net.n, record.get("issues", 1), stage_seed
-    )
-    if record["kind"] == "gossip" and "activation_size" not in record:
-        raise ConfigError(f"{where}: gossip needs activation_size")
-    return _simulate(
-        net,
-        record["kind"],
-        x0,
-        record["steps"],
-        record.get("activation_size"),
-        stage_seed,
-    )
+    net = _ref(objects, record["network"], InfluenceNetwork)
+    x0 = _resolve_x0(record.get("x0", "spread"), net.n, record.get("issues", 1), stage_seed)
+    kind = record["kind"]
+    if kind == "fj":
+        return simulate_fj(net, x0, record["steps"])
+    if kind == "gossip":
+        _need(record, ["activation_size"], "gossip", where)
+        return simulate_gossip_fj(
+            net, x0, record["steps"], record["activation_size"], seed=stage_seed
+        )
+    raise ConfigError(f"unknown dynamics kind {kind!r}")
 
 
 def _stage_observe(record, where, stage_seed, objects):
     _check_keys(
-        record, {"stage", "name", "trajectory", "kind"}, {"rho", "issue"}, where
+        record,
+        {"stage": str, "name": str, "trajectory": str, "kind": str},
+        {"rho": object, "issue": int},
+        where,
     )
-    traj = _ref(objects, record["trajectory"], OpinionTrajectory, where)
+    traj = _ref(objects, record["trajectory"], OpinionTrajectory)
     rho = record.get("rho")
-    if isinstance(rho, list):
+    if isinstance(rho, list) and all(map(is_number, rho)):
         rho = np.asarray(rho, dtype=float)
+    elif rho is not None and not is_number(rho):
+        raise ConfigError("rho must be a number or a list of numbers")
     model = SamplingModel(kind=record["kind"], rho=rho)
-    return sample_observations(
-        traj, model, seed=stage_seed, issue=record.get("issue", 0)
-    )
+    return sample_observations(traj, model, seed=stage_seed, issue=record.get("issue", 0))
 
 
 def _stage_identify(record, where, stage_seed, objects):
+    """One estimate. The equilibrium methods read x0 and x(inf) from the two
+    frames of profiles, or draw x0 and compute x(inf) on network."""
     _check_keys(
         record,
-        {"stage", "name", "method"},
-        {
-            "trajectory",
-            "network",
-            "stream",
-            "x0",
-            "issues",
-            "eps",
-            "nonneg",
-            "beta",
-            "mode",
-            "eta",
-            "max_lag",
-            "n_sigma",
-            "threshold",
-            "x0_from",
-        },
+        {"stage": str, "name": str, "method": str},
+        {"trajectory": str, "network": str, "stream": str, "profiles": str, "x0": object,
+         "issues": int, "eps": float, "nonneg": bool, "beta": float, "mode": str,
+         "eta": float, "max_lag": int, "n_sigma": int, "threshold": float, "x0_from": str},
         where,
     )
     method = record["method"]
+    net = None
+    if "network" in record:
+        net = _ref(objects, record["network"], InfluenceNetwork)
     if method == "finite_horizon":
-        traj = _ref(objects, record.get("trajectory"), OpinionTrajectory, where)
-        lam = None
-        if "network" in record:
-            lam = _ref(objects, record["network"], InfluenceNetwork, where).lam
+        _need(record, ["trajectory"], method, where)
+        traj = _ref(objects, record["trajectory"], OpinionTrajectory)
+        lam = None if net is None else net.lam
         return identify_finite_horizon(traj, eps=record.get("eps", 0.0), lam=lam)
-    if method in ("infinite_horizon", "unknown_lambda"):
-        net = _ref(objects, record.get("network"), InfluenceNetwork, where)
-        if method == "infinite_horizon":
-            check_lambda_identifiability(net.lam)
-        issues = record.get("issues", net.n)
-        x0 = _resolve_x0(record.get("x0", "random"), net.n, issues, stage_seed)
-        x_inf, _ = fj_equilibrium(net, x0)
-        return _identify_equilibrium(
-            method, x0, x_inf, net.lam, record.get("nonneg", False)
-        )
     if method == "yule_walker":
-        stream = _ref(objects, record.get("stream"), ObservationStream, where)
-        net = _ref(objects, record.get("network"), InfluenceNetwork, where)
-        if "beta" not in record or "x0_from" not in record:
-            raise ConfigError(f"{where}: yule_walker needs beta and x0_from")
-        source = _ref(objects, record["x0_from"], OpinionTrajectory, where)
-        return _yule_walker(
-            stream,
-            net,
-            source,
-            record["beta"],
-            max_lag=record.get("max_lag", 5),
-            n_sigma=record.get("n_sigma", 5),
-            mode=record.get("mode", "dense"),
-            eta=record.get("eta", 0.0),
-            threshold=record.get("threshold"),
+        _need(record, ["stream", "network", "beta", "x0_from"], method, where)
+        stream = _ref(objects, record["stream"], ObservationStream)
+        source = _ref(objects, record["x0_from"], OpinionTrajectory)
+        moments = estimate_cross_correlations(
+            stream, max_lag=record.get("max_lag", 5), n_sigma=record.get("n_sigma", 5)
         )
-    raise ConfigError(f"{where}: unknown identify method {method!r}")
+        # anchored at frame 0 of the source trajectory
+        b_bar = record["beta"] * (1.0 - net.lam) * source.states[0, :, stream.issue]
+        gamma_hat, info = estimate_gamma(
+            moments, b_bar, mode=record.get("mode", "dense"), eta=record.get("eta", 0.0)
+        )
+        report = recover_topology_and_w(
+            gamma_hat, net.lam, record["beta"], threshold=record.get("threshold")
+        )
+        return dataclasses.replace(report, solver_log={**report.solver_log, **info})
+    if method not in ("infinite_horizon", "unknown_lambda"):
+        raise ConfigError(f"unknown identify method {method!r}")
+    if "profiles" in record:
+        if "x0" in record or "issues" in record:
+            raise ConfigError("profiles cannot be combined with x0 or issues")
+        profiles = _ref(objects, record["profiles"], OpinionTrajectory).states
+        if len(profiles) != 2:
+            raise ConfigError(
+                f"{_named('profiles', where)} must hold exactly 2 frames "
+                f"(initial, equilibrium); got {len(profiles)}"
+            )
+    if method == "infinite_horizon":
+        _need(record, ["network"], method, where)
+        check_lambda_identifiability(net.lam)
+    elif "profiles" not in record and net is None:
+        raise ConfigError(
+            f"{method} needs {_named('profiles', where)} or {_named('network', where)}"
+        )
+    if "profiles" not in record:
+        x0 = _resolve_x0(
+            record.get("x0", "random"), net.n, record.get("issues", net.n), stage_seed
+        )
+        profiles = x0, fj_equilibrium(net, x0)[0]
+    nonneg = record.get("nonneg", False)
+    if method == "infinite_horizon":
+        return identify_infinite_horizon(*profiles, net.lam, nonneg=nonneg)
+    return identify_unknown_lambda(*profiles, nonneg=nonneg)
 
 
 def _stage_centrality(record, where, stage_seed, objects):
     _check_keys(
         record,
-        {"stage", "name", "network", "measure"},
-        {"weighted", "alpha", "damping"},
+        {"stage": str, "name": str, "network": str, "measure": str},
+        {"weighted": bool, "alpha": float, "damping": float},
         where,
     )
-    net = _ref(objects, record["network"], InfluenceNetwork, where)
-    return _centrality_values(
-        net,
-        record["measure"],
-        weighted=record.get("weighted", False),
-        alpha=record.get("alpha"),
-        damping=record.get("damping", 0.15),
-    )
+    net = _ref(objects, record["network"], InfluenceNetwork)
+    measure, weighted = record["measure"], record.get("weighted", False)
+    if measure == "in_degree":
+        return degree_centrality(net, direction="in", weighted=weighted)
+    if measure == "out_degree":
+        return degree_centrality(net, direction="out", weighted=weighted)
+    if measure == "closeness":
+        return closeness_centrality(net, weighted=weighted)
+    if measure == "betweenness":
+        return betweenness_centrality(net, weighted=weighted)
+    if measure == "eigenvector":
+        return eigenvector_centrality(net.w)
+    if measure == "pagerank":
+        return pagerank(net.w, m=record.get("damping", 0.15), row_stochastic=True)
+    if measure == "friedkin":
+        return friedkin_centrality(net, alpha=record.get("alpha"))
+    raise ConfigError(f"unknown centrality measure {measure!r}")
 
 
 def _stage_evaluate(record, where, stage_seed, objects):
-    _check_keys(record, {"stage", "name", "estimate", "truth"}, {"tol"}, where)
-    report = _ref(objects, record["estimate"], EstimationReport, where)
-    truth = _ref(objects, record["truth"], InfluenceNetwork, where)
+    _check_keys(
+        record, {"stage": str, "name": str, "estimate": str, "truth": str}, {"tol": float}, where
+    )
+    report = _ref(objects, record["estimate"], EstimationReport)
+    truth = _ref(objects, record["truth"], InfluenceNetwork)
     metrics = evaluate_estimate(truth.w, report, tol=record.get("tol", 1e-8))
     return dataclasses.asdict(metrics)
 
 
 def _stage_report(record, where, stage_seed, objects):
-    _check_keys(record, {"stage", "name", "inputs"}, set(), where)
+    _check_keys(record, {"stage": str, "name": str, "inputs": list}, {}, where)
     inputs = record["inputs"]
-    if not isinstance(inputs, list) or not inputs:
-        raise ConfigError(f"{where}: inputs must be a non-empty list of stage names")
+    if not inputs:
+        raise ConfigError("inputs must be a non-empty list of stage names")
     rows = []
     for name in inputs:
-        value = _ref(objects, name, object, where)
-        rows.extend(_plot_rows(name, value, where))
+        rows.extend(_plot_rows(name, _ref(objects, name, object)))
     return rows
 
 
-def _plot_rows(name: str, value, where: str) -> list:
+def _plot_rows(name, value) -> list:
+    """The (x, y, series) rows of one input, named after its stage, or after
+    its file's stem in a subcommand; a dict's values that are not numbers
+    are skipped."""
     from .centrality import CentralityVector
 
+    series = Path(name).stem
     if isinstance(value, dict):
-        return [(key, value[key], name) for key in sorted(value)]
+        return [(key, value[key], series) for key in sorted(value) if is_number(value[key])]
     if isinstance(value, CentralityVector):
-        return [(i, v, name) for i, v in enumerate(value.values)]
+        return [(i, v, series) for i, v in enumerate(value.values)]
     raise ConfigError(
-        f"{where}: stage {name!r} holds {type(value).__name__}, which has no "
+        f"stage {name!r} holds {type(value).__name__}, which has no "
         "plottable rows (use evaluate or centrality outputs)"
     )
 
@@ -415,6 +445,14 @@ def _plot_text(rows) -> str:
     return "x,y,series\n" + "".join(
         f"{x},{y},{series}\n" for (x, _, series), y in zip(rows, ys)
     )
+
+
+def _put(path, text: str) -> None:
+    """Write text to path, or print it when path is None."""
+    if path is None:
+        click.echo(text, nl=False)
+    else:
+        Path(path).write_text(text)
 
 
 _STAGES = {
@@ -431,26 +469,18 @@ _STAGES = {
 # What each stage kind writes: the emit flag that gates it (None: always),
 # the suffixes of the files named after the stage, and the writer, called
 # with the stage value, the path of the first file and the stage record.
+# The writers of the last three print the value when the path is None.
 _ARTIFACTS = {
     "generate": (None, (".json",), lambda net, path, rec: save_network(net, path)),
-    "simulate": (
-        "trajectories",
-        (".csv",),
-        lambda traj, path, rec: save_trajectory(traj, path, stride=rec.get("stride", 1)),
-    ),
-    "observe": (
-        "trajectories",
-        (".csv", ".csv.meta.json"),
-        lambda stream, path, rec: save_stream(stream, path),
-    ),
+    "simulate": ("trajectories", (".csv",), lambda traj, path, rec: save_trajectory(
+        traj, path, stride=rec.get("stride", 1))),
+    "observe": ("trajectories", (".csv", ".csv.meta.json"),
+                lambda stream, path, rec: save_stream(stream, path)),
     "identify": ("reports", (".json",), lambda report, path, rec: save_report(report, path)),
-    "centrality": (
-        "reports",
-        (".csv",),
-        lambda values, path, rec: write_table(path, "agent,value", values.values),
-    ),
-    "evaluate": ("reports", (".json",), lambda doc, path, rec: write_json(path, doc)),
-    "report": ("plot_data", (".csv",), lambda rows, path, rec: path.write_text(_plot_text(rows))),
+    "centrality": ("reports", (".csv",), lambda values, path, rec: _put(
+        path, "".join(table_text("agent,value", values.values)))),
+    "evaluate": ("reports", (".json",), lambda doc, path, rec: _put(path, json_text(doc))),
+    "report": ("plot_data", (".csv",), lambda rows, path, rec: _put(path, _plot_text(rows))),
 }
 
 _EMIT_DEFAULTS = {"reports": True, "trajectories": True, "plot_data": True}
@@ -464,20 +494,18 @@ def run_pipeline(config: dict, output_dir=None) -> dict:
     """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(config, {"seed", "stages"}, {"output_dir", "emit"}, "config")
+    _check_keys(
+        config, {"seed": int, "stages": list}, {"output_dir": str, "emit": dict}, "config"
+    )
     seed = config["seed"]
-    if not is_int(seed) or seed < 0:
+    if seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     stages = config["stages"]
-    if not isinstance(stages, list) or not stages:
+    if not stages:
         raise ConfigError("stages must be a non-empty list")
-    emit = dict(_EMIT_DEFAULTS)
     emit_spec = config.get("emit", {})
-    _check_keys(emit_spec, set(), set(_EMIT_DEFAULTS), "emit")
-    for key, value in emit_spec.items():
-        if not isinstance(value, bool):
-            raise ConfigError(f"emit.{key} must be boolean")
-        emit[key] = value
+    _check_keys(emit_spec, {}, dict.fromkeys(_EMIT_DEFAULTS, bool), "emit")
+    emit = {**_EMIT_DEFAULTS, **emit_spec}
     target = output_dir or config.get("output_dir")
     if target is None:
         raise ConfigError("no output directory: set output_dir or pass one")
@@ -570,12 +598,16 @@ def run_sweep(config: dict, output_dir=None, jobs: int = 1) -> dict:
     """
     if not isinstance(config, dict):
         raise ConfigError("sweep config must be a JSON object")
-    _check_keys(config, {"base", "grid", "seed"}, {"output_dir"}, "sweep config")
+    _check_keys(
+        config, {"base": dict, "grid": dict, "seed": int}, {"output_dir": str}, "sweep config"
+    )
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
+    if config["seed"] < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     base = config["base"]
     grid = config["grid"]
-    if not isinstance(grid, dict) or not grid:
+    if not grid:
         raise ConfigError("grid must map parameter paths to value lists")
     for path, values in grid.items():
         if not isinstance(values, list) or not values:
@@ -656,37 +688,30 @@ def run_sweep(config: dict, output_dir=None, jobs: int = 1) -> dict:
     return manifest
 
 
-# centrality helpers shared by the stage executor and the subcommand
-
-
-def _centrality_values(net, measure, weighted=False, alpha=None, damping=0.15):
-    if measure == "in_degree":
-        return degree_centrality(net, direction="in", weighted=weighted)
-    if measure == "out_degree":
-        return degree_centrality(net, direction="out", weighted=weighted)
-    if measure == "closeness":
-        return closeness_centrality(net, weighted=weighted)
-    if measure == "betweenness":
-        return betweenness_centrality(net, weighted=weighted)
-    if measure == "eigenvector":
-        return eigenvector_centrality(net.w)
-    if measure == "pagerank":
-        return pagerank(net.w, m=damping, row_stochastic=True)
-    if measure == "friedkin":
-        return friedkin_centrality(net, alpha=alpha)
-    raise ConfigError(f"unknown centrality measure {measure!r}")
-
-
 # command definitions
 
 
-def _print_or_write(text: str, out, summary: str) -> None:
-    """Print a table or document, or write it to out and say so."""
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
-        click.echo(f"wrote {out}: {summary}")
+def _run_stage(kind, record, objects, out, summary, seed=0) -> None:
+    """Run the stage kind as a subcommand: record holds the options (None:
+    not given) and references to the input files read into objects. The
+    value is written to out with the stage's artifact writer and summary
+    states it, or the writer prints it when out is None."""
+    record = {
+        "stage": kind, "name": kind,
+        **{key: value for key, value in record.items() if value is not None},
+    }
+    value = _STAGES[kind](record, None, seed, objects)
+    _ARTIFACTS[kind][2](value, out, record)
+    if out is not None:
+        click.echo(f"wrote {out}: {summary(value)}")
+
+
+def _read_series(path):
+    """A metrics JSON as a dict, or an agent,value table as {agent: value}."""
+    if path.endswith(".json"):
+        return read_json(path, "metrics")
+    (agents,), values = read_table(path, "agent,value", "agent,value")
+    return dict(zip(agents.tolist(), values.tolist()))
 
 
 def _print_versions(ctx, param, value):
@@ -722,13 +747,10 @@ def cli():
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def generate(model, n_agents, p, k, beta_rw, m0, lambda_range, seed, out):
     """Draw a random influence network and write it as JSON."""
-    config = GeneratorConfig(
-        model=model, n=n_agents, p=p, k=k, beta_rw=beta_rw, m0=m0,
-        lambda_range=tuple(lambda_range),
-    )
-    net = generate_network(config, seed=seed)
-    save_network(net, out)
-    click.echo(f"wrote {out}: n={net.n}, edges={len(net.edge_set())}")
+    record = dict(model=model, n=n_agents, p=p, k=k, beta_rw=beta_rw, m0=m0,
+                  lambda_range=list(lambda_range))
+    _run_stage("generate", record, {}, out,
+               lambda net: f"n={net.n}, edges={len(net.edge_set())}", seed)
 
 
 @cli.command()
@@ -740,10 +762,10 @@ def generate(model, n_agents, p, k, beta_rw, m0, lambda_range, seed, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def centrality(network, measure, weighted, alpha, damping, out):
     """Rank the agents of a network by one centrality measure."""
-    net = load_network(network)
-    values = _centrality_values(net, measure, weighted=weighted, alpha=alpha, damping=damping)
-    text = "".join(table_text("agent,value", values.values))
-    _print_or_write(text, out, f"{measure} for {net.n} agents")
+    record = dict(network="network", measure=measure, weighted=weighted, alpha=alpha,
+                  damping=damping)
+    _run_stage("centrality", record, {"network": load_network(network)}, out,
+               lambda values: f"{measure} for {len(values.values)} agents")
 
 
 @cli.command()
@@ -757,15 +779,13 @@ def centrality(network, measure, weighted, alpha, damping, out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def simulate(network, kind, steps, x0, activation_size, seed, stride, out):
     """Run opinion dynamics on a stored network; write the trajectory CSV."""
-    net = load_network(network)
+    objects = {"network": load_network(network)}
     if x0 != "spread":
         x0 = np.atleast_1d(_parse_floats(x0, "x0 must be 'spread' or comma-separated floats"))
-    profile = _resolve_x0(x0, net.n, 1, seed)
-    if kind == "gossip" and activation_size is None:
-        raise ConfigError("gossip needs --activation-size")
-    traj = _simulate(net, kind, profile, steps, activation_size, seed)
-    save_trajectory(traj, out, stride=stride)
-    click.echo(f"wrote {out}: {traj.horizon + 1} frames, n={traj.n}")
+    record = dict(network="network", kind=kind, steps=steps, x0=x0,
+                  activation_size=activation_size, stride=stride)
+    _run_stage("simulate", record, objects, out,
+               lambda traj: f"{traj.horizon + 1} frames, n={traj.n}", seed)
 
 
 @cli.command()
@@ -777,13 +797,12 @@ def simulate(network, kind, steps, x0, activation_size, seed, stride, out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def observe(trajectory, kind, rho, issue, seed, out):
     """Push a stored trajectory through an observation law; write the stream."""
-    traj = _read_trajectory(trajectory)
+    objects = {"trajectory": _read_trajectory(trajectory)}
     if rho is not None:
         rho = _parse_floats(rho, "rho must be a float or comma-separated floats")
-    model = SamplingModel(kind=kind, rho=rho)
-    stream = sample_observations(traj, model, seed=seed, issue=issue)
-    save_stream(stream, out)
-    click.echo(f"wrote {out}: {int(stream.mask.sum())} observations")
+    record = dict(trajectory="trajectory", kind=kind, rho=rho, issue=issue)
+    _run_stage("observe", record, objects, out,
+               lambda stream: f"{int(stream.mask.sum())} observations", seed)
 
 
 @cli.command()
@@ -791,7 +810,8 @@ def observe(trajectory, kind, rho, issue, seed, out):
 @click.option("--trajectory", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Trajectory CSV: finite-horizon data, or the yule_walker anchor profile (frame 0).")
 @click.option("--profiles", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Two-frame trajectory CSV holding initial and equilibrium profiles.")
+              help="Two-frame trajectory CSV holding initial and equilibrium profiles "
+                   "(without it, the equilibrium is computed on --network from a random x0).")
 @click.option("--stream", "stream_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--network", "network_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Network JSON supplying the known susceptibilities.")
@@ -807,40 +827,18 @@ def observe(trajectory, kind, rho, issue, seed, out):
 def identify(method, trajectory, profiles, stream_path, network_path, eps, beta,
              mode, eta, n_sigma, max_lag, threshold, nonneg, out):
     """Reconstruct the influence matrix from stored opinion data."""
-    if method == "finite_horizon":
-        if trajectory is None:
-            raise ConfigError("finite_horizon needs --trajectory")
-        traj = _read_trajectory(trajectory)
-        lam = load_network(network_path).lam if network_path else None
-        report = identify_finite_horizon(traj, eps=eps, lam=lam)
-    elif method in ("infinite_horizon", "unknown_lambda"):
-        if profiles is None:
-            raise ConfigError(f"{method} needs --profiles")
-        states = _read_trajectory(profiles).states
-        if states.shape[0] != 2:
-            raise ConfigError(
-                f"--profiles must hold exactly 2 frames (initial, equilibrium); "
-                f"got {states.shape[0]}"
-            )
-        lam = None
-        if method == "infinite_horizon":
-            if network_path is None:
-                raise ConfigError("infinite_horizon needs --network for lambda")
-            lam = load_network(network_path).lam
-        report = _identify_equilibrium(method, states[0], states[1], lam, nonneg)
-    else:
-        if stream_path is None or network_path is None or beta is None or trajectory is None:
-            raise ConfigError(
-                "yule_walker needs --stream, --network, --beta, and --trajectory "
-                "(anchor profile)"
-            )
-        stream, source = load_stream(stream_path), _read_trajectory(trajectory)
-        report = _yule_walker(
-            stream, load_network(network_path), source, beta,
-            max_lag, n_sigma, mode, eta, threshold,
-        )
-    save_report(report, out)
-    click.echo(f"wrote {out}: {len(report.support)} recovered edges")
+    files = {
+        "trajectory": (_read_trajectory, trajectory),
+        "profiles": (_read_trajectory, profiles),
+        "stream": (load_stream, stream_path),
+        "network": (load_network, network_path),
+    }
+    objects = {key: read(path) for key, (read, path) in files.items() if path is not None}
+    record = dict(method=method, eps=eps, beta=beta, mode=mode, eta=eta, n_sigma=n_sigma,
+                  max_lag=max_lag, threshold=threshold, nonneg=nonneg,
+                  x0_from="trajectory" if trajectory else None, **{key: key for key in objects})
+    _run_stage("identify", record, objects, out,
+               lambda report: f"{len(report.support)} recovered edges")
 
 
 @cli.command()
@@ -852,10 +850,9 @@ def identify(method, trajectory, profiles, stream_path, network_path, eps, beta,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def evaluate(truth, estimate, tol, out):
     """Score an estimation report against a ground-truth network."""
-    doc = dataclasses.asdict(
-        evaluate_estimate(load_network(truth).w, load_report(estimate), tol=tol)
-    )
-    _print_or_write(json_text(doc), out, f"f1={doc['f1']:.4f}")
+    objects = {"truth": load_network(truth), "estimate": load_report(estimate)}
+    record = dict(truth="truth", estimate="estimate", tol=tol)
+    _run_stage("evaluate", record, objects, out, lambda doc: f"f1={doc['f1']:.4f}")
 
 
 @cli.command(name="run")
@@ -889,18 +886,8 @@ def sweep(config, out, jobs):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def report(inputs, out):
     """Aggregate metric JSONs / centrality CSVs into plot-ready x,y,series rows."""
-    rows = []
-    for path in inputs:
-        series = Path(path).stem
-        if path.endswith(".json"):
-            doc = read_json(path, "metrics")
-            rows.extend(
-                (key, float(doc[key]), series) for key in sorted(doc) if is_number(doc[key])
-            )
-        else:
-            (agents,), values = read_table(path, "agent,value", "agent,value")
-            rows.extend(zip(agents.tolist(), values.tolist(), [series] * len(values)))
-    _print_or_write(_plot_text(rows), out, f"{len(rows)} rows")
+    objects = {path: _read_series(path) for path in inputs}
+    _run_stage("report", {"inputs": list(inputs)}, objects, out, lambda rows: f"{len(rows)} rows")
 
 
 def main(argv=None) -> int:

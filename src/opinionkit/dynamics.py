@@ -391,8 +391,8 @@ def simulate_gossip_fj(
       agent, in ascending order. Then steps x a uniform poll draws (entry
       [k, i] picks the neighbor of step k's member i). The draws cost
       O(min(a, n - a)) columns per run and O(a) numbers per step.
-    - a = n (beta = 1): steps x n uniform activation keys, drawn and
-      dropped (every agent is active), then steps x n uniform poll draws
+    - a = n (beta = 1): steps x n uniform activation keys, skipped with
+      Philox's advance (every agent is active), then steps x n uniform poll draws
       (entry [k, i] picks agent i's neighbor at step k). Each step
       updates the whole state vector at once, with the same arithmetic
       per agent as a step over an active subset.
@@ -425,14 +425,13 @@ def simulate_gossip_fj(
 
 def _full_activation_steps(net, rng, states, starts, counts, cols, weights) -> None:
     """Gossip steps with every agent active, written into states[1:]: the
-    activation keys are drawn and dropped (each step's set is all agents),
-    then each block of poll draws (DRAW_BLOCK cells) picks every agent's
-    neighbor and weight in agent order, and a step updates the whole state
-    vector at once."""
+    stream is moved past the activation keys (each step's set is all
+    agents), then each block of poll draws (DRAW_BLOCK cells) picks every
+    agent's neighbor and weight in agent order, and a step updates the
+    whole state vector at once."""
     steps, x0 = len(states) - 1, states[0]
     rows = max(1, DRAW_BLOCK // net.n)
-    for lo in range(0, steps, rows):
-        rng.random((min(rows, steps - lo), net.n))
+    _skip_doubles(rng, steps * net.n)
     lam = net.lam
     anchor = (1.0 - lam) * x0
     for lo in range(0, steps, rows):
@@ -441,6 +440,19 @@ def _full_activation_steps(net, rng, states, starts, counts, cols, weights) -> N
         per_step = zip(states[lo:], states[lo + 1 :], polled, 1.0 - weight, weight)
         for x, x_next, p, keep, weight_k in per_step:
             np.add(lam * (keep * x + weight_k * x[p]), anchor, out=x_next)
+
+
+def _skip_doubles(rng, count: int) -> None:
+    """Move a Philox generator to where rng.random(count) would leave it,
+    without drawing. Each double takes one word of Philox's 4-word blocks;
+    advance() skips whole blocks but drops the words still buffered (even
+    advance(0) does), so those are drawn first."""
+    buffered = min(count, 4 - rng.bit_generator.state["buffer_pos"])
+    blocks, tail = divmod(count - buffered, 4)
+    rng.random(buffered)
+    if blocks:
+        rng.bit_generator.advance(blocks)
+    rng.random(tail)
 
 
 def _activation_sets(rng, n: int, activation_size: int, steps: int) -> np.ndarray:

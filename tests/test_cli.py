@@ -96,6 +96,52 @@ def test_a_malformed_stream_file_exits_one(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("index, key, value, message", [
+    (1, "steps", "10", "steps must be an integer"),
+    (1, "stride", "2", "stride must be an integer"),
+    (1, "issues", "2", "issues must be an integer"),
+    (5, "activation_size", 2.5, "activation_size must be an integer"),
+    (0, "n", "10", "n must be an integer"),
+    (0, "lambda_range", 5, "lambda_range must be a list"),
+    (2, "eps", "x", "eps must be a number"),
+    (6, "alpha", "0.5", "alpha must be a number"),
+    # list entries and values of the right kind that escaped the same way
+    (0, "lambda_range", ["a", "b"], "lambda_range must be two numbers"),
+    (0, "lambda_range", [0.1, 0.2, 0.3], "lambda_range must be two numbers"),
+    (7, "rho", {"a": 1}, "rho must be a number or a list of numbers"),
+    (7, "rho", [0.5, "a"], "rho must be a number or a list of numbers"),
+    (1, "issues", -1, "issues must be positive"),
+])
+def test_a_malformed_field_exits_one_naming_the_stage_and_key(
+    tmp_path, capsys, index, key, value, message
+):
+    # each of these used to escape main() as a TypeError or ValueError
+    config = _basic_pipeline(tmp_path)
+    config["stages"] += [
+        {"stage": "simulate", "name": "gossip", "network": "net", "kind": "gossip",
+         "steps": 5, "activation_size": 2},
+        {"stage": "centrality", "name": "rank", "network": "net", "measure": "friedkin",
+         "alpha": 0.5},
+        {"stage": "observe", "name": "obs", "trajectory": "gossip", "kind": "independent",
+         "rho": 0.5},
+    ]
+    record = config["stages"][index]
+    record[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: stage {record['name']!r} ({record['stage']}): {message}\n"
+    )
+
+
+def test_a_sweep_grid_value_of_the_wrong_type_is_a_config_error(tmp_path):
+    config = _sweep_config(tmp_path)
+    config["grid"]["stages.1.steps"] = [12, "12"]
+    with pytest.raises(ok.ConfigError, match="stage 'traj' \\(simulate\\): steps must be an integer"):
+        ok.run_sweep(config)
+
+
 def test_a_config_that_is_not_json_exits_one(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("{seed")
@@ -421,6 +467,8 @@ def test_run_sweep_rejects_bad_grids(tmp_path):
         ok.run_sweep({**config, "grid": {"stages.9.n": [4]}})
     with pytest.raises(ok.ConfigError, match="jobs"):
         ok.run_sweep(config, jobs=0)
+    with pytest.raises(ok.ConfigError, match="seed"):  # escaped as a ValueError
+        ok.run_sweep({**config, "seed": -1})
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

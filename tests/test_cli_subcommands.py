@@ -263,14 +263,14 @@ def test_files_that_are_not_json_exit_one(tmp_path, capsys, files, command, mess
     (["identify", "--method", "finite_horizon", "--out", "{out}"],
      "finite_horizon needs --trajectory"),
     (["identify", "--method", "unknown_lambda", "--out", "{out}"],
-     "unknown_lambda needs --profiles"),
+     "unknown_lambda needs --profiles or --network"),
     (["identify", "--method", "infinite_horizon", "--profiles", "{three}", "--out", "{out}"],
      "--profiles must hold exactly 2 frames (initial, equilibrium); got 3"),
     (["identify", "--method", "infinite_horizon", "--profiles", "{profiles}",
       "--out", "{out}"],
-     "infinite_horizon needs --network for lambda"),
+     "infinite_horizon needs --network"),
     (["identify", "--method", "yule_walker", "--stream", "{stream}", "--out", "{out}"],
-     "yule_walker needs --stream, --network, --beta, and --trajectory (anchor profile)"),
+     "yule_walker needs --stream, --network, --beta, --trajectory"),
 ])
 def test_flag_checks_exit_one_with_their_message(tmp_path, capsys, files, args, message):
     command = [arg.format(out=tmp_path / "out", **files) for arg in args]
@@ -387,3 +387,53 @@ def test_yule_walker_rejects_a_negative_eta(tmp_path, capsys, files):
     ]) == 1
     assert "eta" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _profiles_pipeline(tmp_path, files, profiles, **identify):
+    """A config that loads the network and a profiles file, then identifies."""
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps({"seed": 0, "output_dir": str(tmp_path / "run"), "stages": [
+        {"stage": "load", "name": "net", "path": files["net"], "format": "network"},
+        {"stage": "load", "name": "prof", "path": files[profiles], "format": "trajectory"},
+        {"stage": "identify", "name": "est", "profiles": "prof", **identify},
+    ]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("args, identify", [
+    (["--method", "infinite_horizon", "--network", "{net}"],
+     dict(method="infinite_horizon", network="net")),
+    (["--method", "infinite_horizon", "--network", "{net}", "--nonneg"],
+     dict(method="infinite_horizon", network="net", nonneg=True)),
+    (["--method", "unknown_lambda"], dict(method="unknown_lambda")),
+], ids=["infinite_horizon", "infinite_horizon-nonneg", "unknown_lambda"])
+def test_a_pipeline_identify_stage_reads_profiles_as_the_subcommand_does(
+    tmp_path, capsys, files, args, identify
+):
+    out = tmp_path / "est.json"
+    command = ["identify", "--profiles", files["profiles"], *args, "--out", str(out)]
+    assert main([arg.format(**files) for arg in command]) == 0
+    assert main(["run", _profiles_pipeline(tmp_path, files, "profiles", **identify)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "run" / "est.json").read_bytes() == out.read_bytes()
+
+
+def test_a_pipeline_rejects_three_frames_of_profiles_naming_the_stage(tmp_path, capsys, files):
+    config = _profiles_pipeline(tmp_path, files, "three", method="unknown_lambda")
+    assert main(["run", config]) == 1
+    assert capsys.readouterr().err == (
+        "error: stage 'est' (identify): profiles must hold exactly 2 frames "
+        "(initial, equilibrium); got 3\n"
+    )
+    assert not (tmp_path / "run" / "est.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("x0", "random"), ("issues", 2)])
+def test_profiles_are_not_combined_with_a_drawn_x0(tmp_path, capsys, files, key, value):
+    config = _profiles_pipeline(
+        tmp_path, files, "profiles", method="unknown_lambda", network="net", **{key: value}
+    )
+    assert main(["run", config]) == 1
+    assert capsys.readouterr().err == (
+        "error: stage 'est' (identify): profiles cannot be combined with x0 or issues\n"
+    )

@@ -30,6 +30,7 @@ from opinionkit.dynamics import (
     _activation_sets,
     _anchored_system,
     _poll_lists,
+    _skip_doubles,
 )
 from opinionkit.numkit import CONDITION_MAX, DENSE_MAX_N, DRAW_BLOCK, philox_stream
 
@@ -591,6 +592,19 @@ def test_full_activation_on_the_rate_law_ring_matches_the_reference_bitwise(bloc
     traj = ok.simulate_gossip_fj(net, x0, steps, net.n, seed=7)
     expected = reference_gossip_fj(net, x0, steps, net.n, 7)
     assert traj.states[:, :, 0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("drawn", range(9))  # buffer offsets 0-3, twice over
+def test_skipping_doubles_leaves_the_stream_where_drawing_them_does(seed, drawn):
+    # advance() drops the buffered words, so an unguarded skip moves the stream
+    for count in [*range(13), 1000, 1001, 1002, 1003, 120_000]:
+        drawing, skipping = philox_stream(seed), philox_stream(seed)
+        drawing.random(drawn)
+        skipping.random(drawn)
+        drawing.random(count)
+        _skip_doubles(skipping, count)
+        assert np.array_equal(skipping.random(9), drawing.random(9)), count
 
 
 def test_gossip_keeps_only_the_draws_and_the_states_for_the_whole_run():
