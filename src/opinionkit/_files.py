@@ -212,7 +212,6 @@ def _keep_table():
 
 _KEEP = _keep_table()
 _NUMBER = _NUMBER.view(np.uint32)
-_ROW = np.dtype(f"V{_NUMBER.nbytes}")  # a row of words as one item, for row gathers
 
 
 def _digit_tables():
@@ -244,7 +243,7 @@ _TEXT = 24  # the longest "%.17g" text, "-2.2250738585072014e-308"
 
 def _number_rows(values, words) -> None:
     """Write the text "%.17g" % x and a newline of each x of the 1-D values
-    into words, a C-contiguous uint32 (len(values), 13) array, with NUL in
+    into words, len(values) rows of 13 contiguous uint32 words, with NUL in
     the bytes the text does not use."""
     whole, exponents, certified = _decimal(values)
     words[:, :2], words[:, 6] = _NUMBER[:2], _NUMBER[6]  # the others are written below
@@ -301,17 +300,11 @@ def table_text(header: str, values, keys=None, mask=None):
     of the cell's column, then the words of the value's text and newline
     from _number_rows, with NUL in the bytes a row does not use. Dropping
     the NULs gives the chunk's text; a row without written cells writes
-    nothing. A written cell that equals the written cell above it bit for
-    bit (so -0.0 and 0.0, or two NaN payloads, never match) copies that
-    cell's words instead of formatting its value; the words of each
-    chunk's last row are carried to the next chunk for this. Memory stays
-    O(TABLE_CHUNK + row width), with or without a mask."""
+    nothing. Memory stays O(TABLE_CHUNK + row width), with or without a
+    mask."""
     values = np.asarray(values, dtype=float)
     count, width = len(values), math.prod(values.shape[1:])
     slots = _slot_words(values.shape[1:])
-    # the last row of the previous chunk: which of its cells were written,
-    # their bits and their words
-    above = (np.zeros(width, dtype=bool), np.zeros(width, dtype=np.int64), np.zeros(width, _ROW))
     step = max(1, TABLE_CHUNK // max(width, 1))
     yield header + "\n"
     for lo in range(0, count, step):
@@ -322,50 +315,24 @@ def table_text(header: str, values, keys=None, mask=None):
         else:
             written = np.asarray(mask[lo:hi], dtype=bool).reshape(block.shape)
         labels = np.asarray(range(lo, hi) if keys is None else keys[lo:hi])
-        text = _chunk_text(labels, slots, block, written, above)
+        text = _chunk_text(labels, slots, block, written)
         if text:
             yield text
 
 
-def _chunk_text(labels, slots, block, written, above) -> str:
-    """The text of a chunk's written cells (see table_text). above holds
-    the previous chunk's last row, and is updated to this chunk's."""
-    above_written, above_bits, above_words = above
-    bits = block.view(np.int64)
-    repeat = written & np.vstack([above_written, written[:-1]])
-    repeat &= bits == np.vstack([above_bits, bits[:-1]])
-    above_written[:], above_bits[:] = written[-1], bits[-1]
+def _chunk_text(labels, slots, block, written) -> str:
+    """The text of a chunk's written cells (see table_text)."""
     rows, columns = np.nonzero(written)
     if not rows.size:
         return ""
-    # each written cell's line, and the line its run starts at (-1 for a
-    # run that starts above the chunk)
-    line = np.cumsum(written).reshape(block.shape) - 1
-    start = np.where(written & ~repeat, line, -1)
-    np.maximum.accumulate(start, axis=0, out=start)
-    copied, start = repeat[written], start[written]
-    (fresh,) = np.nonzero(~copied)
-    words = np.empty((fresh.size, _NUMBER.size), dtype=np.uint32)
-    _number_rows(block[written][fresh], words)
     labels = _label_words(labels)
     text = np.empty((rows.size, labels.shape[1] + slots.shape[1] + _NUMBER.size), dtype=np.uint32)
     text[:, : labels.shape[1]] = labels.take(rows, axis=0)
     text[:, labels.shape[1] : -_NUMBER.size] = slots.take(columns, axis=0)
-    # a fresh cell's words are its own; a copied cell takes the words of
-    # the cell its run starts at, in the chunk or in the row above it
-    number = text[:, -_NUMBER.size :].view(_ROW)[:, 0]
-    number[fresh] = words.view(_ROW)[:, 0]
-    del words
-    (copies,) = np.nonzero(copied)
-    above_chunk = start[copies] < 0
-    number[copies[above_chunk]] = above_words[columns[copies[above_chunk]]]
-    number[copies[~above_chunk]] = number[start[copies[~above_chunk]]]
-    (last,) = np.nonzero(written[-1])
-    above_words[last] = number[line[-1, last]]
+    _number_rows(block[written], text[:, -_NUMBER.size :])
     data = text.tobytes()
-    del text, number  # each copy of the text is dropped before the next is made
-    data = data.translate(None, b"\0")
-    return data.decode("ascii")
+    del text  # each copy of the text is dropped before the next is made
+    return data.translate(None, b"\0").decode("ascii")
 
 
 def _slot_words(shape):

@@ -486,11 +486,13 @@ _ARTIFACTS = {
 _EMIT_DEFAULTS = {"reports": True, "trajectories": True, "plot_data": True}
 
 
-def run_pipeline(config: dict, output_dir=None) -> dict:
+def run_pipeline(config: dict, output_dir=None, values=None) -> dict:
     """Execute the stages of one experiment config and write a manifest.
 
-    Returns the manifest document. Stage failures abort with the failing
-    stage named; artifacts written before the failure stay on disk.
+    Returns the manifest document; values, an empty dict when given,
+    receives each stage's value under the stage's name. Stage failures
+    abort with the failing stage named; artifacts written before the
+    failure stay on disk.
     """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -512,7 +514,7 @@ def run_pipeline(config: dict, output_dir=None) -> dict:
     out = Path(target)
     out.mkdir(parents=True, exist_ok=True)
 
-    objects: dict = {}
+    objects = {} if values is None else values
     artifacts: list = []
     seen = set()
     for index, record in enumerate(stages):
@@ -577,13 +579,13 @@ def _sweep_point(payload):
     """Run one grid point; returns (index, evaluate metrics, the point's
     artifact digests keyed by their path below the sweep directory)."""
     index, config, point_dir = payload
-    manifest = run_pipeline(config, output_dir=point_dir)
-    metrics = {}
-    for record in config["stages"]:
-        if isinstance(record, dict) and record.get("stage") == "evaluate":
-            artifact = Path(point_dir) / f"{record['name']}.json"
-            if artifact.is_file():
-                metrics[record["name"]] = read_json(artifact, "metrics")
+    values = {}
+    manifest = run_pipeline(config, output_dir=point_dir, values=values)
+    metrics = {
+        record["name"]: values[record["name"]]
+        for record in config["stages"]
+        if record["stage"] == "evaluate"
+    }
     prefix = Path(point_dir).name
     digests = {f"{prefix}/{rel}": digest for rel, digest in manifest["artifacts"].items()}
     return index, metrics, digests
@@ -823,9 +825,11 @@ def observe(trajectory, kind, rho, issue, seed, out):
 @click.option("--max-lag", type=int, default=5, show_default=True)
 @click.option("--threshold", type=float, default=None)
 @click.option("--nonneg", is_flag=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed of the random x0 drawn when --profiles is not given.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def identify(method, trajectory, profiles, stream_path, network_path, eps, beta,
-             mode, eta, n_sigma, max_lag, threshold, nonneg, out):
+             mode, eta, n_sigma, max_lag, threshold, nonneg, seed, out):
     """Reconstruct the influence matrix from stored opinion data."""
     files = {
         "trajectory": (_read_trajectory, trajectory),
@@ -838,7 +842,7 @@ def identify(method, trajectory, profiles, stream_path, network_path, eps, beta,
                   max_lag=max_lag, threshold=threshold, nonneg=nonneg,
                   x0_from="trajectory" if trajectory else None, **{key: key for key in objects})
     _run_stage("identify", record, objects, out,
-               lambda report: f"{len(report.support)} recovered edges")
+               lambda report: f"{len(report.support)} recovered edges", seed)
 
 
 @cli.command()
@@ -911,7 +915,3 @@ def main(argv=None) -> int:
     if isinstance(result, int):
         return result
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

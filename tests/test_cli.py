@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -488,3 +491,27 @@ def test_sweep_manifest_is_a_rehash_of_every_file_on_disk(tmp_path, jobs):
     assert {"point_0001/stale.txt", "point_0001/net.json", "point_0003/manifest.json",
             "sweep.csv"} <= set(on_disk)
     assert json.loads((out / "manifest.json").read_text()) == manifest
+
+
+def test_sweep_metrics_do_not_depend_on_the_written_reports(tmp_path):
+    on = _sweep_config(tmp_path, "on")
+    off = _sweep_config(tmp_path, "off")
+    off["base"]["emit"] = {"reports": False}
+    ok.run_sweep(on)
+    ok.run_sweep(off)
+    assert not (Path(off["output_dir"]) / "point_0000" / "score.json").exists()
+    sweep = (Path(off["output_dir"]) / "sweep.csv").read_bytes()
+    assert b"score.f1" in sweep.splitlines()[0]
+    assert sweep == (Path(on["output_dir"]) / "sweep.csv").read_bytes()
+
+
+def test_python_dash_m_runs_the_command_line_without_warnings():
+    result = subprocess.run(
+        [sys.executable, "-m", "opinionkit", "--version"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(ok.__file__).parents[1])},
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert ok.__version__ in result.stdout

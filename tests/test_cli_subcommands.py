@@ -437,3 +437,18 @@ def test_profiles_are_not_combined_with_a_drawn_x0(tmp_path, capsys, files, key,
     assert capsys.readouterr().err == (
         "error: stage 'est' (identify): profiles cannot be combined with x0 or issues\n"
     )
+
+
+@pytest.mark.parametrize("method", ["infinite_horizon", "unknown_lambda"])
+def test_identify_seed_draws_the_equilibrium_x0(tmp_path, capsys, files, method):
+    def report(*seed):
+        out = tmp_path / "est.json"
+        command = ["identify", "--method", method, "--network", files["net"], *seed]
+        assert main(command + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    first = report("--seed", "3")
+    assert report("--seed", "3") == first
+    assert report("--seed", "4") != first
+    assert report() == report("--seed", "0")
+    capsys.readouterr()

@@ -255,11 +255,13 @@ def test_a_run_that_starts_in_an_unobserved_cell_matches_the_reference_writer(
         assert "".join(_files.table_text("k,agent,value", values, mask=mask)) == expected
 
 
-def test_unmasked_tables_are_written_in_chunk_sized_memory(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fresh", [0.2, 1.0])
+def test_unmasked_tables_are_written_in_chunk_sized_memory(tmp_path, monkeypatch, fresh):
     monkeypatch.setattr(_files, "TABLE_CHUNK", 256)
     rng = np.random.default_rng(5)
     # the peak depends on TABLE_CHUNK and the row width, not on the rows
-    traj = _trajectory(_with_runs(rng, (1601, 200, 1), fresh=0.2))
+    # nor on how many cells repeat the cell above them
+    traj = _trajectory(_with_runs(rng, (1601, 200, 1), fresh=fresh))
     # numpy's first-use caches are filled by one small table before the trace
     ok.save_trajectory(_trajectory(traj.states[:3]), tmp_path / "warm.csv", stride=2)
     tracemalloc.start()
