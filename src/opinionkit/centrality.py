@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from . import dynamics
 from .errors import NumericalError, ParameterError
 from .netgraph import InfluenceNetwork, _weight_sums
-from .numkit import STRUCTURAL_ZERO
+from .numkit import STRUCTURAL_ZERO, SUM_TOL
 
 # Two weighted path lengths within this tolerance count as equal.
 TIE_TOL = 1e-12
@@ -230,7 +230,7 @@ def pagerank(
         raise ParameterError("teleport weight m must lie in (0, 1)")
     n = a.shape[0]
     col_err = np.max(np.abs(a.sum(axis=0) - 1.0))
-    if col_err > 1e-9 or a.min() < -STRUCTURAL_ZERO:
+    if col_err > SUM_TOL or a.min() < -STRUCTURAL_ZERO:
         raise ParameterError(
             f"matrix is not column-stochastic (max column error {col_err:.3g})"
         )
@@ -247,7 +247,7 @@ def friedkin_centrality(net: InfluenceNetwork, alpha: float | None = None) -> Ce
     giving c = (1 - alpha) (I - alpha W')^{-1} 1 / n. The solve shares the
     anchored system of dynamics.fj_equilibrium: it requires Schur stability
     and kappa_inf(I - Lambda W) <= CONDITION_MAX. The result must lie on
-    the simplex (sum 1 within 1e-9, no entry below -1e-12).
+    the simplex (sum 1 within SUM_TOL, no entry below -1e-12).
     """
     if alpha is not None:
         if not 0.0 <= alpha <= 1.0:
@@ -256,7 +256,7 @@ def friedkin_centrality(net: InfluenceNetwork, alpha: float | None = None) -> Ce
     solve = dynamics._anchored_system(net, "influence centrality")
     values = (1.0 - net.lam) * solve(np.ones(net.n), transpose=True) / net.n
     total_err = abs(values.sum() - 1.0)
-    if total_err > 1e-9 or values.min() < -1e-12:
+    if total_err > SUM_TOL or values.min() < -1e-12:
         raise NumericalError(
             f"influence centrality failed its simplex check (error {total_err:.3g})"
         )

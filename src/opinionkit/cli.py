@@ -46,6 +46,7 @@ from ._files import (
 )
 from .errors import ConfigError, OpinionKitError
 from .centrality import (
+    CentralityVector,
     betweenness_centrality,
     closeness_centrality,
     degree_centrality,
@@ -63,6 +64,8 @@ from .dynamics import (
     simulate_gossip_fj,
 )
 from .identify import (
+    EVALUATE_TOL,
+    N_SIGMA,
     EstimationReport,
     check_lambda_identifiability,
     estimate_cross_correlations,
@@ -83,6 +86,7 @@ from .netgraph import (
     load_network,
     save_network,
 )
+from .numkit import philox_stream
 from .observe import (
     SAMPLING_KINDS,
     ObservationStream,
@@ -204,8 +208,6 @@ def _resolve_x0(spec, n: int, issues: int, stage_seed: int) -> np.ndarray:
                 raise ConfigError("x0 'spread' is single-issue; use 'random' or a matrix")
             return np.linspace(0.0, 1.0, n)
         if spec == "random":
-            from .numkit import philox_stream
-
             return philox_stream(stage_seed, 101).random((n, issues))
     message = f"x0 must be 'spread', 'random', or {n} rows of values"
     try:
@@ -335,7 +337,7 @@ def _stage_identify(record, where, stage_seed, objects):
         stream = _ref(objects, record["stream"], ObservationStream)
         source = _ref(objects, record["x0_from"], OpinionTrajectory)
         moments = estimate_cross_correlations(
-            stream, max_lag=record.get("max_lag", 5), n_sigma=record.get("n_sigma", 5)
+            stream, record.get("max_lag", N_SIGMA), record.get("n_sigma", N_SIGMA)
         )
         # anchored at frame 0 of the source trajectory
         b_bar = record["beta"] * (1.0 - net.lam) * source.states[0, :, stream.issue]
@@ -407,7 +409,7 @@ def _stage_evaluate(record, where, stage_seed, objects):
     )
     report = _ref(objects, record["estimate"], EstimationReport)
     truth = _ref(objects, record["truth"], InfluenceNetwork)
-    metrics = evaluate_estimate(truth.w, report, tol=record.get("tol", 1e-8))
+    metrics = evaluate_estimate(truth.w, report, tol=record.get("tol", EVALUATE_TOL))
     return dataclasses.asdict(metrics)
 
 
@@ -426,8 +428,6 @@ def _plot_rows(name, value) -> list:
     """The (x, y, series) rows of one input, named after its stage, or after
     its file's stem in a subcommand; a dict's values that are not numbers
     are skipped."""
-    from .centrality import CentralityVector
-
     series = Path(name).stem
     if isinstance(value, dict):
         return [(key, value[key], series) for key in sorted(value) if is_number(value[key])]
@@ -486,6 +486,38 @@ _ARTIFACTS = {
 _EMIT_DEFAULTS = {"reports": True, "trajectories": True, "plot_data": True}
 
 
+def _output_dir(config, what: str, required: dict, optional: dict, output_dir) -> Path:
+    """The output directory of a run or sweep config, created: output_dir,
+    else the config's own. Raises ConfigError, prefixed with what, unless
+    config is an object of the required and optional keys (output_dir is
+    always optional) with a nonnegative seed."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    _check_keys(config, required, {"output_dir": str, **optional}, what)
+    if config["seed"] < 0:
+        raise ConfigError("seed must be a nonnegative integer")
+    target = output_dir or config.get("output_dir")
+    if target is None:
+        raise ConfigError("no output directory: set output_dir or pass one")
+    out = Path(target)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_manifest(out: Path, config: dict, artifacts: dict, **extra) -> dict:
+    """Write and return out/manifest.json: the artifact digests, the config's
+    hash and seed, the tool versions and any extra entries."""
+    manifest = {
+        "artifacts": artifacts,
+        "config_sha256": _config_hash(config),
+        "seed": config["seed"],
+        "versions": _version_table(),
+        **extra,
+    }
+    write_json(out / "manifest.json", manifest)
+    return manifest
+
+
 def run_pipeline(config: dict, output_dir=None, values=None) -> dict:
     """Execute the stages of one experiment config and write a manifest.
 
@@ -494,25 +526,13 @@ def run_pipeline(config: dict, output_dir=None, values=None) -> dict:
     abort with the failing stage named; artifacts written before the
     failure stay on disk.
     """
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(
-        config, {"seed": int, "stages": list}, {"output_dir": str, "emit": dict}, "config"
-    )
-    seed = config["seed"]
-    if seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    out = _output_dir(config, "config", {"seed": int, "stages": list}, {"emit": dict}, output_dir)
     stages = config["stages"]
     if not stages:
         raise ConfigError("stages must be a non-empty list")
     emit_spec = config.get("emit", {})
     _check_keys(emit_spec, {}, dict.fromkeys(_EMIT_DEFAULTS, bool), "emit")
     emit = {**_EMIT_DEFAULTS, **emit_spec}
-    target = output_dir or config.get("output_dir")
-    if target is None:
-        raise ConfigError("no output directory: set output_dir or pass one")
-    out = Path(target)
-    out.mkdir(parents=True, exist_ok=True)
 
     objects = {} if values is None else values
     artifacts: list = []
@@ -534,7 +554,7 @@ def run_pipeline(config: dict, output_dir=None, values=None) -> dict:
         seen.add(name)
         where = f"stage {name!r} ({kind})"
         try:
-            value = _STAGES[kind](record, where, _stage_seed(seed, index), objects)
+            value = _STAGES[kind](record, where, _stage_seed(config["seed"], index), objects)
             objects[name] = value
             flag, suffixes, write = _ARTIFACTS.get(kind, (None, (), None))
             if write is not None and (flag is None or emit[flag]):
@@ -545,14 +565,7 @@ def run_pipeline(config: dict, output_dir=None, values=None) -> dict:
                 raise
             raise type(exc)(f"{where}: {exc}") from exc
 
-    manifest = {
-        "artifacts": {rel: _sha256(out / rel) for rel in sorted(artifacts)},
-        "config_sha256": _config_hash(config),
-        "seed": seed,
-        "versions": _version_table(),
-    }
-    write_json(out / "manifest.json", manifest)
-    return manifest
+    return _write_manifest(out, config, {rel: _sha256(out / rel) for rel in sorted(artifacts)})
 
 
 # sweeps
@@ -598,15 +611,10 @@ def run_sweep(config: dict, output_dir=None, jobs: int = 1) -> dict:
     derived seed and its own point_NNNN directory, and the aggregation
     rows come out sorted by grid coordinates regardless of worker order.
     """
-    if not isinstance(config, dict):
-        raise ConfigError("sweep config must be a JSON object")
-    _check_keys(
-        config, {"base": dict, "grid": dict, "seed": int}, {"output_dir": str}, "sweep config"
-    )
+    out = _output_dir(config, "sweep config", {"base": dict, "grid": dict, "seed": int}, {},
+                      output_dir)
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    if config["seed"] < 0:
-        raise ConfigError("seed must be a nonnegative integer")
     base = config["base"]
     grid = config["grid"]
     if not grid:
@@ -614,11 +622,6 @@ def run_sweep(config: dict, output_dir=None, jobs: int = 1) -> dict:
     for path, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid {path!r} must list at least one value")
-    target = output_dir or config.get("output_dir")
-    if target is None:
-        raise ConfigError("no output directory: set output_dir or pass one")
-    out = Path(target)
-    out.mkdir(parents=True, exist_ok=True)
 
     axes = [(path, list(grid[path])) for path in sorted(grid)]
     payloads = []
@@ -679,15 +682,8 @@ def run_sweep(config: dict, output_dir=None, jobs: int = 1) -> dict:
         for p in out.rglob("*")
         if p.is_file() and p.relative_to(out).as_posix() != "manifest.json"
     )
-    manifest = {
-        "artifacts": {rel: digests.get(rel) or _sha256(out / rel) for rel in files},
-        "config_sha256": _config_hash(config),
-        "points": len(payloads),
-        "seed": config["seed"],
-        "versions": _version_table(),
-    }
-    write_json(out / "manifest.json", manifest)
-    return manifest
+    artifacts = {rel: digests.get(rel) or _sha256(out / rel) for rel in files}
+    return _write_manifest(out, config, artifacts, points=len(payloads))
 
 
 # command definitions
@@ -821,8 +817,8 @@ def observe(trajectory, kind, rho, issue, seed, out):
 @click.option("--beta", type=float, default=None, help="Gossip activation fraction.")
 @click.option("--mode", type=click.Choice(["dense", "sparse"]), default="dense", show_default=True)
 @click.option("--eta", type=float, default=0.0, show_default=True)
-@click.option("--n-sigma", type=int, default=5, show_default=True)
-@click.option("--max-lag", type=int, default=5, show_default=True)
+@click.option("--n-sigma", type=int, default=N_SIGMA, show_default=True)
+@click.option("--max-lag", type=int, default=N_SIGMA, show_default=True)
 @click.option("--threshold", type=float, default=None)
 @click.option("--nonneg", is_flag=True)
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -850,7 +846,7 @@ def identify(method, trajectory, profiles, stream_path, network_path, eps, beta,
               help="Ground-truth network JSON.")
 @click.option("--estimate", type=click.Path(exists=True, dir_okay=False), required=True,
               help="Estimation report JSON.")
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=float, default=EVALUATE_TOL, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def evaluate(truth, estimate, tol, out):
     """Score an estimation report against a ground-truth network."""

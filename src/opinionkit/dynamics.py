@@ -24,7 +24,7 @@ from .errors import (
     StructuralError,
 )
 from .netgraph import InfluenceNetwork, MultiplexNetwork
-from .numkit import CONDITION_MAX, DENSE_MAX_N, STABILITY_MARGIN, STRUCTURAL_ZERO
+from .numkit import CONDITION_MAX, DENSE_MAX_N, STABILITY_MARGIN, STRUCTURAL_ZERO, SUM_TOL
 from .numkit import DRAW_BLOCK, philox_stream, spectral_radius
 
 # The synchronous step loop reads one number per step, the move max|dX|:
@@ -283,7 +283,7 @@ def fj_equilibrium(net: InfluenceNetwork, x0) -> tuple[np.ndarray, np.ndarray]:
     solve = _anchored_system(net, "equilibrium")
     control = solve(np.diag(1.0 - net.lam))
     row_err = np.max(np.abs(control.sum(axis=1) - 1.0))
-    if row_err > 1e-9 or control.min() < -1e-9:
+    if row_err > SUM_TOL or control.min() < -1e-9:
         raise NumericalError(
             f"control matrix failed stochasticity check (row error {row_err:.3g})"
         )
@@ -327,12 +327,12 @@ def simulate_reflected_appraisal(
         raise StructuralError("appraisal matrix must be square")
     if np.abs(np.diag(c_influence)).max() > STRUCTURAL_ZERO:
         raise ParameterError("appraisal matrix must have a zero diagonal")
-    if np.max(np.abs(c_influence.sum(axis=1) - 1.0)) > 1e-9:
+    if np.max(np.abs(c_influence.sum(axis=1) - 1.0)) > SUM_TOL:
         raise ParameterError("appraisal matrix rows must sum to 1")
     c = np.asarray(c0, dtype=float).ravel()
     if c.shape[0] != n:
         raise StructuralError("c0 length does not match the appraisal matrix")
-    if abs(c.sum() - 1.0) > 1e-9 or c.min() <= 0.0 or c.max() >= 1.0:
+    if abs(c.sum() - 1.0) > SUM_TOL or c.min() <= 0.0 or c.max() >= 1.0:
         raise ParameterError("c0 must lie strictly inside the simplex")
     if n_issues < 1:
         raise ParameterError("n_issues must be >= 1")
@@ -346,7 +346,7 @@ def simulate_reflected_appraisal(
         stage = InfluenceNetwork(w=w_stage, lam=1.0 - c)
         solve = _anchored_system(stage, f"reflected appraisal stage {s + 1}")
         c = c * solve(np.ones(n), transpose=True) / n
-        if abs(c.sum() - 1.0) > 1e-9 or c.min() <= 0.0:
+        if abs(c.sum() - 1.0) > SUM_TOL or c.min() <= 0.0:
             raise NumericalError(f"social power left the simplex at stage {s + 1}")
         c_seq[s + 1] = c
     return AppraisalPath(w_seq=w_seq, c_seq=c_seq)

@@ -26,26 +26,39 @@ from .errors import (
     StructuralError,
     TransformError,
 )
-from .dynamics import OpinionTrajectory, _per_layer_vectors
-from .netgraph import InfluenceNetwork
+from .dynamics import OpinionTrajectory, _per_layer_vectors, is_schur_stable
+from .netgraph import MULTIPLEX_MODELS, InfluenceNetwork
 from .numkit import (
     L1Problem,
     PINV_RCOND,
     STRUCTURAL_ZERO,
+    SUM_TOL,
     minimal_band,
     pseudoinverse,
     solve_l1,
 )
 from .observe import ObservationStream, observation_moments
 
-# Default number of lag matrices averaged into Sigma_minus / Sigma_plus.
+# Number of lag matrices averaged into Sigma_minus / Sigma_plus unless a
+# caller sets n_sigma; identify_multiplex also estimates lags 0..N_SIGMA.
 N_SIGMA = 5
 
 # Off-diagonal entries of Gamma-hat below this fraction of the largest one
 # are treated as absent edges.
 SUPPORT_FRACTION = 0.05
 
-DEFAULT_SUPPORT_TOL = 1e-6
+# Entries of an equilibrium or finite-horizon W-hat above this magnitude form
+# its support: ten times HiGHS's 1e-7 feasibility tolerance, so noise is no edge.
+SUPPORT_TOL = 1e-6
+
+# Entries of a plain estimate matrix above this magnitude count as edges
+# in evaluate_estimate unless the caller sets tol.
+EVALUATE_TOL = 1e-8
+
+# fit_hyperparameters stops after HYPER_MAX_ITER alternating updates, or
+# as converged once the objective changes by at most HYPER_REL_TOL of itself.
+HYPER_MAX_ITER = 200
+HYPER_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -145,7 +158,6 @@ def identify_finite_horizon(
     traj: OpinionTrajectory,
     eps: float = 0.0,
     lam: np.ndarray | None = None,
-    support_threshold: float = DEFAULT_SUPPORT_TOL,
 ) -> EstimationReport:
     """Fit x(k+1) ~ A x(k) + B x(0) from a finite trajectory.
 
@@ -223,7 +235,7 @@ def identify_finite_horizon(
         w_hat=w_hat,
         lambda_hat=lambda_hat,
         gamma_hat=None,
-        support=_support_of(w_hat, support_threshold),
+        support=_support_of(w_hat, SUPPORT_TOL),
         metrics={"eps": eps, "n_transitions": states.shape[0] - 1, "n_issues": m},
         solver_log={**_lp_log(results), "coupling_matrix": a_hat},
     )
@@ -282,13 +294,7 @@ def check_lambda_identifiability(lam) -> None:
         )
 
 
-def identify_infinite_horizon(
-    x0,
-    x_inf,
-    lam,
-    nonneg: bool = False,
-    support_threshold: float = DEFAULT_SUPPORT_TOL,
-) -> EstimationReport:
+def identify_infinite_horizon(x0, x_inf, lam, nonneg: bool = False) -> EstimationReport:
     """Recover W from equilibrium snapshots with known susceptibilities.
 
     Each row solves min ||w||_1 subject to X(inf)' w = psi_j and
@@ -327,18 +333,13 @@ def identify_infinite_horizon(
         w_hat=w_hat,
         lambda_hat=lam,
         gamma_hat=None,
-        support=_support_of(w_hat, support_threshold),
+        support=_support_of(w_hat, SUPPORT_TOL),
         metrics={"max_residual": max(result.residual for result in results)},
         solver_log={**_lp_log(results), "nonneg": nonneg},
     )
 
 
-def identify_unknown_lambda(
-    x0,
-    x_inf,
-    nonneg: bool = False,
-    support_threshold: float = DEFAULT_SUPPORT_TOL,
-) -> EstimationReport:
+def identify_unknown_lambda(x0, x_inf, nonneg: bool = False) -> EstimationReport:
     """Joint recovery of (W, lambda) up to the scaling ambiguity.
 
     Self-weights trade off against susceptibilities without changing any
@@ -394,7 +395,7 @@ def identify_unknown_lambda(
         w_hat=w_hat,
         lambda_hat=lambda_hat,
         gamma_hat=None,
-        support=_support_of(w_hat, support_threshold),
+        support=_support_of(w_hat, SUPPORT_TOL),
         metrics={"canonical": "zero-diagonal"},
         solver_log={**_lp_log(results), "rows_at_rest": tuple(at_rest), "nonneg": nonneg},
     )
@@ -440,24 +441,21 @@ def ambiguity_transform(lam, w, d) -> tuple[np.ndarray, np.ndarray]:
         raise TransformError("transformed weights leave the nonnegative cone")
     w2 = np.clip(w2, 0.0, None)
     row_err = np.max(np.abs(w2.sum(axis=1) - 1.0))
-    if row_err > 1e-9:
+    if row_err > SUM_TOL:
         raise TransformError(f"transformed rows are off-stochastic by {row_err:.3g}")
     if lam2.min() < -1e-12 or lam2.max() > 1.0 + 1e-12:
         raise TransformError("transformed susceptibilities leave [0, 1]")
-    from .dynamics import is_schur_stable
-
     check = is_schur_stable(InfluenceNetwork(w=w2, lam=np.clip(lam2, 0.0, 1.0)))
     if not check.schur_stable:
         raise TransformError("transform breaks reachability of lambda < 1 agents")
     return np.clip(lam2, 0.0, 1.0), w2
 
 
-def estimate_state_mean(stream: ObservationStream, model=None) -> np.ndarray:
+def estimate_state_mean(stream: ObservationStream) -> np.ndarray:
     """Bias-corrected mean state x_hat = z_bar / pi."""
     if stream.horizon <= 0:
         raise EstimationError("empty stream carries no information")
-    model = model if model is not None else stream.model
-    pi = model.rho_vector(stream.n)
+    pi = stream.model.rho_vector(stream.n)
     zero = np.flatnonzero(pi == 0.0)
     if zero.size:
         raise IdentifiabilityError(
@@ -467,7 +465,7 @@ def estimate_state_mean(stream: ObservationStream, model=None) -> np.ndarray:
 
 
 def estimate_cross_correlations(
-    stream: ObservationStream, max_lag: int, n_sigma: int = N_SIGMA, model=None
+    stream: ObservationStream, max_lag: int, n_sigma: int = N_SIGMA
 ) -> MomentEstimates:
     """Moment-corrected lag correlations and their Sigma-+/- averages.
 
@@ -476,14 +474,13 @@ def estimate_cross_correlations(
     0..n_sigma-1 and 1..n_sigma.
     """
     steps = stream.values.shape[0]
-    model = model if model is not None else stream.model
     if n_sigma < 1:
         raise ParameterError("n_sigma must be >= 1")
     if max_lag < n_sigma:
         raise ParameterError(f"max_lag={max_lag} must be >= n_sigma={n_sigma}")
     if steps <= max_lag:
         raise EstimationError(f"{steps} steps cannot support lag {max_lag}")
-    moments = observation_moments(model, stream.n, max_lag)
+    moments = observation_moments(stream.model, stream.n, max_lag)
     if np.any(moments.cap_pi[: max_lag + 1] == 0.0):
         raise IdentifiabilityError(
             "observation moments vanish somewhere; those correlations are "
@@ -495,7 +492,7 @@ def estimate_cross_correlations(
         upper = steps - lag
         raw = z[:upper].T @ z[lag:] / upper
         sigma[lag] = raw / moments.cap_pi[lag]
-    return _moments(estimate_state_mean(stream, model), sigma, n_sigma, stream.horizon)
+    return _moments(estimate_state_mean(stream), sigma, n_sigma, stream.horizon)
 
 
 def _moments(x_hat, sigma, n_sigma: int, horizon: int) -> MomentEstimates:
@@ -515,7 +512,6 @@ def estimate_gamma(
     b_bar,
     mode: str = "dense",
     eta: float = 0.0,
-    rcond: float = PINV_RCOND,
 ) -> tuple[np.ndarray, dict]:
     """Solve the lag identity Sigma_plus = Sigma_minus Gamma' + x b_bar'.
 
@@ -524,17 +520,18 @@ def estimate_gamma(
     minimizes the off-diagonal l1 mass of Gamma' column by column subject
     to a max-norm band of width eta around the identity, and its info adds
     the per-column LP log shared by every LP-backed estimator. Both modes
-    reject eta < 0; only sparse uses eta.
+    reject an eta that is not >= 0; only sparse uses eta. Rank counts
+    singular values above PINV_RCOND of the largest.
     """
     if mode not in ("dense", "sparse"):
         raise ParameterError(f"unknown mode {mode!r}")
-    if eta < 0.0:
+    if not eta >= 0.0:
         raise ParameterError(f"eta must be >= 0, got {eta:.3g}")
     b_bar = np.asarray(b_bar, dtype=float).ravel()
     n = moments.sigma_minus.shape[0]
     target = moments.sigma_plus - np.outer(moments.x_hat, b_bar)
     sing = np.linalg.svd(moments.sigma_minus, compute_uv=False)
-    rank = int(np.sum(sing > rcond * sing[0]))
+    rank = int(np.sum(sing > PINV_RCOND * sing[0]))
     condition = float(sing[0] / sing[-1]) if sing[-1] > 0.0 else float("inf")
     info = {"mode": mode, "condition": condition, "rank": rank}
     if mode == "dense":
@@ -544,7 +541,7 @@ def estimate_gamma(
                 "fallback",
                 stacklevel=2,
             )
-        gamma_t = pseudoinverse(moments.sigma_minus, rcond=rcond) @ target
+        gamma_t = pseudoinverse(moments.sigma_minus) @ target
         return gamma_t.T, info
 
     gamma_hat, results = _solve_rows(
@@ -630,7 +627,8 @@ def _off_diagonal_cut(gamma_hat: np.ndarray, threshold: float | None):
 
 
 def _check_prior(psi: np.ndarray | None, nu: float, n: int) -> None:
-    """Raise unless nu > n + 1 and psi (when given) is an SPD (n, n) scale."""
+    """Raise unless nu is finite and > n + 1 and psi (when given) is an SPD
+    (n, n) scale."""
     if psi is not None:
         psi = np.asarray(psi, dtype=float)
         if psi.shape != (n, n):
@@ -639,8 +637,8 @@ def _check_prior(psi: np.ndarray | None, nu: float, n: int) -> None:
             raise ParameterError("prior scale must be symmetric")
         if np.linalg.eigvalsh(psi).min() <= 0.0:
             raise ParameterError("prior scale must be positive definite")
-    if nu <= n + 1:
-        raise ParameterError(f"nu must exceed n + 1 = {n + 1}")
+    if not n + 1 < nu < np.inf:
+        raise ParameterError(f"nu must exceed n + 1 = {n + 1} and be finite")
 
 
 def _shrink(prior_mean: np.ndarray, scm: np.ndarray, nu: float, t: float, n: int):
@@ -724,14 +722,15 @@ def _golden_nu(psi, grams, t_sizes, n, lo, hi, evals=80):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def fit_hyperparameters(samples, max_iter: int = 200, rel_tol: float = 1e-8) -> HyperFit:
+def fit_hyperparameters(samples) -> HyperFit:
     """Empirical-Bayes fit of the prior (Psi, nu) across systems.
 
     Alternates a golden-section search in nu with a damped fixed-point
     update of Psi, driving the summed negative log marginal likelihood of
     the zero-mean Gaussian / inverse-Wishart hierarchy downward; the
     objective is non-increasing by construction and convergence is
-    declared at relative change below rel_tol.
+    declared at relative change below HYPER_REL_TOL, within HYPER_MAX_ITER
+    rounds.
     """
     samples = [np.atleast_2d(np.asarray(z, dtype=float)) for z in samples]
     if not samples:
@@ -750,7 +749,7 @@ def fit_hyperparameters(samples, max_iter: int = 200, rel_tol: float = 1e-8) -> 
     objective = _neg_log_marginal(psi, nu, grams, t_sizes, n)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, HYPER_MAX_ITER + 1):
         nu_new, obj_nu = _golden_nu(psi, grams, t_sizes, n, lo, hi)
         if obj_nu < objective:
             nu, objective = nu_new, obj_nu
@@ -771,7 +770,7 @@ def fit_hyperparameters(samples, max_iter: int = 200, rel_tol: float = 1e-8) -> 
             psi, objective = candidate, obj_candidate
         if objective > previous + 1e-9 * max(1.0, abs(previous)):
             raise NumericalError("objective increased; alternating update is broken")
-        if abs(previous - objective) <= rel_tol * max(1.0, abs(previous)):
+        if abs(previous - objective) <= HYPER_REL_TOL * max(1.0, abs(previous)):
             converged = True
             break
 
@@ -791,17 +790,16 @@ def identify_multiplex(
     model_tag: str,
     lambdas,
     u,
-    max_lag: int = N_SIGMA,
-    n_sigma: int = N_SIGMA,
     psi: np.ndarray | None = None,
     nu: float | None = None,
-    support_threshold: float | None = None,
     shrink: bool = True,
 ) -> MultiplexEstimate:
     """Per-layer mean-update estimation with cross-layer regularization.
 
     Each layer runs the moment pipeline for the synchronous anchored
-    model (Gamma = Lambda W, b = (I - Lambda) u). With shrink, the lag-0
+    model (Gamma = Lambda W, b = (I - Lambda) u) on lags 0..N_SIGMA, and
+    keeps the off-diagonal entries of its Gamma-hat above SUPPORT_FRACTION
+    of the largest as its support. With shrink, the lag-0
     moment is first blended toward psi / (nu - (n+1)) as in
     bayesian_covariance; nu defaults to n + 3 and psi to the prior pooled
     from the layers' lag-0 moments as in fit_hyperparameters. A given psi
@@ -810,8 +808,6 @@ def identify_multiplex(
     common_support tag, supports are intersected across layers and each
     layer's weights are re-masked to the joint support.
     """
-    from .netgraph import MULTIPLEX_MODELS
-
     if model_tag not in MULTIPLEX_MODELS:
         raise ParameterError(
             f"unknown multiplex model {model_tag!r}; choose from {MULTIPLEX_MODELS}"
@@ -830,7 +826,7 @@ def identify_multiplex(
         raise IdentifiabilityError("every susceptibility must be positive")
 
     moment_sets = [
-        estimate_cross_correlations(stream, max_lag, n_sigma) for stream in streams
+        estimate_cross_correlations(stream, N_SIGMA, N_SIGMA) for stream in streams
     ]
     t_effs = [float(stream.mask.sum()) / stream.n for stream in streams]
     gammas_shrink = [0.0] * n_layers
@@ -843,7 +839,7 @@ def identify_multiplex(
         for s, me in enumerate(moment_sets):
             sigma = me.sigma.copy()
             sigma[0], gammas_shrink[s] = _shrink(prior_mean, sigma[0], nu, t_effs[s], n)
-            moment_sets[s] = _moments(me.x_hat, sigma, n_sigma, me.horizon)
+            moment_sets[s] = _moments(me.x_hat, sigma, N_SIGMA, me.horizon)
 
     gamma_hats, supports, infos = [], [], []
     for s, me in enumerate(moment_sets):
@@ -851,7 +847,7 @@ def identify_multiplex(
         gamma_hat, info = estimate_gamma(me, b_bar, mode="dense")
         gamma_hats.append(gamma_hat)
         infos.append(info)
-        cut = _off_diagonal_cut(gamma_hat, support_threshold)[1]
+        cut = _off_diagonal_cut(gamma_hat, None)[1]
         supports.append(set(_support_of(gamma_hat, cut)))
 
     joint = None
@@ -952,7 +948,7 @@ def load_report(path) -> EstimationReport:
     )
 
 
-def evaluate_estimate(w_true: np.ndarray, estimate, tol: float = 1e-8) -> EvalMetrics:
+def evaluate_estimate(w_true: np.ndarray, estimate, tol: float = EVALUATE_TOL) -> EvalMetrics:
     """Support precision/recall/F1 and weight errors of an estimate.
 
     estimate may be an EstimationReport (its stored support is used) or a

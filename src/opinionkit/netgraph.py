@@ -18,7 +18,7 @@ from scipy import sparse
 
 from ._files import is_int, is_number, number_texts, read_json
 from .errors import ConfigError, EstimationError, ParameterError, StructuralError
-from .numkit import STRUCTURAL_ZERO, philox_stream
+from .numkit import STRUCTURAL_ZERO, SUM_TOL, philox_stream
 
 GENERATOR_MODELS = ("erdos_renyi", "watts_strogatz", "barabasi_albert")
 MULTIPLEX_MODELS = ("common_component", "common_support", "independent")
@@ -254,11 +254,11 @@ class MultiplexConfig:
             raise ParameterError("n_layers must be >= 1")
         if not 0.0 <= self.innovation_p <= 1.0:
             raise ParameterError("innovation_p must lie in [0, 1]")
-        if self.innovation_scale <= 0.0:
-            raise ParameterError("innovation_scale must be positive")
+        if not 0.0 < self.innovation_scale < np.inf:
+            raise ParameterError("innovation_scale must be positive and finite")
 
 
-def validate_network(net: InfluenceNetwork, tol: float = 1e-9) -> ValidationReport:
+def validate_network(net: InfluenceNetwork, tol: float = SUM_TOL) -> ValidationReport:
     """Check row-stochasticity, weight range, and susceptibility range.
 
     Returns every violation found; an empty problem list means the network
@@ -268,7 +268,7 @@ def validate_network(net: InfluenceNetwork, tol: float = 1e-9) -> ValidationRepo
     bit, and a verdict can differ from that of the dense sum only for a
     row that misses 1 by tol within rounding.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ParameterError(f"validation tolerance must be nonnegative, got {tol}")
     problems: list[str] = []
     matrix = net.nonzeros

@@ -40,6 +40,9 @@ STRUCTURAL_ZERO = 1e-12
 # Relative singular-value cutoff for pseudoinverse and rank decisions.
 PINV_RCOND = 1e-10
 
+# Largest miss of 1 at which a row, column or simplex sum counts as 1.
+SUM_TOL = 1e-9
+
 # Absolute slack on the stage-1 optimum when the lexicographic tie-break
 # re-imposes it as a bound in its stage-2 solve. It only keeps the stage-1
 # vertex feasible against rounding in the reported optimum; the stage-2
@@ -51,6 +54,12 @@ LEXICOGRAPHIC_SLACK = 1e-9
 # eigen-solve and the Lambda W products of the simulators. Larger ones go
 # sparse (CSR products, ARPACK under a Collatz-Wielandt certificate).
 DENSE_MAX_N = 200
+
+# Relative width of the Collatz-Wielandt bracket that certifies ARPACK's
+# spectral radius, and the Arnoldi restarts ARPACK may take to reach it
+# (generated Watts-Strogatz and Barabasi-Albert couplings need 20 or fewer).
+RADIUS_TOL = 1e-10
+ARPACK_MAX_ITER = 300
 
 # Bound on the infinity-norm condition number of I - Lambda W wherever it is solved.
 CONDITION_MAX = 1e12
@@ -461,10 +470,10 @@ def minimal_band(problem: L1Problem) -> float:
     return float(res.fun) if status == "optimal" else float("inf")
 
 
-def pseudoinverse(matrix: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
+def pseudoinverse(matrix: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular values below
-    rcond * sigma_max treated as zero."""
-    return np.linalg.pinv(np.asarray(matrix, dtype=float), rcond=rcond)
+    PINV_RCOND * sigma_max treated as zero."""
+    return np.linalg.pinv(np.asarray(matrix, dtype=float), rcond=PINV_RCOND)
 
 
 def spark(phi: np.ndarray, tol: float | None = None) -> int:
@@ -524,9 +533,7 @@ def _nsp_violated_on(phi: np.ndarray, support: tuple[int, ...]) -> bool:
     return False
 
 
-def check_recovery_conditions(
-    phi: np.ndarray, s: int, c: float = 1.0, delta: float | None = None
-) -> RecoveryDiagnostics:
+def check_recovery_conditions(phi: np.ndarray, s: int) -> RecoveryDiagnostics:
     """Exhaustive sparse-recovery certificates for a measurement matrix.
 
     spark_ok certifies uniqueness of every s-sparse solution (spark > 2s);
@@ -534,8 +541,8 @@ def check_recovery_conditions(
     (no nonzero kernel element concentrates half its l1 mass on s
     coordinates); rec_delta is the smallest restricted singular value over
     size-s supports, scaled by 1/sqrt(m); sample_bound reports the
-    m >= (c*s/delta^2) * log(n/(delta*s)) requirement with the supplied
-    constant, for reporting only.
+    m >= (s/delta^2) * log(n/(delta*s)) requirement with delta = rec_delta
+    clipped to [1e-6, 0.999], for reporting only.
     """
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     m, n = phi.shape
@@ -558,8 +565,8 @@ def check_recovery_conditions(
             nsp_ok = False
     rec_delta = float(rec_delta)
 
-    delta_used = delta if delta is not None else min(max(rec_delta, 1e-6), 0.999)
-    sample_bound = float(c * s / delta_used**2 * np.log(n / (delta_used * s)))
+    delta = min(max(rec_delta, 1e-6), 0.999)
+    sample_bound = float(s / delta**2 * np.log(n / (delta * s)))
     return RecoveryDiagnostics(
         m=m,
         n=n,
@@ -572,22 +579,21 @@ def check_recovery_conditions(
     )
 
 
-def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 300) -> float:
+def spectral_radius(matrix) -> float:
     """Spectral radius of a square dense array or scipy.sparse matrix.
 
     Dense eigen-solve when n <= DENSE_MAX_N or when the matrix has a
     negative entry. Otherwise ARPACK finds the eigenvalue of largest
     modulus on the CSR form, from a fixed start vector of ones so that
-    reruns are bit-identical, within max_iter Arnoldi restarts (generated
-    Watts-Strogatz and Barabasi-Albert couplings need 20 or fewer). Its
+    reruns are bit-identical, within ARPACK_MAX_ITER Arnoldi restarts. Its
     modulus is returned only when a Collatz-Wielandt certificate closes:
     with v = |eigenvector| > 0, the ratios (M v)_i / v_i bracket the
     Perron root of a nonnegative M, and the modulus together with every
-    ratio must lie within a bracket [lo, hi] with hi - lo <= tol * hi.
-    So tol is the relative width of the certified bracket, not a stop on
-    the change of an estimate. An ARPACK failure or an open certificate
-    (reducible or nilpotent inputs, such as a hierarchy below a stubborn
-    root) falls back to the dense eigen-solve. A NaN or inf entry raises
+    ratio must lie within a bracket [lo, hi] with hi - lo <= RADIUS_TOL *
+    hi. So RADIUS_TOL is the relative width of the certified bracket, not
+    a stop on the change of an estimate. An ARPACK failure or an open
+    certificate (reducible or nilpotent inputs, such as a hierarchy below
+    a stubborn root) falls back to the dense eigen-solve. A NaN or inf entry raises
     ParameterError.
     """
     if not sparse.issparse(matrix):
@@ -600,20 +606,20 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iter: int = 300) -> float:
     if n > DENSE_MAX_N:
         csr = sparse.csr_array(matrix, dtype=float)
         if not (csr.data < 0.0).any():
-            radius = _certified_radius(csr, tol, max_iter)
+            radius = _certified_radius(csr)
             if radius is not None:
                 return radius
     dense = matrix.toarray() if sparse.issparse(matrix) else matrix
     return float(np.max(np.abs(np.linalg.eigvals(dense))))
 
 
-def _certified_radius(csr, tol: float, max_iter: int) -> float | None:
+def _certified_radius(csr) -> float | None:
     """ARPACK's largest modulus of a nonnegative CSR matrix when the
     Collatz-Wielandt bracket closes around it (see spectral_radius);
     None when ARPACK fails or the bracket stays open."""
     try:
         values, vectors = eigs(
-            csr, k=1, which="LM", v0=np.ones(csr.shape[0]), tol=0, maxiter=max_iter
+            csr, k=1, which="LM", v0=np.ones(csr.shape[0]), tol=0, maxiter=ARPACK_MAX_ITER
         )
     except ArpackError:
         return None
@@ -623,4 +629,4 @@ def _certified_radius(csr, tol: float, max_iter: int) -> float | None:
         return None
     ratios = (csr @ v) / v
     lo, hi = min(ratios.min(), modulus), max(ratios.max(), modulus)
-    return modulus if hi - lo <= tol * hi else None
+    return modulus if hi - lo <= RADIUS_TOL * hi else None

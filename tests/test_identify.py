@@ -671,6 +671,16 @@ def test_estimate_gamma_rejects_a_negative_band():
             ok.estimate_gamma(moments, b_bar, mode=mode, eta=-1e-3)
 
 
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+def test_estimate_gamma_rejects_a_nan_band(mode):
+    # dense mode accepted eta=nan silently; sparse mode named the LP's band
+    net = _ws_network(seed=7, n=10)
+    x0 = np.random.default_rng(1).uniform(-1, 1, 10)
+    moments, _, b_bar = _exact_moments(net, beta=0.5, x0=x0)
+    with pytest.raises(ok.ParameterError, match="eta must be >= 0, got nan"):
+        ok.estimate_gamma(moments, b_bar, mode=mode, eta=float("nan"))
+
+
 def test_estimate_gamma_flags_an_infeasible_band_on_rank_deficient_moments():
     # equal rows of sigma_minus cannot reach a target column (0, 1) closer
     # than 0.5 in max-norm
@@ -818,6 +828,13 @@ def test_bayesian_covariance_validates_the_prior():
         ok.bayesian_covariance([np.zeros((2, 2))], np.eye(3), nu=8.0)
 
 
+@pytest.mark.parametrize("nu", [float("nan"), float("inf")])
+def test_bayesian_covariance_rejects_a_non_finite_nu(nu):
+    # both used to return all-NaN matrices
+    with pytest.raises(ok.ParameterError, match="nu must exceed n \\+ 1 = 3 and be finite"):
+        ok.bayesian_covariance([np.ones((2, 4))], np.eye(2), nu=nu)
+
+
 def test_fit_hyperparameters_recovers_a_synthetic_prior():
     nu_true, n = 12.0, 5
     psi_true = np.diag(np.linspace(1.0, 3.0, n))
@@ -930,6 +947,9 @@ def test_identify_multiplex_uses_a_prior_scale_given_without_nu():
         ({"psi": np.eye(8), "nu": 9.0}, "nu must exceed"),
         ({"psi": -np.eye(8)}, "positive definite"),
         ({"psi": -np.eye(8), "nu": 11.0}, "positive definite"),
+        ({"nu": float("nan")}, "nu must exceed"),
+        ({"nu": float("inf")}, "nu must exceed"),
+        ({"psi": np.eye(8), "nu": float("nan")}, "nu must exceed"),
     ],
 )
 def test_identify_multiplex_validates_a_given_prior(prior, match):

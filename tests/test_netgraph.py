@@ -42,6 +42,14 @@ def test_validation_rejects_a_negative_tolerance():
         ok.validate_network(net, tol=-1e-9)
 
 
+def test_validation_rejects_a_nan_tolerance():
+    # tol=nan passed every check: this network was reported ok
+    w = np.array([[0.7, 0.7], [0.5, 0.5]])
+    net = ok.InfluenceNetwork(w=w, lam=np.array([2.0, 0.5]))
+    with pytest.raises(ok.ParameterError, match="tolerance must be nonnegative, got nan"):
+        ok.validate_network(net, tol=float("nan"))
+
+
 def test_network_rejects_shape_mismatch():
     with pytest.raises(ok.StructuralError):
         ok.InfluenceNetwork(w=np.eye(3), lam=np.array([0.5, 0.5]))
@@ -297,6 +305,18 @@ def test_a_rejected_network_file_names_itself(tmp_path, capsys, fields, message)
     ))
     with pytest.raises(ok.ConfigError, match=f"^multiplex {re.escape(str(multiplex))} layer 1: "):
         ok.load_multiplex(multiplex)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+def test_multiplex_config_rejects_a_non_finite_innovation_scale(scale):
+    # both used to build layers with NaN weights
+    with pytest.raises(ok.ParameterError, match="innovation_scale must be positive and finite"):
+        ok.MultiplexConfig(
+            model_tag="common_component",
+            base=ok.GeneratorConfig(model="erdos_renyi", n=10, p=0.35),
+            n_layers=2,
+            innovation_scale=scale,
+        )
 
 
 @pytest.mark.parametrize("tag", ["independent", "common_support", "common_component"])
