@@ -180,8 +180,8 @@ def identify_finite_horizon(
     decides, and every row of a band eps > 0, is solved by HiGHS, with the
     lexicographic stage where the tie remains (lexicographic_rows).
     """
-    if eps < 0.0:
-        raise ParameterError("eps must be >= 0")
+    if not eps >= 0.0:
+        raise ParameterError(f"eps must be >= 0, got {eps}")
     states = traj.states
     if states.shape[0] < 2:
         raise StructuralError("need at least one transition")
@@ -260,11 +260,12 @@ def _solve_rows(problems, infeasible, what: str = "row"):
 
 def _lp_log(results) -> dict:
     """The solver_log entries of every LP-backed estimator: per-row (or
-    per-column) objectives, total LP iterations, the rows decided by the
-    lexicographic stage-2 LP, by a certified face without an LP
-    (nnls_rows), and the rows left to HiGHS whose first face, the
-    nonnegative feasible set (for a signed row, its nonnegative optimal
-    set), holds several points (tied_rows)."""
+    per-column) objectives, total iterations (HiGHS's and the least-moment
+    simplex's pivots), the rows decided by the lexicographic stage-2 LP, by
+    a certified face without an LP (nnls_rows), the rows whose first face,
+    the nonnegative feasible set (for a signed row, its nonnegative optimal
+    set), holds several points (tied_rows), and those of them decided by the
+    certified least-moment point rather than HiGHS's vertex (moment_rows)."""
 
     def rows_where(key, value):
         return tuple(row for row, result in enumerate(results) if result.solver_log[key] == value)
@@ -275,6 +276,7 @@ def _lp_log(results) -> dict:
         "lexicographic_rows": rows_where("tie_break", "lexicographic"),
         "nnls_rows": rows_where("certificate", "unique"),
         "tied_rows": rows_where("certificate", "tied"),
+        "moment_rows": rows_where("tie_break", "least-moment"),
     }
 
 
@@ -307,8 +309,10 @@ def identify_infinite_horizon(x0, x_inf, lam, nonneg: bool = False) -> Estimatio
     program is a nonnegative feasibility problem whenever a nonnegative
     solution exists: every such point is optimal, signed or not, so
     solve_l1 takes a row's only nonnegative solution with no LP (solver_log
-    nnls_rows). A row with several (tied_rows) keeps HiGHS's vertex for
-    now, and a row with none solves its LP.
+    nnls_rows). A row with several (tied_rows) takes the one of least
+    sum_k w_k |x_k(inf)|^2 where the certificate finds it the only such
+    point (moment_rows), and HiGHS's vertex otherwise; a row with none
+    solves its LP.
     """
     x0, x_inf = _as_profiles(x0, x_inf)
     n = x0.shape[0]
@@ -352,8 +356,10 @@ def identify_unknown_lambda(x0, x_inf, nonneg: bool = False) -> EstimationReport
     nonnegative solution optimal, so the program is a nonnegative
     feasibility problem whenever one exists: solve_l1 takes a unique
     solution with no LP (nnls_rows); a tied row (tied_rows, including an
-    agent that never moved, whose mu is free) keeps HiGHS's vertex for
-    now, and a row with no nonnegative solution solves its LP.
+    agent that never moved, whose mu is free) takes its certified
+    least-moment point (moment_rows; the moment of the column of mu is
+    |x_j(0) - x_j(inf)|^2) or, where the certificate cannot decide, HiGHS's
+    vertex, and a row with no nonnegative solution solves its LP.
     """
     x0, x_inf = _as_profiles(x0, x_inf)
     n, m = x0.shape
@@ -416,7 +422,7 @@ def ambiguity_transform(lam, w, d) -> tuple[np.ndarray, np.ndarray]:
     n = lam.shape[0]
     if w.shape != (n, n) or d.shape[0] != n:
         raise StructuralError("lambda, W, and d sizes are inconsistent")
-    if d.min() < 0.0 or d.max() > 1.0:
+    if not (d.min() >= 0.0 and d.max() <= 1.0):
         raise ParameterError("d entries must lie in [0, 1]")
 
     lam2 = 1.0 - d * (1.0 - lam)

@@ -7,21 +7,28 @@ inputs; this module is the only one that builds or solves a linear
 program. A program is the equality form phi x = psi or the band form
 |phi x - psi| <= band, with optional box bounds. Ties among minimizers
 are broken lexicographically by a second solve when the problem names a
-tie cost, and by HiGHS's vertex choice otherwise. A nonnegative solution
-set {z >= 0 : a z = b} can also be decided without an LP:
-unique_nonneg_solution finds a point by NNLS and certifies it as the only
-one through Stiemke's alternative, solved by a second NNLS in the row
-space, or reports a tie or no point. solve_l1 calls it (the package's
-only nnls, from one call site) on up to two faces of a band-0 program
-before any LP: for a program whose feasible set is nonnegative, the
-feasible set itself and its zero-cost face, where every priced coordinate
-sits at its least value; for a signed one, the nonnegative set on which
-its weighted l1 norm is constant. A face certified to be one point that
-meets every upper bound is the optimum, and HiGHS runs only where no face
-is, that is where a vertex must still be chosen. Combinatorial
-diagnostics (spark, nullspace property) are exhaustive and therefore
-capped at small dimensions; they exist to certify test instances, not to
-scale.
+tie cost, by the least-moment rule below where it applies, and by HiGHS's
+vertex choice otherwise. A nonnegative solution set {z >= 0 : a z = b}
+can also be decided without an LP: unique_nonneg_solution finds a point
+by NNLS and certifies it as the only one through Stiemke's alternative,
+solved by a second NNLS in the row space, or reports a tie or no point.
+solve_l1 calls it (the package's only nnls, from one call site) on up to
+three faces of a band-0 program before any LP: for a program whose
+feasible set is nonnegative, the feasible set itself and its zero-cost
+face, where every priced coordinate sits at its least value; for a signed
+one, the nonnegative set on which its weighted l1 norm is constant. A
+face certified to be one point that meets every upper bound is the
+optimum. Where the first face holds several points, the program names no
+tie cost and its cost is constant on that face, the last face is the
+first one cut by c'x = c*: c_k is the squared norm of column k of the
+face's rows (for an equilibrium row [x_k(inf); 1], so the point of least
+sum_k w_k |x_k(inf)|^2) and c* its least value over the face, found by a
+small two-phase revised simplex (_simplex, the package's only simplex).
+That point, certified as the only optimum, is the least-moment tie-break.
+HiGHS runs only where no face decides, that is where a vertex must still
+be chosen. Combinatorial diagnostics (spark, nullspace property) are
+exhaustive and therefore capped at small dimensions; they exist to
+certify test instances, not to scale.
 """
 
 from dataclasses import dataclass, field
@@ -80,6 +87,15 @@ NNLS_RESIDUAL_MAX = 1e-12
 # |a| |lam|, must stay below sigma_min(a_S) / |a_Z|, the least residual a
 # tie would leave.
 CERTIFICATE_RESIDUAL_MAX = 1e-10
+
+# The least-moment simplex (_simplex): reduced costs above -SIMPLEX_TOL count
+# as optimal, and column entries and ratio-test steps of at most SIMPLEX_TOL as
+# zero. After SIMPLEX_STALL pivots in a row that do not lower the objective it
+# pivots by Bland's rule, which cannot cycle, until one does; after
+# SIMPLEX_MAX_PIVOTS pivots it gives up, and the row goes to HiGHS.
+SIMPLEX_TOL = 1e-9
+SIMPLEX_STALL = 10
+SIMPLEX_MAX_PIVOTS = 1000
 
 # Column subsets whose ranks spark decides in one stacked matrix_rank call;
 # the stack holds at most this many m x k submatrices.
@@ -227,34 +243,52 @@ def solve_l1(problem: L1Problem) -> SolveResult:
     without an LP ("nnls", no iterations; tie_break names the face,
     "unique" or "zero-cost"). solver_log["certificate"] is "unique" then;
     otherwise the first face's verdict, "tied" (several points) or
-    "infeasible" (none found), and None where no face applies. Every other
-    program enters HiGHS: the band form as the rows [phi; -phi] x <= [psi
-    + band; -(psi - band)], the equality form as phi x = psi. HiGHS runs
-    the equality form without presolve, which removes nothing from its
-    dense rows, and keeps presolve wherever the LP has inequality rows: the
-    band form and the stage-2 solve below (see _highs).
+    "infeasible" (none found), and None where no face applies. A tied
+    first face on which the cost is constant, in a program without
+    tie_weights or an upper bound off its pins, is the optimal set: its
+    least-moment point is taken when the certificate finds that point the
+    only one on the face cut by its least moment (_least_moment_face; method
+    "simplex", tie_break "least-moment", iterations the simplex's pivots,
+    certificate still "tied"). Every other program enters HiGHS, also a
+    row whose simplex or cut certificate fails: the band form as the rows
+    [phi; -phi] x <= [psi + band; -(psi - band)], the equality form as phi
+    x = psi. HiGHS runs the equality form without presolve, which removes
+    nothing from its dense rows, and keeps presolve wherever the LP has
+    inequality rows: the band form and the stage-2 solve below (see
+    _highs).
 
-    Ties between optimal vertices: without tie_weights, HiGHS's
-    deterministic vertex choice decides ("solver-vertex" in solver_log).
-    With tie_weights, when the stage-1 optimum carries tie mass above
-    STRUCTURAL_ZERO, a stage-2 solve keeps every constraint, bounds the
-    weighted mass by the stage-1 optimum plus LEXICOGRAPHIC_SLACK and
-    minimizes the tie mass ("lexicographic"); the stage-1 point is
-    feasible for it, so a stage-2 failure is reported as "numerical".
-    solver_log["iterations"] counts both stages.
+    Ties between optimal vertices that reach HiGHS: without tie_weights,
+    HiGHS's deterministic vertex choice decides ("solver-vertex" in
+    solver_log). With tie_weights, when the stage-1 optimum carries tie
+    mass above STRUCTURAL_ZERO, a stage-2 solve keeps every constraint,
+    bounds the weighted mass by the stage-1 optimum plus
+    LEXICOGRAPHIC_SLACK and minimizes the tie mass ("lexicographic"); the
+    stage-1 point is feasible for it, so a stage-2 failure is reported as
+    "numerical". solver_log["iterations"] counts both stages.
     """
     phi, psi, weights, lo, hi = _parsed(problem)
-    verdict = None
+    verdict = x = None
     for tie_break, *face in _faces(problem, phi, psi, weights, lo, hi):
+        if tie_break == "least-moment":
+            if verdict != "tied":
+                break
+            face, pivots = _least_moment_face(*face)
+            if face is None:
+                break
         found, x = _face_point(*face, hi)
         verdict = verdict or found
         if x is not None:
-            verdict, status = "unique", "optimal"
-            log = {"method": "nnls", "tie_break": tie_break, "iterations": 0,
-                   "message": "certified"}
             break
-    else:
+    if x is None:
         x, status, log = _highs_l1(problem, phi, psi, weights, lo, hi)
+    else:
+        status = "optimal"
+        log = {"method": "nnls", "tie_break": tie_break, "iterations": 0, "message": "certified"}
+        if tie_break == "least-moment":
+            x = _refined(x, *face)
+            log.update(method="simplex", iterations=pivots)
+        else:
+            verdict = "unique"
     residual = np.inf if x is None else float(np.abs(phi @ x - psi).max())
     x = np.zeros(phi.shape[1]) if x is None else x
     objective = float((weights * np.abs(x)).sum())
@@ -315,11 +349,16 @@ def _faces(problem: L1Problem, phi, psi, weights, lo, hi):
         at base, their least value (0, or lo where lo > 0), which holds
         every optimum, and every lexicographic one, whenever it is not
         empty.
-    A signed program gets the first face alone where its cost is constant
-    on it, without tie_weights or an upper bound off the pins: the
-    unpinned weights equal a row of rows and each unpinned coordinate is
-    priced or has lo >= 0. Then sum w|x| >= sum w x, a constant, with
-    equality iff x >= base, so that face is the optimal set."""
+    A signed program gets the first face where its cost is constant on it,
+    without tie_weights or an upper bound off the pins: the unpinned
+    weights equal a row of rows and each unpinned coordinate is priced or
+    has lo >= 0. Then sum w|x| >= sum w x, a constant, with equality iff
+    x >= base, so that face is the optimal set.
+      "least-moment": the first face once more, last, wherever the cost is
+        constant on it in that way (a nonnegative program too: its
+        unpinned weights equal a row, without tie_weights or an upper
+        bound off the pins). solve_l1 offers it only where the first face
+        is tied, cut by its least moment (_least_moment_face)."""
     if problem.band != 0.0 or not phi.shape[1]:
         return
     rows, rhs = phi, psi
@@ -328,6 +367,11 @@ def _faces(problem: L1Problem, phi, psi, weights, lo, hi):
         rhs = np.concatenate((psi, [float(problem.sum_to)]))
     free = lo != hi  # NaN bounds never pin
     base = np.where(free, np.fmax(lo, 0.0), lo)
+    constant = (
+        problem.tie_weights is None
+        and not (hi[free] < np.inf).any()
+        and (rows[:, free] == weights[free]).all(axis=1).any()
+    )
     if (base >= 0.0).all() if problem.nonneg else (~free | (lo >= 0.0)).all():
         yield "unique", rows, rhs, base, free
         priced = weights > 0.0
@@ -335,14 +379,98 @@ def _faces(problem: L1Problem, phi, psi, weights, lo, hi):
             priced |= np.asarray(problem.tie_weights, float) > 0.0
         if (free & priced).any():
             yield "zero-cost", rows, rhs, base, free & ~priced
-    elif (
-        not problem.nonneg
-        and problem.tie_weights is None
-        and not (hi[free] < np.inf).any()
-        and ((weights > 0.0) | (lo >= 0.0))[free].all()
-        and (rows[:, free] == weights[free]).all(axis=1).any()
-    ):
+    elif not problem.nonneg and constant and ((weights > 0.0) | (lo >= 0.0))[free].all():
         yield "unique", rows, rhs, base, free
+    else:
+        return
+    if constant:
+        yield "least-moment", rows, rhs, base, free
+
+
+def _least_moment_face(rows, rhs, base, moving):
+    """(face, pivots) for the least-moment rule (see _faces): the first face
+    cut by c'x = c*, where c_k is the squared norm of column k of rows and
+    c* = min c'x over the face, found by _simplex in pivots pivots; face is
+    None where the simplex fails. Only the certificate's verdict on the cut
+    face, one point or not, decides the row."""
+    cost = np.einsum("ij,ij->j", rows, rows)
+    z, pivots = _simplex(rows[:, moving], rhs - rows @ base, cost[moving])
+    if z is None:
+        return None, pivots
+    cut = cost @ base + cost[moving] @ z
+    return (np.vstack([rows, cost]), np.append(rhs, cut), base, moving), pivots
+
+
+def _simplex(a, b, c):
+    """(z, pivots): a vertex z minimizing c'z over {z >= 0 : a z = b}, from a
+    dense two-phase revised simplex, or (None, pivots) when it finds the set
+    empty or the cost unbounded, or stops at SIMPLEX_MAX_PIVOTS.
+
+    Rows with b < 0 are negated. The basis is kept as its explicit inverse,
+    updated at each pivot, so a pivot prices every column with one product
+    of a and touches only p x p numbers besides. Phase 1 starts from one
+    artificial column per row and minimizes their sum; artificial columns
+    are never priced again once they leave, and an optimum above SIMPLEX_TOL
+    (relative to max(1, max |b|)) is an empty set. Each artificial still
+    basic then leaves for the first column with an entry above SIMPLEX_TOL
+    in its row of the inverse times a; a row with none is redundant and
+    keeps it, at zero. Phase 2 prices c. Both phases pivot by Dantzig's rule,
+    the most negative reduced cost entering and the first row of least ratio
+    leaving (lowest index on ties), and switch to Bland's rule, the first
+    negative reduced cost and the least ratio row of lowest basic index,
+    after SIMPLEX_STALL pivots that do not lower the objective."""
+    p, q = a.shape
+    flip = np.where(b < 0.0, -1.0, 1.0)
+    a, x = a * flip[:, None], b * flip
+    inverse, basis = np.eye(p), np.arange(q, q + p)
+    costs, basic_costs = np.zeros(q), np.ones(p)
+    pivots = 0
+
+    def pivot(r, j, column):
+        nonlocal pivots
+        row = inverse[r] / column[r]
+        inverse[:] -= np.outer(column, row)
+        inverse[r] = row
+        step = x[r] / column[r]
+        x[:] -= step * column
+        x[r] = step
+        basis[r], basic_costs[r] = j, costs[j]
+        pivots += 1
+
+    def run():
+        stall = 0
+        while pivots < SIMPLEX_MAX_PIVOTS:
+            reduced, bland = costs - basic_costs @ inverse @ a, stall >= SIMPLEX_STALL
+            j = int((reduced < -SIMPLEX_TOL).argmax() if bland else reduced.argmin())
+            if not reduced[j] < -SIMPLEX_TOL:
+                return True
+            column = inverse @ a[:, j]
+            ratios = np.divide(np.fmax(x, 0.0), column, out=np.full(p, np.inf),
+                               where=column > SIMPLEX_TOL)
+            r = int(ratios.argmin())
+            step = ratios[r]
+            if step == np.inf:
+                return False
+            if bland:
+                ties = np.flatnonzero(ratios == step)
+                r = int(ties[basis[ties].argmin()])
+            pivot(r, j, column)
+            stall = 0 if step > SIMPLEX_TOL else stall + 1
+        return False
+
+    if not run() or basic_costs @ x > SIMPLEX_TOL * max(1.0, np.abs(b).max()):
+        return None, pivots
+    for r in np.flatnonzero(basis >= q):
+        entries = np.flatnonzero(np.abs(inverse[r] @ a) > SIMPLEX_TOL)
+        if entries.size:
+            pivot(r, int(entries[0]), inverse @ a[:, entries[0]])
+    real = basis < q
+    costs[:], basic_costs[:] = c, np.where(real, c[np.where(real, basis, 0)], 0.0)
+    if not run():
+        return None, pivots
+    z = np.zeros(q)
+    z[basis[real]] = x[real]
+    return z, pivots
 
 
 def _face_point(rows, rhs, base, moving, hi):
@@ -371,6 +499,19 @@ def _face_point(rows, rhs, base, moving, hi):
             break
         base, moving = np.where(above, hi, base), moving & ~above
     return "infeasible", None
+
+
+def _refined(x, rows, rhs, base, moving):
+    """The point x of a certified least-moment face, refined: its entries
+    within STRUCTURAL_ZERO of base reset to base, and one least-squares step
+    of the face's rows on the rest. NNLS may leave rounding-level entries
+    off the optimum's support, which move its point by up to about 1e-12;
+    the optimum is a vertex, so the support's columns are independent and
+    the step returns x to the vertex within rounding."""
+    support = moving & (x - base > STRUCTURAL_ZERO)
+    x = np.where(support, x, base)
+    x[support] += np.linalg.lstsq(rows[:, support], rhs - rows @ x)[0]
+    return x
 
 
 def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):

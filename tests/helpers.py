@@ -595,6 +595,15 @@ def reference_equilibrium_system(x_inf, psi_row):
     return a, np.append(psi_row, 1.0)
 
 
+def reference_least_moment(a, b):
+    """The least-moment point of {w >= 0 : a w = b}: a direct linprog of
+    min c'w over it, c_k the squared norm of column k of a; None when HiGHS
+    does not report an optimum."""
+    res = linprog(np.einsum("ij,ij->j", a, a), A_eq=a, b_eq=b, bounds=(0.0, None),
+                  method="highs")
+    return None if res.status != 0 else res.x
+
+
 def reference_augmented_system(x0, x_inf, j):
     """The nonnegative system of identify_unknown_lambda's row j over the
     columns [w without w_jj, mu'] with mu = 1 + mu': X(inf)'w + d mu' =

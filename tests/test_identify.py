@@ -13,7 +13,9 @@ import opinionkit as ok
 from helpers import (
     reference_finite_horizon,
     reference_identify_multiplex,
+    reference_equilibrium_system,
     reference_infinite_horizon,
+    reference_least_moment,
     reference_nonneg_is_unique,
     reference_solve_l1,
     reference_sparse_gamma,
@@ -21,6 +23,7 @@ from helpers import (
     sparse_row_network,
     stable_network,
 )
+from opinionkit import numkit
 
 
 def _ws_network(seed=9, n=8, lam_range=(0.3, 0.8)):
@@ -190,6 +193,15 @@ def test_finite_horizon_names_the_smallest_feasible_band():
         ok.identify_finite_horizon(traj, eps=0.1)
 
 
+@pytest.mark.parametrize("eps", [-1e-3, np.nan])
+def test_finite_horizon_rejects_an_eps_that_is_not_at_least_0(eps):
+    traj = ok.OpinionTrajectory(
+        states=np.ones((3, 2, 1)), model=ok.ModelDescriptor(kind="fj", params={})
+    )
+    with pytest.raises(ok.ParameterError, match="^eps "):
+        ok.identify_finite_horizon(traj, eps=eps)
+
+
 @pytest.mark.parametrize("lam", [[0.5, 1.5], [-0.5, 0.5], [0.5]])
 def test_finite_horizon_rejects_a_pinned_lambda_outside_the_model(lam):
     # b_i = 1 - lambda_i must stay in [0, 1]; lambda_i > 1 once pinned a
@@ -288,19 +300,26 @@ def test_infinite_horizon_nonneg_flag_constrains_the_cone():
 def test_infinite_horizon_matches_the_row_box_oracle(nonneg, tol):
     # Rows that reach the LP are held to tol. Rows the uniqueness
     # certificate decides without an LP (nnls_rows) are held to 1e-12: at
-    # m = 8 every row is one, at m = 4 the tied rows still reach the LP.
+    # m = 8 every row is one. At m = 4 six rows tie, and each takes its
+    # certified least-moment point (moment_rows), which is held to 1e-12
+    # against the direct linprog of min c'w over its nonnegative set.
     net = _ws_network(seed=2)
     rng = np.random.default_rng(13)
-    for m, lp_rows in ((8, 0), (4, 6)):
+    for m, tied_rows in ((8, 0), (4, 6)):
         x0 = rng.uniform(-1, 1, (8, m))
         x_inf, _ = ok.fj_equilibrium(net, x0)
         report = ok.identify_infinite_horizon(x0, x_inf, net.lam, nonneg=nonneg)
         expected = reference_infinite_horizon(x0, x_inf, net.lam, nonneg)
         errors = np.max(np.abs(report.w_hat - expected), axis=1)
         certified = list(report.solver_log["nnls_rows"])
-        assert len(errors) - len(certified) == lp_rows
-        assert np.max(np.delete(errors, certified), initial=0.0) <= tol
+        moment = list(report.solver_log["moment_rows"])
+        assert len(errors) - len(certified) == len(moment) == tied_rows
+        assert np.max(np.delete(errors, certified + moment), initial=0.0) <= tol
         assert np.max(errors[certified], initial=0.0) <= 1e-12
+        psi = (x_inf - (1.0 - net.lam)[:, None] * x0) / net.lam[:, None]
+        for j in moment:
+            oracle = reference_least_moment(*reference_equilibrium_system(x_inf, psi[j]))
+            assert np.max(np.abs(report.w_hat[j] - oracle)) <= 1e-12
 
 
 def _equilibrium_row_problem(m, tie_seed):
@@ -368,6 +387,44 @@ def test_equilibrium_row_certificate_matches_the_lp_uniqueness_oracle(seed):
         for j in unique:
             lp = reference_solve_l1(ok.L1Problem(phi=x_inf.T, psi=psi[j], sum_to=1.0))
             assert np.max(np.abs(report.w_hat[j] - lp)) <= 1e-12
+
+
+@pytest.mark.parametrize("model", ["watts_strogatz", "barabasi_albert"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tied_equilibrium_rows_take_the_least_moment_oracle_point(monkeypatch, model, seed):
+    # A tied row whose least-moment optimum is certified as the only one
+    # (moment_rows) takes that point: the direct linprog's within 1e-12. A
+    # tied row the certificate cannot decide keeps HiGHS's vertex, bit for
+    # bit. Reruns repeat every bit and every log entry.
+    net = ok.generate_network(
+        ok.GeneratorConfig(model=model, n=50, k=6, m0=3, beta_rw=0.2,
+                           lambda_range=(0.4, 0.4)),
+        seed=seed,
+    )
+    problems = []
+    monkeypatch.setattr(ok.identify, "solve_l1",
+                        lambda problem: problems.append(problem) or numkit.solve_l1(problem))
+    moment_rows = 0
+    for m in (10, 20):
+        x0 = np.random.default_rng(100 * seed + m).uniform(-1.0, 1.0, (50, m))
+        x_inf, _ = ok.fj_equilibrium(net, x0)
+        problems.clear()
+        report = ok.identify_infinite_horizon(x0, x_inf, net.lam)
+        log = report.solver_log
+        assert set(log["moment_rows"]) <= set(log["tied_rows"])
+        moment_rows += len(log["moment_rows"])
+        psi = (x_inf - (1.0 - net.lam)[:, None] * x0) / net.lam[:, None]
+        for j in log["tied_rows"]:
+            if j in log["moment_rows"]:
+                oracle = reference_least_moment(*reference_equilibrium_system(x_inf, psi[j]))
+                assert np.max(np.abs(report.w_hat[j] - oracle)) <= 1e-12
+            else:
+                vertex = numkit._highs_l1(problems[j], *numkit._parsed(problems[j]))[0]
+                assert report.w_hat[j].tobytes() == vertex.tobytes()
+        rerun = ok.identify_infinite_horizon(x0, x_inf, net.lam)
+        assert rerun.w_hat.tobytes() == report.w_hat.tobytes()
+        assert rerun.solver_log == log
+    assert moment_rows >= 25
 
 
 def test_equilibrium_rows_the_certificate_cannot_decide_reach_the_lp_unchanged():
@@ -476,6 +533,8 @@ def test_ambiguity_transform_validates_the_dial():
     net = stable_network(rng, 4)
     with pytest.raises(ok.ParameterError):
         ok.ambiguity_transform(net.lam, net.w, np.full(4, 1.2))
+    with pytest.raises(ok.ParameterError, match="^d entries"):
+        ok.ambiguity_transform(net.lam, net.w, np.array([1.0, np.nan, 1.0, 1.0]))
     with pytest.raises(ok.StructuralError):
         ok.ambiguity_transform(net.lam, net.w, np.ones(3))
 
@@ -711,7 +770,8 @@ def test_estimate_gamma_names_the_column_a_solve_fails_on(monkeypatch):
 
 
 def test_lp_estimators_share_one_solver_log_schema():
-    lp_keys = {"objectives", "iterations", "lexicographic_rows", "nnls_rows", "tied_rows"}
+    lp_keys = {"objectives", "iterations", "lexicographic_rows", "nnls_rows", "tied_rows",
+               "moment_rows"}
     net = _ws_network()
     rng = np.random.default_rng(6)
     x0 = rng.uniform(-1, 1, (8, 8))
@@ -726,8 +786,8 @@ def test_lp_estimators_share_one_solver_log_schema():
     ]
     # Every row of the equilibrium fixture has a nonnegative optimum, and
     # every finite-horizon row a nonnegative feasible set, so the certificate
-    # sorts each into nnls_rows (no LP) or tied_rows (LP); the band programs
-    # of estimate_gamma send every column to the LP.
+    # sorts each into nnls_rows (no LP) or tied_rows (the least-moment rule or
+    # the LP); the band programs of estimate_gamma send every column to the LP.
     for log, rows, sorted_rows in zip(logs, (8, 8, 8, 10), (8, 8, 8, 0)):
         assert lp_keys <= set(log)
         assert len(log["objectives"]) == rows
@@ -736,6 +796,7 @@ def test_lp_estimators_share_one_solver_log_schema():
         assert (log["iterations"] > 0) == (lp_rows > 0)
         assert len(log["nnls_rows"]) + len(log["tied_rows"]) == sorted_rows
         assert not set(log["nnls_rows"]) & set(log["tied_rows"])
+        assert set(log["moment_rows"]) <= set(log["tied_rows"])
 
 
 def test_estimate_gamma_rejects_unknown_mode():

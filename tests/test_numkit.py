@@ -418,6 +418,60 @@ def test_solve_l1_keeps_a_priced_coordinate_at_its_positive_lower_bound(nonneg, 
     assert np.max(np.abs(res.x - reference_solve_l1(problem))) <= 1e-12
 
 
+# Beale's cycling example (min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 over the
+# slack basis x1, x2, x3 of two degenerate rows and x6 <= 1), with a fourth
+# row and slack x8 whose entries keep every structural column out of phase
+# 1, so that phase 2 starts from Beale's basis. Columns: x1, x2, x3, x8,
+# then x4 to x7.
+BEALE = (
+    np.array([[1.0, 0.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+              [0.0, 1.0, 0.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+              [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+              [0.0, 0.0, 0.0, 1.0, -1.0, -1.0, -2.0, -13.0]]),
+    np.array([0.0, 0.0, 1.0, 1.0]),
+    np.array([0.0, 0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]),
+)
+
+
+def test_simplex_leaves_a_cycle_by_blands_rule(monkeypatch):
+    # Dantzig's rule alone cycles among degenerate bases until the pivot
+    # cap; the switch to Bland's rule reaches the optimum
+    a, b, c = BEALE
+    z, pivots = numkit._simplex(a, b, c)
+    oracle = linprog(c, A_eq=a, b_eq=b, bounds=(0.0, None), method="highs")
+    assert np.max(np.abs(z - oracle.x)) <= 1e-12 and c @ z == pytest.approx(-1.25, abs=1e-12)
+    assert pivots < 50
+    monkeypatch.setattr(numkit, "SIMPLEX_STALL", numkit.SIMPLEX_MAX_PIVOTS)
+    assert numkit._simplex(a, b, c) == (None, numkit.SIMPLEX_MAX_PIVOTS)
+
+
+# x_1 + 2 x_2 = 1/2 and 1'x = 1 over x >= 0 is the segment (1/2 + t,
+# 1/2 - 2t, t), t in [0, 1/4], on which ||x||_1 = 1. The squared column
+# norms (1, 2, 5) price it at 3/2 + 2t, so the least-moment point is t = 0;
+# HiGHS's vertex is the other end, (3/4, 0, 1/4).
+SEGMENT = dict(phi=np.array([[0.0, 1.0, 2.0]]), psi=np.array([0.5]), sum_to=1.0)
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_solve_l1_takes_the_certified_least_moment_point_of_a_tied_row(monkeypatch, nonneg):
+    monkeypatch.setattr(numkit, "_highs", _no_lp)
+    res = ok.solve_l1(L1Problem(**SEGMENT, nonneg=nonneg))
+    assert res.ok and res.solver_log["method"] == "simplex"
+    assert res.solver_log["tie_break"] == "least-moment" and res.solver_log["certificate"] == "tied"
+    assert res.solver_log["iterations"] > 0
+    assert np.max(np.abs(res.x - [0.5, 0.5, 0.0])) <= 1e-15
+
+
+def test_solve_l1_sends_a_row_past_the_pivot_cap_to_highs(monkeypatch):
+    problem = L1Problem(**SEGMENT)
+    monkeypatch.setattr(numkit, "SIMPLEX_MAX_PIVOTS", 1)
+    res = ok.solve_l1(problem)
+    assert res.ok and res.solver_log["method"] == "highs"
+    assert res.solver_log["tie_break"] == "solver-vertex" and res.solver_log["certificate"] == "tied"
+    x, _, log = numkit._highs_l1(problem, *numkit._parsed(problem))
+    assert res.x.tobytes() == x.tobytes() and res.solver_log["iterations"] == log["iterations"]
+
+
 def _captured_rows(monkeypatch, estimate):
     """The l1 programs an estimator hands to solve_l1, in row order."""
     problems = []
