@@ -323,19 +323,25 @@ def laplacian_quadratic(net: InfluenceNetwork, x: np.ndarray) -> float:
     """Disagreement energy (1/2) * sum_ij w_ij (x_i - x_j)^2.
 
     Defined for symmetric W, where it equals x' L x; directed inputs are
-    accepted with the same double sum and flagged.
+    accepted with the same double sum and flagged (np.allclose(w, w.T,
+    atol=STRUCTURAL_ZERO) fails). Both read the nonzeros of w, never the
+    dense w; the sum runs over them alone.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != net.n:
         raise StructuralError(f"profile length {x.shape[0]} != n = {net.n}")
-    if not np.allclose(net.w, net.w.T, atol=STRUCTURAL_ZERO):
+    w = net.nonzeros.tocoo()
+    keys = np.ravel_multi_index((w.row, w.col), w.shape)  # ascending: w is canonical CSR
+    mirror_keys = np.ravel_multi_index((w.col, w.row), w.shape)
+    at = np.searchsorted(keys, mirror_keys)
+    mirror = np.where(keys.take(at, mode="clip") == mirror_keys, w.data.take(at, mode="clip"), 0.0)
+    if not np.isclose(w.data, mirror, atol=STRUCTURAL_ZERO).all():
         warnings.warn(
             "laplacian_quadratic on an asymmetric matrix: value is the "
             "literal double sum, not a quadratic form of L",
             stacklevel=2,
         )
-    diff = x[:, None] - x[None, :]
-    return float(0.5 * np.sum(net.w * diff**2))
+    return float(0.5 * np.sum(w.data * (x[w.row] - x[w.col]) ** 2))
 
 
 def _topology(config: GeneratorConfig, rng: np.random.Generator):

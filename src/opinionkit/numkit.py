@@ -13,19 +13,20 @@ can also be decided without an LP: unique_nonneg_solution finds a point
 by NNLS and certifies it as the only one through Stiemke's alternative,
 solved by a second NNLS in the row space, or reports a tie or no point.
 solve_l1 calls it (the package's only nnls, from one call site) on up to
-three faces of a band-0 program before any LP: for a program whose
+two faces of a band-0 program before any LP: for a program whose
 feasible set is nonnegative, the feasible set itself and its zero-cost
 face, where every priced coordinate sits at its least value; for a signed
 one, the nonnegative set on which its weighted l1 norm is constant. A
 face certified to be one point that meets every upper bound is the
 optimum. Where the first face holds several points, the program names no
-tie cost and its cost is constant on that face, the last face is the
+tie cost and its cost is constant on that face, a third face is the
 first one cut by c'x = c*: c_k is the squared norm of column k of the
 face's rows (for an equilibrium row [x_k(inf); 1], so the point of least
 sum_k w_k |x_k(inf)|^2) and c* its least value over the face, found by a
-small two-phase revised simplex (_simplex, the package's only simplex).
-That point, certified as the only optimum, is the least-moment tie-break.
-HiGHS runs only where no face decides, that is where a vertex must still
+small one-phase dual simplex (_simplex, the package's only simplex; c >= 0
+makes its first basis dual feasible). Its vertex, certified as the only
+point of that face by the same check in place of an NNLS point, is the
+least-moment tie-break. HiGHS runs only where no face decides, that is where a vertex must still
 be chosen. Combinatorial diagnostics (spark, nullspace property) are
 exhaustive and therefore capped at small dimensions; they exist to
 certify test instances, not to scale.
@@ -88,11 +89,12 @@ NNLS_RESIDUAL_MAX = 1e-12
 # tie would leave.
 CERTIFICATE_RESIDUAL_MAX = 1e-10
 
-# The least-moment simplex (_simplex): reduced costs above -SIMPLEX_TOL count
-# as optimal, and column entries and ratio-test steps of at most SIMPLEX_TOL as
-# zero. After SIMPLEX_STALL pivots in a row that do not lower the objective it
-# pivots by Bland's rule, which cannot cycle, until one does; after
-# SIMPLEX_MAX_PIVOTS pivots it gives up, and the row goes to HiGHS.
+# The least-moment dual simplex (_simplex): basic values within SIMPLEX_TOL
+# (relative to max(1, max |b|)) of their bound count as feasible, and
+# pivot-row entries and dual steps of at most SIMPLEX_TOL as zero. After
+# SIMPLEX_STALL dual steps in a row of zero length it pivots by Bland's rule,
+# which cannot cycle, until a step is longer; after SIMPLEX_MAX_PIVOTS pivots
+# it gives up, and the row goes to HiGHS.
 SIMPLEX_TOL = 1e-9
 SIMPLEX_STALL = 10
 SIMPLEX_MAX_PIVOTS = 1000
@@ -246,8 +248,8 @@ def solve_l1(problem: L1Problem) -> SolveResult:
     "infeasible" (none found), and None where no face applies. A tied
     first face on which the cost is constant, in a program without
     tie_weights or an upper bound off its pins, is the optimal set: its
-    least-moment point is taken when the certificate finds that point the
-    only one on the face cut by its least moment (_least_moment_face; method
+    least-moment vertex is taken when the certificate finds it the only
+    point of the face cut by its least moment (_least_moment_face; method
     "simplex", tie_break "least-moment", iterations the simplex's pivots,
     certificate still "tied"). Every other program enters HiGHS, also a
     row whose simplex or cut certificate fails: the band form as the rows
@@ -267,15 +269,15 @@ def solve_l1(problem: L1Problem) -> SolveResult:
     "numerical". solver_log["iterations"] counts both stages.
     """
     phi, psi, weights, lo, hi = _parsed(problem)
-    verdict = x = None
+    verdict = x = z = None
     for tie_break, *face in _faces(problem, phi, psi, weights, lo, hi):
         if tie_break == "least-moment":
             if verdict != "tied":
                 break
-            face, pivots = _least_moment_face(*face)
+            face, z, pivots = _least_moment_face(*face)
             if face is None:
                 break
-        found, x = _face_point(*face, hi)
+        found, x = _face_point(*face, hi, z)
         verdict = verdict or found
         if x is not None:
             break
@@ -285,7 +287,6 @@ def solve_l1(problem: L1Problem) -> SolveResult:
         status = "optimal"
         log = {"method": "nnls", "tie_break": tie_break, "iterations": 0, "message": "certified"}
         if tie_break == "least-moment":
-            x = _refined(x, *face)
             log.update(method="simplex", iterations=pivots)
         else:
             verdict = "unique"
@@ -388,98 +389,81 @@ def _faces(problem: L1Problem, phi, psi, weights, lo, hi):
 
 
 def _least_moment_face(rows, rhs, base, moving):
-    """(face, pivots) for the least-moment rule (see _faces): the first face
-    cut by c'x = c*, where c_k is the squared norm of column k of rows and
-    c* = min c'x over the face, found by _simplex in pivots pivots; face is
-    None where the simplex fails. Only the certificate's verdict on the cut
-    face, one point or not, decides the row."""
+    """(face, z, pivots) for the least-moment rule (see _faces): the first
+    face cut by c'x = c*, where c_k is the squared norm of column k of rows
+    and c* = min c'x over the face, attained at x = base + z on moving, the
+    vertex _simplex finds in pivots pivots; face and z are None where the
+    simplex fails. Only the certificate's verdict on the cut face at that
+    vertex, one point or not, decides the row."""
     cost = np.einsum("ij,ij->j", rows, rows)
     z, pivots = _simplex(rows[:, moving], rhs - rows @ base, cost[moving])
     if z is None:
-        return None, pivots
+        return None, None, pivots
     cut = cost @ base + cost[moving] @ z
-    return (np.vstack([rows, cost]), np.append(rhs, cut), base, moving), pivots
+    return (np.vstack([rows, cost]), np.append(rhs, cut), base, moving), z, pivots
 
 
 def _simplex(a, b, c):
-    """(z, pivots): a vertex z minimizing c'z over {z >= 0 : a z = b}, from a
-    dense two-phase revised simplex, or (None, pivots) when it finds the set
-    empty or the cost unbounded, or stops at SIMPLEX_MAX_PIVOTS.
+    """(z, pivots): a vertex z minimizing c'z over {z >= 0 : a z = b} for a
+    cost c >= 0, from a dense one-phase dual simplex, or (None, pivots) when
+    it finds the set empty or stops at SIMPLEX_MAX_PIVOTS.
 
-    Rows with b < 0 are negated. The basis is kept as its explicit inverse,
-    updated at each pivot, so a pivot prices every column with one product
-    of a and touches only p x p numbers besides. Phase 1 starts from one
-    artificial column per row and minimizes their sum; artificial columns
-    are never priced again once they leave, and an optimum above SIMPLEX_TOL
-    (relative to max(1, max |b|)) is an empty set. Each artificial still
-    basic then leaves for the first column with an entry above SIMPLEX_TOL
-    in its row of the inverse times a; a row with none is redundant and
-    keeps it, at zero. Phase 2 prices c. Both phases pivot by Dantzig's rule,
-    the most negative reduced cost entering and the first row of least ratio
-    leaving (lowest index on ties), and switch to Bland's rule, the first
-    negative reduced cost and the least ratio row of lowest basic index,
-    after SIMPLEX_STALL pivots that do not lower the objective."""
+    The first basis holds one artificial column per row, fixed at 0: its
+    inverse is I, its basic values b and its reduced costs d = c, dual
+    feasible as c >= 0 (a negative c_j leaves z feasible, not minimal). The
+    inverse is kept explicitly, with the basic values as its last column, so
+    a pivot prices every column with one product of a and touches only
+    p x (p + 1) numbers besides. The basic value of largest infeasibility
+    (|x| for an artificial, -x for a column of a) leaves for its bound 0;
+    the column entering has the least d_j / |alpha_j| among the entries of
+    its pivot row (its row of the inverse times a) above SIMPLEX_TOL with
+    the sign that moves it there, and none means the set is empty.
+    Artificials never enter. No infeasibility above SIMPLEX_TOL (relative to
+    max(1, max |b|)) is the optimum. Bland's rule, after SIMPLEX_STALL zero
+    dual steps, takes the infeasible basic value of lowest index instead."""
     p, q = a.shape
-    flip = np.where(b < 0.0, -1.0, 1.0)
-    a, x = a * flip[:, None], b * flip
-    inverse, basis = np.eye(p), np.arange(q, q + p)
-    costs, basic_costs = np.zeros(q), np.ones(p)
-    pivots = 0
-
-    def pivot(r, j, column):
-        nonlocal pivots
-        row = inverse[r] / column[r]
-        inverse[:] -= np.outer(column, row)
-        inverse[r] = row
-        step = x[r] / column[r]
-        x[:] -= step * column
-        x[r] = step
-        basis[r], basic_costs[r] = j, costs[j]
+    augmented, basis, reduced = np.eye(p, p + 1), np.arange(q, q + p), c.astype(float)
+    augmented[:, p] = b
+    inverse, x = augmented[:, :p], augmented[:, p]  # views, updated in place
+    tol = SIMPLEX_TOL * max(1.0, np.abs(b).max(initial=0.0))
+    pivots = stall = 0
+    while pivots < SIMPLEX_MAX_PIVOTS:
+        infeasibility = np.where(basis >= q, np.abs(x), -x)
+        r = int(infeasibility.argmax())
+        if not infeasibility[r] > tol:
+            z = np.zeros(q)
+            z[basis[basis < q]] = x[basis < q]
+            return z, pivots
+        if stall >= SIMPLEX_STALL:
+            infeasible = np.flatnonzero(infeasibility > tol)
+            r = int(infeasible[basis[infeasible].argmin()])
+        row = inverse[r] @ a
+        moves = np.sign(x[r]) * row
+        ratios = np.divide(np.fmax(reduced, 0.0), moves, out=np.full(q, np.inf),
+                           where=moves > SIMPLEX_TOL)
+        j = int(ratios.argmin())
+        if ratios[j] == np.inf:
+            return None, pivots
+        column = inverse @ a[:, j]
+        reduced -= reduced[j] / row[j] * row
+        reduced[j] = 0.0
+        pivot_row = augmented[r] / row[j]
+        augmented -= np.outer(column, pivot_row)
+        augmented[r] = pivot_row
+        basis[r] = j
         pivots += 1
-
-    def run():
-        stall = 0
-        while pivots < SIMPLEX_MAX_PIVOTS:
-            reduced, bland = costs - basic_costs @ inverse @ a, stall >= SIMPLEX_STALL
-            j = int((reduced < -SIMPLEX_TOL).argmax() if bland else reduced.argmin())
-            if not reduced[j] < -SIMPLEX_TOL:
-                return True
-            column = inverse @ a[:, j]
-            ratios = np.divide(np.fmax(x, 0.0), column, out=np.full(p, np.inf),
-                               where=column > SIMPLEX_TOL)
-            r = int(ratios.argmin())
-            step = ratios[r]
-            if step == np.inf:
-                return False
-            if bland:
-                ties = np.flatnonzero(ratios == step)
-                r = int(ties[basis[ties].argmin()])
-            pivot(r, j, column)
-            stall = 0 if step > SIMPLEX_TOL else stall + 1
-        return False
-
-    if not run() or basic_costs @ x > SIMPLEX_TOL * max(1.0, np.abs(b).max()):
-        return None, pivots
-    for r in np.flatnonzero(basis >= q):
-        entries = np.flatnonzero(np.abs(inverse[r] @ a) > SIMPLEX_TOL)
-        if entries.size:
-            pivot(r, int(entries[0]), inverse @ a[:, entries[0]])
-    real = basis < q
-    costs[:], basic_costs[:] = c, np.where(real, c[np.where(real, basis, 0)], 0.0)
-    if not run():
-        return None, pivots
-    z = np.zeros(q)
-    z[basis[real]] = x[real]
-    return z, pivots
+        stall = 0 if ratios[j] > SIMPLEX_TOL else stall + 1
+    return None, pivots
 
 
-def _face_point(rows, rhs, base, moving, hi):
-    """(verdict, x) for a face from _faces: ("unique", x) when
-    unique_nonneg_solution certifies the face {x} and x meets every upper
+def _face_point(rows, rhs, base, moving, hi, z=None):
+    """(verdict, x) for a face from _faces: ("unique", x) when the
+    certificate finds the face {x} at base + z on moving (z refined, or
+    unique_nonneg_solution's NNLS point without z) and x meets every upper
     bound, else ("tied" or "infeasible", None). A point above an upper
     bound, often by rounding, is not returned: the face is offered once
-    more with those coordinates pinned at their bounds, where they move
-    and their bounds admit base. The face is one point, so a point it
+    more, to NNLS, with those coordinates pinned at their bounds, where they
+    move and their bounds admit base. The face is one point, so a point it
     still holds there, within the certificate's NNLS_RESIDUAL_MAX, is that
     point; found none, the verdict is "infeasible". Only finite systems
     reach the certificate."""
@@ -487,7 +471,8 @@ def _face_point(rows, rhs, base, moving, hi):
         b = rhs - rows @ base
         if not np.isfinite(b).all():
             break
-        found, z = unique_nonneg_solution(rows[:, moving], b)
+        a = rows[:, moving]
+        found, z = unique_nonneg_solution(a, b) if z is None else _certified(a, b, _refined(z, a, b))
         if z is None:
             return found, None
         x = base.copy()
@@ -497,21 +482,21 @@ def _face_point(rows, rhs, base, moving, hi):
             return found, x
         if not (moving & (base <= hi))[above].all():
             break
-        base, moving = np.where(above, hi, base), moving & ~above
+        base, moving, z = np.where(above, hi, base), moving & ~above, None
     return "infeasible", None
 
 
-def _refined(x, rows, rhs, base, moving):
-    """The point x of a certified least-moment face, refined: its entries
-    within STRUCTURAL_ZERO of base reset to base, and one least-squares step
-    of the face's rows on the rest. NNLS may leave rounding-level entries
-    off the optimum's support, which move its point by up to about 1e-12;
-    the optimum is a vertex, so the support's columns are independent and
-    the step returns x to the vertex within rounding."""
-    support = moving & (x - base > STRUCTURAL_ZERO)
-    x = np.where(support, x, base)
-    x[support] += np.linalg.lstsq(rows[:, support], rhs - rows @ x)[0]
-    return x
+def _refined(z, a, b):
+    """A simplex vertex z of {z >= 0 : a z = b}, refined: its entries at
+    most STRUCTURAL_ZERO reset to 0, and one least-squares step of a on the
+    rest. The pivots' updates of the basis inverse leave rounding in the
+    basic values, which can miss the certificate's NNLS_RESIDUAL_MAX; the
+    support's columns of a vertex are independent, so the step returns z to
+    the vertex within rounding."""
+    support = z > STRUCTURAL_ZERO
+    z = np.where(support, z, 0.0)
+    z[support] += np.linalg.lstsq(a[:, support], b - a @ z)[0]
+    return z
 
 
 def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
@@ -550,6 +535,13 @@ def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
             return "infeasible", None
     else:
         z = np.zeros(0)  # nnls cannot take zero columns; P = {()} iff b = 0
+    return _certified(a, b, z)
+
+
+def _certified(a, b, z):
+    """unique_nonneg_solution's verdict on a given point z >= 0: "infeasible"
+    when a z = b misses NNLS_RESIDUAL_MAX, else the certificate's "unique"
+    (with z) or "tied" (see unique_nonneg_solution)."""
     if np.abs(a @ z - b).max() > NNLS_RESIDUAL_MAX * np.abs(b).max(initial=1.0):
         return "infeasible", None
     if not z.size:

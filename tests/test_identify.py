@@ -427,6 +427,32 @@ def test_tied_equilibrium_rows_take_the_least_moment_oracle_point(monkeypatch, m
     assert moment_rows >= 25
 
 
+@pytest.mark.parametrize("model", ["watts_strogatz", "barabasi_albert"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabelling_the_agents_permutes_the_equilibrium_estimate(model, seed):
+    # Every tied row takes its certified least-moment point, the only
+    # optimum of its cut face, so the estimate does not depend on the
+    # agents' order: relabelled data give the relabelled estimate, where a
+    # solver's vertex choice could follow the column order
+    net = ok.generate_network(
+        ok.GeneratorConfig(model=model, n=50, k=6, m0=3, beta_rw=0.2,
+                           lambda_range=(0.4, 0.4)),
+        seed=seed,
+    )
+    order = np.random.default_rng(seed).permutation(50)
+    for m in (10, 20):
+        x0 = np.random.default_rng(100 * seed + m).uniform(-1.0, 1.0, (50, m))
+        x_inf, _ = ok.fj_equilibrium(net, x0)
+        for nonneg in (False, True):
+            report = ok.identify_infinite_horizon(x0, x_inf, net.lam, nonneg=nonneg)
+            relabelled = ok.identify_infinite_horizon(x0[order], x_inf[order], net.lam[order],
+                                                      nonneg=nonneg)
+            for log in (report.solver_log, relabelled.solver_log):
+                assert log["moment_rows"] == log["tied_rows"]
+            expected = report.w_hat[np.ix_(order, order)]
+            assert np.max(np.abs(relabelled.w_hat - expected)) <= 1e-13
+
+
 def test_equilibrium_rows_the_certificate_cannot_decide_reach_the_lp_unchanged():
     # lambda = 1/2 makes psi_j = 2 x_j(inf) - x_j(0). Agents 0 and 1 share
     # their equilibrium opinions (duplicate columns), so every row splits

@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import opinionkit as ok
 from helpers import row_stochastic
 from opinionkit.cli import main
+from opinionkit.numkit import STRUCTURAL_ZERO
 
 
 def test_validation_flags_non_stochastic_rows():
@@ -139,6 +141,55 @@ def test_laplacian_quadratic_matches_double_sum():
     x = np.array([1.0, -1.0])
     # (1/2) * (w01 + w10) * (x0 - x1)^2 = (1/2) * 2 * 4
     assert ok.laplacian_quadratic(net, x) == pytest.approx(4.0)
+
+
+def _dense_laplacian_quadratic(net, x):
+    """The dense double sum and allclose symmetry verdict laplacian_quadratic
+    once computed from the n x n w."""
+    diff = x[:, None] - x[None, :]
+    return 0.5 * np.sum(net.w * diff**2), not np.allclose(net.w, net.w.T, atol=STRUCTURAL_ZERO)
+
+
+@pytest.mark.parametrize("model", ["watts_strogatz", "erdos_renyi"])
+def test_laplacian_quadratic_over_the_nonzeros_matches_the_dense_sum(model):
+    # Watts-Strogatz's row normalization leaves w asymmetric; the
+    # symmetrized w is not
+    net = ok.generate_network(
+        ok.GeneratorConfig(model=model, n=200, k=6, beta_rw=0.2, p=0.05,
+                           lambda_range=(0.3, 0.8)),
+        seed=3,
+    )
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, 200)
+    for w in (net.w, net.w + net.w.T):
+        sym = ok.InfluenceNetwork(w=w, lam=net.lam)
+        expected, asymmetric = _dense_laplacian_quadratic(sym, x)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = ok.laplacian_quadratic(sym, x)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+        assert len(caught) == asymmetric
+
+
+@pytest.mark.parametrize("gap, flagged", [
+    (0.0, False),
+    (0.9e-12, False),  # within allclose's atol, 1e-12, of a zero mirror
+    (1.1e-12, True),
+    (0.3 * (1e-12 + 1e-5 * 0.5), False),  # within atol + rtol |w_ji| of w_ji = 0.5
+    (3.0 * (1e-12 + 1e-5 * 0.5), True),
+    (np.nan, True),
+])
+def test_laplacian_quadratic_flags_asymmetry_as_allclose_does(gap, flagged):
+    w = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    w[0, 1 if gap > 1e-6 else 2] += gap
+    net = ok.InfluenceNetwork(w=w, lam=np.full(3, 0.5))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ok.laplacian_quadratic(net, np.array([1.0, -1.0, 0.5]))
+    assert _dense_laplacian_quadratic(net, np.zeros(3))[1] == flagged
+    assert [str(w.message) for w in caught] == flagged * [
+        "laplacian_quadratic on an asymmetric matrix: value is the "
+        "literal double sum, not a quadratic form of L"
+    ]
 
 
 @pytest.mark.parametrize(

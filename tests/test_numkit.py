@@ -418,31 +418,50 @@ def test_solve_l1_keeps_a_priced_coordinate_at_its_positive_lower_bound(nonneg, 
     assert np.max(np.abs(res.x - reference_solve_l1(problem))) <= 1e-12
 
 
-# Beale's cycling example (min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 over the
-# slack basis x1, x2, x3 of two degenerate rows and x6 <= 1), with a fourth
-# row and slack x8 whose entries keep every structural column out of phase
-# 1, so that phase 2 starts from Beale's basis. Columns: x1, x2, x3, x8,
-# then x4 to x7.
-BEALE = (
-    np.array([[1.0, 0.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
-              [0.0, 1.0, 0.0, 0.0, 0.5, -12.0, -0.5, 3.0],
-              [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-              [0.0, 0.0, 0.0, 1.0, -1.0, -1.0, -2.0, -13.0]]),
-    np.array([0.0, 0.0, 1.0, 1.0]),
-    np.array([0.0, 0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]),
+# Beale's cycling example, min -b'y over two degenerate rows, y6 <= 1 and
+# y >= 0 with b = (3/4, -20, 1/2, -6), as the dual of min c'z over a z = b,
+# z >= 0: the columns of a are Beale's three rows, then -I for y >= 0, and
+# c (>= 0, five of its seven entries 0) their right-hand sides. Without
+# Bland's rule the dual simplex cycles on it, as the primal simplex does on
+# Beale's program by Dantzig's rule. min c'z = 5/4 at a single vertex.
+BEALE_DUAL = (
+    np.array([[0.25, 0.5, 0.0, -1.0, 0.0, 0.0, 0.0],
+              [-8.0, -12.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+              [-1.0, -0.5, 1.0, 0.0, 0.0, -1.0, 0.0],
+              [9.0, 3.0, 0.0, 0.0, 0.0, 0.0, -1.0]]),
+    np.array([0.75, -20.0, 0.5, -6.0]),
+    np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
 )
 
 
-def test_simplex_leaves_a_cycle_by_blands_rule(monkeypatch):
-    # Dantzig's rule alone cycles among degenerate bases until the pivot
-    # cap; the switch to Bland's rule reaches the optimum
-    a, b, c = BEALE
+@pytest.mark.parametrize("stall", [numkit.SIMPLEX_STALL, 0])
+def test_simplex_leaves_a_dual_cycle_by_blands_rule(monkeypatch, stall):
+    # The largest infeasibility alone cycles among dual-degenerate bases
+    # until the pivot cap; the switch to Bland's rule, after SIMPLEX_STALL
+    # zero-length dual steps or from the first pivot, reaches the optimum
+    a, b, c = BEALE_DUAL
+    monkeypatch.setattr(numkit, "SIMPLEX_STALL", stall)
     z, pivots = numkit._simplex(a, b, c)
     oracle = linprog(c, A_eq=a, b_eq=b, bounds=(0.0, None), method="highs")
-    assert np.max(np.abs(z - oracle.x)) <= 1e-12 and c @ z == pytest.approx(-1.25, abs=1e-12)
+    assert np.max(np.abs(z - oracle.x)) <= 1e-12 and c @ z == pytest.approx(1.25, abs=1e-12)
     assert pivots < 50
     monkeypatch.setattr(numkit, "SIMPLEX_STALL", numkit.SIMPLEX_MAX_PIVOTS)
     assert numkit._simplex(a, b, c) == (None, numkit.SIMPLEX_MAX_PIVOTS)
+
+
+def test_simplex_needs_a_nonnegative_cost():
+    # A negative cost breaks the start basis's dual feasibility: the
+    # simplex returns a feasible vertex, (1, 0) at cost 0, not the
+    # minimizer (0, 1) at cost -1
+    z, pivots = numkit._simplex(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([0.0, -1.0]))
+    assert z.tolist() == [1.0, 0.0] and pivots == 1
+
+
+def test_simplex_reports_an_empty_set():
+    # z_0 - z_1 = -1 and z_0 + z_1 = -1 have no nonnegative solution
+    z, _ = numkit._simplex(np.array([[1.0, -1.0], [1.0, 1.0]]), np.array([-1.0, -1.0]),
+                           np.array([1.0, 1.0]))
+    assert z is None
 
 
 # x_1 + 2 x_2 = 1/2 and 1'x = 1 over x >= 0 is the segment (1/2 + t,
