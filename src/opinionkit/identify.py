@@ -35,7 +35,7 @@ from .numkit import (
     SUM_TOL,
     minimal_band,
     pseudoinverse,
-    solve_l1,
+    solve_l1_rows,
 )
 from .observe import ObservationStream, observation_moments
 
@@ -219,8 +219,8 @@ def identify_finite_horizon(
 
     rows, results = _solve_rows(
         map(row_problem, range(n)),
-        lambda i, problem: f"row {i}: no (a, b) fits within eps={eps:.3g}; "
-        f"smallest feasible band is {minimal_band(problem):.6g}",
+        lambda i: f"row {i}: no (a, b) fits within eps={eps:.3g}; "
+        f"smallest feasible band is {minimal_band(row_problem(i)):.6g}",
     )
     rows = rows.reshape(n, n + 1)  # (0, 1) when there are no agents
     a_hat, b_hat = rows[:, :n], rows[:, n]
@@ -243,19 +243,17 @@ def identify_finite_horizon(
 
 def _solve_rows(problems, infeasible, what: str = "row"):
     """(solutions stacked as rows, SolveResults) of the programs, solved in
-    order by solve_l1. Program i raises InfeasibleError(infeasible(i, problem))
-    if infeasible and NumericalError naming `what` i on any other non-optimal
-    status. Every estimator row is solved here: a tie rule belongs here."""
-    rows, results = [], []
-    for i, problem in enumerate(problems):
-        result = solve_l1(problem)
+    order by one solve_l1_rows call. The first program i, in order, that is
+    not optimal raises InfeasibleError(infeasible(i)) if infeasible and
+    NumericalError naming `what` i otherwise. Every estimator row is solved
+    here: a tie rule belongs here."""
+    results = solve_l1_rows(problems)
+    for i, result in enumerate(results):
         if result.status == "infeasible":
-            raise InfeasibleError(infeasible(i, problem))
+            raise InfeasibleError(infeasible(i))
         if not result.ok:
             raise NumericalError(f"{what} {i}: l1 solve ended with {result.status}")
-        rows.append(result.x)
-        results.append(result)
-    return np.array(rows), results
+    return np.array([result.x for result in results]), results
 
 
 def _lp_log(results) -> dict:
@@ -264,8 +262,11 @@ def _lp_log(results) -> dict:
     simplex's pivots), the rows decided by the lexicographic stage-2 LP, by
     a certified face without an LP (nnls_rows), the rows whose first face,
     the nonnegative feasible set (for a signed row, its nonnegative optimal
-    set), holds several points (tied_rows), and those of them decided by the
-    certified least-moment point rather than HiGHS's vertex (moment_rows)."""
+    set), holds several points (tied_rows), those of them decided by the
+    certified least-moment point rather than HiGHS's vertex (moment_rows),
+    and the rows HiGHS decided (highs_rows), whose points may depend on the
+    HiGHS version. nnls_rows, moment_rows and highs_rows partition the
+    rows."""
 
     def rows_where(key, value):
         return tuple(row for row, result in enumerate(results) if result.solver_log[key] == value)
@@ -277,6 +278,7 @@ def _lp_log(results) -> dict:
         "nnls_rows": rows_where("certificate", "unique"),
         "tied_rows": rows_where("certificate", "tied"),
         "moment_rows": rows_where("tie_break", "least-moment"),
+        "highs_rows": rows_where("method", "highs"),
     }
 
 
@@ -312,7 +314,8 @@ def identify_infinite_horizon(x0, x_inf, lam, nonneg: bool = False) -> Estimatio
     nnls_rows). A row with several (tied_rows) takes the one of least
     sum_k w_k |x_k(inf)|^2 where the certificate finds it the only such
     point (moment_rows), and HiGHS's vertex otherwise; a row with none
-    solves its LP.
+    solves its LP (both highs_rows). The tied rows share their face matrix,
+    so their least-moment simplex runs as one batch (see solve_l1_rows).
     """
     x0, x_inf = _as_profiles(x0, x_inf)
     n = x0.shape[0]
@@ -331,7 +334,7 @@ def identify_infinite_horizon(x0, x_inf, lam, nonneg: bool = False) -> Estimatio
     psi = (x_inf - (1.0 - lam)[:, None] * x0) / lam[:, None]
     w_hat, results = _solve_rows(
         (L1Problem(phi=x_inf.T, psi=row, sum_to=1.0, nonneg=nonneg) for row in psi),
-        lambda j, _: f"row {j}: equilibrium identities are inconsistent",
+        lambda j: f"row {j}: equilibrium identities are inconsistent",
     )
     return EstimationReport(
         w_hat=w_hat,
@@ -387,7 +390,7 @@ def identify_unknown_lambda(x0, x_inf, nonneg: bool = False) -> EstimationReport
 
     rows, results = _solve_rows(
         map(row_problem, range(n)),
-        lambda j, _: f"row {j}: augmented identities are inconsistent",
+        lambda j: f"row {j}: augmented identities are inconsistent",
     )
     w_hat, mu = rows[:, :n], rows[:, n]
     at_rest = np.flatnonzero(np.abs(x0 - x_inf).max(axis=1) <= STRUCTURAL_ZERO).tolist()
@@ -555,7 +558,7 @@ def estimate_gamma(
             L1Problem(phi=moments.sigma_minus, psi=column, weights=weights, band=eta)
             for weights, column in zip(1.0 - np.eye(n), target.T)
         ),
-        lambda col, _: f"column {col}: lag identities are inconsistent within "
+        lambda col: f"column {col}: lag identities are inconsistent within "
         f"eta={eta:.3g}; widen the band",
         what="column",
     )

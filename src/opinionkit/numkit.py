@@ -12,24 +12,29 @@ vertex choice otherwise. A nonnegative solution set {z >= 0 : a z = b}
 can also be decided without an LP: unique_nonneg_solution finds a point
 by NNLS and certifies it as the only one through Stiemke's alternative,
 solved by a second NNLS in the row space, or reports a tie or no point.
-solve_l1 calls it (the package's only nnls, from one call site) on up to
-two faces of a band-0 program before any LP: for a program whose
-feasible set is nonnegative, the feasible set itself and its zero-cost
-face, where every priced coordinate sits at its least value; for a signed
-one, the nonnegative set on which its weighted l1 norm is constant. A
-face certified to be one point that meets every upper bound is the
-optimum. Where the first face holds several points, the program names no
-tie cost and its cost is constant on that face, a third face is the
-first one cut by c'x = c*: c_k is the squared norm of column k of the
-face's rows (for an equilibrium row [x_k(inf); 1], so the point of least
-sum_k w_k |x_k(inf)|^2) and c* its least value over the face, found by a
-small one-phase dual simplex (_simplex, the package's only simplex; c >= 0
+solve_l1_rows, the one driver (solve_l1 is its one-program case), calls
+it (the package's only nnls, from one call site) on up to two faces of a
+band-0 program before any LP: for a program whose feasible set is
+nonnegative, the feasible set itself and its zero-cost face, where every
+priced coordinate sits at its least value; for a signed one, the
+nonnegative set on which its weighted l1 norm is constant. A face
+certified to be one point that meets every upper bound is the optimum.
+Where the first face holds several points, the program names no tie cost
+and its cost is constant on that face, a third face is the first one cut
+by c'x = c*: c_k is the squared norm of column k of the face's rows (for
+an equilibrium row [x_k(inf); 1], so the point of least sum_k w_k
+|x_k(inf)|^2) and c* its least value over the face, found by a small
+one-phase dual simplex (_simplex, the package's only simplex; c >= 0
 makes its first basis dual feasible). Its vertex, certified as the only
 point of that face by the same check in place of an NNLS point, is the
-least-moment tie-break. HiGHS runs only where no face decides, that is where a vertex must still
-be chosen. Combinatorial diagnostics (spark, nullspace property) are
-exhaustive and therefore capped at small dimensions; they exist to
-certify test instances, not to scale.
+least-moment tie-break. The rows of one solve_l1_rows call that share
+their face matrix and moment cost (the tied rows of one equilibrium
+estimate, which differ only in their right-hand side) run that simplex
+as one batch, pivoting in lockstep, each row by its own rule and to the
+same bits as alone. HiGHS runs only where no face decides, that is where
+a vertex must still be chosen. Combinatorial diagnostics (spark,
+nullspace property) are exhaustive and therefore capped at small
+dimensions; they exist to certify test instances, not to scale.
 """
 
 from dataclasses import dataclass, field
@@ -92,9 +97,10 @@ CERTIFICATE_RESIDUAL_MAX = 1e-10
 # The least-moment dual simplex (_simplex): basic values within SIMPLEX_TOL
 # (relative to max(1, max |b|)) of their bound count as feasible, and
 # pivot-row entries and dual steps of at most SIMPLEX_TOL as zero. After
-# SIMPLEX_STALL dual steps in a row of zero length it pivots by Bland's rule,
-# which cannot cycle, until a step is longer; after SIMPLEX_MAX_PIVOTS pivots
-# it gives up, and the row goes to HiGHS.
+# SIMPLEX_STALL consecutive dual steps of zero length it pivots by Bland's
+# rule, which cannot cycle, until a step is longer; after SIMPLEX_MAX_PIVOTS
+# pivots it gives up, and the row goes to HiGHS. Each row of a batch counts
+# its own steps and pivots.
 SIMPLEX_TOL = 1e-9
 SIMPLEX_STALL = 10
 SIMPLEX_MAX_PIVOTS = 1000
@@ -232,10 +238,15 @@ def _highs(cost, a_ub, b_ub, a_eq, b_eq, bounds):
 
 
 def solve_l1(problem: L1Problem) -> SolveResult:
-    """Solve an L1Problem to global optimality.
+    """Solve an L1Problem to global optimality: solve_l1_rows([problem])[0]."""
+    return solve_l1_rows([problem])[0]
 
-    Returns a SolveResult whose status is "optimal" on success; infeasible
-    or pathological programs are reported through status, never silently.
+
+def solve_l1_rows(problems) -> list[SolveResult]:
+    """Solve L1Problems to global optimality, in order; one SolveResult each.
+
+    A SolveResult's status is "optimal" on success; infeasible or
+    pathological programs are reported through status, never silently.
 
     Before any LP, a band-0 program offers up to two faces, its
     nonnegative feasible set and its zero-cost face (a signed program: the
@@ -247,49 +258,111 @@ def solve_l1(problem: L1Problem) -> SolveResult:
     otherwise the first face's verdict, "tied" (several points) or
     "infeasible" (none found), and None where no face applies. A tied
     first face on which the cost is constant, in a program without
-    tie_weights or an upper bound off its pins, is the optimal set: its
-    least-moment vertex is taken when the certificate finds it the only
-    point of the face cut by its least moment (_least_moment_face; method
-    "simplex", tie_break "least-moment", iterations the simplex's pivots,
-    certificate still "tied"). Every other program enters HiGHS, also a
-    row whose simplex or cut certificate fails: the band form as the rows
-    [phi; -phi] x <= [psi + band; -(psi - band)], the equality form as phi
-    x = psi. HiGHS runs the equality form without presolve, which removes
-    nothing from its dense rows, and keeps presolve wherever the LP has
-    inequality rows: the band form and the stage-2 solve below (see
-    _highs).
+    tie_weights or an upper bound off its pins, is the optimal set. It is
+    cut by c'x = c*, where c_k is the squared norm of column k of the
+    face's rows and c* = min c'x over the face, attained at the vertex
+    _simplex finds; the vertex is taken when the certificate finds it the
+    only point of that cut face (method "simplex", tie_break
+    "least-moment", iterations the simplex's pivots, certificate still
+    "tied"). Every other program enters HiGHS, also a row whose simplex or
+    cut certificate fails: the band form as the rows [phi; -phi] x <= [psi
+    + band; -(psi - band)], the equality form as phi x = psi. HiGHS runs
+    the equality form without presolve, which removes nothing from its
+    dense rows, and keeps presolve wherever the LP has inequality rows: the
+    band form and the stage-2 solve below (see _highs).
+
+    The least-moment rows are solved in batches, each row exactly as if
+    alone. Programs are read one at a time. A row bound for the simplex
+    joins the open batch while its face matrix (the face's rows on the
+    moving coordinates) and moment cost equal the batch's bit for bit; any
+    other such row, and the end of the input, first flush the batch: one
+    lockstep _simplex call over the rows' right-hand sides, then each
+    row's cut face certified at its own vertex, or HiGHS. A batch copies
+    the face matrix once; per row it keeps the program and vectors, and
+    rebuilds the row's face rows from the shared matrix and the row's
+    pinned columns when it is flushed.
 
     Ties between optimal vertices that reach HiGHS: without tie_weights,
     HiGHS's deterministic vertex choice decides ("solver-vertex" in
     solver_log). With tie_weights, when the stage-1 optimum carries tie
     mass above STRUCTURAL_ZERO, a stage-2 solve keeps every constraint,
     bounds the weighted mass by the stage-1 optimum plus
-    LEXICOGRAPHIC_SLACK and minimizes the tie mass ("lexicographic"); the
-    stage-1 point is feasible for it, so a stage-2 failure is reported as
+    LEXICOGRAPHIC_SLACK and minimizes the tie mass ("lexicographic"). The
+    stage-1 point is feasible for it only within HiGHS's primal
+    feasibility tolerance (1e-7), well above that slack, so HiGHS can find
+    stage 2 infeasible on ordinary data; a stage-2 failure is reported as
     "numerical". solver_log["iterations"] counts both stages.
     """
-    phi, psi, weights, lo, hi = _parsed(problem)
-    verdict = x = z = None
+    results, batch, program = [], [], None
+
+    def flush():
+        _, a, c = program
+        vertices = _simplex(a, np.array([record[-1] for record in batch]), c)
+        for (i, problem, parsed, rhs, base, moving, pinned, cost, _), (z, pivots) in zip(
+            batch, vertices
+        ):
+            x = None
+            if z is not None:
+                rows = np.empty((rhs.shape[0], base.shape[0]))
+                rows[:, moving], rows[:, ~moving] = a, pinned
+                cut = cost @ base + c @ z
+                _, x = _face_point(
+                    np.vstack([rows, cost]), np.append(rhs, cut), base, moving, parsed[4], z
+                )
+            results[i] = _result(problem, parsed, x, "tied", "simplex", "least-moment", pivots)
+        batch.clear()
+
+    for problem in problems:
+        parsed = _parsed(problem)
+        verdict, tie_break, x, face = _certified_faces(problem, *parsed)
+        if face is None:
+            verdict = verdict if x is None else "unique"
+            results.append(_result(problem, parsed, x, verdict, "nnls", tie_break, 0))
+            continue
+        rows, rhs, base, moving = face
+        cost = np.einsum("ij,ij->j", rows, rows)
+        a, c = rows[:, moving], cost[moving]
+        key = a.shape, a.tobytes(), c.tobytes()
+        if batch and key != program[0]:
+            flush()
+        if not batch:
+            program = key, a, c
+        batch.append((len(results), problem, parsed, rhs, base, moving, rows[:, ~moving], cost,
+                      rhs - rows @ base))
+        results.append(None)
+    if batch:
+        flush()
+    return results
+
+
+def _certified_faces(problem: L1Problem, phi, psi, weights, lo, hi):
+    """(verdict, tie_break, x, face) of a program's faces (_faces) up to
+    the least-moment one: the first face's verdict, and the face that the
+    certificate found one point x within the upper bounds; or, with x None,
+    the least-moment face (rows, rhs, base, moving) where the first face is
+    tied and it is offered, else None."""
+    verdict = None
     for tie_break, *face in _faces(problem, phi, psi, weights, lo, hi):
         if tie_break == "least-moment":
-            if verdict != "tied":
-                break
-            face, z, pivots = _least_moment_face(*face)
-            if face is None:
-                break
-        found, x = _face_point(*face, hi, z)
+            return verdict, None, None, face if verdict == "tied" else None
+        found, x = _face_point(*face, hi)
         verdict = verdict or found
         if x is not None:
-            break
+            return verdict, tie_break, x, None
+    return verdict, None, None, None
+
+
+def _result(problem: L1Problem, parsed, x, verdict, method, tie_break, iterations):
+    """The SolveResult of a program with its certified point x (solver_log
+    method, tie_break and iterations as given), or of HiGHS where x is None;
+    verdict is solver_log["certificate"]."""
     if x is None:
-        x, status, log = _highs_l1(problem, phi, psi, weights, lo, hi)
+        x, status, log = _highs_l1(problem, *parsed)
     else:
         status = "optimal"
-        log = {"method": "nnls", "tie_break": tie_break, "iterations": 0, "message": "certified"}
-        if tie_break == "least-moment":
-            log.update(method="simplex", iterations=pivots)
-        else:
-            verdict = "unique"
+        log = {"method": method, "tie_break": tie_break, "iterations": iterations,
+               "message": "certified"}
+    phi, psi, weights = parsed[:3]
     residual = np.inf if x is None else float(np.abs(phi @ x - psi).max())
     x = np.zeros(phi.shape[1]) if x is None else x
     objective = float((weights * np.abs(x)).sum())
@@ -388,28 +461,16 @@ def _faces(problem: L1Problem, phi, psi, weights, lo, hi):
         yield "least-moment", rows, rhs, base, free
 
 
-def _least_moment_face(rows, rhs, base, moving):
-    """(face, z, pivots) for the least-moment rule (see _faces): the first
-    face cut by c'x = c*, where c_k is the squared norm of column k of rows
-    and c* = min c'x over the face, attained at x = base + z on moving, the
-    vertex _simplex finds in pivots pivots; face and z are None where the
-    simplex fails. Only the certificate's verdict on the cut face at that
-    vertex, one point or not, decides the row."""
-    cost = np.einsum("ij,ij->j", rows, rows)
-    z, pivots = _simplex(rows[:, moving], rhs - rows @ base, cost[moving])
-    if z is None:
-        return None, None, pivots
-    cut = cost @ base + cost[moving] @ z
-    return (np.vstack([rows, cost]), np.append(rhs, cut), base, moving), z, pivots
-
-
 def _simplex(a, b, c):
-    """(z, pivots): a vertex z minimizing c'z over {z >= 0 : a z = b} for a
-    cost c >= 0, from a dense one-phase dual simplex, or (None, pivots) when
-    it finds the set empty or stops at SIMPLEX_MAX_PIVOTS.
+    """[(z, pivots)], one per row b_i of b: a vertex z minimizing c'z over
+    {z >= 0 : a z = b_i} for a cost c >= 0, from a dense one-phase dual
+    simplex, or (None, pivots) when it finds the set empty or stops at
+    SIMPLEX_MAX_PIVOTS. The rows share a (p x q) and c and pivot in
+    lockstep, each by its own rule, and each returns exactly what it would
+    alone.
 
     The first basis holds one artificial column per row, fixed at 0: its
-    inverse is I, its basic values b and its reduced costs d = c, dual
+    inverse is I, its basic values b_i and its reduced costs d = c, dual
     feasible as c >= 0 (a negative c_j leaves z feasible, not minimal). The
     inverse is kept explicitly, with the basic values as its last column, so
     a pivot prices every column with one product of a and touches only
@@ -419,41 +480,67 @@ def _simplex(a, b, c):
     its pivot row (its row of the inverse times a) above SIMPLEX_TOL with
     the sign that moves it there, and none means the set is empty.
     Artificials never enter. No infeasibility above SIMPLEX_TOL (relative to
-    max(1, max |b|)) is the optimum. Bland's rule, after SIMPLEX_STALL zero
-    dual steps, takes the infeasible basic value of lowest index instead."""
+    max(1, max |b_i|)) is the optimum. Bland's rule, after SIMPLEX_STALL zero
+    dual steps, takes the infeasible basic value of lowest index instead.
+
+    Each row of the batch keeps its own inverse, basis, reduced costs and
+    stall count. A pivot forms every row's pivot row as the stacked product
+    of its inverse row with a, and its entering column as the stacked
+    product of its inverse with that column of a: one matrix-vector product
+    per row, the one a row alone makes. Every other update is elementwise,
+    so no row's bits depend on its batch. A row leaves the batch when it
+    ends."""
     p, q = a.shape
-    augmented, basis, reduced = np.eye(p, p + 1), np.arange(q, q + p), c.astype(float)
-    augmented[:, p] = b
-    inverse, x = augmented[:, :p], augmented[:, p]  # views, updated in place
-    tol = SIMPLEX_TOL * max(1.0, np.abs(b).max(initial=0.0))
-    pivots = stall = 0
-    while pivots < SIMPLEX_MAX_PIVOTS:
+    count = b.shape[0]
+    augmented = np.zeros((count, p, p + 1))
+    augmented[:, :, :p] = np.eye(p)
+    augmented[:, :, p] = b
+    basis = np.tile(np.arange(q, q + p), (count, 1))
+    reduced = np.tile(np.asarray(c, dtype=float), (count, 1))
+    tol = SIMPLEX_TOL * np.fmax(1.0, np.abs(b).max(axis=1, initial=0.0))
+    stall = np.zeros(count, dtype=int)
+    active = np.arange(count)  # the row of b behind each row of the batch
+    z, pivots = np.zeros((count, q)), np.full(count, SIMPLEX_MAX_PIVOTS)
+    found = np.zeros(count, dtype=bool)
+    for pivot in range(SIMPLEX_MAX_PIVOTS):
+        rows = np.arange(active.size)
+        x = augmented[:, :, p]
         infeasibility = np.where(basis >= q, np.abs(x), -x)
-        r = int(infeasibility.argmax())
-        if not infeasibility[r] > tol:
-            z = np.zeros(q)
-            z[basis[basis < q]] = x[basis < q]
-            return z, pivots
-        if stall >= SIMPLEX_STALL:
-            infeasible = np.flatnonzero(infeasibility > tol)
-            r = int(infeasible[basis[infeasible].argmin()])
-        row = inverse[r] @ a
-        moves = np.sign(x[r]) * row
-        ratios = np.divide(np.fmax(reduced, 0.0), moves, out=np.full(q, np.inf),
+        r = infeasibility.argmax(axis=1)
+        optimal = ~(infeasibility[rows, r] > tol)
+        ended, held = active[optimal], basis[optimal] < q
+        z[ended[np.nonzero(held)[0]], basis[optimal][held]] = x[optimal][held]
+        found[ended], pivots[ended] = True, pivot
+        bland = stall >= SIMPLEX_STALL
+        if bland.any():
+            lowest = np.where(infeasibility[bland] > tol[bland, None], basis[bland], p + q)
+            r[bland] = lowest.argmin(axis=1)
+        row = (augmented[rows, r, :p][:, None, :] @ a)[:, 0]
+        moves = np.sign(x[rows, r])[:, None] * row
+        ratios = np.divide(np.fmax(reduced, 0.0), moves, out=np.full(row.shape, np.inf),
                            where=moves > SIMPLEX_TOL)
-        j = int(ratios.argmin())
-        if ratios[j] == np.inf:
-            return None, pivots
-        column = inverse @ a[:, j]
-        reduced -= reduced[j] / row[j] * row
-        reduced[j] = 0.0
-        pivot_row = augmented[r] / row[j]
-        augmented -= np.outer(column, pivot_row)
-        augmented[r] = pivot_row
-        basis[r] = j
-        pivots += 1
-        stall = 0 if ratios[j] > SIMPLEX_TOL else stall + 1
-    return None, pivots
+        j = ratios.argmin(axis=1)
+        step = ratios[rows, j]
+        going = ~optimal & (step < np.inf)
+        pivots[active[~optimal & ~going]] = pivot  # the set is empty
+        if not going.all():
+            augmented, basis, reduced, stall, tol, active, r, row, j, step = (
+                array[going] for array in
+                (augmented, basis, reduced, stall, tol, active, r, row, j, step)
+            )
+            if not active.size:
+                break
+            rows = np.arange(active.size)
+        column = (augmented[:, :, :p] @ a[:, j].T[:, :, None])[:, :, 0]
+        entry = row[rows, j]
+        reduced -= (reduced[rows, j] / entry)[:, None] * row
+        reduced[rows, j] = 0.0
+        pivot_row = augmented[rows, r] / entry[:, None]
+        augmented -= column[:, :, None] * pivot_row[:, None, :]
+        augmented[rows, r] = pivot_row
+        basis[rows, r] = j
+        stall = np.where(step > SIMPLEX_TOL, 0, stall + 1)
+    return [(z[i] if found[i] else None, int(pivots[i])) for i in range(count)]
 
 
 def _face_point(rows, rhs, base, moving, hi, z=None):

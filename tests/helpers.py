@@ -16,6 +16,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import opinionkit as ok
+from opinionkit import numkit
 from opinionkit.centrality import TIE_TOL
 from opinionkit.dynamics import (
     PLATEAU_RUN,
@@ -602,6 +603,45 @@ def reference_least_moment(a, b):
     res = linprog(np.einsum("ij,ij->j", a, a), A_eq=a, b_eq=b, bounds=(0.0, None),
                   method="highs")
     return None if res.status != 0 else res.x
+
+
+# The least-moment dual simplex as it stood before its rows ran in batches,
+# one program per call, kept verbatim (renamed; the SIMPLEX_* constants read
+# from numkit at call time) as the bit-level oracle of the lockstep kernel.
+def reference_simplex(a, b, c):
+    p, q = a.shape
+    augmented, basis, reduced = np.eye(p, p + 1), np.arange(q, q + p), c.astype(float)
+    augmented[:, p] = b
+    inverse, x = augmented[:, :p], augmented[:, p]  # views, updated in place
+    tol = numkit.SIMPLEX_TOL * max(1.0, np.abs(b).max(initial=0.0))
+    pivots = stall = 0
+    while pivots < numkit.SIMPLEX_MAX_PIVOTS:
+        infeasibility = np.where(basis >= q, np.abs(x), -x)
+        r = int(infeasibility.argmax())
+        if not infeasibility[r] > tol:
+            z = np.zeros(q)
+            z[basis[basis < q]] = x[basis < q]
+            return z, pivots
+        if stall >= numkit.SIMPLEX_STALL:
+            infeasible = np.flatnonzero(infeasibility > tol)
+            r = int(infeasible[basis[infeasible].argmin()])
+        row = inverse[r] @ a
+        moves = np.sign(x[r]) * row
+        ratios = np.divide(np.fmax(reduced, 0.0), moves, out=np.full(q, np.inf),
+                           where=moves > numkit.SIMPLEX_TOL)
+        j = int(ratios.argmin())
+        if ratios[j] == np.inf:
+            return None, pivots
+        column = inverse @ a[:, j]
+        reduced -= reduced[j] / row[j] * row
+        reduced[j] = 0.0
+        pivot_row = augmented[r] / row[j]
+        augmented -= np.outer(column, pivot_row)
+        augmented[r] = pivot_row
+        basis[r] = j
+        pivots += 1
+        stall = 0 if ratios[j] > numkit.SIMPLEX_TOL else stall + 1
+    return None, pivots
 
 
 def reference_augmented_system(x0, x_inf, j):

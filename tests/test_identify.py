@@ -1,5 +1,6 @@
 """Unit tests for the estimation and reconstruction routines."""
 
+import dataclasses
 import json
 import warnings
 
@@ -17,6 +18,7 @@ from helpers import (
     reference_infinite_horizon,
     reference_least_moment,
     reference_nonneg_is_unique,
+    reference_simplex,
     reference_solve_l1,
     reference_sparse_gamma,
     reference_unknown_lambda,
@@ -129,12 +131,12 @@ def test_finite_horizon_matches_the_direct_linprog_oracle(monkeypatch, eps, pinn
     rng = np.random.default_rng(3)
     tie_breaks = []
 
-    def solve(problem):
-        result = ok.numkit.solve_l1(problem)
-        tie_breaks.append(result.solver_log["tie_break"])
-        return result
+    def solve(problems):
+        results = ok.numkit.solve_l1_rows(problems)
+        tie_breaks.extend(result.solver_log["tie_break"] for result in results)
+        return results
 
-    monkeypatch.setattr(ok.identify, "solve_l1", solve)
+    monkeypatch.setattr(ok.identify, "solve_l1_rows", solve)
     reports = []
     for net in nets:
         traj = ok.simulate_fj(net, rng.uniform(-1, 1, (net.n, 6)), steps=8)
@@ -402,8 +404,8 @@ def test_tied_equilibrium_rows_take_the_least_moment_oracle_point(monkeypatch, m
         seed=seed,
     )
     problems = []
-    monkeypatch.setattr(ok.identify, "solve_l1",
-                        lambda problem: problems.append(problem) or numkit.solve_l1(problem))
+    monkeypatch.setattr(ok.identify, "solve_l1_rows", lambda rows: numkit.solve_l1_rows(
+        problems.append(problem) or problem for problem in rows))
     moment_rows = 0
     for m in (10, 20):
         x0 = np.random.default_rng(100 * seed + m).uniform(-1.0, 1.0, (50, m))
@@ -451,6 +453,95 @@ def test_relabelling_the_agents_permutes_the_equilibrium_estimate(model, seed):
                 assert log["moment_rows"] == log["tied_rows"]
             expected = report.w_hat[np.ix_(order, order)]
             assert np.max(np.abs(relabelled.w_hat - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("model", ["watts_strogatz", "barabasi_albert"])
+def test_rows_solved_in_one_batch_match_each_row_solved_alone(monkeypatch, model):
+    # The tied rows of one estimator call share their face matrix and moment
+    # cost, so solve_l1_rows runs their simplex as one batch; each row still
+    # gets, bit for bit, the SolveResult solve_l1 gives it alone
+    net = ok.generate_network(
+        ok.GeneratorConfig(model=model, n=50, k=6, m0=3, beta_rw=0.2,
+                           lambda_range=(0.4, 0.4)),
+        seed=1,
+    )
+    batches, largest = [], 0
+    simplex = numkit._simplex
+
+    def batch(a, b, c):
+        # each row's vertex and pivots, bit for bit, are the one-program simplex's
+        batches.append(b.shape[0])
+        vertices = simplex(a, b, c)
+        for row, (z, pivots) in zip(b, vertices):
+            expected, expected_pivots = reference_simplex(a, row, c)
+            assert pivots == expected_pivots and (z is None) == (expected is None)
+            assert z is None or z.tobytes() == expected.tobytes()
+        return vertices
+
+    monkeypatch.setattr(numkit, "_simplex", batch)
+    for m in (10, 20):
+        x0 = np.random.default_rng(100 + m).uniform(-1.0, 1.0, (50, m))
+        x_inf, _ = ok.fj_equilibrium(net, x0)
+        psi = (x_inf - (1.0 - net.lam)[:, None] * x0) / net.lam[:, None]
+        for nonneg in (False, True):
+            problems = [ok.L1Problem(phi=x_inf.T, psi=row, sum_to=1.0, nonneg=nonneg)
+                        for row in psi]
+            batches.clear()
+            together = numkit.solve_l1_rows(problems)
+            tied = [result for result in together if result.solver_log["certificate"] == "tied"]
+            assert batches == ([len(tied)] if tied else [])
+            largest = max(largest, len(tied))
+            for problem, result in zip(problems, together):
+                alone = numkit.solve_l1(problem)
+                assert result.x.tobytes() == alone.x.tobytes()
+                assert np.float64(result.objective).tobytes() == np.float64(alone.objective).tobytes()
+                assert np.float64(result.residual).tobytes() == np.float64(alone.residual).tobytes()
+                assert result.status == alone.status and result.solver_log == alone.solver_log
+    assert largest > 1
+
+
+def test_the_first_failing_row_in_order_names_an_infeasible_estimate(monkeypatch):
+    # The last states of agents 2 and 4 are moved off the dynamics, so rows 2
+    # and 4 fit no (a, b) within eps; every row is solved, and the error
+    # names row 2 with its own smallest feasible band
+    net = _ws_network(seed=4)
+    traj = ok.simulate_fj(net, np.random.default_rng(4).uniform(-1, 1, (8, 4)), steps=8)
+    states = traj.states.copy()
+    states[-1, [2, 4]] += [[0.1], [0.3]]
+    problems, results = [], []
+
+    def solve(rows):
+        results.extend(numkit.solve_l1_rows(problems.append(row) or row for row in rows))
+        return results
+
+    monkeypatch.setattr(ok.identify, "solve_l1_rows", solve)
+    with pytest.raises(ok.InfeasibleError) as error:
+        ok.identify_finite_horizon(dataclasses.replace(traj, states=states), eps=1e-3)
+    assert [i for i, result in enumerate(results) if not result.ok] == [2, 4]
+    assert results[4].status == "infeasible"
+    bands = [numkit.minimal_band(problems[i]) for i in (2, 4)]
+    assert f"{bands[0]:.6g}" != f"{bands[1]:.6g}"
+    assert str(error.value) == (
+        f"row 2: no (a, b) fits within eps=0.001; smallest feasible band is {bands[0]:.6g}"
+    )
+
+
+@pytest.mark.parametrize("statuses", [("numerical", "infeasible"), ("iteration_limit", "numerical")])
+def test_the_first_failing_row_in_order_names_a_numerical_error(monkeypatch, statuses):
+    # Rows 2 and 4 fail; row 2's status names the error, whatever row 4's is
+    net = _ws_network()
+    x0 = np.random.default_rng(6).uniform(-1, 1, (8, 8))
+    x_inf, _ = ok.fj_equilibrium(net, x0)
+
+    def solve(problems):
+        results = numkit.solve_l1_rows(problems)
+        for row, status in zip((2, 4), statuses):
+            results[row] = dataclasses.replace(results[row], status=status)
+        return results
+
+    monkeypatch.setattr(ok.identify, "solve_l1_rows", solve)
+    with pytest.raises(ok.NumericalError, match=f"^row 2: l1 solve ended with {statuses[0]}$"):
+        ok.identify_infinite_horizon(x0, x_inf, net.lam)
 
 
 def test_equilibrium_rows_the_certificate_cannot_decide_reach_the_lp_unchanged():
@@ -788,7 +879,7 @@ def test_estimate_gamma_names_the_column_a_solve_fails_on(monkeypatch):
     stalled = ok.SolveResult(
         x=np.zeros(10), objective=np.nan, residual=np.nan, status="iteration_limit"
     )
-    monkeypatch.setattr(ok.identify, "solve_l1", lambda problem: stalled)
+    monkeypatch.setattr(ok.identify, "solve_l1_rows", lambda problems: [stalled for _ in problems])
     with pytest.raises(
         ok.NumericalError, match="^column 0: l1 solve ended with iteration_limit$"
     ):
@@ -797,7 +888,7 @@ def test_estimate_gamma_names_the_column_a_solve_fails_on(monkeypatch):
 
 def test_lp_estimators_share_one_solver_log_schema():
     lp_keys = {"objectives", "iterations", "lexicographic_rows", "nnls_rows", "tied_rows",
-               "moment_rows"}
+               "moment_rows", "highs_rows"}
     net = _ws_network()
     rng = np.random.default_rng(6)
     x0 = rng.uniform(-1, 1, (8, 8))
@@ -823,6 +914,9 @@ def test_lp_estimators_share_one_solver_log_schema():
         assert len(log["nnls_rows"]) + len(log["tied_rows"]) == sorted_rows
         assert not set(log["nnls_rows"]) & set(log["tied_rows"])
         assert set(log["moment_rows"]) <= set(log["tied_rows"])
+        # every row is decided by its certified face, its least moment or HiGHS
+        decided = log["nnls_rows"] + log["moment_rows"] + log["highs_rows"]
+        assert sorted(decided) == list(range(rows))
 
 
 def test_estimate_gamma_rejects_unknown_mode():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import opinionkit as ok
 from helpers import (
     reference_augmented_system,
     reference_equilibrium_system,
+    reference_simplex,
     reference_solve_l1,
     reference_spark,
 )
@@ -441,26 +443,52 @@ def test_simplex_leaves_a_dual_cycle_by_blands_rule(monkeypatch, stall):
     # zero-length dual steps or from the first pivot, reaches the optimum
     a, b, c = BEALE_DUAL
     monkeypatch.setattr(numkit, "SIMPLEX_STALL", stall)
-    z, pivots = numkit._simplex(a, b, c)
+    (z, pivots), = numkit._simplex(a, b[None], c)
     oracle = linprog(c, A_eq=a, b_eq=b, bounds=(0.0, None), method="highs")
     assert np.max(np.abs(z - oracle.x)) <= 1e-12 and c @ z == pytest.approx(1.25, abs=1e-12)
     assert pivots < 50
     monkeypatch.setattr(numkit, "SIMPLEX_STALL", numkit.SIMPLEX_MAX_PIVOTS)
-    assert numkit._simplex(a, b, c) == (None, numkit.SIMPLEX_MAX_PIVOTS)
+    assert numkit._simplex(a, b[None], c) == [(None, numkit.SIMPLEX_MAX_PIVOTS)]
+
+
+@pytest.mark.parametrize("stall", [numkit.SIMPLEX_STALL, numkit.SIMPLEX_MAX_PIVOTS])
+def test_simplex_rows_in_one_batch_return_what_each_returns_alone(monkeypatch, stall):
+    # Beale's dual-cycle b (cycling to the cap when Bland's rule never takes
+    # over), an empty set and ordinary rows share a and c and pivot in
+    # lockstep; rows that end early leave the batch, and no row's vertex,
+    # bits or pivots depend on its batch-mates or its place among them, or
+    # differ from the one-program simplex the batch replaced
+    a, beale, c = BEALE_DUAL
+    rng = np.random.default_rng(5)
+    ordinary = [a @ (rng.uniform(0, 1, 7) * (rng.uniform(0, 1, 7) < 0.5)) for _ in range(4)]
+    empty = np.array([0.0, 1.0, 0.0, 0.0])  # every column of a has a_2j <= 0
+    b = np.array([ordinary[0], beale, ordinary[1], empty, *ordinary[2:]])
+    monkeypatch.setattr(numkit, "SIMPLEX_STALL", stall)
+    alone = [numkit._simplex(a, row[None], c)[0] for row in b]
+    assert all(alone[i][0] is not None for i in (0, 2, 4, 5)) and alone[3] == (None, 0)
+    if stall == numkit.SIMPLEX_MAX_PIVOTS:
+        assert alone[1] == (None, numkit.SIMPLEX_MAX_PIVOTS)
+    orders = [list(range(6)), list(range(6))[::-1], *map(list, combinations(range(6), 2))]
+    for order in [[i] for i in range(6)] + orders:
+        for i, (z, pivots) in zip(order, numkit._simplex(a, b[order], c)):
+            expected, expected_pivots = reference_simplex(a, b[i], c)
+            assert pivots == expected_pivots and (z is None) == (expected is None)
+            assert z is None or z.tobytes() == expected.tobytes()
 
 
 def test_simplex_needs_a_nonnegative_cost():
     # A negative cost breaks the start basis's dual feasibility: the
     # simplex returns a feasible vertex, (1, 0) at cost 0, not the
     # minimizer (0, 1) at cost -1
-    z, pivots = numkit._simplex(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([0.0, -1.0]))
+    (z, pivots), = numkit._simplex(np.array([[1.0, 1.0]]), np.array([[1.0]]),
+                                   np.array([0.0, -1.0]))
     assert z.tolist() == [1.0, 0.0] and pivots == 1
 
 
 def test_simplex_reports_an_empty_set():
     # z_0 - z_1 = -1 and z_0 + z_1 = -1 have no nonnegative solution
-    z, _ = numkit._simplex(np.array([[1.0, -1.0], [1.0, 1.0]]), np.array([-1.0, -1.0]),
-                           np.array([1.0, 1.0]))
+    (z, _), = numkit._simplex(np.array([[1.0, -1.0], [1.0, 1.0]]), np.array([[-1.0, -1.0]]),
+                              np.array([1.0, 1.0]))
     assert z is None
 
 
@@ -492,14 +520,14 @@ def test_solve_l1_sends_a_row_past_the_pivot_cap_to_highs(monkeypatch):
 
 
 def _captured_rows(monkeypatch, estimate):
-    """The l1 programs an estimator hands to solve_l1, in row order."""
+    """The l1 programs an estimator hands to solve_l1_rows, in row order."""
     problems = []
 
-    def solve(problem):
-        problems.append(problem)
-        return numkit.solve_l1(problem)
+    def solve(rows):
+        problems.extend(rows)
+        return numkit.solve_l1_rows(problems)
 
-    monkeypatch.setattr(ok.identify, "solve_l1", solve)
+    monkeypatch.setattr(ok.identify, "solve_l1_rows", solve)
     estimate()
     return problems
 
