@@ -106,13 +106,16 @@ class AppraisalPath:
 
 
 def _as_profile(x0, n: int) -> np.ndarray:
-    """x0 as an (n, m) array of finite opinions, an (n,) vector as one
-    column; every simulator and equilibrium reads its initial profile here."""
+    """x0 as an (n, m) array of finite opinions, m >= 1, an (n,) vector as
+    one column; every simulator and equilibrium reads its initial profile
+    here."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         x0 = x0[:, None]
     if x0.ndim != 2 or x0.shape[0] != n:
         raise StructuralError(f"initial profile must be ({n},) or ({n}, m)")
+    if not x0.shape[1]:
+        raise StructuralError("initial profile has no issues")
     if not np.isfinite(x0).all():
         raise ParameterError("initial profile must be finite")
     return x0

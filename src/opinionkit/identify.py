@@ -185,6 +185,8 @@ def identify_finite_horizon(
     states = traj.states
     if states.shape[0] < 2:
         raise StructuralError("need at least one transition")
+    if not states.shape[2]:
+        raise StructuralError("trajectory has no issues")
     if not np.isfinite(states).all():
         raise ParameterError("trajectory states must be finite")
     n, m = states.shape[1], states.shape[2]
@@ -314,8 +316,9 @@ def identify_infinite_horizon(x0, x_inf, lam, nonneg: bool = False) -> Estimatio
     nnls_rows). A row with several (tied_rows) takes the one of least
     sum_k w_k |x_k(inf)|^2 where the certificate finds it the only such
     point (moment_rows), and HiGHS's vertex otherwise; a row with none
-    solves its LP (both highs_rows). The tied rows share their face matrix,
-    so their least-moment simplex runs as one batch (see solve_l1_rows).
+    solves its LP (both highs_rows). The rows differ only in psi, so
+    solve_l1_rows prepares their faces once and runs the tied rows'
+    least-moment simplex as one batch.
     """
     x0, x_inf = _as_profiles(x0, x_inf)
     n = x0.shape[0]

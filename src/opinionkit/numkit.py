@@ -27,14 +27,15 @@ an equilibrium row [x_k(inf); 1], so the point of least sum_k w_k
 one-phase dual simplex (_simplex, the package's only simplex; c >= 0
 makes its first basis dual feasible). Its vertex, certified as the only
 point of that face by the same check in place of an NNLS point, is the
-least-moment tie-break. The rows of one solve_l1_rows call that share
-their face matrix and moment cost (the tied rows of one equilibrium
-estimate, which differ only in their right-hand side) run that simplex
-as one batch, pivoting in lockstep, each row by its own rule and to the
-same bits as alone. HiGHS runs only where no face decides, that is where
-a vertex must still be chosen. Combinatorial diagnostics (spark,
-nullspace property) are exhaustive and therefore capped at small
-dimensions; they exist to certify test instances, not to scale.
+least-moment tie-break. solve_l1_rows reads its programs in runs of
+consecutive ones that differ only in psi (the rows of one equilibrium
+estimate): a run prepares its faces, their products and its cut face
+once, and its tied rows run that simplex as one batch, pivoting in
+lockstep, each row by its own rule and to the same bits as alone. HiGHS
+runs only where no face decides, that is where a vertex must still be
+chosen. Combinatorial diagnostics (spark, nullspace property) are
+exhaustive and therefore capped at small dimensions; they exist to
+certify test instances, not to scale.
 """
 
 from dataclasses import dataclass, field
@@ -271,16 +272,17 @@ def solve_l1_rows(problems) -> list[SolveResult]:
     dense rows, and keeps presolve wherever the LP has inequality rows: the
     band form and the stage-2 solve below (see _highs).
 
-    The least-moment rows are solved in batches, each row exactly as if
-    alone. Programs are read one at a time. A row bound for the simplex
-    joins the open batch while its face matrix (the face's rows on the
-    moving coordinates) and moment cost equal the batch's bit for bit; any
-    other such row, and the end of the input, first flush the batch: one
-    lockstep _simplex call over the rows' right-hand sides, then each
-    row's cut face certified at its own vertex, or HiGHS. A batch copies
-    the face matrix once; per row it keeps the program and vectors, and
-    rebuilds the row's face rows from the shared matrix and the row's
-    pinned columns when it is flushed.
+    Programs are read one at a time, in runs: a program joins the current
+    run while its inputs but psi equal the run's in shape and bytes
+    (_run_key: NaN bounds match, -0.0 and 0.0 do not), as the rows of one
+    equilibrium estimate do. A run prepares its faces once (_faces,
+    _prepared), so a row forms only its right-hand side [psi; sum_to]. The
+    run's tied rows are one simplex batch, flushed when the run ends: the
+    moment cost and the cut face [rows; cost] with its Frobenius norm are
+    prepared once, one lockstep _simplex call takes the rows' right-hand
+    sides, and each row's cut face is certified at its own vertex, or the
+    row goes to HiGHS. Every product is the call a row alone makes on the
+    same operands, so each row gets the bits it gets alone.
 
     Ties between optimal vertices that reach HiGHS: without tie_weights,
     HiGHS's deterministic vertex choice decides ("solver-vertex" in
@@ -293,63 +295,63 @@ def solve_l1_rows(problems) -> list[SolveResult]:
     stage 2 infeasible on ordinary data; a stage-2 failure is reported as
     "numerical". solver_log["iterations"] counts both stages.
     """
-    results, batch, program = [], [], None
+    results, batch, key, faces = [], [], None, []
 
     def flush():
-        _, a, c = program
-        vertices = _simplex(a, np.array([record[-1] for record in batch]), c)
-        for (i, problem, parsed, rhs, base, moving, pinned, cost, _), (z, pivots) in zip(
-            batch, vertices
-        ):
+        rows, base, moving, offset, a = faces[-1][1]  # least-moment, yielded last
+        cost = np.einsum("ij,ij->j", rows, rows)
+        c, floor = cost[moving], cost @ base
+        cut = _prepared(np.vstack([rows, cost]), base, moving)
+        norm = np.linalg.norm(cut[4])
+        vertices = _simplex(a, np.array([rhs - offset for *_, rhs in batch]), c)
+        for (i, problem, parsed, rhs), (z, pivots) in zip(batch, vertices):
             x = None
             if z is not None:
-                rows = np.empty((rhs.shape[0], base.shape[0]))
-                rows[:, moving], rows[:, ~moving] = a, pinned
-                cut = cost @ base + c @ z
-                _, x = _face_point(
-                    np.vstack([rows, cost]), np.append(rhs, cut), base, moving, parsed[4], z
-                )
+                _, x = _face_point(cut, np.append(rhs, floor + c @ z), parsed[4], z, norm)
             results[i] = _result(problem, parsed, x, "tied", "simplex", "least-moment", pivots)
         batch.clear()
 
     for problem in problems:
-        parsed = _parsed(problem)
-        verdict, tie_break, x, face = _certified_faces(problem, *parsed)
-        if face is None:
-            verdict = verdict if x is None else "unique"
-            results.append(_result(problem, parsed, x, verdict, "nnls", tie_break, 0))
-            continue
-        rows, rhs, base, moving = face
-        cost = np.einsum("ij,ij->j", rows, rows)
-        a, c = rows[:, moving], cost[moving]
-        key = a.shape, a.tobytes(), c.tobytes()
-        if batch and key != program[0]:
-            flush()
-        if not batch:
-            program = key, a, c
-        batch.append((len(results), problem, parsed, rhs, base, moving, rows[:, ~moving], cost,
-                      rhs - rows @ base))
-        results.append(None)
+        parsed = phi, psi, weights, lo, hi = _parsed(problem)
+        run = _run_key(problem, phi, weights, lo, hi)
+        if run != key:
+            if batch:
+                flush()
+            key = run
+            faces = [(tie_break, _prepared(*face))
+                     for tie_break, *face in _faces(problem, phi, weights, lo, hi)]
+        rhs = psi if problem.sum_to is None else np.concatenate((psi, [float(problem.sum_to)]))
+        verdict, tie_break, x = None, None, None
+        for tie_break, face in faces:
+            if tie_break == "least-moment":
+                break
+            found, x = _face_point(face, rhs, hi)
+            verdict = verdict or found
+            if x is not None:
+                break
+        if x is None and verdict == "tied" and tie_break == "least-moment":
+            batch.append((len(results), problem, parsed, rhs))
+            results.append(None)
+        elif x is None:
+            results.append(_result(problem, parsed, None, verdict, "nnls", None, 0))
+        else:
+            results.append(_result(problem, parsed, x, "unique", "nnls", tie_break, 0))
     if batch:
         flush()
     return results
 
 
-def _certified_faces(problem: L1Problem, phi, psi, weights, lo, hi):
-    """(verdict, tie_break, x, face) of a program's faces (_faces) up to
-    the least-moment one: the first face's verdict, and the face that the
-    certificate found one point x within the upper bounds; or, with x None,
-    the least-moment face (rows, rhs, base, moving) where the first face is
-    tied and it is offered, else None."""
-    verdict = None
-    for tie_break, *face in _faces(problem, phi, psi, weights, lo, hi):
-        if tie_break == "least-moment":
-            return verdict, None, None, face if verdict == "tied" else None
-        found, x = _face_point(*face, hi)
-        verdict = verdict or found
-        if x is not None:
-            return verdict, tie_break, x, None
-    return verdict, None, None, None
+def _run_key(problem: L1Problem, phi, weights, lo, hi):
+    """Every input of a program from _parsed but psi, in shapes and bytes,
+    and phi's strides, which the face products follow: programs with equal
+    keys share their faces (see solve_l1_rows)."""
+    sum_to, tie_weights = problem.sum_to, problem.tie_weights
+    return (
+        bool(problem.nonneg), phi.shape, phi.strides, phi.tobytes(), weights.tobytes(),
+        lo.shape, lo.tobytes(), hi.shape, hi.tobytes(), np.float64(problem.band).tobytes(),
+        None if sum_to is None else np.float64(sum_to).tobytes(),
+        None if tie_weights is None else np.asarray(tie_weights, dtype=float).tobytes(),
+    )
 
 
 def _result(problem: L1Problem, parsed, x, verdict, method, tie_break, iterations):
@@ -363,7 +365,7 @@ def _result(problem: L1Problem, parsed, x, verdict, method, tie_break, iteration
         log = {"method": method, "tie_break": tie_break, "iterations": iterations,
                "message": "certified"}
     phi, psi, weights = parsed[:3]
-    residual = np.inf if x is None else float(np.abs(phi @ x - psi).max())
+    residual = np.inf if x is None else float(np.abs(phi @ x - psi).max(initial=0.0))
     x = np.zeros(phi.shape[1]) if x is None else x
     objective = float((weights * np.abs(x)).sum())
     return SolveResult(x=x, objective=objective, residual=residual, status=status,
@@ -407,13 +409,14 @@ def _highs_l1(problem: L1Problem, phi, psi, weights, lo, hi):
                        "message": str(res.message)}
 
 
-def _faces(problem: L1Problem, phi, psi, weights, lo, hi):
+def _faces(problem: L1Problem, phi, weights, lo, hi):
     """The faces of a band-0 program that solve_l1 offers the certificate,
-    in order, as (tie_break, rows, rhs, base, moving): the face is {x :
-    rows x = rhs, x = base off the mask moving, x >= base on it}, the
-    program's upper bounds dropped. rows = [phi; 1'] (ones only with
-    sum_to), and base holds the pins (lo = hi) and max(lo, 0) elsewhere
-    (NaN: 0); moving is a subset of the unpinned coordinates.
+    in order, as (tie_break, rows, base, moving): the face is {x : rows x =
+    rhs, x = base off the mask moving, x >= base on it}, the program's
+    upper bounds dropped. rows = [phi; 1'] and rhs = [psi; sum_to] (ones
+    and sum_to only with sum_to), and base holds the pins (lo = hi) and
+    max(lo, 0) elsewhere (NaN: 0); moving is a subset of the unpinned
+    coordinates. No face depends on psi.
 
     A nonnegative program (nonneg with pins >= 0, or every coordinate
     pinned or lo >= 0) has x >= base on its feasible set, so its cost is
@@ -432,13 +435,12 @@ def _faces(problem: L1Problem, phi, psi, weights, lo, hi):
         constant on it in that way (a nonnegative program too: its
         unpinned weights equal a row, without tie_weights or an upper
         bound off the pins). solve_l1 offers it only where the first face
-        is tied, cut by its least moment (_least_moment_face)."""
+        is tied, cut by its least moment (see solve_l1_rows)."""
     if problem.band != 0.0 or not phi.shape[1]:
         return
-    rows, rhs = phi, psi
+    rows = phi
     if problem.sum_to is not None:
         rows = np.concatenate((phi, np.ones((1, phi.shape[1]))))
-        rhs = np.concatenate((psi, [float(problem.sum_to)]))
     free = lo != hi  # NaN bounds never pin
     base = np.where(free, np.fmax(lo, 0.0), lo)
     constant = (
@@ -447,18 +449,18 @@ def _faces(problem: L1Problem, phi, psi, weights, lo, hi):
         and (rows[:, free] == weights[free]).all(axis=1).any()
     )
     if (base >= 0.0).all() if problem.nonneg else (~free | (lo >= 0.0)).all():
-        yield "unique", rows, rhs, base, free
+        yield "unique", rows, base, free
         priced = weights > 0.0
         if problem.tie_weights is not None:
             priced |= np.asarray(problem.tie_weights, float) > 0.0
         if (free & priced).any():
-            yield "zero-cost", rows, rhs, base, free & ~priced
+            yield "zero-cost", rows, base, free & ~priced
     elif not problem.nonneg and constant and ((weights > 0.0) | (lo >= 0.0))[free].all():
-        yield "unique", rows, rhs, base, free
+        yield "unique", rows, base, free
     else:
         return
     if constant:
-        yield "least-moment", rows, rhs, base, free
+        yield "least-moment", rows, base, free
 
 
 def _simplex(a, b, c):
@@ -543,23 +545,31 @@ def _simplex(a, b, c):
     return [(z[i] if found[i] else None, int(pivots[i])) for i in range(count)]
 
 
-def _face_point(rows, rhs, base, moving, hi, z=None):
-    """(verdict, x) for a face from _faces: ("unique", x) when the
-    certificate finds the face {x} at base + z on moving (z refined, or
-    unique_nonneg_solution's NNLS point without z) and x meets every upper
-    bound, else ("tied" or "infeasible", None). A point above an upper
-    bound, often by rounding, is not returned: the face is offered once
-    more, to NNLS, with those coordinates pinned at their bounds, where they
-    move and their bounds admit base. The face is one point, so a point it
-    still holds there, within the certificate's NNLS_RESIDUAL_MAX, is that
-    point; found none, the verdict is "infeasible". Only finite systems
-    reach the certificate."""
+def _prepared(rows, base, moving):
+    """A face from _faces with the products that do not depend on its
+    right-hand side: (rows, base, moving, rows @ base, rows[:, moving])."""
+    return rows, base, moving, rows @ base, rows[:, moving]
+
+
+def _face_point(face, rhs, hi, z=None, norm=None):
+    """(verdict, x) for a face from _prepared with right-hand side rhs:
+    ("unique", x) when the certificate finds the face {x} at base + z on
+    moving (z refined, certified with norm, the Frobenius norm of
+    rows[:, moving]; or unique_nonneg_solution's NNLS point without z) and
+    x meets every upper bound, else ("tied" or "infeasible", None). A point
+    above an upper bound, often by rounding, is not returned: the face is
+    offered once more, to NNLS, with those coordinates pinned at their
+    bounds, where they move and their bounds admit base. The face is one
+    point, so a point it still holds there, within the certificate's
+    NNLS_RESIDUAL_MAX, is that point; found none, the verdict is
+    "infeasible". Only finite systems reach the certificate."""
+    rows, base, moving, offset, a = face
     for _ in range(2):
-        b = rhs - rows @ base
+        b = rhs - offset
         if not np.isfinite(b).all():
             break
-        a = rows[:, moving]
-        found, z = unique_nonneg_solution(a, b) if z is None else _certified(a, b, _refined(z, a, b))
+        found, z = (unique_nonneg_solution(a, b) if z is None
+                    else _certified(a, b, _refined(z, a, b), norm))
         if z is None:
             return found, None
         x = base.copy()
@@ -569,7 +579,8 @@ def _face_point(rows, rhs, base, moving, hi, z=None):
             return found, x
         if not (moving & (base <= hi))[above].all():
             break
-        base, moving, z = np.where(above, hi, base), moving & ~above, None
+        rows, base, moving, offset, a = _prepared(rows, np.where(above, hi, base), moving & ~above)
+        z = None
     return "infeasible", None
 
 
@@ -615,21 +626,24 @@ def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
-    if a.shape[1]:
+    if a.size:
         try:
             z, _ = nnls(a, b)
         except RuntimeError:  # iteration limit
             return "infeasible", None
     else:
-        z = np.zeros(0)  # nnls cannot take zero columns; P = {()} iff b = 0
+        # nnls cannot take zero columns, and returns no defined point for
+        # zero rows: P = {()} iff b = 0, and without rows P is the orthant
+        z = np.zeros(a.shape[1])
     return _certified(a, b, z)
 
 
-def _certified(a, b, z):
+def _certified(a, b, z, norm=None):
     """unique_nonneg_solution's verdict on a given point z >= 0: "infeasible"
     when a z = b misses NNLS_RESIDUAL_MAX, else the certificate's "unique"
-    (with z) or "tied" (see unique_nonneg_solution)."""
-    if np.abs(a @ z - b).max() > NNLS_RESIDUAL_MAX * np.abs(b).max(initial=1.0):
+    (with z) or "tied" (see unique_nonneg_solution). norm is |a|_F, taken
+    here where the caller has not prepared it."""
+    if np.abs(a @ z - b).max(initial=0.0) > NNLS_RESIDUAL_MAX * np.abs(b).max(initial=1.0):
         return "infeasible", None
     if not z.size:
         return "unique", z
@@ -665,7 +679,8 @@ def _certified(a, b, z):
         return "tied", None
     lam /= g.min()
     residual = np.linalg.norm(a_s.T @ lam)
-    if not residual + CERTIFICATE_RESIDUAL_MAX * np.linalg.norm(a) * np.linalg.norm(lam) < bound:
+    norm = np.linalg.norm(a) if norm is None else norm
+    if not residual + CERTIFICATE_RESIDUAL_MAX * norm * np.linalg.norm(lam) < bound:
         return "tied", None
     return "unique", z
 

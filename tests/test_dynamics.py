@@ -411,6 +411,18 @@ def test_belief_system_rejects_wrong_coupling_shape():
         ok.simulate_belief_system(net, np.eye(3), np.zeros((4, 2)), steps=5)
 
 
+def test_a_profile_without_issues_is_rejected():
+    # an (n, 0) profile would give a trajectory or an equilibrium of no data
+    net = stable_network(np.random.default_rng(6), 4)
+    for run in (
+        lambda x0: ok.simulate_fj(net, x0, steps=3),
+        lambda x0: ok.fj_equilibrium(net, x0),
+        lambda x0: ok.simulate_belief_system(net, np.zeros((0, 0)), x0, steps=3),
+    ):
+        with pytest.raises(ok.StructuralError, match="^initial profile has no issues$"):
+            run(np.zeros((4, 0)))
+
+
 def test_reflected_appraisal_path_shapes_and_simplex():
     rng = np.random.default_rng(7)
     c = rng.uniform(0.1, 1.0, (5, 5))

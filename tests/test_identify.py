@@ -83,6 +83,13 @@ def test_finite_horizon_flags_an_infeasibly_tight_band():
         ok.identify_finite_horizon(corrupted, eps=0.0, lam=net.lam)
 
 
+def test_finite_horizon_rejects_a_trajectory_without_issues():
+    traj = ok.simulate_fj(_ws_network(), np.zeros((8, 1)), steps=3)
+    empty = dataclasses.replace(traj, states=np.zeros((4, 8, 0)))
+    with pytest.raises(ok.StructuralError, match="^trajectory has no issues$"):
+        ok.identify_finite_horizon(empty)
+
+
 def test_finite_horizon_decomposes_stubborn_agents_as_anchored():
     # a constant opinion is explained by lambda = 0, not by a self-loop
     net = ok.InfluenceNetwork(
@@ -498,6 +505,82 @@ def test_rows_solved_in_one_batch_match_each_row_solved_alone(monkeypatch, model
                 assert np.float64(result.residual).tobytes() == np.float64(alone.residual).tobytes()
                 assert result.status == alone.status and result.solver_log == alone.solver_log
     assert largest > 1
+
+
+def _equilibrium_rows(model, m):
+    """The row programs of an n = 50 equilibrium estimate, as in the workload."""
+    net = ok.generate_network(
+        ok.GeneratorConfig(model=model, n=50, k=6, m0=3, beta_rw=0.2,
+                           lambda_range=(0.4, 0.4)),
+        seed=1,
+    )
+    x0 = np.random.default_rng(100 + m).uniform(-1.0, 1.0, (50, m))
+    x_inf, _ = ok.fj_equilibrium(net, x0)
+    psi = (x_inf - (1.0 - net.lam)[:, None] * x0) / net.lam[:, None]
+    return [ok.L1Problem(phi=x_inf.T, psi=row, sum_to=1.0) for row in psi]
+
+
+def _assert_bit_equal(result, alone):
+    assert result.x.tobytes() == alone.x.tobytes()
+    assert np.float64(result.objective).tobytes() == np.float64(alone.objective).tobytes()
+    assert np.float64(result.residual).tobytes() == np.float64(alone.residual).tobytes()
+    assert result.status == alone.status and result.solver_log == alone.solver_log
+
+
+def _counted_faces(monkeypatch):
+    """The argument tuples of every _faces call from here on."""
+    faces, calls = numkit._faces, []
+    monkeypatch.setattr(numkit, "_faces", lambda *args: calls.append(args) or faces(*args))
+    return calls
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_one_equilibrium_estimate_prepares_its_faces_once(monkeypatch, nonneg):
+    # the rows of one estimate differ only in psi: one run, one set of faces
+    net = _ws_network(seed=1, n=50, lam_range=(0.4, 0.4))
+    x0 = np.random.default_rng(110).uniform(-1.0, 1.0, (50, 10))
+    x_inf, _ = ok.fj_equilibrium(net, x0)
+    calls = _counted_faces(monkeypatch)
+    report = ok.identify_infinite_horizon(x0, x_inf, net.lam, nonneg=nonneg)
+    assert len(calls) == 1 and report.solver_log["tied_rows"]
+
+
+def test_interleaved_runs_match_each_row_solved_alone(monkeypatch):
+    # rows 0-9 of a WS estimate, a tied row of a BA estimate, then rows
+    # 10-19 of the WS estimate: three runs, each with its own faces and its
+    # own simplex batch, and each row gets the bits it gets alone
+    ws, ba = (_equilibrium_rows(model, 10) for model in ("watts_strogatz", "barabasi_albert"))
+    hub = next(problem for problem in ba
+               if numkit.solve_l1(problem).solver_log["certificate"] == "tied")
+    runs = (ws[:10], [hub], ws[10:20])
+    alone = [[numkit.solve_l1(problem) for problem in run] for run in runs]
+    tied = [sum(result.solver_log["certificate"] == "tied" for result in run) for run in alone]
+    assert all(tied)
+    batches, simplex = [], numkit._simplex
+    monkeypatch.setattr(numkit, "_simplex",
+                        lambda a, b, c: batches.append(b.shape[0]) or simplex(a, b, c))
+    calls = _counted_faces(monkeypatch)
+    together = numkit.solve_l1_rows(problem for run in runs for problem in run)
+    assert len(calls) == 3 and batches == tied
+    for result, expected in zip(together, (result for run in alone for result in run),
+                                strict=True):
+        _assert_bit_equal(result, expected)
+
+
+def test_programs_whose_bounds_hold_nan_share_a_run(monkeypatch):
+    # bounds compare by their bytes: fresh all-NaN arrays are one run though
+    # NaN != NaN, while lower bounds of 0.0 and -0.0 start a run each
+    problems = _equilibrium_rows("watts_strogatz", 10)[:12]
+    calls = _counted_faces(monkeypatch)
+    nan = [dataclasses.replace(problem, lo=np.full(50, np.nan)) for problem in problems]
+    for result, problem in zip(numkit.solve_l1_rows(nan), problems, strict=True):
+        _assert_bit_equal(result, numkit.solve_l1(problem))
+    assert len(calls) == 1 + len(problems)
+    calls.clear()
+    signed = [dataclasses.replace(problem, lo=np.full(50, (-1.0) ** i * 0.0))
+              for i, problem in enumerate(problems)]
+    numkit.solve_l1_rows(signed)
+    assert len(calls) == len(problems)
 
 
 def test_the_first_failing_row_in_order_names_an_infeasible_estimate(monkeypatch):

@@ -263,9 +263,13 @@ def test_zero_as_the_only_nonneg_solution_is_unique():
     assert unique_nonneg_solution([[1.0, 2.0]], [0.0])[0] == "unique"
 
 
-@pytest.mark.parametrize("a", [[[1.0, -1.0]], [[0.0, 0.0]], [[1.0, -1.0], [2.0, -2.0]]])
+@pytest.mark.parametrize(
+    "a", [[[1.0, -1.0]], [[0.0, 0.0]], [[1.0, -1.0], [2.0, -2.0]], np.zeros((0, 2))]
+)
 def test_zero_with_a_nonneg_kernel_direction_is_tied(a):
-    # (1, 1) solves every system here, so P is a ray and no lam has a' lam > 0
+    # (1, 1) solves every system here, so P is a ray and no lam has a' lam > 0;
+    # without rows P is the orthant, where scipy's nnls returns no defined
+    # point (about 6.9e-310 in scipy 1.17), so none is asked
     verdict, z = unique_nonneg_solution(a, np.zeros(len(a)))
     assert verdict == "tied" and z is None
 
@@ -303,6 +307,20 @@ def test_nonneg_solution_without_columns_is_unique_iff_b_is_zero():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["infeasible None", "infeasible None", "unique (0,)"]
+
+
+@pytest.mark.parametrize("form", [{}, {"nonneg": True}, {"band": 0.5}])
+def test_a_program_without_rows_is_solved_at_zero(form):
+    res = ok.solve_l1(L1Problem(phi=np.zeros((0, 3)), psi=np.zeros(0), **form))
+    assert res.ok and res.x.tobytes() == np.zeros(3).tobytes()
+    assert res.objective == 0.0 and res.residual == 0.0
+
+
+def test_a_program_without_rows_meets_its_sum():
+    # ||x||_1 >= 1'x = 1, so every nonnegative point of sum 1 is optimal
+    res = ok.solve_l1(L1Problem(phi=np.zeros((0, 3)), psi=np.zeros(0), sum_to=1.0))
+    assert res.ok and res.residual == 0.0 and (res.x >= 0.0).all()
+    assert abs(res.x.sum() - 1.0) <= 1e-12 and abs(res.objective - 1.0) <= 1e-12
 
 
 # The wide system above as an l1 program: ||x||_1 >= 1'x = 1, with equality
@@ -532,6 +550,15 @@ def _captured_rows(monkeypatch, estimate):
     return problems
 
 
+def _first_face_system(problem):
+    """(a, b, base, moving) of a program's first face: its rows on the moving
+    coordinates, and its right-hand side [psi; sum_to] less rows @ base."""
+    phi, psi, weights, lo, hi = numkit._parsed(problem)
+    _, rows, base, moving = next(numkit._faces(problem, phi, weights, lo, hi))
+    rhs = psi if problem.sum_to is None else np.append(psi, problem.sum_to)
+    return rows[:, moving], rhs - rows @ base, base, moving
+
+
 @pytest.mark.parametrize("nonneg", [False, True])
 def test_derived_systems_match_the_hand_built_ones(monkeypatch, nonneg):
     net = ok.generate_network(
@@ -545,16 +572,14 @@ def test_derived_systems_match_the_hand_built_ones(monkeypatch, nonneg):
         monkeypatch, lambda: ok.identify_infinite_horizon(x0, x_inf, net.lam, nonneg=nonneg)
     )
     for problem in rows:
-        _, rows, rhs, base, moving = next(numkit._faces(problem, *numkit._parsed(problem)))
-        a, b = rows[:, moving], rhs - rows @ base
+        a, b, base, moving = _first_face_system(problem)
         ref_a, ref_b = reference_equilibrium_system(x_inf, problem.psi)
         assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
     rows = _captured_rows(
         monkeypatch, lambda: ok.identify_unknown_lambda(x0, x_inf, nonneg=nonneg)
     )
     for j, problem in enumerate(rows):
-        _, rows, rhs, base, moving = next(numkit._faces(problem, *numkit._parsed(problem)))
-        a, b = rows[:, moving], rhs - rows @ base
+        a, b, base, moving = _first_face_system(problem)
         ref_a, ref_b = reference_augmented_system(x0, x_inf, j)
         assert a.tobytes() == ref_a.tobytes()
         # b is x_j(0) - d here and x_j(inf) by hand: equal up to rounding
