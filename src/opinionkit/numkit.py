@@ -11,7 +11,9 @@ tie cost, by the least-moment rule below where it applies, and by HiGHS's
 vertex choice otherwise. A nonnegative solution set {z >= 0 : a z = b}
 can also be decided without an LP: unique_nonneg_solution finds a point
 by NNLS and certifies it as the only one through Stiemke's alternative,
-solved by a second NNLS in the row space, or reports a tie or no point.
+or reports a tie or no point. Its witness in the row space is the
+least-squares point of one normal-equations solve first, and a second,
+least-distance NNLS only where that point misses the certificate's check.
 solve_l1_rows, the one driver (solve_l1 is its one-program case), calls
 it (the package's only nnls, from one call site) on up to two faces of a
 band-0 program before any LP: for a program whose feasible set is
@@ -176,21 +178,50 @@ class SolveResult:
 
 
 def _parsed(problem: L1Problem):
-    """The validated phi, psi and weights of a problem, and lo and hi (NaN: none)."""
+    """The phi, psi and weights of a problem, and lo and hi (NaN: none);
+    psi validated here, the inputs a run shares by _checked."""
     phi = np.atleast_2d(np.asarray(problem.phi, dtype=float))
     psi = np.asarray(problem.psi, dtype=float).ravel()
     m, n = phi.shape
     if psi.shape[0] != m:
         raise ParameterError(f"phi has {m} rows but psi has {psi.shape[0]} entries")
-    if not problem.band >= 0.0:
-        raise ParameterError(f"band must be >= 0, got {problem.band}")
+    if not np.isfinite(psi).all():
+        raise ParameterError("psi must be finite")
     weights = np.ones(n) if problem.weights is None else np.asarray(problem.weights, float)
+    return phi, psi, weights, _bound("lo", problem.lo, n), _bound("hi", problem.hi, n)
+
+
+def _bound(name, bound, n):
+    """Bound lo or hi of a problem as a float array, all NaN (no bound)
+    where it is None; ParameterError where numpy cannot read it as one."""
+    if bound is None:
+        return np.full(n, np.nan)
+    try:
+        return np.asarray(bound, float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a length-n vector") from None
+
+
+def _checked(problem: L1Problem, phi, lo, hi):
+    """Raise ParameterError, naming the field, where an input of a problem
+    from _parsed other than psi is out of range: phi, sum_to and band must
+    be finite, band >= 0, weights and tie_weights finite nonnegative
+    length-n vectors, lo and hi length-n vectors (NaN and +-inf bounds are
+    allowed)."""
+    n = phi.shape[1]
+    if not np.isfinite(phi).all():
+        raise ParameterError("phi must be finite")
+    if not 0.0 <= problem.band < np.inf:
+        raise ParameterError(f"band must be finite and >= 0, got {problem.band}")
+    if problem.sum_to is not None and not np.isfinite(problem.sum_to):
+        raise ParameterError(f"sum_to must be finite, got {problem.sum_to}")
     for name, vector in (("weights", problem.weights), ("tie_weights", problem.tie_weights)):
-        if vector is not None and (np.shape(vector) != (n,) or np.any(np.less(vector, 0))):
-            raise ParameterError(f"{name} must be a nonnegative length-n vector")
-    lo = np.full(n, np.nan) if problem.lo is None else np.asarray(problem.lo, float)
-    hi = np.full(n, np.nan) if problem.hi is None else np.asarray(problem.hi, float)
-    return phi, psi, weights, lo, hi
+        if vector is not None and (np.shape(vector) != (n,) or not np.all(
+                np.less_equal(0.0, vector) & np.isfinite(vector))):
+            raise ParameterError(f"{name} must be a finite nonnegative length-n vector")
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if bound.shape != (n,):
+            raise ParameterError(f"{name} must be a length-n vector, got shape {bound.shape}")
 
 
 def _columns(problem: L1Problem, lo, hi):
@@ -315,6 +346,7 @@ def solve_l1_rows(problems) -> list[SolveResult]:
         parsed = phi, psi, weights, lo, hi = _parsed(problem)
         run = _run_key(problem, phi, weights, lo, hi)
         if run != key:
+            _checked(problem, phi, lo, hi)
             if batch:
                 flush()
             key = run
@@ -344,13 +376,16 @@ def solve_l1_rows(problems) -> list[SolveResult]:
 def _run_key(problem: L1Problem, phi, weights, lo, hi):
     """Every input of a program from _parsed but psi, in shapes and bytes,
     and phi's strides, which the face products follow: programs with equal
-    keys share their faces (see solve_l1_rows)."""
+    keys share their faces and their validation (see solve_l1_rows)."""
     sum_to, tie_weights = problem.sum_to, problem.tie_weights
+    if tie_weights is not None:
+        tie_weights = np.asarray(tie_weights, dtype=float)
+        tie_weights = tie_weights.shape, tie_weights.tobytes()
     return (
-        bool(problem.nonneg), phi.shape, phi.strides, phi.tobytes(), weights.tobytes(),
-        lo.shape, lo.tobytes(), hi.shape, hi.tobytes(), np.float64(problem.band).tobytes(),
-        None if sum_to is None else np.float64(sum_to).tobytes(),
-        None if tie_weights is None else np.asarray(tie_weights, dtype=float).tobytes(),
+        bool(problem.nonneg), phi.shape, phi.strides, phi.tobytes(), weights.shape,
+        weights.tobytes(), lo.shape, lo.tobytes(), hi.shape, hi.tobytes(),
+        np.float64(problem.band).tobytes(),
+        None if sum_to is None else np.float64(sum_to).tobytes(), tie_weights,
     )
 
 
@@ -613,16 +648,21 @@ def unique_nonneg_solution(a: np.ndarray, b: np.ndarray):
     column rank and some u > 0 has u = a_Z' lam with a_S' lam = 0 (with a
     kernel basis N, the u > 0 with N_Z' u = 0). Every object here is
     m-dimensional: lam = L mu for an orthonormal basis L of the left kernel
-    of a_S, and mu is the least-norm point with a_Z' L mu >= 1, found by a
-    second NNLS in Lawson and Hanson's least-distance form. A tie
-    direction d would give (a_Z' lam)'d_Z = -(a_S' lam)'d_S, hence
-    |a_S' lam| >= sigma_min(a_S) / |a_Z| once min(a_Z' lam) = 1. So
+    of a_S. A tie direction d would give (a_Z' lam)'d_Z = -(a_S' lam)'d_S,
+    hence |a_S' lam| >= sigma_min(a_S) / |a_Z| once min(a_Z' lam) = 1. So
+    any mu with a_Z' L mu > 0, scaled to min(a_Z' lam) = 1, for which
     |a_S' lam| + CERTIFICATE_RESIDUAL_MAX |a| |lam| < sigma_min(a_S) / |a_Z|
     certifies P = {z}, also for every a within that relative error
-    (2-norms bounded by Frobenius norms). Where z = 0 (S empty), Gordan's
+    (2-norms bounded by Frobenius norms). Two witnesses mu are tried, each
+    through that one check: the least-squares point of a_Z' L mu = 1
+    (one solve of its normal equations), then, only where it misses, the
+    least-norm mu with a_Z' L mu >= 1, found by a second NNLS in Lawson
+    and Hanson's least-distance form. Where z = 0 (S empty), Gordan's
     alternative decides instead: P = {0} iff some lam has a' lam > 0. The
-    same least-distance NNLS finds lam with L = I, and once min(a' lam) =
-    1, CERTIFICATE_RESIDUAL_MAX |a| |lam| < 1 certifies P = {0}.
+    same two witnesses find lam with L = I, and once min(a' lam) = 1,
+    CERTIFICATE_RESIDUAL_MAX |a| |lam| < 1 certifies P = {0}. Either way
+    the verdict only decides; z is the NNLS point whichever witness
+    certifies it.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
@@ -664,31 +704,46 @@ def _certified(a, b, z, norm=None):
         left, bound = left[:, a_s.shape[1]:], sing[-1] / np.linalg.norm(a_z)
     else:
         left, bound = np.eye(a.shape[0]), 1.0  # z = 0: Gordan, L = I
-    m_z = a_z.T @ left
+    for mu in _witnesses(a_z.T @ left):
+        lam = left @ mu
+        g = a_z.T @ lam
+        if not g.min() > 0.0:
+            continue
+        lam /= g.min()
+        residual = np.linalg.norm(a_s.T @ lam)
+        norm = np.linalg.norm(a) if norm is None else norm
+        if residual + CERTIFICATE_RESIDUAL_MAX * norm * np.linalg.norm(lam) < bound:
+            return "unique", z
+    return "tied", None
+
+
+def _witnesses(m_z):
+    """Candidates mu for the certificate's a_Z' L mu > 0, given m_z = a_Z' L,
+    in the order _certified tries them: the least-squares point of m_z mu =
+    1 (one solve of its normal equations, none where they are singular),
+    then the least-norm mu with m_z mu >= 1 (Lawson and Hanson's
+    least-distance NNLS, none where it finds no such mu). The next is only
+    formed when the one before misses."""
+    ones = np.ones(m_z.shape[0])
+    try:
+        yield np.linalg.solve(m_z.T @ m_z, m_z.T @ ones)
+    except np.linalg.LinAlgError:
+        pass
     k = m_z.shape[1]
     try:
-        u, _ = nnls(np.vstack([m_z.T, np.ones(m_z.shape[0])]), np.eye(k + 1)[k])
+        u, _ = nnls(np.vstack([m_z.T, ones]), np.eye(k + 1)[k])
     except RuntimeError:
-        return "tied", None
+        return
     r = np.append(m_z.T @ u, u.sum() - 1.0)
-    if not r[k] < 0.0:
-        return "tied", None  # no mu with a_Z' L mu >= 1
-    lam = left @ (-r[:k] / r[k])
-    g = a_z.T @ lam
-    if not g.min() > 0.0:
-        return "tied", None
-    lam /= g.min()
-    residual = np.linalg.norm(a_s.T @ lam)
-    norm = np.linalg.norm(a) if norm is None else norm
-    if not residual + CERTIFICATE_RESIDUAL_MAX * norm * np.linalg.norm(lam) < bound:
-        return "tied", None
-    return "unique", z
+    if r[k] < 0.0:
+        yield -r[:k] / r[k]
 
 
 def minimal_band(problem: L1Problem) -> float:
     """Smallest band for which the problem's constraints are feasible
     (inf when none is); the problem's own band and weights are ignored."""
     phi, psi, _, lo, hi = _parsed(problem)
+    _checked(problem, phi, lo, hi)
     lift, bounds, closure, sums = _columns(problem, lo, hi)
     block = lift(phi)
     ones = np.ones((block.shape[0], 1))

@@ -373,13 +373,15 @@ def test_equilibrium_rows_have_one_optimum_when_determined():
     assert np.max(np.abs(first.x - second.x)) <= 1e-9
 
 
+@pytest.mark.parametrize("model", ["watts_strogatz", "barabasi_albert"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_equilibrium_row_certificate_matches_the_lp_uniqueness_oracle(seed):
+def test_equilibrium_row_certificate_matches_the_lp_uniqueness_oracle(model, seed):
     # Every row has a nonnegative solution (the true W), so the certificate
-    # files each one under nnls_rows (unique) or tied_rows. A certified row
-    # is the program's only optimum, so any LP finds it too.
+    # files each one under nnls_rows (unique) or tied_rows, whichever of its
+    # witnesses decides. A certified row is the program's only optimum, so
+    # any LP finds it too.
     net = ok.generate_network(
-        ok.GeneratorConfig(model="watts_strogatz", n=50, k=6, beta_rw=0.2,
+        ok.GeneratorConfig(model=model, n=50, k=6, m0=3, beta_rw=0.2,
                            lambda_range=(0.4, 0.4)),
         seed=seed,
     )

@@ -17,6 +17,7 @@ import opinionkit as ok
 from helpers import (
     reference_augmented_system,
     reference_equilibrium_system,
+    reference_nonneg_is_unique,
     reference_simplex,
     reference_solve_l1,
     reference_spark,
@@ -274,9 +275,8 @@ def test_zero_with_a_nonneg_kernel_direction_is_tied(a):
     assert verdict == "tied" and z is None
 
 
-def test_square_support_with_a_zero_column_is_tied_after_one_nnls(monkeypatch):
-    # z = (1 - t, 2 - t, t) solves the system for t in [0, 1]; NNLS stops at
-    # a vertex, whose support fills both rows and leaves a zero column
+def _counted_nnls(monkeypatch):
+    """The points of every numkit.nnls call from here on, in order."""
     real, points = numkit.nnls, []
 
     def counted(a, b):
@@ -285,10 +285,58 @@ def test_square_support_with_a_zero_column_is_tied_after_one_nnls(monkeypatch):
         return z, residual
 
     monkeypatch.setattr(numkit, "nnls", counted)
+    return points
+
+
+def test_square_support_with_a_zero_column_is_tied_after_one_nnls(monkeypatch):
+    # z = (1 - t, 2 - t, t) solves the system for t in [0, 1]; NNLS stops at
+    # a vertex, whose support fills both rows and leaves a zero column
+    points = _counted_nnls(monkeypatch)
     verdict, z = unique_nonneg_solution([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 2.0])
     assert verdict == "tied" and z is None
     assert len(points) == 1
     assert np.count_nonzero(points[0] > numkit.STRUCTURAL_ZERO) == 2
+
+
+def _least_squares_witness(a, z):
+    """a_Z' lam for lam = L mu, L an orthonormal basis of the left kernel of
+    a_S and mu the least-squares point of a_Z' L mu = 1 (numpy's lstsq)."""
+    a = np.asarray(a, dtype=float)
+    support = z > numkit.STRUCTURAL_ZERO
+    a_s, a_z = a[:, support], a[:, ~support]
+    left = np.linalg.svd(a_s)[0][:, a_s.shape[1]:]
+    mu = np.linalg.lstsq(a_z.T @ left, np.ones(a_z.shape[1]))[0]
+    return a_z.T @ left @ mu
+
+
+def test_the_least_squares_witness_certifies_without_a_second_nnls(monkeypatch):
+    # z = e_0, so a_S = (3, 1)' and L = (1, -3)' / sqrt(10): a_Z' L is
+    # (-2, -2) / sqrt(10), whose least-squares point gives a_Z' lam = (1, 1)
+    a = [[3.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+    points = _counted_nnls(monkeypatch)
+    verdict, z = unique_nonneg_solution(a, [3.0, 1.0])
+    assert verdict == "unique" and np.allclose(z, [1.0, 0.0, 0.0], atol=1e-15)
+    assert len(points) == 1  # the point z; no least-distance NNLS
+    assert np.allclose(_least_squares_witness(a, z), [1.0, 1.0], atol=1e-12)
+
+
+def test_the_least_distance_nnls_certifies_where_the_least_squares_witness_misses(
+    monkeypatch,
+):
+    # found by a seeded search over 4 x 6 integer systems with b = a (2 e_0):
+    # the least-squares witness leaves a_Z' lam two negative entries, and
+    # the least-distance NNLS finds the lam > 0 that certifies e_0 anyway
+    a = [[3.0, 3.0, 2.0, 2.0, -3.0, 2.0],
+         [3.0, -2.0, -2.0, -3.0, 2.0, 3.0],
+         [1.0, 1.0, 2.0, -3.0, 2.0, 3.0],
+         [-3.0, 3.0, 2.0, -1.0, 0.0, 2.0]]
+    points = _counted_nnls(monkeypatch)
+    verdict, z = unique_nonneg_solution(a, [6.0, 6.0, 2.0, -6.0])
+    assert verdict == "unique" and np.allclose(z, [2.0, 0, 0, 0, 0, 0], atol=1e-12)
+    assert len(points) == 2  # the point z, then the least-distance NNLS
+    assert np.count_nonzero(_least_squares_witness(a, z) <= 0.0) == 2
+    # the reference LP agrees: no other nonnegative point
+    assert reference_nonneg_is_unique(np.asarray(a), np.asarray([6.0, 6.0, 2.0, -6.0]))
 
 
 def test_nonneg_solution_without_columns_is_unique_iff_b_is_zero():
@@ -349,6 +397,56 @@ def test_solve_l1_certifies_a_unique_nonnegative_optimum(extra):
     assert res.solver_log["certificate"] == "unique" and res.solver_log["iterations"] == 0
     assert np.max(np.abs(res.x - reference_solve_l1(problem))) <= 1e-12
     assert res.objective == pytest.approx(np.abs(res.x).sum(), abs=0.0)
+
+
+INF = np.inf
+
+
+@pytest.mark.parametrize("solve", [ok.solve_l1, minimal_band])
+@pytest.mark.parametrize("field, value", [
+    ("lo", np.zeros(2)),
+    ("lo", np.zeros((3, 1))),
+    ("hi", 0.5),
+    ("hi", np.full(4, NAN)),
+    ("hi", [NAN, [0.5, 0.5], NAN]),
+    ("phi", np.array([[3.0, NAN, 1.0]])),
+    ("phi", np.array([[3.0, -INF, 1.0]])),
+    ("psi", np.array([NAN])),
+    ("psi", np.array([INF])),
+    ("weights", np.array([1.0, NAN, 1.0])),
+    ("weights", np.array([1.0, INF, 1.0])),
+    ("tie_weights", np.array([NAN, 1.0, 1.0])),
+    ("tie_weights", np.array([0.0, INF, 1.0])),
+    ("sum_to", NAN),
+    ("sum_to", -INF),
+    ("band", NAN),
+    ("band", INF),
+])
+def test_an_input_out_of_range_is_named(solve, field, value):
+    with pytest.raises(ok.ParameterError, match=rf"^{field} must"):
+        solve(L1Problem(**{**VERTEX, field: value}))
+
+
+@pytest.mark.parametrize("lo, hi", [(NAN, NAN), (-INF, INF), (NAN, INF), (-INF, NAN)])
+def test_nan_and_infinite_bounds_are_no_bound(lo, hi):
+    free = ok.solve_l1(L1Problem(**VERTEX))
+    res = ok.solve_l1(L1Problem(**VERTEX, lo=np.full(3, lo), hi=np.full(3, hi)))
+    assert res.ok and res.x.tobytes() == free.x.tobytes()
+    assert res.solver_log == free.solver_log
+
+
+def test_solve_l1_rows_checks_a_run_once_and_psi_in_every_row(monkeypatch):
+    real, runs = numkit._checked, []
+    monkeypatch.setattr(numkit, "_checked", lambda *args: runs.append(args) or real(*args))
+    rows = [L1Problem(**{**VERTEX, "psi": np.array([psi])}) for psi in (3.0, 2.0, 1.0)]
+    numkit.solve_l1_rows(rows)
+    assert len(runs) == 1
+    with pytest.raises(ok.ParameterError, match="^psi must"):
+        numkit.solve_l1_rows([*rows, L1Problem(**{**VERTEX, "psi": np.array([NAN])})])
+    # the same bytes in another shape start a run of their own
+    with pytest.raises(ok.ParameterError, match="^weights must"):
+        numkit.solve_l1_rows([L1Problem(**VERTEX, weights=np.ones(3)),
+                              L1Problem(**VERTEX, weights=np.ones((3, 1)))])
 
 
 # Each program breaks one clause of the certificate's rule; the second is
